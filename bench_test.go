@@ -316,10 +316,13 @@ func BenchmarkStoreSweep(b *testing.B) {
 
 // BenchmarkEngineRun pits the event-driven engine core against the
 // reference clock-by-clock loop on the slowest named workload method (by
-// simulated mesh cycles on the tightest serial budget). Both sub-benches
-// execute the identical resolved deployment cold; the differential tests
-// prove the results byte-identical, so the delta is pure loop mechanics.
-// CI guards the event core at ≥5x fewer ns/op and allocs/op.
+// simulated mesh cycles on the tightest serial budget). All sub-benches
+// execute the identical resolved deployment; the differential tests prove
+// the results byte-identical, so the delta is pure loop mechanics. "event"
+// is the path the service runs — one engine, Reset per run, as the pooled
+// Runner.RunResolved does — and "fresh" the same loop on a new engine per
+// run, so the gap between the two is what reuse buys. CI guards the event
+// core at ≥5x fewer ns/op and allocs/op than the reference.
 func BenchmarkEngineRun(b *testing.B) {
 	cfg := benchConfig(b, "Compact2")
 	const maxCycles = 400_000
@@ -348,6 +351,17 @@ func BenchmarkEngineRun(b *testing.B) {
 	b.Logf("slowest method: %s (%d mesh cycles on %s)", slowSig, slowCycles, cfg.Name)
 
 	b.Run("event", func(b *testing.B) {
+		b.ReportAllocs()
+		eng := sim.NewEngine(cfg, slowRes, sim.BP1)
+		for i := 0; i < b.N; i++ {
+			eng.Reset(cfg, slowRes, sim.BP1)
+			eng.SetMaxCycles(maxCycles)
+			if _, err := eng.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			eng := sim.NewEngine(cfg, slowRes, sim.BP1)

@@ -13,6 +13,7 @@ package classfile
 
 import (
 	"fmt"
+	"strconv"
 
 	"javaflow/internal/bytecode"
 )
@@ -78,8 +79,9 @@ type MethodRef struct {
 }
 
 // Signature renders the canonical "Class.Name/argc" form used in reports.
+// Plain concatenation: every engine run, span and store key builds one.
 func (r MethodRef) Signature() string {
-	return fmt.Sprintf("%s.%s/%d", r.Class, r.Name, r.Argc)
+	return r.Class + "." + r.Name + "/" + strconv.Itoa(r.Argc)
 }
 
 // Constant is one constant-pool entry.

@@ -225,4 +225,20 @@ func TestMethodSignature(t *testing.T) {
 	if m.ParamRegisters() != 4 {
 		t.Errorf("ParamRegisters = %d, want 4 (receiver + 3 args)", m.ParamRegisters())
 	}
+	// The signature is the fleet-wide addressing key: its bytes are pinned,
+	// multi-digit and zero argc included.
+	for _, tc := range []struct {
+		ref  MethodRef
+		want string
+	}{
+		{MethodRef{Class: "scimark/fft/FFT", Name: "bitreverse", Argc: 1}, "scimark/fft/FFT.bitreverse/1"},
+		{MethodRef{Class: "A", Name: "<init>", Argc: 0}, "A.<init>/0"},
+		{MethodRef{Class: "gen/C12", Name: "m7", Argc: 12}, "gen/C12.m7/12"},
+		{MethodRef{Class: "A", Name: "wide", Argc: 255}, "A.wide/255"},
+		{MethodRef{}, "./0"},
+	} {
+		if got := tc.ref.Signature(); got != tc.want {
+			t.Errorf("%+v.Signature() = %q, want %q", tc.ref, got, tc.want)
+		}
+	}
 }

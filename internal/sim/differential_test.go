@@ -35,8 +35,8 @@ func diffVariants() []diffVariant {
 	}
 }
 
-func newDiffEngine(cfg Config, res *fabric.Resolution, p BranchPolicy, v diffVariant, cap int) *Engine {
-	eng := NewEngine(cfg, res, p)
+// arm applies the variant's options and the cycle cap to a Reset engine.
+func (v diffVariant) arm(eng *Engine, cap int) {
 	eng.SetMaxCycles(cap)
 	if v.fold {
 		eng.EnableFolding()
@@ -44,6 +44,11 @@ func newDiffEngine(cfg Config, res *fabric.Resolution, p BranchPolicy, v diffVar
 	if v.qFor > 0 {
 		eng.ScheduleQuiesce(v.qAt, v.qFor)
 	}
+}
+
+func newDiffEngine(cfg Config, res *fabric.Resolution, p BranchPolicy, v diffVariant, cap int) *Engine {
+	eng := NewEngine(cfg, res, p)
+	v.arm(eng, cap)
 	return eng
 }
 

@@ -242,7 +242,11 @@ func (r Result) Parallelism() float64 {
 // tracking and cycle skipping — while RunReference replays the original
 // clock-by-clock loop. Both produce byte-identical Results; the
 // differential tests assert it and the reference loop is kept as the
-// oracle. An Engine is single-use: create a fresh one per Run.
+// oracle. An Engine executes once per Reset; Reset reuses the previous
+// run's buffers (node array, held-token buffers, queue buckets, distance
+// tables, predictor maps), so a recycled engine's state stops allocating
+// once it has seen its largest deployment. Reuse is unobservable: a Reset engine is byte-identical to
+// a fresh one whatever the previous run left behind (TestDirtyEngineReuse).
 type Engine struct {
 	cfg        Config
 	placement  *fabric.Placement
@@ -328,16 +332,66 @@ type Engine struct {
 // NewEngine prepares an execution. The placement must come from the same
 // fabric as cfg.
 func NewEngine(cfg Config, res *fabric.Resolution, policy BranchPolicy) *Engine {
-	return &Engine{
+	e := new(Engine)
+	e.Reset(cfg, res, policy)
+	return e
+}
+
+// Reset prepares e for a new execution, whatever state the previous one
+// left behind (finished, timed out, stalled or cancelled mid-run). Every
+// field not listed below returns to its zero value — options set through
+// SetMaxCycles, ScheduleQuiesce, EnableFolding and SetPreempt included —
+// while the listed buffers keep their capacity.
+func (e *Engine) Reset(cfg Config, res *fabric.Resolution, policy BranchPolicy) {
+	if e.predictor == nil {
+		e.predictor = NewPredictor(policy)
+	} else {
+		e.predictor.policy = policy
+		clear(e.predictor.fwd)
+		clear(e.predictor.back)
+	}
+	e.serialEv.reset()
+	e.meshEv.reset()
+	e.doneEv.reset()
+	// The distance tables survive a job's second policy. The engine still
+	// references the deployment they were built for (releaseEngine clears
+	// it), so pointer equality cannot be fooled by a recycled address.
+	sameDeployment := e.resolution == res && e.cfg.Fabric == cfg.Fabric
+	*e = Engine{
 		cfg:        cfg,
 		placement:  res.Placement,
 		resolution: res,
-		predictor:  NewPredictor(policy),
-		nodes:      make([]nodeState, len(res.Placement.Method.Code)),
+		predictor:  e.predictor,
+		nodes:      resized(e.nodes, len(res.Placement.Method.Code)),
 		meta:       metaFor(res.Placement.Method),
+		serialQ:    e.serialQ[:0],
+		meshQ:      e.meshQ[:0],
 		maxCycles:  DefaultMaxMeshCycles,
+		serialEv:   e.serialEv,
+		meshEv:     e.meshEv,
+		doneEv:     e.doneEv,
 		tailHeldAt: -1,
+		liveAt:     e.liveAt,
+		nextD:      e.nextD,
+		branchD:    e.branchD,
+		meshD:      e.meshD,
+		meshOff:    e.meshOff,
 	}
+	for i := range e.nodes {
+		e.nodes[i] = nodeState{held: e.nodes[i].held[:0]}
+	}
+	if !sameDeployment {
+		e.buildDist()
+	}
+}
+
+// resized returns s with length n, keeping its backing array — and so its
+// elements' own buffers — whenever capacity allows.
+func resized[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
 
 // SetMaxCycles overrides the timeout bound.
@@ -1056,33 +1110,35 @@ func (e *Engine) fireNode(i int) {
 	}
 }
 
-// forwardTokenStagger forwards with incrementing extra delay so released
-// tokens depart one serial clock apart.
-func (e *Engine) forwardTokenStagger(t token, i int, stagger *int) {
-	next := i + 1
-	if next >= len(e.nodes) {
-		return
+// releaseHeld forwards all buffered tokens to the next instruction in
+// linear order (dropping them off the method end).
+func (e *Engine) releaseHeld(i int) {
+	delay := 0
+	if i+1 < len(e.nodes) {
+		delay = e.hopDelay(i)
 	}
-	e.pushSerial(t, next, e.hopDelay(i)+*stagger)
-	*stagger++
+	e.releaseHeldTo(i, i+1, delay)
 }
 
-// releaseHeld forwards all buffered tokens in kind order; a parked TAIL
-// stays behind for the rearmost sweep.
-func (e *Engine) releaseHeld(i int) {
+// releaseHeldTo sends node i's buffered tokens to node `to` in kind order,
+// one serial clock apart starting `delay` clocks out; a parked TAIL stays
+// behind for the rearmost sweep. The buffer is filtered in place.
+func (e *Engine) releaseHeldTo(i, to, delay int) {
 	n := &e.nodes[i]
 	sortTokensByKind(n.held)
-	stagger := 0
-	var tail []token
+	kept := n.held[:0]
 	for _, t := range n.held {
 		if t.kind == tokTail {
-			tail = append(tail, t)
+			kept = append(kept, t)
 			continue
 		}
 		e.noteUnheld(i, t)
-		e.forwardTokenStagger(t, i, &stagger)
+		if to < len(e.nodes) {
+			e.pushSerial(t, to, delay)
+			delay++
+		}
 	}
-	n.held = tail
+	n.held = kept
 }
 
 // completeControl routes the buffered bundle after a control node fires.
@@ -1098,19 +1154,7 @@ func (e *Engine) completeControl(i int) {
 	case target > i:
 		// Forward taken: explicit addressing to the target; a parked
 		// TAIL follows via the sweep.
-		sortTokensByKind(n.held)
-		stagger := 0
-		var tail []token
-		for _, t := range n.held {
-			if t.kind == tokTail {
-				tail = append(tail, t)
-				continue
-			}
-			e.noteUnheld(i, t)
-			e.forwardTokenTo(t, i, target, stagger)
-			stagger++
-		}
-		n.held = tail
+		e.releaseHeldTo(i, target, e.targetDelay(i, target))
 	default:
 		// Backward taken: keep buffering until TAIL arrives, then move
 		// the whole bundle up the reverse network.
@@ -1157,8 +1201,10 @@ func (e *Engine) maybeCompleteBackward(i int) {
 		}
 	}
 	target := int(mt.target)
+	// The bundle keeps living in the buffer's backing array: nothing holds
+	// a token at i before the re-injection below has read it.
 	bundle := n.held
-	n.held = nil
+	n.held = n.held[:0]
 	for _, t := range bundle {
 		e.noteUnheld(i, t)
 	}

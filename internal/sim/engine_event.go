@@ -86,59 +86,48 @@ func (e *Engine) finishStats(cycles int) {
 	engineTotals.skipped.Add(e.stats.CyclesSkipped)
 }
 
-// distTables are the per-deployment distance lookups: nextD[i] is the
-// serial hop to i+1, branchD[i] the serial distance to i's branch target,
-// and meshD[meshOff[i]+k] the mesh distance to Targets[i][k].Consumer.
-type distTables struct {
-	nextD   []int32
-	branchD []int32
-	meshD   []int32
-	meshOff []int32
-}
-
-// distFor builds the distance tables for this engine's deployment: an
-// O(nodes + targets) pass, cheap enough to run per engine. (Not memoized
-// by resolution pointer on purpose: LRU-evicted deployments re-resolve to
-// fresh pointers, so a pointer-keyed cache would pin dead resolutions.)
-func (e *Engine) distFor() *distTables {
+// buildDist fills the per-deployment distance tables — nextD[i] the serial
+// hop to i+1, branchD[i] the serial distance to i's branch target, and
+// meshD[meshOff[i]+k] the mesh distance to Targets[i][k].Consumer — into
+// the engine's own buffers: an O(nodes + targets) pass Reset runs once per
+// job (the tables survive a job's second policy). They live on the
+// engine rather than in a cache keyed by resolution pointer on purpose:
+// LRU-evicted deployments re-resolve to fresh pointers, so such a cache
+// would pin dead resolutions.
+func (e *Engine) buildDist() {
 	n := len(e.nodes)
 	f, nodeOf := e.cfg.Fabric, e.placement.NodeOf
 	total := 0
 	for _, tgts := range e.resolution.Targets {
 		total += len(tgts)
 	}
-	d := &distTables{
-		nextD:   make([]int32, n),
-		branchD: make([]int32, n),
-		meshOff: make([]int32, n),
-		meshD:   make([]int32, total),
-	}
+	e.nextD, e.branchD = resized(e.nextD, n), resized(e.branchD, n)
+	e.meshOff, e.meshD = resized(e.meshOff, n), resized(e.meshD, total)
 	off := 0
 	for i := 0; i < n; i++ {
+		e.nextD[i], e.branchD[i] = 0, 0
 		if i+1 < n {
-			d.nextD[i] = int32(f.SerialDistance(nodeOf[i], nodeOf[i+1]))
+			e.nextD[i] = int32(f.SerialDistance(nodeOf[i], nodeOf[i+1]))
 		}
 		if mt := &e.meta[i]; mt.flags&metaBranch != 0 && mt.target >= 0 && int(mt.target) < n {
-			d.branchD[i] = int32(f.SerialDistance(nodeOf[i], nodeOf[mt.target]))
+			e.branchD[i] = int32(f.SerialDistance(nodeOf[i], nodeOf[mt.target]))
 		}
-		d.meshOff[i] = int32(off)
+		e.meshOff[i] = int32(off)
 		for _, tg := range e.resolution.Targets[i] {
-			d.meshD[off] = int32(f.MeshDistance(nodeOf[i], nodeOf[tg.Consumer]))
+			e.meshD[off] = int32(f.MeshDistance(nodeOf[i], nodeOf[tg.Consumer]))
 			off++
 		}
 	}
-	return d
 }
 
-// initEvent switches the engine into event mode, installs the
-// per-deployment distance tables (so the inner loop never calls through
-// fabric.Fabric per message) and zeroes the watermark index.
+// initEvent switches the engine into event mode — hop and operand delays
+// come from the distance tables, so the inner loop never calls through
+// fabric.Fabric per message — and zeroes the watermark index.
 func (e *Engine) initEvent() {
 	e.event = true
-	e.liveAt = make([]int32, len(e.nodes))
+	e.liveAt = resized(e.liveAt, len(e.nodes))
+	clear(e.liveAt)
 	e.tailPos = -1
-	d := e.distFor()
-	e.nextD, e.branchD, e.meshD, e.meshOff = d.nextD, d.branchD, d.meshD, d.meshOff
 }
 
 // deliverSerialBucket pops the earliest serial bucket (serialNow must

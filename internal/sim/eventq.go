@@ -24,7 +24,9 @@ type tbucket[T any] struct {
 // are reclaimed lazily so pop-min is O(1). Pushes search backwards from
 // the newest time (sends cluster a few clocks ahead of now) and memmove
 // the short tail when a new time opens. Item slices recycle through a free
-// list, keeping steady-state allocation at zero.
+// list, and reset keeps both the bucket array and the free list, so a
+// reused engine's queues stop allocating once they have seen their
+// high-water mark — within a run and across runs.
 type timeQ[T any] struct {
 	asc  []tbucket[T]
 	head int
@@ -80,6 +82,16 @@ func (q *timeQ[T]) takeMin() (int, []T) {
 // recycle returns a taken bucket's item slice to the free list.
 func (q *timeQ[T]) recycle(items []T) {
 	q.free = append(q.free, items[:0])
+}
+
+// reset empties the queue for reuse. Buckets still pending (a run aborted
+// by timeout, stall or cancellation) go back on the free list.
+func (q *timeQ[T]) reset() {
+	for i := q.head; i < len(q.asc); i++ {
+		q.recycle(q.asc[i].items)
+		q.asc[i].items = nil
+	}
+	q.asc, q.head, q.n = q.asc[:0], 0, 0
 }
 
 // sortSerialArrivals stably orders same-clock serial arrivals by

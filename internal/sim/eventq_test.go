@@ -116,3 +116,57 @@ func TestArrivalSortsMatchReferenceOrder(t *testing.T) {
 		}
 	}
 }
+
+// reset must empty a queue abandoned mid-run, hand its pending buckets'
+// slices to the free list, and leave it ordering pushes like a new one.
+func TestTimeQReset(t *testing.T) {
+	var q timeQ[int]
+	for round := 0; round < 3; round++ {
+		// Leave the queue dirty: pending buckets, an advanced head, and a
+		// taken bucket recycled.
+		for i := 0; i < 40; i++ {
+			q.push(100+i%10, i)
+		}
+		_, items := q.takeMin()
+		q.recycle(items)
+		pending, free := len(q.asc)-q.head, len(q.free)
+
+		q.reset()
+		if q.n != 0 || q.head != 0 || len(q.asc) != 0 {
+			t.Fatalf("round %d: reset left n=%d head=%d buckets=%d", round, q.n, q.head, len(q.asc))
+		}
+		if len(q.free) != free+pending {
+			t.Fatalf("round %d: free list %d, want %d (+%d pending buckets)", round, len(q.free), free+pending, pending)
+		}
+		for _, s := range q.free {
+			if len(s) != 0 {
+				t.Fatalf("round %d: recycled bucket still holds %d items", round, len(s))
+			}
+		}
+
+		// Earlier times than the abandoned ones, out of order.
+		for i, tm := range []int{7, 3, 9, 3, 7, 1} {
+			q.push(tm, i)
+		}
+		if len(q.free) != free+pending-4 {
+			t.Fatalf("round %d: pushes after reset did not reuse recycled buckets", round)
+		}
+		var got [][2]int
+		for q.n > 0 {
+			tm, items := q.takeMin()
+			for _, v := range items {
+				got = append(got, [2]int{tm, v})
+			}
+			q.recycle(items)
+		}
+		want := [][2]int{{1, 5}, {3, 1}, {3, 3}, {7, 0}, {7, 4}, {9, 2}}
+		if len(got) != len(want) {
+			t.Fatalf("round %d: drained %v, want %v", round, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("round %d: drained %v, want %v", round, got, want)
+			}
+		}
+	}
+}

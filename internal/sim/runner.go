@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"javaflow/internal/classfile"
 	"javaflow/internal/fabric"
@@ -67,33 +68,52 @@ func (r *Runner) RunMethod(cfg Config, m *classfile.Method) (MethodRun, error) {
 	return r.RunResolved(cfg, res)
 }
 
+// enginePool recycles engines between jobs so a sweep stops paying for
+// node arrays, queue buckets and distance tables per run. Unbounded on
+// purpose: sync.Pool's GC behaviour is the bound.
+var enginePool = sync.Pool{New: func() any { return new(Engine) }}
+
+// releaseEngine pools e after dropping every reference it must not pin —
+// the deployment (LRU-evictable upstream) and the request context —
+// keeping only the engine's own buffers.
+func releaseEngine(e *Engine) {
+	e.cfg, e.placement, e.resolution, e.meta, e.preemptCtx = Config{}, nil, nil, nil, nil
+	enginePool.Put(e)
+}
+
 // RunResolved executes an already-deployed method (both branch policies) —
 // the post-cache half of RunMethod. Results are identical to RunMethod's:
 // the engine never mutates the resolution, so one deployment can back any
 // number of executions, including concurrent ones.
 func (r *Runner) RunResolved(cfg Config, res *fabric.Resolution) (MethodRun, error) {
-	m := res.Placement.Method
-	out := MethodRun{Signature: m.Signature()}
-	for _, policy := range []BranchPolicy{BP1, BP2} {
-		eng := NewEngine(cfg, res, policy)
-		if r.MaxMeshCycles > 0 {
-			eng.SetMaxCycles(r.MaxMeshCycles)
-		}
-		if r.Ctx != nil {
-			eng.SetPreempt(r.Ctx)
-		}
-		result, err := eng.Run()
-		if err != nil {
-			return MethodRun{}, fmt.Errorf("%s: %w", cfg.Name, err)
-		}
-		result.Policy = policy
-		if policy == BP1 {
-			out.BP1 = result
-		} else {
-			out.BP2 = result
-		}
+	eng := enginePool.Get().(*Engine)
+	defer releaseEngine(eng)
+	out := MethodRun{Signature: res.Placement.Method.Signature()}
+	var err error
+	if out.BP1, err = r.runPolicy(eng, cfg, res, BP1); err != nil {
+		return MethodRun{}, err
+	}
+	if out.BP2, err = r.runPolicy(eng, cfg, res, BP2); err != nil {
+		return MethodRun{}, err
 	}
 	return out, nil
+}
+
+// runPolicy resets eng for one branch policy and runs it.
+func (r *Runner) runPolicy(eng *Engine, cfg Config, res *fabric.Resolution, policy BranchPolicy) (Result, error) {
+	eng.Reset(cfg, res, policy)
+	if r.MaxMeshCycles > 0 {
+		eng.SetMaxCycles(r.MaxMeshCycles)
+	}
+	if r.Ctx != nil {
+		eng.SetPreempt(r.Ctx)
+	}
+	result, err := eng.Run()
+	if err != nil {
+		return Result{}, fmt.Errorf("%s: %w", cfg.Name, err)
+	}
+	result.Policy = policy
+	return result, nil
 }
 
 // ConfigResults is the population outcome for one configuration.
