@@ -9,8 +9,11 @@
 package javaflow_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -381,6 +384,45 @@ func BenchmarkEngineRun(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkWarmRun measures what a store hit costs inside the daemon's own
+// handler: POST /v1/run through serve.NewHandler on a store-backed stack
+// whose every (method, configuration) result is already persisted, so the
+// engine never runs. ns/op and allocs/op include the httptest request and
+// recorder (constant across commits).
+func BenchmarkWarmRun(b *testing.B) {
+	st, err := store.Open(b.TempDir(), store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	sched := serve.NewScheduler(serve.SchedulerOptions{Workers: 1, MaxMeshCycles: 200_000, Store: st})
+	handler := serve.NewHandler(serve.NewService(sched, sim.Configurations(), workload.NamedMethods()))
+	var bodies [][]byte
+	for _, cfg := range sim.Configurations() {
+		for _, m := range workload.NamedMethods() {
+			bodies = append(bodies, []byte(`{"config":"`+cfg.Name+`","method":"`+m.Signature()+`"}`))
+		}
+	}
+	post := func(body []byte) int {
+		w := httptest.NewRecorder()
+		handler.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+		return w.Code
+	}
+	warm := bodies[:0]
+	for _, body := range bodies {
+		if post(body) == http.StatusOK { // fabric rejections (422) are not store hits
+			warm = append(warm, body)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if code := post(warm[i%len(warm)]); code != http.StatusOK {
+			b.Fatalf("warm run: status %d", code)
+		}
+	}
 }
 
 func benchConfig(b *testing.B, name string) sim.Config {

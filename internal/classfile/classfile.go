@@ -12,8 +12,11 @@
 package classfile
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"strconv"
+	"sync/atomic"
 
 	"javaflow/internal/bytecode"
 )
@@ -192,6 +195,13 @@ type Method struct {
 
 	Code []bytecode.Instruction
 	Pool *ConstantPool
+
+	// sig and hash memoise Signature and Hash on first use. A method is
+	// immutable once constructed (the literal, Verify's MaxStack stamp and
+	// Class.Add's naming — the latter two drop the memo), so both are
+	// constants of the object and racing first uses store equal values.
+	sig  atomic.Pointer[string]
+	hash atomic.Uint64 // 0 = not computed yet
 }
 
 // ParamRegisters is the number of local registers consumed by parameters
@@ -214,7 +224,67 @@ func (m *Method) Ref() MethodRef {
 }
 
 // Signature renders "Class.Name/argc".
-func (m *Method) Signature() string { return m.Ref().Signature() }
+func (m *Method) Signature() string {
+	if s := m.sig.Load(); s != nil {
+		return *s
+	}
+	s := m.Ref().Signature()
+	m.sig.Store(&s)
+	return s
+}
+
+// Hash fingerprints everything about a method that deployment and
+// execution observe: identity, register/stack shape, and the full
+// instruction stream (opcode, operands, branch and switch targets, stack
+// effects). FNV-1a over a fixed little-endian field walk; persistent
+// stores key records by it, so the walk is frozen.
+func (m *Method) Hash() uint64 {
+	if h := m.hash.Load(); h != 0 {
+		return h
+	}
+	h := fnv.New64a()
+	var scratch [8]byte
+	writeInt := func(v int64) {
+		binary.LittleEndian.PutUint64(scratch[:], uint64(v))
+		h.Write(scratch[:])
+	}
+	writeBool := func(b bool) {
+		if b {
+			h.Write([]byte{1})
+		} else {
+			h.Write([]byte{0})
+		}
+	}
+	h.Write([]byte(m.Class))
+	h.Write([]byte{0})
+	h.Write([]byte(m.Name))
+	h.Write([]byte{0})
+	writeInt(int64(m.Argc))
+	writeBool(m.Instance)
+	writeBool(m.ReturnsValue)
+	writeInt(int64(m.MaxLocals))
+	writeInt(int64(m.MaxStack))
+	writeInt(int64(len(m.Code)))
+	for _, in := range m.Code {
+		writeInt(int64(in.Op))
+		writeInt(in.A)
+		writeInt(in.B)
+		writeInt(int64(in.Target))
+		writeInt(int64(len(in.SwitchKeys)))
+		for _, k := range in.SwitchKeys {
+			writeInt(k)
+		}
+		writeInt(int64(len(in.SwitchTargets)))
+		for _, t := range in.SwitchTargets {
+			writeInt(int64(t))
+		}
+		writeInt(int64(in.Pop))
+		writeInt(int64(in.Push))
+	}
+	sum := h.Sum64()
+	m.hash.Store(sum)
+	return sum
+}
 
 // Class groups methods and static field slots, standing in for the loaded
 // ClassFile plus its Method Area allocation.
@@ -237,6 +307,8 @@ func NewClass(name string) *Class {
 // Add registers a method with the class, setting its Class name.
 func (c *Class) Add(m *Method) *Class {
 	m.Class = c.Name
+	m.sig.Store(nil)
+	m.hash.Store(0)
 	if _, exists := c.Methods[m.Name]; !exists {
 		c.order = append(c.order, m.Name)
 	}

@@ -2,6 +2,7 @@ package classfile
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"javaflow/internal/bytecode"
@@ -241,4 +242,58 @@ func TestMethodSignature(t *testing.T) {
 			t.Errorf("%+v.Signature() = %q, want %q", tc.ref, got, tc.want)
 		}
 	}
+}
+
+// TestSignatureAndHashMemo: Signature and Hash are computed once per
+// object, and the package's own construction-time mutations — Class.Add's
+// naming and Verify's MaxStack stamp — drop the memo instead of freezing a
+// value from before the method was complete.
+func TestSignatureAndHashMemo(t *testing.T) {
+	m := simpleMethod(t, 1, func(a *bytecode.Assembler) {
+		a.PushInt(1).PushInt(2).Op(bytecode.Iadd).IStore(0).Op(bytecode.Return)
+	})
+	sig, hash := m.Signature(), m.Hash()
+	if sig != "Test.m/0" || hash == 0 {
+		t.Fatalf("Signature %q, Hash %#x", sig, hash)
+	}
+	if m.Signature() != sig || m.Hash() != hash {
+		t.Fatal("memoised values differ from the computed ones")
+	}
+
+	if err := Verify(m); err != nil {
+		t.Fatal(err)
+	}
+	stamped := m.Hash()
+	if stamped == hash {
+		t.Error("Hash unchanged after Verify stamped MaxStack")
+	}
+	if err := Verify(m); err != nil || m.Hash() != stamped {
+		t.Errorf("re-verification moved the hash: %v", err)
+	}
+
+	NewClass("pkg/Owner").Add(m)
+	if got := m.Signature(); got != "pkg/Owner.m/0" {
+		t.Errorf("Signature after Add = %q", got)
+	}
+	if m.Hash() == stamped {
+		t.Error("Hash unchanged after Add renamed the class")
+	}
+	fresh := &Method{Class: m.Class, Name: m.Name, MaxLocals: m.MaxLocals, MaxStack: m.MaxStack, Code: m.Code, Pool: m.Pool}
+	if fresh.Hash() != m.Hash() || fresh.Signature() != m.Signature() {
+		t.Error("memo differs from a fresh computation over the same fields")
+	}
+
+	// First use may race: deployment workers reach a method concurrently.
+	shared := &Method{Class: m.Class, Name: m.Name, MaxLocals: m.MaxLocals, MaxStack: m.MaxStack, Code: m.Code, Pool: m.Pool}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if shared.Signature() != m.Signature() || shared.Hash() != m.Hash() {
+				t.Error("concurrent first use computed a different value")
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -157,6 +157,7 @@ func Verify(m *Method) error {
 	// of the identical value is still a data race.
 	if m.MaxStack != maxDepth {
 		m.MaxStack = maxDepth
+		m.hash.Store(0)
 	}
 	return nil
 }

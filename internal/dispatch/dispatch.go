@@ -35,11 +35,11 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"javaflow/internal/admit"
+	"javaflow/internal/classfile"
 	"javaflow/internal/fabric"
 	"javaflow/internal/obs"
 	"javaflow/internal/serve"
@@ -597,6 +597,13 @@ func (d *Dispatcher) maxCyclesOrDefault(maxCycles int) int {
 	return d.local.MaxMeshCycles()
 }
 
+// RunMethodCycles routes one job: a batch of one, which the fan-out runs on
+// the caller's goroutine.
+func (d *Dispatcher) RunMethodCycles(ctx context.Context, cfg sim.Config, m *classfile.Method, maxCycles int) (sim.MethodRun, error) {
+	r := d.RunBatchStream(ctx, []serve.Job{{Config: cfg, Method: m}}, maxCycles, nil)[0]
+	return r.Run, r.Err
+}
+
 // RunBatchCycles dispatches jobs across the backends and returns one
 // result per job in submission order, byte-identical to running the same
 // batch on the local scheduler alone.
@@ -604,19 +611,13 @@ func (d *Dispatcher) RunBatchCycles(ctx context.Context, jobs []serve.Job, maxCy
 	return d.RunBatchStream(ctx, jobs, maxCycles, nil)
 }
 
-// workerCount sizes the fan-out pool to the fleet's aggregate capacity:
-// every backend's inflight bound plus the local pool, so the dispatcher
-// can saturate all backends at once without spawning a goroutine per job.
-func (d *Dispatcher) workerCount(jobs int) int {
+// workers sizes the fan-out pool to the fleet's aggregate capacity: every
+// backend's inflight bound plus the local pool, so the dispatcher can
+// saturate all backends at once without spawning a goroutine per job.
+func (d *Dispatcher) workers() int {
 	w := cap(d.localSem)
 	for _, bs := range d.backends {
 		w += cap(bs.sem)
-	}
-	if w > jobs {
-		w = jobs
-	}
-	if w < 1 {
-		w = 1
 	}
 	return w
 }
@@ -625,64 +626,10 @@ func (d *Dispatcher) workerCount(jobs int) int {
 // non-nil) receives each completed result exactly once, in submission
 // order.
 func (d *Dispatcher) RunBatchStream(ctx context.Context, jobs []serve.Job, maxCycles int, emit func(i int, r serve.JobResult)) []serve.JobResult {
-	results := make([]serve.JobResult, len(jobs))
-	for i, j := range jobs {
-		results[i].Job = j
-	}
-	if len(jobs) == 0 {
-		return results
-	}
 	maxCycles = d.maxCyclesOrDefault(maxCycles)
-
-	indexes := make(chan int)
-	// Buffered for the whole batch so workers and the feeder never block
-	// on the collector.
-	completed := make(chan int, len(jobs))
-	var wg sync.WaitGroup
-	for w := d.workerCount(len(jobs)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range indexes {
-				run, err := d.runJob(ctx, jobs[i], maxCycles)
-				results[i].Run = run
-				results[i].Err = err
-				completed <- i
-			}
-		}()
-	}
-	go func() {
-	feed:
-		for i := range jobs {
-			select {
-			case indexes <- i:
-			case <-ctx.Done():
-				// Jobs never handed to a worker report the cancellation;
-				// delivered jobs stamp it via runJob's own ctx checks.
-				for k := i; k < len(jobs); k++ {
-					results[k].Err = ctx.Err()
-					completed <- k
-				}
-				break feed
-			}
-		}
-		close(indexes)
-		wg.Wait()
-		close(completed)
-	}()
-
-	done := make([]bool, len(results))
-	next := 0
-	for i := range completed {
-		done[i] = true
-		for next < len(results) && done[next] {
-			if emit != nil {
-				emit(next, results[next])
-			}
-			next++
-		}
-	}
-	return results
+	return serve.FanOut(ctx, jobs, d.workers(), emit, func(j serve.Job) (sim.MethodRun, error) {
+		return d.runJob(ctx, j, maxCycles)
+	})
 }
 
 // BackendStats is one backend's slice of Stats.

@@ -537,3 +537,44 @@ func TestDispatchSuspensionAndProbe(t *testing.T) {
 		t.Fatalf("suspended backend took new errors: %+v", st.Backends[0])
 	}
 }
+
+// TestDispatchSingleJobInline: a one-job batch routes on the caller's
+// goroutine with the pooled path's contract — an already-cancelled context
+// reports ctx.Err() without reaching a backend, emit fires exactly once
+// with index 0, and the result equals the pooled path's for the same job.
+func TestDispatchSingleJobInline(t *testing.T) {
+	methods := testMethods(t, 2)
+	ts, _ := newPeer(t, methods)
+	d, err := New(Options{Peers: []string{ts.URL}, Local: newLocalScheduler()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := sweepJobs(t, []string{"Compact2"}, methods)
+
+	var emitted []int
+	single := d.RunBatchStream(context.Background(), jobs[:1], testMaxCycles, func(i int, r serve.JobResult) { emitted = append(emitted, i) })
+	if !reflect.DeepEqual(emitted, []int{0}) {
+		t.Fatalf("emitted %v, want exactly [0]", emitted)
+	}
+	pooled := d.RunBatchStream(context.Background(), jobs, testMaxCycles, nil)
+	assertSameResults(t, single, pooled[:1])
+	direct, err := d.RunMethodCycles(context.Background(), jobs[0].Config, jobs[0].Method, testMaxCycles)
+	if err != nil || !reflect.DeepEqual(direct, pooled[0].Run) {
+		t.Fatalf("RunMethodCycles = %+v, %v; want the pooled result", direct, err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := d.Stats().Backends[0].Jobs
+	emitted = nil
+	r := d.RunBatchStream(ctx, jobs[:1], testMaxCycles, func(i int, r serve.JobResult) { emitted = append(emitted, i) })
+	if r[0].Err != context.Canceled || !reflect.DeepEqual(emitted, []int{0}) {
+		t.Fatalf("cancelled: err %v, emitted %v; want ctx.Err() and exactly [0]", r[0].Err, emitted)
+	}
+	if _, err := d.RunMethodCycles(ctx, jobs[0].Config, jobs[0].Method, testMaxCycles); err != context.Canceled {
+		t.Fatalf("cancelled RunMethodCycles: err %v, want ctx.Err()", err)
+	}
+	if st := d.Stats(); st.Backends[0].Jobs != before || st.Backends[0].Errors != 0 {
+		t.Fatalf("cancelled jobs reached the backend: %+v", st.Backends[0])
+	}
+}

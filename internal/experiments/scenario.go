@@ -631,7 +631,8 @@ func (c *Context) drillStoreCorruption(f scenario.Fault, res *scenario.Resolved)
 }
 
 // drillOverload floods a capped admission gate at 4x capacity (by default)
-// with concurrent /v1/run requests: the overflow must shed with typed 429s
+// with concurrent /v1/run requests, holding the admitted ones inside the
+// lane until the rest are answered: the overflow must shed with typed 429s
 // carrying a positive integer Retry-After, nothing may 5xx, every admitted
 // request must return results byte-identical to a local run, and once the
 // flood drains a fresh request must be served normally with the run lane
@@ -665,15 +666,13 @@ func (c *Context) drillOverload(f scenario.Fault, res *scenario.Resolved) (scena
 	svc := serve.NewService(sched, sim.Configurations(), []*classfile.Method{m})
 	ac := admit.New(admit.Options{RunCap: capN, Parallelism: 2})
 	svc.SetAdmission(ac)
-	// Hold each run request briefly so the burst reaches the admission
-	// gate together instead of draining one by one.
-	gate := &chaos.SlowGate{
-		Inner: serve.NewHandler(svc),
-		Match: func(r *http.Request) bool { return r.URL.Path == "/v1/run" },
-		Delay: 100 * time.Millisecond,
-	}
-	gate.Slow()
-	url, stop, err := servePeer(gate)
+	// Park every admitted run inside the lane until the overflow has been
+	// answered, so the lane is full by construction: a request delayed in
+	// front of the handler holds no slot, and a store- or cache-fast run
+	// would otherwise leave the lane before the next one arrives.
+	release := make(chan struct{})
+	svc.SetBatchRunner(heldRunner{BatchRunner: sched, release: release})
+	url, stop, err := servePeer(serve.NewHandler(svc))
 	if err != nil {
 		return out, err
 	}
@@ -705,10 +704,12 @@ func (c *Context) drillOverload(f scenario.Fault, res *scenario.Resolved) (scena
 		firstErr                            error
 	)
 	var wg sync.WaitGroup
+	answered := make(chan struct{}, flood)
 	for i := 0; i < flood; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() { answered <- struct{}{} }()
 			resp, err := post()
 			if err != nil {
 				mu.Lock()
@@ -745,6 +746,17 @@ func (c *Context) drillOverload(f scenario.Fault, res *scenario.Resolved) (scena
 			}
 		}()
 	}
+	// Release the parked requests once everything beyond the lane has been
+	// answered. The timeout only keeps a gate that admitted the overflow
+	// too from hanging the drill: it then reports injected=false.
+	for n, giveUp := 0, time.After(10*time.Second); n < flood-capN; n++ {
+		select {
+		case <-answered:
+		case <-giveUp:
+			n = flood
+		}
+	}
+	close(release)
 	wg.Wait()
 	if firstErr != nil {
 		return out, firstErr
@@ -754,7 +766,6 @@ func (c *Context) drillOverload(f scenario.Fault, res *scenario.Resolved) (scena
 
 	// Recovery: the flood is gone, so a fresh request must be admitted and
 	// the run lane must sit at depth zero again.
-	gate.Fast()
 	recovered := true
 	if resp, err := post(); err != nil {
 		recovered = false
@@ -771,6 +782,18 @@ func (c *Context) drillOverload(f scenario.Fault, res *scenario.Resolved) (scena
 	out.Detail = fmt.Sprintf("flood=%d cap=%d admitted=%d shed429=%d badRetryAfter=%d other=%d byteMismatch=%d",
 		flood, capN, admitted, shed, badShed, other, bad)
 	return out, nil
+}
+
+// heldRunner parks every POST /v1/run job until release is closed — how
+// drillOverload keeps admitted requests inside the run lane.
+type heldRunner struct {
+	serve.BatchRunner
+	release <-chan struct{}
+}
+
+func (h heldRunner) RunMethodCycles(ctx context.Context, cfg sim.Config, m *classfile.Method, maxCycles int) (sim.MethodRun, error) {
+	<-h.release
+	return h.BatchRunner.RunMethodCycles(ctx, cfg, m, maxCycles)
 }
 
 // drillSlowPeer wedges the only dispatch peer — it accepts connections but

@@ -14,6 +14,7 @@ package fabric
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"javaflow/internal/bytecode"
 )
@@ -136,6 +137,8 @@ type Fabric struct {
 	// single hop and serial distances vanish (Section 7.3, "Baseline
 	// configuration").
 	Collapsed bool
+
+	geometry atomic.Pointer[string] // GeometryKey, rendered on first use
 }
 
 // NewFabric builds a fabric description.

@@ -19,10 +19,15 @@ var geometryLetters = [...]byte{
 // equal keys place and resolve every method identically, so the key is
 // what deployment caches and persistent result stores index by: the
 // studied Compact10/Compact4/Compact2 configurations differ only in serial
-// clocking and share one key (and therefore one placement).
+// clocking and share one key (and therefore one placement). The key is
+// rendered once per fabric: a fabric is immutable once a configuration
+// carries it.
 func (f *Fabric) GeometryKey() string {
 	if f == nil {
 		return "nil"
+	}
+	if key := f.geometry.Load(); key != nil {
+		return *key
 	}
 	buf := make([]byte, 0, 8+len(f.Pattern))
 	buf = append(buf, 'w')
@@ -39,5 +44,7 @@ func (f *Fabric) GeometryKey() string {
 			buf = strconv.AppendInt(buf, int64(k), 10)
 		}
 	}
-	return string(buf)
+	key := string(buf)
+	f.geometry.Store(&key)
+	return key
 }

@@ -98,10 +98,10 @@ func (g *FlapGate) Faults() int64 { return g.faults.Load() }
 
 // SlowGate wraps an http.Handler and, while slowed, holds matching requests
 // for Delay before serving them — a peer that is alive at the TCP level but
-// wedged at the application level. It drives two overload-protection
-// drills: against a capped admission gate it synchronizes a flood so the
-// burst arrives together, and against a dispatch client it proves transport
-// header timeouts fail the attempt instead of pinning an inflight slot.
+// wedged at the application level. Against a dispatch client it proves
+// transport header timeouts fail the attempt instead of pinning an inflight
+// slot. (It cannot fill an admission lane: a request held here has not
+// been admitted yet.)
 // The hold aborts early if the caller gives up (request context canceled),
 // so abandoned requests do not leak goroutines for the full delay.
 type SlowGate struct {

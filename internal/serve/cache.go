@@ -171,7 +171,7 @@ func (c *DeploymentCache) ResolveMethod(cfg sim.Config, m *classfile.Method) (*f
 	// earlier process life is as good as a computed one.
 	var dk store.DeployKey
 	if c.store != nil {
-		dk = store.DeployKey{Signature: key.Signature, MethodHash: store.MethodHash(m), Geometry: key.Geometry}
+		dk = store.DeployKeyFor(cfg, m)
 		if res, ok, derr := c.store.GetDeploy(dk, cfg.Fabric, m); ok {
 			c.storeHits.Add(1)
 			entry := c.insert(shard, key, cacheEntry{res: res, err: derr, fab: cfg.Fabric})

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"javaflow/internal/admit"
@@ -124,7 +123,8 @@ func NewHandler(svc *Service) http.Handler {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, payload)
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(appendRunPayload(make([]byte, 0, 1024), payload)) // the first Write sends the 200
 	}))
 
 	mux.HandleFunc("POST /v1/batch", guard(svc, admit.ClassBatch, func(w http.ResponseWriter, r *http.Request) {
@@ -523,10 +523,16 @@ func streamBatch(w http.ResponseWriter, r *http.Request, svc *Service, req Batch
 // adopts an inbound X-Javaflow-Trace context (or lets StartSpan mint a
 // fresh trace at hop 0), records a server span named after the endpoint,
 // and files the latency in the per-endpoint histogram.
-func instrument(m *Metrics, next http.Handler) http.Handler {
+func instrument(m *Metrics, next *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		m.RecordRequest()
-		endpoint := endpointLabel(r.Method, r.URL.Path)
+		// The label is the mux pattern that will serve the request — one
+		// constant per route, e.g. "GET /v1/scenarios/{name}" — or "<METHOD>
+		// other" when unrouted, so hostile paths cannot mint label values.
+		_, endpoint := next.Handler(r)
+		if endpoint == "" {
+			endpoint = r.Method + " other"
+		}
 		ctx := r.Context()
 		if tc, ok := obs.ParseTrace(r.Header.Get(obs.TraceHeader)); ok {
 			ctx = obs.ContextWithTrace(ctx, tc)
@@ -561,33 +567,6 @@ func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
-}
-
-// endpointLabel maps a request to a bounded histogram label: known
-// routes keep their pattern (path parameters collapsed), everything else
-// is "other" so hostile paths cannot mint unbounded label values.
-func endpointLabel(method, path string) string {
-	switch {
-	case strings.HasPrefix(path, "/v1/scenarios/"):
-		path = "/v1/scenarios/{name}"
-	case strings.HasPrefix(path, "/v1/replicate/segment/"):
-		path = "/v1/replicate/segment/{seq}"
-	case strings.HasPrefix(path, "/v1/trace/"):
-		path = "/v1/trace/{traceID}"
-	case strings.HasPrefix(path, "/debug/traces/"):
-		path = "/debug/traces/{traceID}"
-	}
-	switch path {
-	case "/v1/run", "/v1/batch", "/v1/configs", "/v1/methods", "/v1/scenarios",
-		"/v1/scenarios/{name}", "/v1/store", "/v1/store/compact",
-		"/v1/replicate/segments", "/v1/replicate/segment/{seq}",
-		"/v1/replicate/sync", "/v1/replicate/notify",
-		"/v1/trace/{traceID}", "/v1/fleet",
-		"/metrics", "/debug/traces", "/debug/traces/{traceID}",
-		"/debug/events", "/healthz":
-		return method + " " + path
-	}
-	return method + " other"
 }
 
 // decodeJSON parses the body into v, replying 400 on malformed input.

@@ -3,6 +3,7 @@ package serve
 import (
 	"io"
 	"net/http"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -95,5 +96,40 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	}
 	if !regexp.MustCompile(`javaflow_build_info\{[^}]*go_version="go[^"]+"[^}]*\} 1`).MatchString(body) {
 		t.Error(`javaflow_build_info missing its go_version label`)
+	}
+}
+
+// TestEndpointLabelsAreRoutePatterns: the per-endpoint histogram (and the
+// server span) is labelled with the mux pattern that served the request —
+// path parameters stay collapsed — and everything unrouted shares one
+// "<METHOD> other" label, so hostile paths cannot mint label values.
+func TestEndpointLabelsAreRoutePatterns(t *testing.T) {
+	ts, _ := testServer(t, 1)
+	for _, path := range []string{"/v1/configs", "/v1/scenarios/nope", "/debug/traces/zz", "/no/such/path", "/no/other/path", "/v1/run"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	res, err := http.Get(ts.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	raw, err := io.ReadAll(res.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := map[string]bool{}
+	for _, m := range regexp.MustCompile(`_duration_seconds_count\{endpoint="([^"]*)"\}`).FindAllStringSubmatch(string(raw), -1) {
+		labels[m[1]] = true
+	}
+	want := map[string]bool{
+		"GET /v1/configs": true, "GET /v1/scenarios/{name}": true,
+		"GET /debug/traces/{traceID}": true, "GET other": true, // two unknown paths and the wrong-method /v1/run
+	}
+	if !reflect.DeepEqual(labels, want) {
+		t.Fatalf("endpoint labels %v, want %v", labels, want)
 	}
 }

@@ -56,6 +56,9 @@ type SchedulerOptions struct {
 // when emit is non-nil, deliver each completed result exactly once in
 // submission order as the batch progresses.
 type BatchRunner interface {
+	// RunMethodCycles executes one job on the caller's goroutine — the
+	// POST /v1/run path, which has no batch to order.
+	RunMethodCycles(ctx context.Context, cfg sim.Config, m *classfile.Method, maxCycles int) (sim.MethodRun, error)
 	// RunBatchCycles executes jobs with the given per-execution mesh-cycle
 	// bound (0 = implementation default) and returns one result per job in
 	// submission order.
@@ -249,17 +252,36 @@ func (s *Scheduler) RunBatchCycles(ctx context.Context, jobs []Job, maxCycles in
 	return s.RunBatchStream(ctx, jobs, maxCycles, nil)
 }
 
-// RunBatchStream executes jobs across the worker pool, delivering each
-// result through emit (when non-nil) in submission order as soon as it and
-// every earlier job have completed — the seam POST /v1/batch?stream=ndjson
-// flows through. The returned slice is the same submission-ordered result
-// set RunBatch produces.
+// RunBatchStream is RunBatchCycles with incremental, submission-ordered
+// delivery through emit (see FanOut) — the seam POST
+// /v1/batch?stream=ndjson flows through.
 func (s *Scheduler) RunBatchStream(ctx context.Context, jobs []Job, maxCycles int, emit func(i int, r JobResult)) []JobResult {
+	return FanOut(ctx, jobs, s.workers, emit, func(j Job) (sim.MethodRun, error) {
+		return s.RunMethodCycles(ctx, j.Config, j.Method, maxCycles)
+	})
+}
+
+// FanOut is the one ordered fan-out behind every BatchRunner: it executes
+// run for each job on up to workers goroutines and returns one result per
+// job in submission order, calling emit (when non-nil) exactly once per
+// job, in submission order, as soon as that job and every earlier one have
+// completed. Jobs not yet started when ctx is cancelled report ctx.Err()
+// without running. A batch of one runs on the caller's goroutine — a pool
+// buys a single job nothing but a handoff.
+func FanOut(ctx context.Context, jobs []Job, workers int, emit func(i int, r JobResult), run func(Job) (sim.MethodRun, error)) []JobResult {
 	results := make([]JobResult, len(jobs))
 	for i, j := range jobs {
 		results[i].Job = j
 	}
-	if len(jobs) == 0 {
+	if len(jobs) <= 1 {
+		for i, j := range jobs {
+			if results[i].Err = ctx.Err(); results[i].Err == nil {
+				results[i].Run, results[i].Err = run(j)
+			}
+			if emit != nil {
+				emit(i, results[i])
+			}
+		}
 		return results
 	}
 
@@ -268,18 +290,12 @@ func (s *Scheduler) RunBatchStream(ctx context.Context, jobs []Job, maxCycles in
 	// feeder ever block on the collector.
 	completed := make(chan int, len(jobs))
 	var wg sync.WaitGroup
-	workers := s.workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	for w := 0; w < workers; w++ {
+	for w := max(1, min(workers, len(jobs))); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range indexes {
-				run, err := s.RunMethodCycles(ctx, jobs[i].Config, jobs[i].Method, maxCycles)
-				results[i].Run = run
-				results[i].Err = err
+				results[i].Run, results[i].Err = run(jobs[i])
 				completed <- i
 			}
 		}()
@@ -292,7 +308,7 @@ func (s *Scheduler) RunBatchStream(ctx context.Context, jobs []Job, maxCycles in
 			case <-ctx.Done():
 				// Indexes from i on were never handed to a worker; jobs
 				// that were already delivered stamp ctx.Err() themselves
-				// via the per-job check in RunMethodCycles.
+				// via run's own context checks.
 				for k := i; k < len(jobs); k++ {
 					results[k].Err = ctx.Err()
 					completed <- k
@@ -308,14 +324,6 @@ func (s *Scheduler) RunBatchStream(ctx context.Context, jobs []Job, maxCycles in
 	// Collect completions and emit the contiguous prefix in order. Every
 	// index arrives exactly once: from the worker that ran it, or from the
 	// feeder for jobs cancelled before they were handed out.
-	collectOrdered(results, completed, emit)
-	return results
-}
-
-// collectOrdered drains completed indexes and, when emit is non-nil, calls
-// it for each result in submission order as soon as that result and every
-// earlier one are done. It returns once all len(results) indexes arrived.
-func collectOrdered(results []JobResult, completed <-chan int, emit func(i int, r JobResult)) {
 	done := make([]bool, len(results))
 	next := 0
 	for i := range completed {
@@ -327,6 +335,7 @@ func collectOrdered(results []JobResult, completed <-chan int, emit func(i int, 
 			next++
 		}
 	}
+	return results
 }
 
 // Sweep fans a full cross product (methods × configs) across the pool and

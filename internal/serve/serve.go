@@ -218,19 +218,7 @@ func payloadFor(cfgName string, run sim.MethodRun) RunPayload {
 // through the installed batch runner, so on a dispatch front even single
 // runs land on the backend that owns the method's cache affinity.
 func (s *Service) Run(ctx context.Context, configName, signature string, maxCycles int) (RunPayload, error) {
-	cfg, err := s.Config(configName)
-	if err != nil {
-		return RunPayload{}, err
-	}
-	m, err := s.Method(signature)
-	if err != nil {
-		return RunPayload{}, err
-	}
-	results := s.runner.RunBatchCycles(ctx, []Job{{Config: cfg, Method: m}}, maxCycles)
-	if err := results[0].Err; err != nil {
-		return RunPayload{}, err
-	}
-	return payloadFor(cfg.Name, results[0].Run), nil
+	return s.runOn(ctx, s.runner, configName, signature, maxCycles)
 }
 
 // RunLocal is Run pinned to the in-process scheduler, bypassing any
@@ -238,6 +226,10 @@ func (s *Service) Run(ctx context.Context, configName, signature string, maxCycl
 // DispatchedHeader here: a job another front already routed must execute
 // on this node, not ring-hop again.
 func (s *Service) RunLocal(ctx context.Context, configName, signature string, maxCycles int) (RunPayload, error) {
+	return s.runOn(ctx, s.sched, configName, signature, maxCycles)
+}
+
+func (s *Service) runOn(ctx context.Context, r BatchRunner, configName, signature string, maxCycles int) (RunPayload, error) {
 	cfg, err := s.Config(configName)
 	if err != nil {
 		return RunPayload{}, err
@@ -246,7 +238,7 @@ func (s *Service) RunLocal(ctx context.Context, configName, signature string, ma
 	if err != nil {
 		return RunPayload{}, err
 	}
-	run, err := s.sched.RunMethodCycles(ctx, cfg, m, maxCycles)
+	run, err := r.RunMethodCycles(ctx, cfg, m, maxCycles)
 	if err != nil {
 		return RunPayload{}, err
 	}

@@ -1,9 +1,7 @@
 package store
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/fnv"
+	"strconv"
 
 	"javaflow/internal/classfile"
 	"javaflow/internal/sim"
@@ -25,8 +23,22 @@ type DeployKey struct {
 }
 
 func (k DeployKey) encode() []byte {
-	return []byte(fmt.Sprintf("dep|e%d|%s|%016x|%s",
-		sim.EngineVersion, k.Signature, k.MethodHash, k.Geometry))
+	return k.appendTo(make([]byte, 0, len(k.Signature)+len(k.Geometry)+32), "dep|e")
+}
+
+// appendTo renders "<prefix><engine>|<signature>|<hash, 16 hex digits>|<geometry>",
+// the part deployment and run keys share.
+func (k DeployKey) appendTo(b []byte, prefix string) []byte {
+	b = append(b, prefix...)
+	b = strconv.AppendInt(b, sim.EngineVersion, 10)
+	b = append(b, '|')
+	b = append(b, k.Signature...)
+	b = append(b, '|')
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[k.MethodHash>>shift&0xf])
+	}
+	b = append(b, '|')
+	return append(b, k.Geometry...)
 }
 
 // RunKey identifies one MethodRun: a deployment plus everything else that
@@ -39,16 +51,18 @@ type RunKey struct {
 }
 
 func (k RunKey) encode() []byte {
-	return []byte(fmt.Sprintf("run|e%d|%s|%016x|%s|spm%d|max%d",
-		sim.EngineVersion, k.Signature, k.MethodHash, k.Geometry,
-		k.SerialPerMesh, k.MaxMeshCycles))
+	b := k.appendTo(make([]byte, 0, len(k.Signature)+len(k.Geometry)+64), "run|e")
+	b = append(b, "|spm"...)
+	b = strconv.AppendInt(b, int64(k.SerialPerMesh), 10)
+	b = append(b, "|max"...)
+	return strconv.AppendInt(b, int64(k.MaxMeshCycles), 10)
 }
 
 // DeployKeyFor builds the deployment key of m on cfg's fabric.
 func DeployKeyFor(cfg sim.Config, m *classfile.Method) DeployKey {
 	return DeployKey{
 		Signature:  m.Signature(),
-		MethodHash: MethodHash(m),
+		MethodHash: m.Hash(),
 		Geometry:   cfg.Fabric.GeometryKey(),
 	}
 }
@@ -62,51 +76,4 @@ func RunKeyFor(cfg sim.Config, m *classfile.Method, maxMeshCycles int) RunKey {
 		SerialPerMesh: cfg.SerialPerMesh,
 		MaxMeshCycles: maxMeshCycles,
 	}
-}
-
-// MethodHash fingerprints everything about a method that deployment and
-// execution observe: identity, register/stack shape, and the full
-// instruction stream (opcode, operands, branch and switch targets, stack
-// effects). FNV-1a over a fixed little-endian field walk.
-func MethodHash(m *classfile.Method) uint64 {
-	h := fnv.New64a()
-	var scratch [8]byte
-	writeInt := func(v int64) {
-		binary.LittleEndian.PutUint64(scratch[:], uint64(v))
-		h.Write(scratch[:])
-	}
-	writeBool := func(b bool) {
-		if b {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
-	}
-	h.Write([]byte(m.Class))
-	h.Write([]byte{0})
-	h.Write([]byte(m.Name))
-	h.Write([]byte{0})
-	writeInt(int64(m.Argc))
-	writeBool(m.Instance)
-	writeBool(m.ReturnsValue)
-	writeInt(int64(m.MaxLocals))
-	writeInt(int64(m.MaxStack))
-	writeInt(int64(len(m.Code)))
-	for _, in := range m.Code {
-		writeInt(int64(in.Op))
-		writeInt(in.A)
-		writeInt(in.B)
-		writeInt(int64(in.Target))
-		writeInt(int64(len(in.SwitchKeys)))
-		for _, k := range in.SwitchKeys {
-			writeInt(k)
-		}
-		writeInt(int64(len(in.SwitchTargets)))
-		for _, t := range in.SwitchTargets {
-			writeInt(int64(t))
-		}
-		writeInt(int64(in.Pop))
-		writeInt(int64(in.Push))
-	}
-	return h.Sum64()
 }
