@@ -25,12 +25,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"runtime"
 	"sort"
@@ -39,6 +37,7 @@ import (
 	"time"
 
 	"javaflow/internal/experiments"
+	"javaflow/internal/peer"
 	"javaflow/internal/replicate"
 	"javaflow/internal/scenario"
 	"javaflow/internal/serve"
@@ -91,11 +90,10 @@ func main() {
 	ctx.Seed = *seed
 	ctx.MaxMeshCycles = *cycles
 	ctx.Workers = *workers
-	var peerList []string
-	for _, p := range strings.Split(*peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peerList = append(peerList, p)
-		}
+	peerList, err := peer.ParseList(strings.Split(*peers, ","))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "jfbench: -peers: %v\n", err)
+		os.Exit(2)
 	}
 	// -pull uses the peers as replication sources and sweeps locally over
 	// the warmed store; without it they are dispatch backends (a
@@ -369,17 +367,10 @@ func reportStore(ctx *experiments.Context) {
 // lossless fleet-wide merge (counters summed, latency histograms merged
 // bucket-by-bucket, so the percentiles are true union percentiles).
 func renderFleet(w io.Writer, base string) error {
-	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Get(strings.TrimRight(base, "/") + "/v1/fleet")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /v1/fleet: http %d", resp.StatusCode)
-	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	var snap serve.FleetSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	if err := peer.GetJSON(ctx, peer.NewClient(1, 10*time.Second), peer.Normalize(base)+"/v1/fleet", &snap); err != nil {
 		return err
 	}
 

@@ -14,7 +14,7 @@
 //	jfserved -store-dir ./results -compact-threshold 0.5   # auto-compact (sole writer)
 //	jfserved -peers http://10.0.0.7:8077,http://10.0.0.8:8077
 //	jfserved -store-dir ./r1 -peers ... -replicate-interval 15s  # anti-entropy replication
-//	jfserved -store-dir ./r1 -peers ... -replicate-interval 1h -gossip-fanout 3
+//	jfserved -store-dir ./r1 -peers ... -replicate-interval 1h   # push does the work, pull repairs
 //
 // With -replicate-interval every peer's segment log is pulled into the
 // local store periodically, so each node ends up serving every warm
@@ -66,6 +66,7 @@ import (
 
 	"javaflow/internal/admit"
 	"javaflow/internal/dispatch"
+	"javaflow/internal/peer"
 	"javaflow/internal/replicate"
 	"javaflow/internal/scenario"
 	"javaflow/internal/serve"
@@ -76,28 +77,24 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8077", "listen address")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "simulation worker pool size")
-		cacheN    = flag.Int("cache", serve.DefaultCacheCapacity, "deployment cache capacity (entries)")
-		gen       = flag.Int("gen", 1580, "generated-method population size")
-		seed      = flag.Int64("seed", 2014, "generated-method population seed")
-		cycles    = flag.Int("maxcycles", 400_000, "default per-execution mesh-cycle timeout")
-		drain     = flag.Duration("drain", 5*time.Minute, "graceful-shutdown drain window for in-flight requests")
-		stDir     = flag.String("store-dir", "", "directory for the persistent result store (empty = memory-only)")
-		peers     = flag.String("peers", "", "comma-separated base URLs of backend jfserved instances to dispatch batches across")
-		inflight  = flag.Int("peer-inflight", 0, "max concurrent jobs per dispatch backend (0 = default)")
-		compact   = flag.Float64("compact-threshold", 0, "auto-compact the store when its garbage ratio reaches this fraction (0 = disabled; sole-writer stores only)")
-		compactI  = flag.Duration("compact-interval", serve.DefaultCompactEvery, "how often the auto-compactor checks the garbage ratio")
-		replInt   = flag.Duration("replicate-interval", 0, "pull new store segments from -peers this often (anti-entropy replication; 0 = disabled; requires -peers and -store-dir)")
-		gossipF   = flag.Int("gossip-fanout", 0, "peers each gossip notification targets (0 = ceil(log2(peers+1)); requires replication)")
-		gossipD   = flag.Bool("gossip-disable", false, "disable push/gossip notifications, leaving pull-only anti-entropy")
-		advert    = flag.String("advertise", "", "base URL peers reach this node at, stamped on gossip notifications (default derived from -addr)")
-		debugA    = flag.String("debug-addr", "", "optional second listen address serving net/http/pprof (e.g. 127.0.0.1:6060; empty = disabled)")
-		runCap    = flag.Int("run-cap", 0, "max in-flight /v1/run requests before typed 429 shedding (0 = 256)")
-		batchCap  = flag.Int("batch-cap", 0, "max in-flight /v1/batch requests before typed 429 shedding (0 = 4)")
-		replCap   = flag.Int("replicate-cap", 0, "max in-flight /v1/replicate requests before typed 429 shedding (0 = 32)")
-		traceRing = flag.Int("trace-ring", 0, "span ring capacity for /debug/traces and /v1/trace (0 = 512)")
-		eventRing = flag.Int("event-ring", 0, "structured event journal capacity for /debug/events (0 = 512)")
+		addr     = flag.String("addr", ":8077", "listen address")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "simulation worker pool size")
+		cacheN   = flag.Int("cache", serve.DefaultCacheCapacity, "deployment cache capacity (entries)")
+		gen      = flag.Int("gen", 1580, "generated-method population size")
+		seed     = flag.Int64("seed", 2014, "generated-method population seed")
+		cycles   = flag.Int("maxcycles", 400_000, "default per-execution mesh-cycle timeout")
+		drain    = flag.Duration("drain", 5*time.Minute, "graceful-shutdown drain window for in-flight requests")
+		stDir    = flag.String("store-dir", "", "directory for the persistent result store (empty = memory-only)")
+		peers    = flag.String("peers", "", "comma-separated base URLs of backend jfserved instances to dispatch batches across")
+		compact  = flag.Float64("compact-threshold", 0, "auto-compact the store when its garbage ratio reaches this fraction (0 = disabled; sole-writer stores only)")
+		compactI = flag.Duration("compact-interval", serve.DefaultCompactEvery, "how often the auto-compactor checks the garbage ratio")
+		replInt  = flag.Duration("replicate-interval", 0, "pull new store segments from -peers this often (anti-entropy replication; 0 = disabled; requires -peers and -store-dir)")
+		gossipD  = flag.Bool("gossip-disable", false, "disable push/gossip notifications, leaving pull-only anti-entropy")
+		advert   = flag.String("advertise", "", "base URL peers reach this node at, stamped on gossip notifications (default derived from -addr)")
+		debugA   = flag.String("debug-addr", "", "optional second listen address serving net/http/pprof (e.g. 127.0.0.1:6060; empty = disabled)")
+		runCap   = flag.Int("run-cap", 0, "max in-flight /v1/run requests before typed 429 shedding (0 = 256)")
+		batchCap = flag.Int("batch-cap", 0, "max in-flight /v1/batch requests before typed 429 shedding (0 = 4)")
+		replCap  = flag.Int("replicate-cap", 0, "max in-flight /v1/replicate requests before typed 429 shedding (0 = 32)")
 	)
 	flag.Parse()
 
@@ -106,20 +103,21 @@ func main() {
 		"-cache":         {*cacheN, 1},
 		"-gen":           {*gen, 0},
 		"-maxcycles":     {*cycles, 1},
-		"-peer-inflight": {*inflight, 0},
 		"-run-cap":       {*runCap, 0},
 		"-batch-cap":     {*batchCap, 0},
 		"-replicate-cap": {*replCap, 0},
-		"-trace-ring":    {*traceRing, 0},
-		"-event-ring":    {*eventRing, 0},
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "jfserved: %v\n", err)
+		os.Exit(2)
+	}
+	peerList, err := peer.ParseList(strings.Split(*peers, ","))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "jfserved: -peers: %v\n", err)
 		os.Exit(2)
 	}
 
 	var st *store.Store
 	if *stDir != "" {
-		var err error
 		st, err = store.Open(*stDir, store.Options{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "jfserved: opening store: %v\n", err)
@@ -140,11 +138,7 @@ func main() {
 	// The node name on spans, events and fleet rows is the URL peers
 	// reach this node at, so cross-node trace assembly and /v1/fleet
 	// agree with the -peers lists everywhere else.
-	metrics := serve.NewMetricsOpts(serve.MetricsOptions{
-		Node:      advertiseURL(*advert, *addr),
-		TraceRing: *traceRing,
-		EventRing: *eventRing,
-	})
+	metrics := serve.NewMetricsOpts(serve.MetricsOptions{Node: advertiseURL(*advert, *addr)})
 	if st != nil {
 		st.SetJournal(metrics.Journal())
 	}
@@ -167,11 +161,6 @@ func main() {
 		Registry:     sched.Metrics().Registry(),
 		Journal:      sched.Metrics().Journal(),
 	}))
-	if peerList := splitPeers(*peers); len(peerList) > 0 {
-		// Fleet plane: /v1/trace/{id} and /v1/fleet fan out to the same
-		// peer set dispatch and replication use.
-		svc.SetFleet(serve.NewFleet(peerList, nil))
-	}
 	// Scenario catalog entries resolve against this node's own corpus
 	// parameters, so scenario-keyed batches sweep exactly the methods the
 	// daemon serves.
@@ -189,7 +178,6 @@ func main() {
 		if st == nil {
 			fatal("jfserved: -replicate-interval requires -store-dir\n")
 		}
-		peerList := splitPeers(*peers)
 		if len(peerList) == 0 {
 			fatal("jfserved: -replicate-interval requires -peers\n")
 		}
@@ -205,13 +193,11 @@ func main() {
 		gossipNote := ", gossip off"
 		if !*gossipD {
 			ropts.Advertise = advertiseURL(*advert, *addr)
-			ropts.GossipFanout = *gossipF
 			if ropts.Advertise == "" {
 				fatal("jfserved: cannot derive a gossip advertise URL from -addr %q; pass -advertise or -gossip-disable\n", *addr)
 			}
 			gossipNote = fmt.Sprintf(", gossiping as %s", ropts.Advertise)
 		}
-		var err error
 		rep, err = replicate.New(ropts)
 		if err != nil {
 			fatal("jfserved: %v\n", err)
@@ -221,14 +207,16 @@ func main() {
 	}
 
 	dispatchNote := "single-node"
-	if *peers != "" {
+	if len(peerList) > 0 {
+		// Fleet plane: /v1/trace/{id} and /v1/fleet fan out to the same
+		// peer set dispatch and replication use.
+		svc.SetFleet(serve.NewFleet(peerList, nil))
 		opts := dispatch.Options{
-			Peers:       splitPeers(*peers),
-			Local:       sched,
-			MaxInflight: *inflight,
-			Tracer:      sched.Metrics().Tracer(),
-			Registry:    sched.Metrics().Registry(),
-			Journal:     sched.Metrics().Journal(),
+			Peers:    peerList,
+			Local:    sched,
+			Tracer:   sched.Metrics().Tracer(),
+			Registry: sched.Metrics().Registry(),
+			Journal:  sched.Metrics().Journal(),
 		}
 		if st != nil {
 			// On a retry after a backend death, serve the job from the
@@ -302,7 +290,7 @@ func main() {
 	if st != nil {
 		storeNote = fmt.Sprintf("store %s (%d warm records)", st.Dir(), st.Len())
 	}
-	err := daemon.Run(ctx, func(bound net.Addr) {
+	err = daemon.Run(ctx, func(bound net.Addr) {
 		fmt.Printf("jfserved: %d methods, %d configurations, %d workers, cache %d, %s, %s, %s — listening on %s\n",
 			len(methods), len(svc.Configs()), *workers, *cacheN, storeNote, dispatchNote, replicateNote, bound)
 	})
@@ -353,15 +341,4 @@ func validateFlags(bounds map[string]flagBound) error {
 	}
 	sort.Strings(bad)
 	return fmt.Errorf("invalid flags: %s", strings.Join(bad, "; "))
-}
-
-// splitPeers parses the -peers flag, tolerating spaces and empty entries.
-func splitPeers(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -7,13 +7,13 @@ import (
 
 func TestValidateFlags(t *testing.T) {
 	if err := validateFlags(map[string]flagBound{
-		"-workers": {4, 1}, "-run-cap": {0, 0}, "-peer-inflight": {0, 0},
+		"-workers": {4, 1}, "-run-cap": {0, 0}, "-replicate-cap": {0, 0},
 	}); err != nil {
 		t.Fatalf("valid flags rejected: %v", err)
 	}
 	err := validateFlags(map[string]flagBound{
 		"-workers":       {-2, 1},
-		"-peer-inflight": {-1, 0},
+		"-replicate-cap": {-1, 0},
 		"-run-cap":       {-3, 0},
 		"-batch-cap":     {3, 0},
 	})
@@ -22,7 +22,7 @@ func TestValidateFlags(t *testing.T) {
 	}
 	for _, want := range []string{
 		"-workers must be >= 1, got -2",
-		"-peer-inflight must be >= 0, got -1",
+		"-replicate-cap must be >= 0, got -1",
 		"-run-cap must be >= 0, got -3",
 	} {
 		if !strings.Contains(err.Error(), want) {

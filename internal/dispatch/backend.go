@@ -1,18 +1,14 @@
 package dispatch
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
-	"strings"
 	"time"
 
-	"javaflow/internal/admit"
-	"javaflow/internal/obs"
+	"javaflow/internal/peer"
 	"javaflow/internal/serve"
 	"javaflow/internal/sim"
 )
@@ -31,9 +27,11 @@ type Backend interface {
 	Run(ctx context.Context, job serve.Job, maxCycles int) (sim.MethodRun, error)
 }
 
-// maxErrorBody bounds how much of a failed response is read for the error
-// message.
-const maxErrorBody = 1 << 20
+// remoteHeaderTimeout bounds a peer's time to first response byte. It is
+// generous because a cold /v1/run legitimately computes for minutes
+// before answering; the dial bound in internal/peer is what fails a dead
+// host fast.
+const remoteHeaderTimeout = 5 * time.Minute
 
 // Remote is a Backend that forwards jobs to another jfserved instance via
 // POST /v1/run. Config and method are sent by name, so the peer must serve
@@ -41,38 +39,24 @@ const maxErrorBody = 1 << 20
 // fails the job, which the dispatcher then retries elsewhere or runs
 // locally.
 type Remote struct {
-	base   string // URL prefix without trailing slash, e.g. "http://host:8077"
+	base   string // normalised URL prefix, e.g. "http://host:8077"
 	client *http.Client
 }
 
-// defaultRemoteClient serves NewRemote callers that pass no client. No
-// overall timeout — a cold sweep job can legitimately simulate for a long
-// time, so per-request lifetimes come from the dispatch context — but the
-// transport bounds connection establishment and time-to-first-header, so
-// a dead or wedged peer fails the attempt instead of pinning an inflight
-// slot indefinitely.
-var defaultRemoteClient = &http.Client{Transport: &http.Transport{
-	DialContext:           (&net.Dialer{Timeout: defaultDialTimeout}).DialContext,
-	ResponseHeaderTimeout: defaultResponseHeaderTimeout,
-	MaxIdleConnsPerHost:   defaultInflight,
-	IdleConnTimeout:       90 * time.Second,
-}}
-
 // NewRemote builds a backend for the jfserved instance at baseURL. A nil
-// client uses a shared default with transport-level dial and
-// response-header timeouts (but no overall request timeout; see
-// defaultRemoteClient).
+// client gets the peer transport with keep-alive sized to the default
+// inflight bound.
 func NewRemote(baseURL string, client *http.Client) *Remote {
 	if client == nil {
-		client = defaultRemoteClient
+		client = peer.NewClient(defaultInflight, remoteHeaderTimeout)
 	}
-	return &Remote{base: strings.TrimRight(baseURL, "/"), client: client}
+	return &Remote{base: peer.Normalize(baseURL), client: client}
 }
 
 // Name returns the peer's base URL.
 func (r *Remote) Name() string { return r.base }
 
-// Run posts the job to the peer and decodes the result. Non-2xx responses
+// Run posts the job to the peer and decodes the result. Non-200 responses
 // become errors; a 422 rejection is rehydrated into the same typed
 // *fabric.LoadError a local run would return, so skip accounting is
 // identical on both paths.
@@ -85,39 +69,19 @@ func (r *Remote) Run(ctx context.Context, job serve.Job, maxCycles int) (sim.Met
 	if err != nil {
 		return sim.MethodRun{}, fmt.Errorf("dispatch: encoding request: %w", err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.base+"/v1/run", bytes.NewReader(body))
-	if err != nil {
-		return sim.MethodRun{}, fmt.Errorf("dispatch: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
 	// One hop only: the receiving node executes locally even if it is
 	// itself a dispatch front (or this very process — a self-peer must
 	// not recurse).
-	req.Header.Set(serve.DispatchedHeader, "1")
-	// Carry the caller's trace across the wire so the peer's server span
-	// joins the same trace one hop deeper, and the caller's deadline so
-	// the peer sheds work this hop can no longer wait for.
-	obs.Inject(req, ctx)
-	admit.Inject(req, ctx)
-
-	resp, err := r.client.Do(req)
+	resp, err := peer.Do(ctx, r.client, http.MethodPost, r.base+"/v1/run", body, serve.DispatchedHeader, "1")
 	if err != nil {
-		return sim.MethodRun{}, fmt.Errorf("dispatch: %s: %w", r.base, err)
-	}
-	defer resp.Body.Close()
-
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
+		var se *peer.StatusError
 		var ep serve.ErrorPayload
-		if json.Unmarshal(data, &ep) == nil && ep.Kind == serve.ErrKindRejected {
+		if errors.As(err, &se) && json.Unmarshal(se.Body, &ep) == nil && ep.Kind == serve.ErrKindRejected {
 			return sim.MethodRun{}, ep.Err()
 		}
-		msg := strings.TrimSpace(string(data))
-		if len(msg) > 200 {
-			msg = msg[:200]
-		}
-		return sim.MethodRun{}, fmt.Errorf("dispatch: %s: status %d: %s", r.base, resp.StatusCode, msg)
+		return sim.MethodRun{}, fmt.Errorf("dispatch: %w", err)
 	}
+	defer resp.Body.Close()
 
 	var payload serve.RunPayload
 	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
@@ -133,26 +97,10 @@ func (r *Remote) Run(ctx context.Context, job serve.Job, maxCycles int) (sim.Met
 // feedback at startup, not for routing — routing health is learned from
 // job outcomes.
 func (r *Remote) Healthy(ctx context.Context) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := r.client.Do(req)
+	resp, err := peer.Do(ctx, r.client, http.MethodGet, r.base+"/healthz", nil)
 	if err != nil {
 		return false
 	}
 	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
-}
-
-// localBackend adapts the in-process scheduler to the Backend interface —
-// the terminal fallback every dispatched job can land on.
-type localBackend struct {
-	sched *serve.Scheduler
-}
-
-func (l localBackend) Name() string { return "local" }
-
-func (l localBackend) Run(ctx context.Context, job serve.Job, maxCycles int) (sim.MethodRun, error) {
-	return l.sched.RunMethodCycles(ctx, job.Config, job.Method, maxCycles)
+	return true
 }

@@ -32,9 +32,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
-	"net/url"
 	"sync/atomic"
 	"time"
 
@@ -42,6 +40,7 @@ import (
 	"javaflow/internal/classfile"
 	"javaflow/internal/fabric"
 	"javaflow/internal/obs"
+	"javaflow/internal/peer"
 	"javaflow/internal/serve"
 	"javaflow/internal/sim"
 )
@@ -50,14 +49,6 @@ import (
 const (
 	defaultInflight         = 8
 	defaultFailureThreshold = 3
-
-	// defaultDialTimeout / defaultResponseHeaderTimeout bound the default
-	// peer client. The dial bound is tight (a dead host must fail fast,
-	// not pin an inflight slot for the kernel's SYN patience); the header
-	// bound is generous because a cold /v1/run legitimately computes for
-	// minutes before its first response byte.
-	defaultDialTimeout           = 5 * time.Second
-	defaultResponseHeaderTimeout = 5 * time.Minute
 )
 
 // Options configures a Dispatcher.
@@ -66,8 +57,10 @@ type Options struct {
 	// "http://10.0.0.7:8077"). They must serve the same method and
 	// configuration registry as this process.
 	Peers []string
-	// Client is the HTTP client for peer traffic (nil uses a dedicated
-	// client with per-host keep-alive sized to the inflight bound).
+	// Client is the HTTP client for peer traffic (nil uses peer.NewClient
+	// with per-host keep-alive sized to the inflight bound and a 5 min
+	// time-to-first-header bound; pass one with a shorter bound to fail a
+	// wedged peer sooner).
 	Client *http.Client
 	// Local is the in-process scheduler: the terminal fallback for jobs
 	// whose remote attempts fail, and the source of the default mesh-cycle
@@ -75,9 +68,6 @@ type Options struct {
 	Local *serve.Scheduler
 	// MaxInflight bounds concurrent jobs per backend (<=0 uses 8).
 	MaxInflight int
-	// Replicas is the virtual-node count per backend on the hash ring
-	// (<=0 uses 128).
-	Replicas int
 	// FailureThreshold suspends a backend after this many consecutive
 	// transient failures (<=0 uses 3).
 	FailureThreshold int
@@ -99,11 +89,6 @@ type Options struct {
 	// bounds how hard the rest of the fleet is hit on a backend's behalf.
 	RetryBurst int
 	RetryRate  float64
-	// DialTimeout / ResponseHeaderTimeout bound the default peer client's
-	// connection establishment and time-to-first-header (<=0 uses 5s /
-	// 5m). Ignored when Client is set.
-	DialTimeout           time.Duration
-	ResponseHeaderTimeout time.Duration
 	// Now and Rand are test seams for the probe schedule and its jitter
 	// (nil uses time.Now and math/rand).
 	Now  func() time.Time
@@ -213,8 +198,9 @@ var _ serve.BatchRunner = (*Dispatcher)(nil)
 // reachability is not — unreachable peers are discovered (and routed
 // around) per job.
 func New(opts Options) (*Dispatcher, error) {
-	if opts.Local == nil {
-		return nil, errors.New("dispatch: Options.Local scheduler is required")
+	peers, err := peer.ParseList(opts.Peers)
+	if err != nil {
+		return nil, fmt.Errorf("dispatch: %w", err)
 	}
 	client := opts.Client
 	if client == nil {
@@ -222,39 +208,11 @@ func New(opts Options) (*Dispatcher, error) {
 		if inflight <= 0 {
 			inflight = defaultInflight
 		}
-		dial := opts.DialTimeout
-		if dial <= 0 {
-			dial = defaultDialTimeout
-		}
-		header := opts.ResponseHeaderTimeout
-		if header <= 0 {
-			header = defaultResponseHeaderTimeout
-		}
-		// No overall client timeout: a cold job legitimately computes for
-		// minutes and the per-request lifetime comes from the dispatch
-		// context. The transport bounds are what keep a hung peer from
-		// pinning an inflight slot forever: a dead host fails at the dial
-		// bound, a wedged one at the time-to-first-header bound.
-		client = &http.Client{Transport: &http.Transport{
-			DialContext:           (&net.Dialer{Timeout: dial}).DialContext,
-			ResponseHeaderTimeout: header,
-			MaxIdleConns:          inflight * (len(opts.Peers) + 1),
-			MaxIdleConnsPerHost:   inflight,
-		}}
+		client = peer.NewClient(inflight, remoteHeaderTimeout)
 	}
-	backends := make([]Backend, 0, len(opts.Peers))
-	seen := make(map[string]bool, len(opts.Peers))
-	for _, p := range opts.Peers {
-		u, err := url.Parse(p)
-		if err != nil || u.Scheme == "" || u.Host == "" {
-			return nil, fmt.Errorf("dispatch: bad peer URL %q", p)
-		}
-		r := NewRemote(p, client)
-		if seen[r.Name()] {
-			return nil, fmt.Errorf("dispatch: duplicate peer %q", r.Name())
-		}
-		seen[r.Name()] = true
-		backends = append(backends, r)
+	backends := make([]Backend, len(peers))
+	for i, p := range peers {
+		backends[i] = NewRemote(p, client)
 	}
 	return NewWithBackends(backends, opts)
 }
@@ -298,7 +256,7 @@ func NewWithBackends(backends []Backend, opts Options) (*Dispatcher, error) {
 			probeBackoff: admit.NewBackoff(opts.ProbeBackoffBase, opts.ProbeBackoffCap, opts.Rand),
 		})
 	}
-	d.ring = newRing(names, opts.Replicas)
+	d.ring = newRing(names)
 	d.register(opts.Registry)
 	return d, nil
 }

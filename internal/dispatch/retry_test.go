@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"javaflow/internal/classfile"
+	"javaflow/internal/peer"
 	"javaflow/internal/serve"
 	"javaflow/internal/sim"
 )
@@ -218,10 +219,7 @@ func TestRemoteTimeoutOnStalledPeer(t *testing.T) {
 	defer ts.Close()
 	defer close(stall) // LIFO: unblock the handler before Close waits on it
 
-	client := &http.Client{Transport: &http.Transport{
-		ResponseHeaderTimeout: 200 * time.Millisecond,
-	}}
-	remote := NewRemote(ts.URL, client)
+	remote := NewRemote(ts.URL, peer.NewClient(1, 200*time.Millisecond))
 	cfg := testConfig(t, "Compact2")
 
 	done := make(chan error, 1)
@@ -239,15 +237,18 @@ func TestRemoteTimeoutOnStalledPeer(t *testing.T) {
 	}
 }
 
-// TestDispatcherDefaultClientHasTimeouts pins that the dispatcher's
-// default peer client is built with transport bounds — the regression
-// this PR fixes was a default transport with no dial or header timeout.
+// TestDispatcherDefaultClientHasTimeouts pins that a Remote built without
+// a client gets transport bounds — the regression was a default transport
+// with no dial or header timeout.
 func TestDispatcherDefaultClientHasTimeouts(t *testing.T) {
-	if tr, ok := defaultRemoteClient.Transport.(*http.Transport); !ok {
+	if tr, ok := NewRemote("http://127.0.0.1:1", nil).client.Transport.(*http.Transport); !ok {
 		t.Fatal("default remote client transport is not *http.Transport")
 	} else {
-		if tr.ResponseHeaderTimeout <= 0 {
-			t.Fatal("default remote client has no ResponseHeaderTimeout")
+		if tr.ResponseHeaderTimeout != remoteHeaderTimeout {
+			t.Fatalf("default remote client ResponseHeaderTimeout = %v, want %v", tr.ResponseHeaderTimeout, remoteHeaderTimeout)
+		}
+		if tr.MaxIdleConnsPerHost != defaultInflight {
+			t.Fatalf("default remote client keeps %d idle conns per host, want the inflight bound %d", tr.MaxIdleConnsPerHost, defaultInflight)
 		}
 		if tr.DialContext == nil {
 			t.Fatal("default remote client has no bounded dialer")

@@ -6,10 +6,12 @@ import (
 	"strconv"
 )
 
-// defaultReplicas is the virtual-node count per backend. At 128 points per
-// backend the keyspace shares of a handful of nodes are within a few
-// percent of even, while ring construction and lookup stay trivial.
-const defaultReplicas = 128
+// replicas is the virtual-node count per backend. 128 well-mixed points
+// leave a backend's keyspace share about 9 % (1/√128) off even, so the
+// hottest of 2–8 backends carries a median 1.04–1.13× its fair share;
+// TestRingBalanceProperty holds it to 1.25× on nine name sets in ten and
+// 1.5× on every one. Ring construction and lookup stay trivial.
+const replicas = 128
 
 // ringPoint is one virtual node: a position on the 64-bit hash circle owned
 // by a backend.
@@ -23,25 +25,31 @@ type ringPoint struct {
 // caller's skip predicate, not by rebuilding the ring, so a flapping
 // backend never reshuffles keys owned by healthy ones.
 type ring struct {
-	replicas int
 	points   []ringPoint
 	backends int
 }
 
+// hash64 is FNV-1a pushed through murmur3's 64-bit finaliser. Raw FNV-1a
+// barely carries a string's trailing bytes into the high bits, so without
+// it the vnodes "name#0" … "name#127" — and backends whose names differ
+// only in a port digit — clump on the circle. A fixed function, not a
+// seeded one: every process must build the same ring.
 func hash64(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	return h.Sum64()
+	x := h.Sum64()
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // newRing places replicas virtual nodes per backend name on the circle.
 // Names must be distinct; the backend index is the caller's slot.
-func newRing(names []string, replicas int) *ring {
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
+func newRing(names []string) *ring {
 	r := &ring{
-		replicas: replicas,
 		points:   make([]ringPoint, 0, replicas*len(names)),
 		backends: len(names),
 	}

@@ -19,6 +19,7 @@ import (
 	"javaflow/internal/dispatch"
 	"javaflow/internal/fabric"
 	"javaflow/internal/obs"
+	"javaflow/internal/peer"
 	"javaflow/internal/replicate"
 	"javaflow/internal/scenario"
 	"javaflow/internal/scenario/chaos"
@@ -822,7 +823,7 @@ func (c *Context) drillSlowPeer(f scenario.Fault, res *scenario.Resolved) (scena
 	}
 	defer stop()
 
-	client := &http.Client{Transport: &http.Transport{ResponseHeaderTimeout: delay / 4}}
+	client := peer.NewClient(1, delay/4)
 	local := serve.NewScheduler(serve.SchedulerOptions{Workers: 2, MaxMeshCycles: res.MaxMeshCycles})
 	d, err := dispatch.NewWithBackends(
 		[]dispatch.Backend{namedBackend{dispatch.NewRemote(url, client), "drill-slow-peer"}},

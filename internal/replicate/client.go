@@ -1,16 +1,13 @@
 package replicate
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 
-	"javaflow/internal/admit"
-	"javaflow/internal/obs"
+	"javaflow/internal/peer"
 	"javaflow/internal/store"
 )
 
@@ -24,46 +21,11 @@ type Manifest struct {
 // by default, so anything near this is a misconfigured peer, not data.
 const maxSegmentFetch = 256 << 20
 
-// maxErrorBody bounds how much of a failed response becomes error text.
-const maxErrorBody = 4 << 10
-
-// get issues one GET against the peer and returns the response on status
-// 200, closing the body on every other path.
-func (r *Replicator) get(ctx context.Context, url string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, fmt.Errorf("replicate: %w", err)
-	}
-	obs.Inject(req, ctx)
-	// Carry this round's deadline so an overloaded peer can shed the pull
-	// at admission instead of streaming bytes nobody will wait for.
-	admit.Inject(req, ctx)
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("replicate: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
-		resp.Body.Close()
-		msg := strings.TrimSpace(string(data))
-		if len(msg) > 200 {
-			msg = msg[:200]
-		}
-		return nil, fmt.Errorf("replicate: %s: status %d: %s", url, resp.StatusCode, msg)
-	}
-	return resp, nil
-}
-
 // fetchManifest polls one peer's segment inventory.
 func (r *Replicator) fetchManifest(ctx context.Context, base string) ([]store.SegmentInfo, error) {
-	resp, err := r.get(ctx, strings.TrimRight(base, "/")+"/v1/replicate/segments")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
 	var m Manifest
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return nil, fmt.Errorf("replicate: decoding manifest from %s: %w", base, err)
+	if err := peer.GetJSON(ctx, r.client, base+"/v1/replicate/segments", &m); err != nil {
+		return nil, fmt.Errorf("replicate: %w", err)
 	}
 	return m.Segments, nil
 }
@@ -77,38 +39,22 @@ func (r *Replicator) postNotify(ctx context.Context, base string, n Notification
 	if err != nil {
 		return fmt.Errorf("replicate: %w", err)
 	}
-	url := normalizePeer(base) + "/v1/replicate/notify"
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("replicate: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	obs.Inject(req, ctx)
-	admit.Inject(req, ctx)
-	resp, err := r.client.Do(req)
+	resp, err := peer.Do(ctx, r.client, http.MethodPost, base+"/v1/replicate/notify", body)
 	if err != nil {
 		return fmt.Errorf("replicate: %w", err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
-		msg := strings.TrimSpace(string(data))
-		if len(msg) > 200 {
-			msg = msg[:200]
-		}
-		return fmt.Errorf("replicate: %s: status %d: %s", url, resp.StatusCode, msg)
-	}
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxErrorBody))
+	// Drain the small outcome document so the keep-alive connection is reused.
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 	return nil
 }
 
 // fetchSegment streams segment seq's bytes from offset from to its
 // currently visible end.
 func (r *Replicator) fetchSegment(ctx context.Context, base string, seq int, from int64) ([]byte, error) {
-	url := fmt.Sprintf("%s/v1/replicate/segment/%d?from=%d", strings.TrimRight(base, "/"), seq, from)
-	resp, err := r.get(ctx, url)
+	resp, err := peer.Do(ctx, r.client, http.MethodGet, fmt.Sprintf("%s/v1/replicate/segment/%d?from=%d", base, seq, from), nil)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("replicate: %w", err)
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, maxSegmentFetch))

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"javaflow/internal/obs"
+	"javaflow/internal/peer"
 	"javaflow/internal/store"
 )
 
@@ -102,7 +103,6 @@ type NotifyOutcome struct {
 type gossip struct {
 	advertise string
 	fanout    int
-	ttl       int
 	dirty     chan struct{} // append-hook wakeups, capacity 1
 
 	mu sync.Mutex
@@ -120,27 +120,12 @@ type gossip struct {
 	hintMu                     sync.Mutex // serializes hint-record read-modify-write
 }
 
-// newGossip sizes the fanout for a fleet of peerCount peers.
-func newGossip(advertise string, peerCount, fanout, ttl int) *gossip {
-	if fanout <= 0 {
-		fanout = int(math.Ceil(math.Log2(float64(peerCount + 1))))
-	}
-	if fanout < 1 {
-		fanout = 1
-	}
-	if fanout > peerCount {
-		fanout = peerCount
-	}
-	if ttl <= 0 {
-		ttl = DefaultGossipTTL
-	}
-	if ttl > maxGossipTTL {
-		ttl = maxGossipTTL
-	}
+// newGossip sizes the fanout for a fleet of peerCount (>= 1) peers:
+// ceil(log2(peerCount+1)), which is never more than peerCount.
+func newGossip(advertise string, peerCount int) *gossip {
 	return &gossip{
 		advertise:      advertise,
-		fanout:         fanout,
-		ttl:            ttl,
+		fanout:         int(math.Ceil(math.Log2(float64(peerCount + 1)))),
 		dirty:          make(chan struct{}, 1),
 		lastAdvertised: make(map[int]int64),
 		rumorSeen:      make(map[string]bool),
@@ -193,9 +178,9 @@ func (r *Replicator) startGossip(ctx context.Context) <-chan struct{} {
 }
 
 // AdvertiseNow flushes the store and pushes the not-yet-advertised
-// segment delta at GossipFanout random peers. It is a no-op when nothing
-// grew since the last successful advertisement. Exposed for hinted
-// handoff and tests; the notifier loop is the normal caller.
+// segment delta at fanout random peers. It is a no-op when nothing grew
+// since the last successful advertisement. Exposed for hinted handoff
+// and tests; the notifier loop is the normal caller.
 //
 // The advertisement runs under its own trace span (a fresh trace unless
 // the caller's ctx already carries one), and the minted context flows
@@ -239,7 +224,7 @@ func (r *Replicator) AdvertiseNow(ctx context.Context) (err error) {
 		return nil
 	}
 	sort.Slice(delta, func(i, j int) bool { return delta[i].Seq < delta[j].Seq })
-	n := Notification{Origin: g.advertise, TTL: g.ttl, Segments: delta}
+	n := Notification{Origin: g.advertise, TTL: DefaultGossipTTL, Segments: delta}
 	targets := r.pickTargets(g.fanout, g.advertise)
 	ok := r.sendNotify(ctx, n, targets)
 	span.SetAttr("segments", strconv.Itoa(len(delta)))
@@ -262,15 +247,15 @@ func (r *Replicator) AdvertiseNow(ctx context.Context) (err error) {
 
 // pickTargets draws up to fanout distinct random peers, excluding any
 // whose normalized name appears in exclude.
-func (r *Replicator) pickTargets(fanout int, exclude ...string) []*peerState {
+func (r *Replicator) pickTargets(fanout int, exclude ...string) []string {
 	skip := make(map[string]bool, len(exclude))
 	for _, e := range exclude {
 		skip[e] = true
 	}
-	var pool []*peerState
+	var pool []string
 	for _, p := range r.peers {
 		if !skip[p.name] {
-			pool = append(pool, p)
+			pool = append(pool, p.name)
 		}
 	}
 	rand.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
@@ -282,33 +267,24 @@ func (r *Replicator) pickTargets(fanout int, exclude ...string) []*peerState {
 
 // sendNotify posts n at every target concurrently and returns how many
 // accepted it.
-func (r *Replicator) sendNotify(ctx context.Context, n Notification, targets []*peerState) (ok int) {
-	if len(targets) == 0 {
-		return 0
+func (r *Replicator) sendNotify(ctx context.Context, n Notification, targets []string) (ok int) {
+	errs := peer.Each(ctx, targets, len(targets), notifyTimeout, func(sctx context.Context, name string) error {
+		return r.postNotify(sctx, name, n)
+	})
+	for i, err := range errs {
+		if err != nil {
+			r.g.sendErrors.Add(1)
+			// A peer that cannot be told about new data may be
+			// partitioned from us; the pull loop is the repair path.
+			r.journal.Emit("replicate", "partition_suspected", obs.SevWarn, traceIDFrom(ctx),
+				"peer", targets[i], "error", err.Error())
+			r.logff("replicate: gossip: notify %s: %v", targets[i], err)
+			continue
+		}
+		r.g.sent.Add(1)
+		ok++
 	}
-	var okCount atomic.Int64
-	var wg sync.WaitGroup
-	for _, p := range targets {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sctx, cancel := context.WithTimeout(ctx, notifyTimeout)
-			defer cancel()
-			if err := r.postNotify(sctx, p.name, n); err != nil {
-				r.g.sendErrors.Add(1)
-				// A peer that cannot be told about new data may be
-				// partitioned from us; the pull loop is the repair path.
-				r.journal.Emit("replicate", "partition_suspected", obs.SevWarn, traceIDFrom(ctx),
-					"peer", p.name, "error", err.Error())
-				r.logff("replicate: gossip: notify %s: %v", p.name, err)
-				return
-			}
-			r.g.sent.Add(1)
-			okCount.Add(1)
-		}()
-	}
-	wg.Wait()
-	return int(okCount.Load())
+	return ok
 }
 
 // rumorID canonically names one advertisement: same origin + same
@@ -365,7 +341,7 @@ func (g *gossip) unmarkRumor(id string) {
 func (r *Replicator) HandleNotify(ctx context.Context, n Notification) (NotifyOutcome, error) {
 	ctx, span := r.tracer.StartSpan(ctx, "gossip.notify")
 	out, err := r.handleNotify(ctx, n)
-	span.SetAttr("origin", normalizePeer(n.Origin))
+	span.SetAttr("origin", peer.Normalize(n.Origin))
 	span.SetAttr("result", out.Result)
 	span.End(err)
 	return out, err
@@ -377,7 +353,7 @@ func (r *Replicator) handleNotify(ctx context.Context, n Notification) (NotifyOu
 	if g == nil {
 		return out, ErrGossipDisabled
 	}
-	origin := normalizePeer(n.Origin)
+	origin := peer.Normalize(n.Origin)
 	if origin == "" || len(n.Segments) == 0 {
 		return out, ErrBadNotification
 	}
@@ -462,11 +438,7 @@ func (r *Replicator) handleNotify(ctx context.Context, n Notification) (NotifyOu
 			// sendNotify bounds each send with notifyTimeout. The trace
 			// context survives the detach so relay hops stay correlated
 			// under the originating advertisement's trace ID.
-			rctx := context.Background()
-			if tc, ok := obs.TraceFrom(ctx); ok {
-				rctx = obs.ContextWithTrace(rctx, tc)
-			}
-			go r.sendNotify(rctx, relay, targets)
+			go r.sendNotify(context.WithoutCancel(ctx), relay, targets)
 		}
 	}
 	return out, nil
@@ -508,7 +480,7 @@ func (r *Replicator) gossipStats() *GossipStats {
 	return &GossipStats{
 		Advertise:      g.advertise,
 		Fanout:         g.fanout,
-		TTL:            g.ttl,
+		TTL:            DefaultGossipTTL,
 		RumorsSent:     g.sent.Load(),
 		SendErrors:     g.sendErrors.Load(),
 		RumorsReceived: g.received.Load(),
@@ -541,7 +513,7 @@ func (r *Replicator) RecordHint(owner, signature string) {
 	if g == nil {
 		return
 	}
-	owner = normalizePeer(owner)
+	owner = peer.Normalize(owner)
 	if owner == "" {
 		return
 	}
@@ -575,7 +547,7 @@ func (r *Replicator) DeliverHints(owner string) {
 	if g == nil {
 		return
 	}
-	owner = normalizePeer(owner)
+	owner = peer.Normalize(owner)
 	g.hintMu.Lock()
 	val, ok := r.st.GetMeta(handoffMetaPrefix + owner)
 	g.hintMu.Unlock()

@@ -34,16 +34,15 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"net"
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"javaflow/internal/obs"
+	"javaflow/internal/peer"
 	"javaflow/internal/store"
 )
 
@@ -52,24 +51,14 @@ import (
 // within seconds, long enough that idle fleets cost a few manifest GETs.
 const DefaultInterval = 15 * time.Second
 
-// Transport bounds for the default peer client: a peer that accepts the
-// TCP connection but never answers must fail fast, not hold the round.
-const (
-	defaultDialTimeout           = 5 * time.Second
-	defaultResponseHeaderTimeout = 30 * time.Second
-)
+// pullHeaderTimeout bounds a peer's time to first response byte on a
+// manifest, segment or notify request: a peer that accepts the connection
+// but never answers must fail its slice of the round, not hold it.
+const pullHeaderTimeout = 30 * time.Second
 
 // cursorMetaPrefix namespaces the per-peer cursor meta records in the
 // store ("meta|replcursor|<peer URL>").
 const cursorMetaPrefix = "replcursor|"
-
-// normalizePeer canonicalizes a peer base URL exactly the way
-// dispatch.Remote.Name() does. Every identity derived from a peer URL —
-// cursor meta keys, rumor dedup IDs, notification origins, handoff hint
-// keys — MUST pass through here, so "http://h:1" and "http://h:1/" can
-// never fork into two cursor namespaces or two independent rumors for
-// the same delta.
-func normalizePeer(p string) string { return strings.TrimRight(p, "/") }
 
 // Options configures a Replicator.
 type Options struct {
@@ -80,9 +69,10 @@ type Options struct {
 	Peers []string
 	// Interval is the polling period (<=0 uses DefaultInterval).
 	Interval time.Duration
-	// Client is the HTTP client for peer traffic (nil uses a dedicated
-	// client; per-request lifetimes come from contexts, not client
-	// timeouts, because a segment fetch is bounded by segment size).
+	// Client is the HTTP client for peer traffic (nil uses peer.NewClient
+	// with two idle connections per peer and a 30 s time-to-first-header
+	// bound; per-request lifetimes come from contexts, because a segment
+	// fetch is bounded by segment size, not wall time).
 	Client *http.Client
 	// Logf, when non-nil, receives operator-facing progress lines.
 	Logf func(format string, args ...any)
@@ -93,17 +83,11 @@ type Options struct {
 	// lists, or they will drop the rumor as unknown-origin). With gossip
 	// enabled, Start also installs a store append hook: every committed
 	// payload record wakes the notifier, which advertises the (segment
-	// seq, size, CRC) delta to GossipFanout random peers; the periodic
-	// pull loop remains the repair path for missed rumors.
+	// seq, size, CRC) delta to ceil(log2(len(Peers)+1)) random peers — the
+	// classic epidemic fanout that reaches N nodes in O(log N) hops — with
+	// a hop budget of DefaultGossipTTL; the periodic pull loop remains the
+	// repair path for missed rumors.
 	Advertise string
-	// GossipFanout is how many random peers each advertisement (and each
-	// onward relay) targets. <=0 picks ceil(log2(len(Peers)+1)) — the
-	// classic epidemic fanout that reaches N nodes in O(log N) hops.
-	GossipFanout int
-	// GossipTTL is the hop budget stamped on locally originated rumors
-	// (<=0 uses DefaultGossipTTL). Together with rumor-ID dedup it makes
-	// rumors die out instead of echoing forever.
-	GossipTTL int
 
 	// Tracer records pull and gossip spans; pass the serving node's
 	// serve.Metrics tracer so replication hops land in the same
@@ -168,7 +152,14 @@ func New(opts Options) (*Replicator, error) {
 	if opts.Store == nil {
 		return nil, errors.New("replicate: Options.Store is required")
 	}
-	if len(opts.Peers) == 0 {
+	// The peers are named exactly as dispatch names its backends, so
+	// SyncedPeers matches backend names (warm-retry preference) and a
+	// trailing slash in -peers cannot fork a second cursor namespace.
+	peers, err := peer.ParseList(opts.Peers)
+	if err != nil {
+		return nil, fmt.Errorf("replicate: %w", err)
+	}
+	if len(peers) == 0 {
 		return nil, errors.New("replicate: at least one peer is required")
 	}
 	interval := opts.Interval
@@ -177,16 +168,7 @@ func New(opts Options) (*Replicator, error) {
 	}
 	client := opts.Client
 	if client == nil {
-		// No overall timeout — a segment fetch is bounded by segment size,
-		// not wall time — but the transport bounds connection establishment
-		// and time-to-first-header so a wedged peer fails its slice of the
-		// round instead of stalling the sync loop until the context expires.
-		client = &http.Client{Transport: &http.Transport{
-			DialContext:           (&net.Dialer{Timeout: defaultDialTimeout}).DialContext,
-			ResponseHeaderTimeout: defaultResponseHeaderTimeout,
-			MaxIdleConns:          len(opts.Peers) * 2,
-			MaxIdleConnsPerHost:   2,
-		}}
+		client = peer.NewClient(2, pullHeaderTimeout)
 	}
 	r := &Replicator{
 		st:       opts.Store,
@@ -194,20 +176,11 @@ func New(opts Options) (*Replicator, error) {
 		client:   client,
 		logf:     opts.Logf,
 	}
-	seen := make(map[string]bool, len(opts.Peers))
-	for _, p := range opts.Peers {
-		// Normalize exactly the way dispatch.Remote.Name() does, so
-		// SyncedPeers matches backend names (warm-retry preference) and a
-		// trailing slash in -peers cannot fork a second cursor namespace.
-		p = normalizePeer(p)
-		if seen[p] {
-			return nil, fmt.Errorf("replicate: duplicate peer %q", p)
-		}
-		seen[p] = true
+	for _, p := range peers {
 		r.peers = append(r.peers, &peerState{name: p})
 	}
-	if opts.Advertise != "" {
-		r.g = newGossip(normalizePeer(opts.Advertise), len(r.peers), opts.GossipFanout, opts.GossipTTL)
+	if adv := peer.Normalize(opts.Advertise); adv != "" {
+		r.g = newGossip(adv, len(r.peers))
 	}
 	r.tracer = opts.Tracer
 	r.journal = opts.Journal

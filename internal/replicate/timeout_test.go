@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"javaflow/internal/admit"
+	"javaflow/internal/peer"
 	"javaflow/internal/store"
 )
 
@@ -29,8 +30,8 @@ func TestDefaultClientHasTransportTimeouts(t *testing.T) {
 	if !ok {
 		t.Fatal("default client transport is not *http.Transport")
 	}
-	if tr.ResponseHeaderTimeout <= 0 {
-		t.Fatal("default client has no ResponseHeaderTimeout")
+	if tr.ResponseHeaderTimeout != pullHeaderTimeout {
+		t.Fatalf("default client ResponseHeaderTimeout = %v, want %v", tr.ResponseHeaderTimeout, pullHeaderTimeout)
 	}
 	if tr.DialContext == nil {
 		t.Fatal("default client has no bounded dialer")
@@ -54,13 +55,7 @@ func TestSyncNowFailsFastOnStalledPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	r, err := New(Options{
-		Store: st,
-		Peers: []string{ts.URL},
-		Client: &http.Client{Transport: &http.Transport{
-			ResponseHeaderTimeout: 200 * time.Millisecond,
-		}},
-	})
+	r, err := New(Options{Store: st, Peers: []string{ts.URL}, Client: peer.NewClient(2, 200*time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,21 +2,18 @@ package serve
 
 // This file is the fleet-level observability plane: cross-node trace
 // assembly (GET /v1/trace/{traceID}) and fleet health aggregation
-// (GET /v1/fleet). Both fan out to the configured peers with bounded
-// concurrency and a per-peer timeout, tolerate dead peers, and mark
-// the result partial rather than failing — a fleet view that goes dark
-// whenever one node does would be useless exactly when it matters.
+// (GET /v1/fleet). Both scatter to the configured peers through
+// peer.Each (bounded width, a timeout per peer), tolerate dead peers, and
+// mark the result partial rather than failing — a fleet view that goes
+// dark whenever one node does would be useless exactly when it matters.
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"javaflow/internal/obs"
+	"javaflow/internal/peer"
 )
 
 const (
@@ -35,62 +32,13 @@ type Fleet struct {
 }
 
 // NewFleet builds a fleet view over the given peer base URLs (the same
-// -peers list dispatch and replication use). A nil client gets a
-// default with the per-peer timeout baked in.
+// -peers list dispatch and replication use). A nil client gets the peer
+// transport bounded to the per-peer timeout.
 func NewFleet(peers []string, client *http.Client) *Fleet {
 	if client == nil {
-		client = &http.Client{Timeout: fleetPeerTimeout}
+		client = peer.NewClient(2, fleetPeerTimeout)
 	}
 	return &Fleet{peers: peers, client: client}
-}
-
-// Peers lists the configured peer base URLs.
-func (f *Fleet) Peers() []string {
-	if f == nil {
-		return nil
-	}
-	return f.peers
-}
-
-// fanOut runs fn once per peer with bounded concurrency, collecting
-// one result per peer in peer order. Each call gets its own
-// timeout-bounded context, so one hung peer delays the fan-out by at
-// most fleetPeerTimeout, not forever.
-func fanOut[T any](ctx context.Context, peers []string, fn func(ctx context.Context, peer string) T) []T {
-	out := make([]T, len(peers))
-	sem := make(chan struct{}, fleetFanOut)
-	var wg sync.WaitGroup
-	for i, p := range peers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			pctx, cancel := context.WithTimeout(ctx, fleetPeerTimeout)
-			defer cancel()
-			out[i] = fn(pctx, p)
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// getJSON fetches url and decodes the body into v.
-func (f *Fleet) getJSON(ctx context.Context, url string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("http %d", resp.StatusCode)
-	}
-	return json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(v)
 }
 
 // localSpans builds this node's NodeSpans for one trace.
@@ -120,13 +68,13 @@ func (s *Service) AssembleTrace(ctx context.Context, traceID string) obs.Assembl
 	m := s.Scheduler().Metrics()
 	nodes := []obs.NodeSpans{localSpans(m, traceID)}
 	if f := s.fleet; f != nil {
-		nodes = append(nodes, fanOut(ctx, f.peers, func(pctx context.Context, peer string) obs.NodeSpans {
+		nodes = append(nodes, peer.Each(ctx, f.peers, fleetFanOut, fleetPeerTimeout, func(pctx context.Context, node string) obs.NodeSpans {
 			var got obs.NodeSpans
-			if err := f.getJSON(pctx, peer+"/debug/traces/"+traceID, &got); err != nil {
-				return obs.NodeSpans{Node: peer, Err: err.Error(), Spans: []obs.Span{}}
+			if err := peer.GetJSON(pctx, f.client, node+"/debug/traces/"+traceID, &got); err != nil {
+				return obs.NodeSpans{Node: node, Err: err.Error(), Spans: []obs.Span{}}
 			}
 			if got.Node == "" {
-				got.Node = peer
+				got.Node = node
 			}
 			return got
 		})...)
@@ -179,12 +127,12 @@ func (s *Service) FleetSnapshot(ctx context.Context) FleetSnapshot {
 		Metrics: &local,
 	}}
 	if f := s.fleet; f != nil {
-		nodes = append(nodes, fanOut(ctx, f.peers, func(pctx context.Context, peer string) FleetNodeHealth {
+		nodes = append(nodes, peer.Each(ctx, f.peers, fleetFanOut, fleetPeerTimeout, func(pctx context.Context, node string) FleetNodeHealth {
 			var snap MetricsSnapshot
-			if err := f.getJSON(pctx, peer+"/metrics", &snap); err != nil {
-				return FleetNodeHealth{Node: peer, Err: err.Error()}
+			if err := peer.GetJSON(pctx, f.client, node+"/metrics", &snap); err != nil {
+				return FleetNodeHealth{Node: node, Err: err.Error()}
 			}
-			name := peer
+			name := node
 			if snap.Node != "" {
 				// Prefer the node's self-reported name (its advertise URL),
 				// matching how trace assembly names peer span sets.

@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
+	"javaflow/internal/admit"
 	"javaflow/internal/obs"
 	"javaflow/internal/sim"
 )
@@ -229,6 +231,47 @@ func TestFleetSnapshotMergesNodes(t *testing.T) {
 	}
 	if n := byNode[deadURL]; n.Up || n.Err == "" {
 		t.Errorf("dead peer row = %+v, want down with an error", n)
+	}
+}
+
+// TestFleetFanOutCarriesTraceAndDeadline pins that the two fleet fan-outs
+// are ordinary peer hops: the request a peer receives from GET /v1/fleet
+// and from GET /v1/trace/{id} joins the front's trace one hop deeper and
+// announces the per-peer deadline.
+func TestFleetFanOutCarriesTraceAndDeadline(t *testing.T) {
+	type hop struct{ path, trace, deadline string }
+	hops := make(chan hop, 2)
+	peerTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hops <- hop{r.URL.Path, r.Header.Get(obs.TraceHeader), r.Header.Get(admit.DeadlineHeader)}
+		_, _ = w.Write([]byte("{}"))
+	}))
+	defer peerTS.Close()
+	frontTS, frontSvc := fleetNode(t, "node-front")
+	frontSvc.SetFleet(NewFleet([]string{peerTS.URL}, nil))
+
+	const traceID = "cafe0123cafe4567"
+	for _, tc := range []struct{ get, wantPath string }{
+		{"/v1/fleet", "/metrics"},
+		{"/v1/trace/" + traceID, "/debug/traces/" + traceID},
+	} {
+		req, _ := http.NewRequest(http.MethodGet, frontTS.URL+tc.get, nil)
+		req.Header.Set(obs.TraceHeader, obs.TraceContext{TraceID: traceID, SpanID: "00000000000000aa", Hop: 0}.Header())
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		h := <-hops
+		if h.path != tc.wantPath {
+			t.Fatalf("GET %s fanned out to %s, want %s", tc.get, h.path, tc.wantPath)
+		}
+		sent, ok := obs.ParseTrace(h.trace)
+		if !ok || sent.TraceID != traceID || sent.Hop != 1 {
+			t.Errorf("GET %s: peer saw trace header %q, want trace %s at hop 1", tc.get, h.trace, traceID)
+		}
+		if _, ok := admit.ParseDeadline(h.deadline, time.Now()); !ok {
+			t.Errorf("GET %s: peer saw deadline header %q, want a parseable deadline", tc.get, h.deadline)
+		}
 	}
 }
 

@@ -166,12 +166,8 @@ func NewHandler(svc *Service) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/store", func(w http.ResponseWriter, r *http.Request) {
-		st := svc.Scheduler().Store()
+		st := requireStore(w, svc)
 		if st == nil {
-			writeJSON(w, http.StatusNotFound, ErrorPayload{
-				Error: "serve: no persistent store attached (start with -store-dir)",
-				Kind:  ErrKindNotFound,
-			})
 			return
 		}
 		rep := StoreReport{AdminReport: st.Admin()}
@@ -187,12 +183,8 @@ func NewHandler(svc *Service) http.Handler {
 	// this node's own replicator (tests and ops use it to avoid waiting an
 	// interval).
 	mux.HandleFunc("GET /v1/replicate/segments", guard(svc, admit.ClassReplicate, func(w http.ResponseWriter, r *http.Request) {
-		st := svc.Scheduler().Store()
+		st := requireStore(w, svc)
 		if st == nil {
-			writeJSON(w, http.StatusNotFound, ErrorPayload{
-				Error: "serve: no persistent store attached (start with -store-dir)",
-				Kind:  ErrKindNotFound,
-			})
 			return
 		}
 		manifest, err := st.Manifest()
@@ -204,41 +196,27 @@ func NewHandler(svc *Service) http.Handler {
 	}))
 
 	mux.HandleFunc("GET /v1/replicate/segment/{seq}", guard(svc, admit.ClassReplicate, func(w http.ResponseWriter, r *http.Request) {
-		st := svc.Scheduler().Store()
+		st := requireStore(w, svc)
 		if st == nil {
-			writeJSON(w, http.StatusNotFound, ErrorPayload{
-				Error: "serve: no persistent store attached (start with -store-dir)",
-				Kind:  ErrKindNotFound,
-			})
 			return
 		}
 		seq, err := strconv.Atoi(r.PathValue("seq"))
 		if err != nil || seq <= 0 {
-			writeJSON(w, http.StatusBadRequest, ErrorPayload{
-				Error: fmt.Sprintf("serve: bad segment seq %q", r.PathValue("seq")),
-				Kind:  ErrKindInternal,
-			})
+			writeError(w, badRequestf("serve: bad segment seq %q", r.PathValue("seq")))
 			return
 		}
 		var from int64
 		if q := r.URL.Query().Get("from"); q != "" {
 			from, err = strconv.ParseInt(q, 10, 64)
 			if err != nil || from < 0 {
-				writeJSON(w, http.StatusBadRequest, ErrorPayload{
-					Error: fmt.Sprintf("serve: bad segment offset %q", q),
-					Kind:  ErrKindInternal,
-				})
+				writeError(w, badRequestf("serve: bad segment offset %q", q))
 				return
 			}
 		}
 		data, visible, err := st.ReadSegmentAt(seq, from)
 		if err != nil {
 			if os.IsNotExist(err) {
-				writeJSON(w, http.StatusNotFound, ErrorPayload{
-					Error: fmt.Sprintf("serve: no segment %d", seq),
-					Kind:  ErrKindNotFound,
-				})
-				return
+				err = &NotFoundError{Msg: fmt.Sprintf("serve: no segment %d", seq)}
 			}
 			writeError(w, err)
 			return
@@ -252,10 +230,7 @@ func NewHandler(svc *Service) http.Handler {
 	mux.HandleFunc("POST /v1/replicate/sync", guard(svc, admit.ClassReplicate, func(w http.ResponseWriter, r *http.Request) {
 		rp := svc.Replicator()
 		if rp == nil {
-			writeJSON(w, http.StatusNotFound, ErrorPayload{
-				Error: "serve: no replicator attached (start with -peers and -replicate-interval)",
-				Kind:  ErrKindNotFound,
-			})
+			writeError(w, &NotFoundError{Msg: "serve: no replicator attached (start with -peers and -replicate-interval)"})
 			return
 		}
 		if err := rp.SyncNow(r.Context()); err != nil {
@@ -274,10 +249,7 @@ func NewHandler(svc *Service) http.Handler {
 	mux.HandleFunc("POST /v1/replicate/notify", guard(svc, admit.ClassReplicate, func(w http.ResponseWriter, r *http.Request) {
 		rp := svc.Replicator()
 		if rp == nil || !rp.GossipEnabled() {
-			writeJSON(w, http.StatusNotFound, ErrorPayload{
-				Error: "serve: gossip not enabled on this node (start with -peers, -replicate-interval and no -gossip-disable)",
-				Kind:  ErrKindNotFound,
-			})
+			writeError(w, &NotFoundError{Msg: "serve: gossip not enabled on this node (start with -peers, -replicate-interval and no -gossip-disable)"})
 			return
 		}
 		var n replicate.Notification
@@ -285,11 +257,10 @@ func NewHandler(svc *Service) http.Handler {
 			return
 		}
 		out, err := rp.HandleNotify(r.Context(), n)
+		if errors.Is(err, replicate.ErrBadNotification) {
+			err = &BadRequestError{Msg: err.Error()}
+		}
 		if err != nil {
-			if errors.Is(err, replicate.ErrBadNotification) {
-				writeError(w, &BadRequestError{Msg: err.Error()})
-				return
-			}
 			writeError(w, err)
 			return
 		}
@@ -301,12 +272,8 @@ func NewHandler(svc *Service) http.Handler {
 	// or a segment another process is still appending to can be dropped
 	// beyond the bytes this process saw at startup.
 	mux.HandleFunc("POST /v1/store/compact", func(w http.ResponseWriter, r *http.Request) {
-		st := svc.Scheduler().Store()
+		st := requireStore(w, svc)
 		if st == nil {
-			writeJSON(w, http.StatusNotFound, ErrorPayload{
-				Error: "serve: no persistent store attached (start with -store-dir)",
-				Kind:  ErrKindNotFound,
-			})
 			return
 		}
 		if err := st.Compact(); err != nil {
@@ -333,17 +300,10 @@ func NewHandler(svc *Service) http.Handler {
 	})
 
 	mux.HandleFunc("GET /debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		n := 64
-		if q := r.URL.Query().Get("n"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v <= 0 || v > 4096 {
-				writeJSON(w, http.StatusBadRequest, ErrorPayload{
-					Error: fmt.Sprintf("serve: bad span count %q", q),
-					Kind:  ErrKindInternal,
-				})
-				return
-			}
-			n = v
+		n, err := queryCount(r, "span")
+		if err != nil {
+			writeError(w, err)
+			return
 		}
 		writeJSON(w, http.StatusOK, metrics.Tracer().Dump(n))
 	})
@@ -351,12 +311,9 @@ func NewHandler(svc *Service) http.Handler {
 	// Local trace lookup: this node's spans for one trace, the leg the
 	// /v1/trace fan-out queries on every peer.
 	mux.HandleFunc("GET /debug/traces/{traceID}", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("traceID")
-		if !obs.ValidTraceID(id) {
-			writeJSON(w, http.StatusBadRequest, ErrorPayload{
-				Error: fmt.Sprintf("serve: bad trace id %q", id),
-				Kind:  ErrKindInternal,
-			})
+		id, err := traceIDParam(r)
+		if err != nil {
+			writeError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, localSpans(metrics, id))
@@ -366,12 +323,9 @@ func NewHandler(svc *Service) http.Handler {
 	// lookup and stitch the spans into one hop-ordered tree. Dead peers
 	// mark the result partial; the endpoint still answers 200.
 	mux.HandleFunc("GET /v1/trace/{traceID}", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("traceID")
-		if !obs.ValidTraceID(id) {
-			writeJSON(w, http.StatusBadRequest, ErrorPayload{
-				Error: fmt.Sprintf("serve: bad trace id %q", id),
-				Kind:  ErrKindInternal,
-			})
+		id, err := traceIDParam(r)
+		if err != nil {
+			writeError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, svc.AssembleTrace(r.Context(), id))
@@ -381,26 +335,16 @@ func NewHandler(svc *Service) http.Handler {
 	// ?subsystem= keeps one subsystem, ?severity= sets the floor
 	// (info|warn|error), ?n= caps the count.
 	mux.HandleFunc("GET /debug/events", func(w http.ResponseWriter, r *http.Request) {
-		n := 64
-		if q := r.URL.Query().Get("n"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v <= 0 || v > 4096 {
-				writeJSON(w, http.StatusBadRequest, ErrorPayload{
-					Error: fmt.Sprintf("serve: bad event count %q", q),
-					Kind:  ErrKindInternal,
-				})
-				return
-			}
-			n = v
+		n, err := queryCount(r, "event")
+		if err != nil {
+			writeError(w, err)
+			return
 		}
 		minSev := obs.SevInfo
 		if q := r.URL.Query().Get("severity"); q != "" {
 			sev, ok := obs.ParseSeverity(q)
 			if !ok {
-				writeJSON(w, http.StatusBadRequest, ErrorPayload{
-					Error: fmt.Sprintf("serve: bad severity %q (want info, warn or error)", q),
-					Kind:  ErrKindInternal,
-				})
+				writeError(w, badRequestf("serve: bad severity %q (want info, warn or error)", q))
 				return
 			}
 			minSev = sev
@@ -569,15 +513,51 @@ func (w *statusWriter) Flush() {
 	}
 }
 
+// badRequestf builds the error writeError answers with a 400.
+func badRequestf(format string, args ...any) error {
+	return &BadRequestError{Msg: fmt.Sprintf(format, args...)}
+}
+
+// requireStore returns the node's persistent store, or answers 404 and
+// returns nil when the node runs memory-only.
+func requireStore(w http.ResponseWriter, svc *Service) *store.Store {
+	st := svc.Scheduler().Store()
+	if st == nil {
+		writeError(w, &NotFoundError{Msg: "serve: no persistent store attached (start with -store-dir)"})
+	}
+	return st
+}
+
+// queryCount parses the ?n= cap of a debug listing of what ("span",
+// "event"): 64 when absent, 1..4096 otherwise.
+func queryCount(r *http.Request, what string) (int, error) {
+	q := r.URL.Query().Get("n")
+	if q == "" {
+		return 64, nil
+	}
+	n, err := strconv.Atoi(q)
+	if err != nil || n <= 0 || n > 4096 {
+		return 0, badRequestf("serve: bad %s count %q", what, q)
+	}
+	return n, nil
+}
+
+// traceIDParam returns the {traceID} path value, rejecting anything that
+// is not a well-formed trace ID.
+func traceIDParam(r *http.Request) (string, error) {
+	id := r.PathValue("traceID")
+	if !obs.ValidTraceID(id) {
+		return "", badRequestf("serve: bad trace id %q", id)
+	}
+	return id, nil
+}
+
 // decodeJSON parses the body into v, replying 400 on malformed input.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorPayload{
-			Error: fmt.Sprintf("bad request body: %v", err),
-			Kind:  ErrKindInternal,
-		})
+		writeError(w, badRequestf("bad request body: %v", err))
 		return false
 	}
 	return true

@@ -47,15 +47,11 @@ type Metrics struct {
 }
 
 // MetricsOptions configures a Metrics collector. The zero value is
-// valid: anonymous node, default ring sizes.
+// valid: an anonymous node.
 type MetricsOptions struct {
 	// Node names this node in fleet-facing output (events, assembled
 	// traces, /v1/fleet rows) — jfserved passes its advertise URL.
 	Node string
-	// TraceRing bounds the recent-span ring (<=0 uses the default 512).
-	TraceRing int
-	// EventRing bounds the event journal (<=0 uses the default 512).
-	EventRing int
 }
 
 // NewMetrics returns a metrics collector with default options.
@@ -63,14 +59,14 @@ func NewMetrics() *Metrics { return NewMetricsOpts(MetricsOptions{}) }
 
 // NewMetricsOpts returns a metrics collector with its registry
 // pre-populated with the serve, engine, runtime and build-info
-// instruments, its trace and event rings sized per opts.
+// instruments; the trace and event rings hold obs's default 512 entries.
 func NewMetricsOpts(opts MetricsOptions) *Metrics {
 	m := &Metrics{
 		start:   time.Now(),
 		node:    opts.Node,
 		reg:     obs.NewRegistry(),
-		tracer:  obs.NewTracer(opts.TraceRing),
-		journal: obs.NewJournal(opts.Node, opts.EventRing),
+		tracer:  obs.NewTracer(0),
+		journal: obs.NewJournal(opts.Node, 0),
 	}
 	m.slowest.win = slowestWindowDur
 	m.jobLatency = m.reg.NewHistogram("javaflow_job_duration_seconds",

@@ -39,14 +39,20 @@ import (
 	"javaflow/internal/stats"
 )
 
-// NotFoundError reports a lookup against the registry that failed; the
-// HTTP layer maps it to 404.
+// NotFoundError reports something the node does not have — a registry
+// lookup that failed (Kind and Name), or a resource this node runs
+// without, such as a store or a replicator (Msg); the HTTP layer maps it
+// to 404.
 type NotFoundError struct {
 	Kind string // "method", "config" or "scenario"
 	Name string
+	Msg  string // the whole message, when Kind/Name do not apply
 }
 
 func (e *NotFoundError) Error() string {
+	if e.Msg != "" {
+		return e.Msg
+	}
 	return fmt.Sprintf("serve: no %s %q", e.Kind, e.Name)
 }
 
