@@ -283,7 +283,8 @@ func main() {
 
 // reportEngine prints the event-driven engine core's throughput for the
 // whole invocation: simulated mesh cycles per wall second, events
-// processed, and how much simulated time was fast-forwarded. Silent when
+// simulated and queue entries dequeued for them, policy runs shared, and
+// how much simulated time was fast-forwarded. Silent when
 // every result came from the store or remote peers (no local engine runs).
 func reportEngine(start time.Time) {
 	t := sim.TotalEngineStats()
@@ -300,8 +301,8 @@ func reportEngine(start time.Time) {
 		skipped = 100 * float64(t.CyclesSkipped) / float64(t.SimulatedMeshCycles)
 	}
 	fmt.Fprintf(os.Stderr,
-		"jfbench: engine — %d runs, %d simulated mesh cycles (%.1fM cycles/s), %d events, %.1f%% of cycles skipped\n",
-		t.Runs, t.SimulatedMeshCycles, rate/1e6, t.Events, skipped)
+		"jfbench: engine — %d runs (+%d shared by both policies), %d simulated mesh cycles (%.1fM cycles/s), %d events (%d delivered), %.1f%% of cycles skipped\n",
+		t.Runs, t.PolicyRunsShared, t.SimulatedMeshCycles, rate/1e6, t.Events, t.Delivered, skipped)
 }
 
 // reportDispatch prints the per-backend job split of a -peers run, so a

@@ -85,8 +85,12 @@ func NewMetricsOpts(opts MetricsOptions) *Metrics {
 		func() float64 { return float64(sim.TotalEngineStats().Runs) })
 	m.reg.CounterFunc("javaflow_engine_mesh_cycles_total", "Mesh cycles simulated process-wide.",
 		func() float64 { return float64(sim.TotalEngineStats().SimulatedMeshCycles) })
-	m.reg.CounterFunc("javaflow_engine_events_total", "Engine events processed process-wide.",
+	m.reg.CounterFunc("javaflow_engine_events_total", "Engine events simulated process-wide (arrivals, deliveries, completions the reference loop would process).",
 		func() float64 { return float64(sim.TotalEngineStats().Events) })
+	m.reg.CounterFunc("javaflow_engine_delivered_total", "Queue entries the engine dequeued to simulate its events.",
+		func() float64 { return float64(sim.TotalEngineStats().Delivered) })
+	m.reg.CounterFunc("javaflow_engine_policy_runs_shared_total", "Second-policy results copied from the first policy's run (policy-invariant methods).",
+		func() float64 { return float64(sim.TotalEngineStats().PolicyRunsShared) })
 	m.reg.CounterFunc("javaflow_engine_cycles_skipped_total", "Mesh cycles fast-forwarded instead of ticked.",
 		func() float64 { return float64(sim.TotalEngineStats().CyclesSkipped) })
 	m.reg.GaugeFunc("javaflow_engine_mesh_cycles_per_second", "Simulated mesh cycles per second of uptime.",
@@ -229,7 +233,8 @@ func (w *slowestWindow) rotate(now time.Time) {
 // process-wide totals of the event-driven simulation core plus derived
 // rates over the service's uptime. CyclesSkipped over SimulatedMeshCycles
 // is the fraction of simulated time the core fast-forwarded instead of
-// ticking.
+// ticking; Delivered over Events the fraction of simulated events it had
+// to dequeue.
 type EngineThroughput struct {
 	sim.EngineTotals
 	MeshCyclesPerSec float64 `json:"meshCyclesPerSec"`

@@ -72,6 +72,8 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		"javaflow_cache_hits_total",
 		"javaflow_engine_runs_total",
 		"javaflow_engine_mesh_cycles_total",
+		"javaflow_engine_delivered_total",
+		"javaflow_engine_policy_runs_shared_total",
 		"javaflow_trace_spans_total",
 		"javaflow_events_total",
 		"javaflow_goroutines",

@@ -13,6 +13,19 @@
 // can alter a Result must bump EngineVersion so persisted store records
 // become misses instead of silently replaying stale semantics; a pure
 // performance change that passes the differential suite must not.
+//
+// The event-driven core does not simulate what cannot change the answer.
+// Runner.RunResolved runs a method once when no node ever asks the branch
+// predictor a forward question (BP2's Result is BP1's), and the serial
+// network delivers a token at the next node that observes it — REGISTER r
+// at nodes accessing local r, MEMORY at ordered-storage nodes, everything
+// at control/return nodes and the last node, HEAD and TAIL everywhere —
+// at the clock hop-by-hop transport would have reached it. Same-clock
+// processing order, the rearmost-TAIL watermark and the event count are
+// kept exact by the three rules in engine_event.go's header. The counters
+// reflect the split: EngineStats.Events is what the machine simulated (the
+// reference loop counts the same number), Delivered what the loop had to
+// dequeue for it, EngineTotals.PolicyRunsShared the runs not needed.
 package sim
 
 import (

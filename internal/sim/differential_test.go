@@ -46,28 +46,52 @@ func (v diffVariant) arm(eng *Engine, cap int) {
 	}
 }
 
-func newDiffEngine(cfg Config, res *fabric.Resolution, p BranchPolicy, v diffVariant, cap int) *Engine {
+// newDiffEngine builds an armed engine that also checks, at every backward
+// bundle transport, the invariant the loop-span reset relies on: whatever
+// is still in flight was sent from the jump or beyond it. (A control node
+// observes everything, so a message from before the jump is delivered at or
+// before it, where the transport gate waits for it; the reset span is
+// therefore never crossed virtually, and no wake entry is pending.)
+func newDiffEngine(t *testing.T, cfg Config, res *fabric.Resolution, p BranchPolicy, v diffVariant, cap int) *Engine {
 	eng := NewEngine(cfg, res, p)
 	v.arm(eng, cap)
+	eng.onBackward = func(i int) {
+		for _, b := range eng.serialEv.pending() {
+			for _, m := range b.items {
+				if m.from < i {
+					t.Errorf("%s/%s: %v from node %d to %d in flight across the backward transport at node %d",
+						res.Placement.Method.Signature(), cfg.Name, m.tok.kind, m.from, m.to, i)
+				}
+			}
+		}
+	}
 	return eng
 }
 
 // runPair executes one (method, config, policy, variant) cell on both
-// loops and asserts identical outcomes. Returns both results for
-// independent MethodRun assembly.
+// loops and asserts identical outcomes — Result or error text, and the
+// simulated activity counters, which the reference loop defines: every
+// arrival, operand delivery and phase completion it processes is one event,
+// however few of them the event loop had to dequeue. Returns both results
+// for independent MethodRun assembly.
 func runPair(t *testing.T, cfg Config, res *fabric.Resolution, p BranchPolicy, v diffVariant) (Result, Result, bool) {
 	t.Helper()
 	sig := res.Placement.Method.Signature()
 
 	run := func(cap int) (Result, Result, error, error) {
-		ev, evErr := newDiffEngine(cfg, res, p, v, cap).Run()
-		rf, rfErr := newDiffEngine(cfg, res, p, v, cap).RunReference()
+		event, reference := newDiffEngine(t, cfg, res, p, v, cap), newDiffEngine(t, cfg, res, p, v, cap)
+		ev, evErr := event.Run()
+		rf, rfErr := reference.RunReference()
+		if got, want := event.Stats(), reference.Stats(); got.Events != want.Events || got.MeshCycles != want.MeshCycles {
+			t.Fatalf("%s/%s/%v/%s cap %d: event loop accounts %d events over %d mesh cycles, reference %d over %d",
+				sig, cfg.Name, p, v.name, cap, got.Events, got.MeshCycles, want.Events, want.MeshCycles)
+		}
 		return ev, rf, evErr, rfErr
 	}
 
 	cap := v.cap
 	ev, rf, evErr, rfErr := run(cap)
-	if evErr == nil && ev.TimedOut {
+	if evErr == nil && ev.TimedOut && v.short < cap {
 		// Timeout runs cost the reference loop cap×O(nodes) work; compare
 		// them at a reduced cap instead (a method that times out at the
 		// full cap necessarily times out at any smaller one).
@@ -165,6 +189,74 @@ func TestDifferentialEventVsReference(t *testing.T) {
 	t.Logf("%d differential cells byte-identical", cells)
 }
 
+// TestEventsAtEveryCap stops both loops at every mesh cycle of a run's
+// first 159, when express messages are still in flight: the timed-out
+// Result and the simulated event count must match the reference loop's at
+// each cap, so the hops an undelivered message has virtually made are
+// accounted exactly (rule 3 of the engine_event.go header).
+func TestEventsAtEveryCap(t *testing.T) {
+	methods := diffMethods(t)
+	timedOut := 0
+	for _, cfg := range Configurations() {
+		for k := 0; k < len(methods); k += 9 {
+			res, err := DeployMethod(cfg, methods[k])
+			if err != nil {
+				continue // ineligible for this fabric
+			}
+			for _, fold := range []bool{false, true} {
+				for cap := 1; cap < 160; cap++ {
+					v := diffVariant{name: "capped", fold: fold, cap: cap, short: cap}
+					if ev, _, completed := runPair(t, cfg, res, BranchPolicy(cap&1), v); completed && ev.TimedOut {
+						timedOut++
+					}
+				}
+			}
+		}
+	}
+	if timedOut < 3000 {
+		t.Fatalf("only %d timed-out runs compared; corpus collapsed", timedOut)
+	}
+	t.Logf("%d timed-out runs match the reference loop's result and event count", timedOut)
+}
+
+// fuzzCell runs one generated method on both loops: method `pick` of a
+// 12-method population grown from seed, on configuration cfg, under
+// differential variant `variant` — or, from 128 up, stopped at mesh cycle
+// variant-127 with folding on odd values — with branch policy `policy`
+// (all taken modulo their range).
+func fuzzCell(t *testing.T, seed int64, pick uint16, cfg, variant uint8, policy bool) {
+	var methods []*classfile.Method
+	for _, c := range workload.Generate(workload.GenConfig{Seed: seed, Count: 12}) {
+		for _, name := range c.MethodNames() {
+			methods = append(methods, c.Methods[name])
+		}
+	}
+	configs, variants := Configurations(), diffVariants()
+	c := configs[int(cfg)%len(configs)]
+	res, err := DeployMethod(c, methods[int(pick)%len(methods)])
+	if err != nil {
+		return // ineligible for this fabric
+	}
+	v := variants[int(variant)%len(variants)]
+	if variant >= 128 {
+		v = diffVariant{name: "capped", fold: variant&1 == 1, cap: int(variant) - 127}
+		v.short = v.cap
+	}
+	p := BP1
+	if policy {
+		p = BP2
+	}
+	runPair(t, c, res, p, v)
+}
+
+// FuzzEventVsReference lets the fuzzer pick the generator seed: any
+// divergence between the loops — Result, error text, simulated events —
+// on any method the generator can grow is a failure.
+func FuzzEventVsReference(f *testing.F) {
+	f.Add(int64(9), uint16(0), uint8(0), uint8(0), false)
+	f.Fuzz(fuzzCell)
+}
+
 // TestDifferentialPreemptMatches: a cancelled context must abort both
 // loops identically — error out with no Result.
 func TestDifferentialPreemptMatches(t *testing.T) {
@@ -195,8 +287,10 @@ func TestDifferentialPreemptMatches(t *testing.T) {
 }
 
 // TestEventEngineStats sanity-checks the throughput counters: a real run
-// processes events, skips cycles during a quiesce stall, and lands in the
-// process totals.
+// simulates events by dequeuing fewer entries, skips cycles during a
+// quiesce stall, and lands in the process totals; a job whose policies
+// share one run folds that run's simulated counters in twice, its engine
+// run and dequeued entries once.
 func TestEventEngineStats(t *testing.T) {
 	m := methodBySignature(t, "scimark/utils/Random.nextDouble/0")
 	cfg := configByName(t, "Compact2")
@@ -224,6 +318,9 @@ func TestEventEngineStats(t *testing.T) {
 	if st.Events == 0 {
 		t.Error("no events counted")
 	}
+	if st.Delivered == 0 || st.Delivered >= st.Events {
+		t.Errorf("%d entries dequeued for %d simulated events; want fewer, not none", st.Delivered, st.Events)
+	}
 	if st.CyclesSkipped < 5_000 {
 		t.Errorf("skipped %d cycles, want at least the 5000-cycle quiesce window", st.CyclesSkipped)
 	}
@@ -233,5 +330,32 @@ func TestEventEngineStats(t *testing.T) {
 	}
 	if after.Events-before.Events != st.Events {
 		t.Errorf("totals events delta %d, want %d", after.Events-before.Events, st.Events)
+	}
+	if after.Delivered-before.Delivered != st.Delivered {
+		t.Errorf("totals delivered delta %d, want %d", after.Delivered-before.Delivered, st.Delivered)
+	}
+	if after.PolicyRunsShared != before.PolicyRunsShared {
+		t.Error("a bare engine run counted as a shared policy run")
+	}
+
+	for _, d := range deployments(t) {
+		invariant := metaFor(d.res.Placement.Method).policyInvariant
+		before = TotalEngineStats()
+		run, err := (&Runner{MaxMeshCycles: 6_000}).RunResolved(d.cfg, d.res)
+		if err != nil {
+			continue
+		}
+		after = TotalEngineStats()
+		wantRuns, wantShared := uint64(2), uint64(0)
+		if invariant {
+			wantRuns, wantShared = 1, 1
+		}
+		if after.Runs-before.Runs != wantRuns || after.PolicyRunsShared-before.PolicyRunsShared != wantShared {
+			t.Fatalf("%s: %d runs, %d shared; want %d, %d", run.Signature,
+				after.Runs-before.Runs, after.PolicyRunsShared-before.PolicyRunsShared, wantRuns, wantShared)
+		}
+		if got, want := after.SimulatedMeshCycles-before.SimulatedMeshCycles, uint64(run.BP1.MeshCycles+run.BP2.MeshCycles); got != want {
+			t.Fatalf("%s: totals gained %d mesh cycles, the job simulated %d", run.Signature, got, want)
+		}
 	}
 }

@@ -34,6 +34,9 @@ const (
 	tokMemory
 	tokRegister
 	tokTail
+	// tokWake is not a token: a serial-queue entry of this kind only makes
+	// the event loop visit a clock (see Engine.parkTail).
+	tokWake
 )
 
 func (k tokenKind) String() string {
@@ -44,8 +47,10 @@ func (k tokenKind) String() string {
 		return "MEMORY"
 	case tokRegister:
 		return "REGISTER"
-	default:
+	case tokTail:
 		return "TAIL"
+	default:
+		return "WAKE"
 	}
 }
 
@@ -55,11 +60,17 @@ type token struct {
 	reg  int // register number for tokRegister
 }
 
-// serialMsg is a token travelling the ordered network.
+// serialMsg is a token travelling the ordered network. In the event loop
+// it walks the linear order from `from` and is delivered at `to`, the first
+// node past `from` that observes it; the nodes in between see it only
+// virtually (engine_event.go, "Express delivery"). Branch-addressed and
+// one-hop sends have from == to-1.
 type serialMsg struct {
 	tok   token
 	to    int // destination instruction index
 	delay int // serial clocks remaining (reference loop only)
+	from  int // event loop only
+	ord   int // same-clock, same-node, same-kind processing order (event loop only)
 }
 
 // meshMsg is a producer→consumer operand transfer.
@@ -99,31 +110,49 @@ const (
 	metaFoldKind                         // group the folding enhancement eliminates
 )
 
+// methodMeta is what the engine precomputes per method: the node table and
+// whether any node ever consults the branch policy. Predictor.Forward is
+// called only for a conditional forward branch (checkFire); back jumps
+// follow the 9-in-10 pattern under both policies, so a method without one
+// simulates identically under BP1 and BP2.
+type methodMeta struct {
+	nodes           []nodeMeta
+	policyInvariant bool
+}
+
 // metaCache memoizes decodeMeta per method: the table is an immutable pure
 // function of the code, engines only read it, and one deployment backs
 // many runs (two branch policies per MethodRun, repeated sweeps through
 // the deployment cache). Crudely bounded: past metaCacheMax entries the
 // cache resets rather than tracking recency — rebuilds are cheap.
 var (
-	metaCache    sync.Map // *classfile.Method -> []nodeMeta
+	metaCache    sync.Map // *classfile.Method -> *methodMeta
 	metaCacheLen atomic.Int64
 )
 
 const metaCacheMax = 8192
 
-func metaFor(m *classfile.Method) []nodeMeta {
+func metaFor(m *classfile.Method) *methodMeta {
 	if v, ok := metaCache.Load(m); ok {
-		return v.([]nodeMeta)
+		return v.(*methodMeta)
 	}
-	meta := decodeMeta(m.Code)
+	mm := &methodMeta{nodes: decodeMeta(m.Code), policyInvariant: true}
+	for i := range mm.nodes {
+		mt := &mm.nodes[i]
+		// checkFire's own test for asking the predictor a forward question.
+		if mt.group == bytecode.GroupControl && mt.flags&metaAlwaysTaken == 0 && int(mt.target) > i {
+			mm.policyInvariant = false
+			break
+		}
+	}
 	if metaCacheLen.Load() >= metaCacheMax {
 		metaCache.Clear()
 		metaCacheLen.Store(0)
 	}
-	if _, loaded := metaCache.LoadOrStore(m, meta); !loaded {
+	if _, loaded := metaCache.LoadOrStore(m, mm); !loaded {
 		metaCacheLen.Add(1)
 	}
-	return meta
+	return mm
 }
 
 func decodeMeta(code []bytecode.Instruction) []nodeMeta {
@@ -160,6 +189,24 @@ func decodeMeta(code []bytecode.Instruction) []nodeMeta {
 		meta[i] = m
 	}
 	return meta
+}
+
+// observes reports whether a node can do anything with tok other than pass
+// it one hop on — the test express delivery rests on (tokenArrives is the
+// rule set it summarises): HEAD arms and TAIL parks at every node, a
+// control or return node buffers or routes whatever reaches it, MEMORY
+// matters to ordered-storage nodes and REGISTER r to the nodes accessing
+// local r.
+func (mt *nodeMeta) observes(tok token) bool {
+	switch {
+	case mt.flags&metaControl != 0:
+		return true
+	case tok.kind == tokMemory:
+		return mt.flags&metaOrderedStorage != 0
+	case tok.kind == tokRegister:
+		return int(mt.localReg) == tok.reg
+	}
+	return true
 }
 
 // nodePhase tracks an Instruction Data Unit's execution lifecycle.
@@ -238,9 +285,10 @@ func (r Result) Parallelism() float64 {
 //
 // Two interchangeable loops drive the shared token-rule semantics below:
 // Run uses the event-driven core (engine_event.go) — arrival-bucketed
-// queues, an incremental rearmost-TAIL watermark, counter-based phase
-// tracking and cycle skipping — while RunReference replays the original
-// clock-by-clock loop. Both produce byte-identical Results; the
+// queues, express token delivery past nodes that ignore the token, an
+// incremental rearmost-TAIL watermark, counter-based phase tracking and
+// cycle skipping — while RunReference replays the original clock-by-clock,
+// hop-by-hop loop. Both produce byte-identical Results; the
 // differential tests assert it and the reference loop is kept as the
 // oracle. An Engine executes once per Reset; Reset reuses the previous
 // run's buffers (node array, held-token buffers, queue buckets, distance
@@ -313,15 +361,28 @@ type Engine struct {
 	tailPos    int
 	liveAt     []int32
 	liveBehind int
+	// tailHold is the serial clock until which the parked TAIL is also
+	// blocked by express messages virtually behind it (parkTail).
+	tailHold int
+	// arrival is the serial message whose delivery is being processed, nil
+	// outside deliverSerialBucket; seq numbers every other push (nextOrd).
+	arrival *serialMsg
+	seq     int
+	// onBackward, when set (tests only), sees every backward bundle
+	// transport just before node i's bundle moves.
+	onBackward func(i int)
 	// executingCount/serviceCount replace the reference loop's full-node
 	// sweeps for busy accounting and in-flight detection.
 	executingCount int
 	serviceCount   int
 	// Precomputed per-placement distances: nextD[i] is the serial hop to
-	// i+1, branchD[i] the serial distance to i's branch target, and
-	// meshD[meshOff[i]+k] the mesh distance to Targets[i][k].Consumer —
-	// the inner loop never calls through fabric.Fabric per message.
+	// i+1 and pre[i] the hops' running sum from node 0 (the linear serial
+	// distance i→j is pre[j]-pre[i]), branchD[i] the serial distance to
+	// i's branch target, and meshD[meshOff[i]+k] the mesh distance to
+	// Targets[i][k].Consumer — the inner loop never calls through
+	// fabric.Fabric per message.
 	nextD   []int32
+	pre     []int32
 	branchD []int32
 	meshD   []int32
 	meshOff []int32
@@ -363,7 +424,7 @@ func (e *Engine) Reset(cfg Config, res *fabric.Resolution, policy BranchPolicy) 
 		resolution: res,
 		predictor:  e.predictor,
 		nodes:      resized(e.nodes, len(res.Placement.Method.Code)),
-		meta:       metaFor(res.Placement.Method),
+		meta:       metaFor(res.Placement.Method).nodes,
 		serialQ:    e.serialQ[:0],
 		meshQ:      e.meshQ[:0],
 		maxCycles:  DefaultMaxMeshCycles,
@@ -373,6 +434,7 @@ func (e *Engine) Reset(cfg Config, res *fabric.Resolution, policy BranchPolicy) 
 		tailHeldAt: -1,
 		liveAt:     e.liveAt,
 		nextD:      e.nextD,
+		pre:        e.pre,
 		branchD:    e.branchD,
 		meshD:      e.meshD,
 		meshOff:    e.meshOff,
@@ -432,14 +494,6 @@ func (e *Engine) meshDist(from, to int) int {
 	return e.cfg.Fabric.MeshDistance(e.placement.NodeOf[from], e.placement.NodeOf[to])
 }
 
-// hopDelay is the serial delay from i to its linear successor.
-func (e *Engine) hopDelay(i int) int {
-	if e.event {
-		return int(e.nextD[i])
-	}
-	return e.serialDist(i, i+1)
-}
-
 // targetDelay is the serial delay from a branch at `from` to its Target.
 func (e *Engine) targetDelay(from, to int) int {
 	if e.event {
@@ -464,13 +518,16 @@ func (e *Engine) isOrderedStorage(i int) bool {
 
 // ---- queue and bookkeeping primitives shared by both loops ----
 
-// pushSerial schedules tok for node `to`, `delay` serial clocks out.
-func (e *Engine) pushSerial(t token, to, delay int) {
+// pushSerial schedules tok for node `to`, delay+stagger serial clocks out.
+// from is the node whose linear successors the message walks on its way
+// (to-1 when it is addressed straight to `to`); stagger is its position in
+// a bundle released one clock apart.
+func (e *Engine) pushSerial(t token, from, to, delay, stagger int) {
 	if !e.event {
-		e.serialQ = append(e.serialQ, serialMsg{t, to, delay})
+		e.serialQ = append(e.serialQ, serialMsg{tok: t, to: to, delay: delay + stagger})
 		return
 	}
-	e.serialEv.push(e.serialNow+delay, serialMsg{t, to, delay})
+	e.serialEv.push(e.serialNow+delay+stagger, serialMsg{tok: t, to: to, from: from, ord: e.nextOrd(t, stagger)})
 	if t.kind == tokTail {
 		e.moveTail(to)
 	} else {
@@ -512,7 +569,7 @@ func (e *Engine) holdToken(i int, t token) {
 	e.nodes[i].held = append(e.nodes[i].held, t)
 	if e.event {
 		if t.kind == tokTail {
-			e.tailHeldAt = i // tailPos is already i (its delivery target)
+			e.parkTail(i) // tailPos is already i (its delivery target)
 		} else {
 			e.liveAt[i]++
 			if i <= e.tailPos {
@@ -586,17 +643,17 @@ func (e *Engine) pendingMesh() int {
 // staggered one serial clock apart: HEAD, MEMORY, one REGISTER per local,
 // TAIL (Figure 23).
 func (e *Engine) injectBundle() {
-	m := e.placement.Method
-	delay := 1
-	e.pushSerial(token{kind: tokHead}, 0, delay)
-	delay++
-	e.pushSerial(token{kind: tokMemory}, 0, delay)
-	delay++
-	for r := 0; r < m.MaxLocals; r++ {
-		e.pushSerial(token{kind: tokRegister, reg: r}, 0, delay)
-		delay++
+	stagger := 0
+	inject := func(t token) {
+		e.pushSerial(t, -1, 0, 1, stagger)
+		stagger++
 	}
-	e.pushSerial(token{kind: tokTail}, 0, delay)
+	inject(token{kind: tokHead})
+	inject(token{kind: tokMemory})
+	for r := 0; r < e.placement.Method.MaxLocals; r++ {
+		inject(token{kind: tokRegister, reg: r})
+	}
+	inject(token{kind: tokTail})
 }
 
 // Run simulates the method to completion (a Return fires) or timeout,
@@ -631,6 +688,7 @@ func (e *Engine) RunReference() (Result, error) {
 			res.Fired = e.fired
 			res.TimedOut = true
 			e.fillCoverage(&res)
+			e.stats.MeshCycles = uint64(cycle)
 			return res, nil
 		}
 
@@ -666,9 +724,11 @@ func (e *Engine) RunReference() (Result, error) {
 			res.MeshCycles = cycle + 1
 			res.Fired = e.fired
 			e.fillCoverage(&res)
+			e.stats.MeshCycles = uint64(cycle + 1)
 			return res, nil
 		}
 		if len(e.serialQ) == 0 && len(e.meshQ) == 0 && !e.anyInFlight() {
+			e.stats.MeshCycles = uint64(cycle + 1)
 			return res, fmt.Errorf("sim: %s stalled on %s at mesh cycle %d",
 				m.Signature(), e.cfg.Name, cycle)
 		}
@@ -712,12 +772,16 @@ func (e *Engine) serialClock() {
 	e.serialQ = keep
 	// Deterministic processing order: by destination, then token kind.
 	sortSerialArrivals(arrivals)
+	e.stats.Events += uint64(len(arrivals))
 	for _, msg := range arrivals {
 		e.tokenArrives(msg.tok, msg.to)
 	}
 }
 
 // tokenArrives applies the Section 6.3 per-group token rules at node i.
+// The event loop calls it only where nodeMeta.observes says the node may act
+// on the token: a rule that makes a node look at a token it used to pass on
+// belongs in both.
 func (e *Engine) tokenArrives(tok token, i int) {
 	n := &e.nodes[i]
 	mt := &e.meta[i]
@@ -740,7 +804,7 @@ func (e *Engine) tokenArrives(tok token, i int) {
 			case isBranch && n.decisionTaken && target > i:
 				e.forwardTokenTo(tok, i, target, 0)
 			default:
-				e.forwardToken(tok, i)
+				e.forwardToken(tok, i, 0)
 			}
 			return
 		}
@@ -755,7 +819,7 @@ func (e *Engine) tokenArrives(tok token, i int) {
 	switch tok.kind {
 	case tokHead:
 		n.headSeen = true
-		e.forwardToken(tok, i)
+		e.forwardToken(tok, i, 0)
 		e.checkFire(i)
 
 	case tokMemory:
@@ -765,7 +829,7 @@ func (e *Engine) tokenArrives(tok token, i int) {
 			e.checkFire(i)
 			return
 		}
-		e.forwardToken(tok, i)
+		e.forwardToken(tok, i, 0)
 
 	case tokRegister:
 		if int(mt.localReg) == tok.reg {
@@ -779,17 +843,17 @@ func (e *Engine) tokenArrives(tok token, i int) {
 				}
 				// Re-execution after a loop reset re-arms below; a
 				// token reaching a fired node passes through.
-				e.forwardToken(tok, i)
+				e.forwardToken(tok, i, 0)
 			case bytecode.GroupLocalWrite:
 				// The write kills the incoming value; its own fire
 				// emits the replacement token.
 				return
 			default:
-				e.forwardToken(tok, i)
+				e.forwardToken(tok, i, 0)
 			}
 			return
 		}
-		e.forwardToken(tok, i)
+		e.forwardToken(tok, i, 0)
 
 	}
 }
@@ -802,8 +866,9 @@ func (e *Engine) tailIsRearmost(i int) bool {
 	if e.event {
 		// Only ever asked about the parked TAIL itself, so i == tailPos
 		// and liveBehind is exactly the count of non-TAIL tokens held at
-		// or in flight to nodes <= i.
-		return e.liveBehind == 0
+		// or delivered to nodes <= i; tailHold covers the express messages
+		// delivered beyond i that have not virtually left it yet.
+		return e.liveBehind == 0 && e.serialNow >= e.tailHold
 	}
 	for _, msg := range e.serialQ {
 		if msg.tok.kind != tokTail && msg.to <= i {
@@ -859,7 +924,7 @@ func (e *Engine) tryReleaseTail(i int) {
 	if controlBranch && n.decisionTaken && int(mt.target) > i {
 		e.forwardTokenTo(token{kind: tokTail}, i, int(mt.target), 0)
 	} else {
-		e.forwardToken(token{kind: tokTail}, i)
+		e.forwardToken(token{kind: tokTail}, i, 0)
 	}
 }
 
@@ -875,20 +940,33 @@ func (e *Engine) removeTail(i int) {
 	}
 }
 
-// forwardToken schedules tok from node i to the next instruction in linear
-// order (one serial hop per physical node).
-func (e *Engine) forwardToken(tok token, i int) {
-	next := i + 1
-	if next >= len(e.nodes) {
+// forwardToken sends tok from node i down the linear order, `stagger`
+// clocks behind the head of its bundle. The reference loop moves it one
+// serial hop per physical node; the event loop delivers it at the first
+// node past i that observes it, or at the last node (where an unobserved
+// token falls off the method end), after the same total delay.
+func (e *Engine) forwardToken(tok token, i, stagger int) {
+	to := i + 1
+	if to >= len(e.nodes) {
 		return // fell off the method end (only returns should consume TAIL)
 	}
-	e.pushSerial(tok, next, e.hopDelay(i))
+	if !e.event {
+		e.pushSerial(tok, i, to, e.serialDist(i, to), stagger)
+		return
+	}
+	for to < len(e.nodes)-1 && !e.meta[to].observes(tok) {
+		to++
+	}
+	e.pushSerial(tok, i, to, int(e.pre[to]-e.pre[i]), stagger)
 }
 
 // forwardTokenTo schedules tok with an explicit target (taken branches);
 // intervening nodes ignore explicitly addressed messages.
 func (e *Engine) forwardTokenTo(tok token, from, to, stagger int) {
-	e.pushSerial(tok, to, e.targetDelay(from, to)+stagger)
+	if to >= len(e.nodes) {
+		return // a branch to the method end drops what it routes
+	}
+	e.pushSerial(tok, to-1, to, e.targetDelay(from, to), stagger)
 }
 
 // meshDeliver processes an operand arrival.
@@ -988,6 +1066,7 @@ func (e *Engine) meshClock() int {
 	}
 	e.meshQ = keep
 	sortMeshArrivals(deliver)
+	e.stats.Events += uint64(len(deliver))
 	for _, msg := range deliver {
 		e.meshDeliver(msg)
 	}
@@ -1001,11 +1080,13 @@ func (e *Engine) meshClock() int {
 			executing++
 			n.execLeft--
 			if n.execLeft <= 0 {
+				e.stats.Events++
 				e.completeExecution(i)
 			}
 		case phaseService:
 			n.serviceLeft--
 			if n.serviceLeft <= 0 {
+				e.stats.Events++
 				e.completeService(i)
 			}
 		}
@@ -1052,7 +1133,7 @@ func (e *Engine) releaseMemoryToken(i int) {
 		if t.kind == tokMemory {
 			n.held = append(n.held[:k], n.held[k+1:]...)
 			e.noteUnheld(i, t)
-			e.forwardToken(t, i)
+			e.forwardToken(t, i, 0)
 			return
 		}
 	}
@@ -1097,7 +1178,7 @@ func (e *Engine) fireNode(i int) {
 
 	case bytecode.GroupLocalWrite:
 		// Emit the replacement REGISTER_TOKEN.
-		e.forwardToken(token{kind: tokRegister, reg: int(mt.localReg)}, i)
+		e.forwardToken(token{kind: tokRegister, reg: int(mt.localReg)}, i, 0)
 		e.releaseHeld(i)
 		return
 
@@ -1110,33 +1191,34 @@ func (e *Engine) fireNode(i int) {
 	}
 }
 
-// releaseHeld forwards all buffered tokens to the next instruction in
-// linear order (dropping them off the method end).
-func (e *Engine) releaseHeld(i int) {
-	delay := 0
-	if i+1 < len(e.nodes) {
-		delay = e.hopDelay(i)
-	}
-	e.releaseHeldTo(i, i+1, delay)
-}
+// linear is releaseHeldTo's target for "down the linear order".
+const linear = -1
 
-// releaseHeldTo sends node i's buffered tokens to node `to` in kind order,
-// one serial clock apart starting `delay` clocks out; a parked TAIL stays
-// behind for the rearmost sweep. The buffer is filtered in place.
-func (e *Engine) releaseHeldTo(i, to, delay int) {
+// releaseHeld forwards all buffered tokens down the linear order (dropping
+// them off the method end).
+func (e *Engine) releaseHeld(i int) { e.releaseHeldTo(i, linear) }
+
+// releaseHeldTo sends node i's buffered tokens on in kind order, one serial
+// clock apart — addressed to `target`, or down the linear order; a parked
+// TAIL stays behind for the rearmost sweep. The buffer is filtered in
+// place.
+func (e *Engine) releaseHeldTo(i, target int) {
 	n := &e.nodes[i]
 	sortTokensByKind(n.held)
 	kept := n.held[:0]
+	stagger := 0
 	for _, t := range n.held {
 		if t.kind == tokTail {
 			kept = append(kept, t)
 			continue
 		}
 		e.noteUnheld(i, t)
-		if to < len(e.nodes) {
-			e.pushSerial(t, to, delay)
-			delay++
+		if target == linear {
+			e.forwardToken(t, i, stagger)
+		} else {
+			e.forwardTokenTo(t, i, target, stagger)
 		}
+		stagger++
 	}
 	n.held = kept
 }
@@ -1154,7 +1236,7 @@ func (e *Engine) completeControl(i int) {
 	case target > i:
 		// Forward taken: explicit addressing to the target; a parked
 		// TAIL follows via the sweep.
-		e.releaseHeldTo(i, target, e.targetDelay(i, target))
+		e.releaseHeldTo(i, target)
 	default:
 		// Backward taken: keep buffering until TAIL arrives, then move
 		// the whole bundle up the reverse network.
@@ -1200,6 +1282,9 @@ func (e *Engine) maybeCompleteBackward(i int) {
 			}
 		}
 	}
+	if e.onBackward != nil {
+		e.onBackward(i)
+	}
 	target := int(mt.target)
 	// The bundle keeps living in the buffer's backing array: nothing holds
 	// a token at i before the re-injection below has read it.
@@ -1232,7 +1317,7 @@ func (e *Engine) maybeCompleteBackward(i int) {
 	sortTokensByKind(bundle)
 	stagger := 0
 	for _, t := range bundle {
-		e.pushSerial(t, target, dist+stagger)
+		e.pushSerial(t, target-1, target, dist, stagger)
 		stagger++
 	}
 }

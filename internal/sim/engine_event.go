@@ -15,6 +15,8 @@ import (
 //
 //   - serial and mesh messages are bucketed by absolute arrival clock in
 //     timeQs, so an idle clock costs nothing and a bucket pops pre-grouped;
+//   - a serial token is delivered at the next node that observes it, not
+//     at every node on the way (see "Express delivery" below);
 //   - tail release keeps a "rearmost live token" watermark (two fenwick
 //     indices plus the single TAIL's tracked position) updated on token
 //     moves, replacing the per-clock O(serialQ + nodes·held) scan;
@@ -26,6 +28,47 @@ import (
 //     contract preserved by polling the context whenever a jump crosses a
 //     preemptEvery boundary.
 //
+// Express delivery. Most serial arrivals change nothing: a REGISTER or
+// MEMORY token reaches a node that never looks at it and is sent one hop
+// on. A linear send therefore goes straight to the token's next observer
+// (nodeMeta.observes; the last node observes everything, HEAD and TAIL are
+// observed everywhere, branch-addressed sends are delivered at their
+// target as before), found by a forward scan and delayed by the sum of the
+// hops it skips, so it arrives at the clock it always did and the serial
+// queue is non-empty over exactly the same clocks — serialNow, the
+// dead-time skip and stall detection cannot tell. Three things in the
+// machine read where a token is rather than where it is going, and each
+// has a rule (the differential suite fails when any one is removed):
+//
+//  1. Same-clock order. The reference loop processes a clock's arrivals
+//     sorted by (destination, kind) and, within a tie, in the order of
+//     their last hop's push. Messages that skip hops no longer have that
+//     push, so each carries its order in serialMsg.ord (nextOrd): a token
+//     passing through a node keeps the key it arrived with, as a group of
+//     tied tokens keeps its order from hop to hop; a token sent with a
+//     stagger, or released during another token's arrival, was queued
+//     before any group passing its origin at its departure clock, so it
+//     takes a fresh, negated sequence number and sorts first; a token
+//     sent unstaggered outside bucket processing (a fire in the mesh
+//     phase, a tail release) was queued after that clock's arrivals were
+//     processed, so its fresh number stays positive and sorts last.
+//  2. The rearmost-TAIL watermark. liveAt counts a message at its
+//     destination. That is exact for the backward-transport gate — the
+//     jump is a control node, so nothing sent from before it is delivered
+//     beyond it, and nothing in flight crosses the span it resets — but a
+//     TAIL parked at node p must also wait for every message sent from
+//     before p and delivered beyond it, until the clock at which that
+//     message virtually arrives at p and moves on: arrive − (pre[to] −
+//     pre[p]). parkTail takes the latest such clock as tailHold and queues
+//     a wake entry there (tokWake: no token, no event) so the serial phase
+//     visits it and the release happens at the reference's clock.
+//  3. Event accounting. EngineStats.Events counts simulated arrivals, so
+//     a delivery accounts to−from of them, and finishStats adds, for
+//     messages still in flight when a run finishes, times out or is
+//     cancelled, the skipped hops whose virtual arrival clock is not after
+//     serialNow. The reference loop counts the same events one by one
+//     (TestEventsAtEveryCap stops both at every cycle).
+//
 // Every Result field is computed exactly as the reference loop computes it;
 // the differential tests assert byte-identical MethodRun encodings, which
 // is what lets EngineVersion — and therefore every persisted store record —
@@ -36,26 +79,33 @@ type EngineStats struct {
 	// MeshCycles is the simulated wall mesh-cycle count, including
 	// skipped cycles.
 	MeshCycles uint64
-	// Events counts processed token arrivals, operand deliveries and
-	// phase completions.
+	// Events counts simulated token arrivals, operand deliveries and phase
+	// completions — what the reference loop would have processed, whether
+	// or not this loop had to (an express delivery accounts every hop it
+	// elides).
 	Events uint64
+	// Delivered counts the serial, mesh and completion queue entries this
+	// loop actually dequeued to simulate Events.
+	Delivered uint64
 	// CyclesSkipped counts mesh cycles fast-forwarded without per-cycle
 	// work (eventless windows and quiesce stalls).
 	CyclesSkipped uint64
 }
 
-// Stats returns the run's activity counters (event-driven loop only; the
-// reference oracle does not account).
+// Stats returns the run's activity counters. The reference oracle fills
+// MeshCycles and Events — it defines them — and nothing else.
 func (e *Engine) Stats() EngineStats { return e.stats }
 
 // Process-wide engine throughput counters, aggregated at the end of every
 // event-driven run. Exposed via TotalEngineStats for /metrics gauges and
 // the jfbench summary.
 var engineTotals struct {
-	runs    atomic.Uint64
-	cycles  atomic.Uint64
-	events  atomic.Uint64
-	skipped atomic.Uint64
+	runs      atomic.Uint64
+	cycles    atomic.Uint64
+	events    atomic.Uint64
+	skipped   atomic.Uint64
+	delivered atomic.Uint64
+	shared    atomic.Uint64
 }
 
 // EngineTotals is the process-wide engine activity snapshot.
@@ -64,6 +114,12 @@ type EngineTotals struct {
 	SimulatedMeshCycles uint64 `json:"simulatedMeshCycles"`
 	Events              uint64 `json:"events"`
 	CyclesSkipped       uint64 `json:"cyclesSkipped"`
+	// Delivered is the queue entries dequeued to simulate Events.
+	Delivered uint64 `json:"delivered"`
+	// PolicyRunsShared counts BP2 results copied from BP1's run because
+	// the method never consults the branch policy; their simulated
+	// counters are in the totals above, their engine run is not.
+	PolicyRunsShared uint64 `json:"policyRunsShared"`
 }
 
 // TotalEngineStats snapshots the process-wide engine counters.
@@ -73,21 +129,42 @@ func TotalEngineStats() EngineTotals {
 		SimulatedMeshCycles: engineTotals.cycles.Load(),
 		Events:              engineTotals.events.Load(),
 		CyclesSkipped:       engineTotals.skipped.Load(),
+		Delivered:           engineTotals.delivered.Load(),
+		PolicyRunsShared:    engineTotals.shared.Load(),
 	}
 }
 
 // finishStats closes out the run's accounting and folds it into the
 // process totals.
 func (e *Engine) finishStats(cycles int) {
+	// A message still in flight has virtually arrived at every elided node
+	// whose clock is not after serialNow: the reference loop processed
+	// those arrivals before it stopped.
+	for _, b := range e.serialEv.pending() {
+		for k := range b.items {
+			m := &b.items[k]
+			for h := m.from + 1; h < m.to && b.t-int(e.pre[m.to]-e.pre[h]) <= e.serialNow; h++ {
+				e.stats.Events++
+			}
+		}
+	}
 	e.stats.MeshCycles = uint64(cycles)
 	engineTotals.runs.Add(1)
+	engineTotals.delivered.Add(e.stats.Delivered)
+	e.foldSimulated()
+}
+
+// foldSimulated adds the run's simulated counters — what the machine did,
+// not what the engine spent — to the process totals.
+func (e *Engine) foldSimulated() {
 	engineTotals.cycles.Add(e.stats.MeshCycles)
 	engineTotals.events.Add(e.stats.Events)
 	engineTotals.skipped.Add(e.stats.CyclesSkipped)
 }
 
 // buildDist fills the per-deployment distance tables — nextD[i] the serial
-// hop to i+1, branchD[i] the serial distance to i's branch target, and
+// hop to i+1 and pre[i] its running sum, branchD[i] the serial distance to
+// i's branch target, and
 // meshD[meshOff[i]+k] the mesh distance to Targets[i][k].Consumer — into
 // the engine's own buffers: an O(nodes + targets) pass Reset runs once per
 // job (the tables survive a job's second policy). They live on the
@@ -101,13 +178,14 @@ func (e *Engine) buildDist() {
 	for _, tgts := range e.resolution.Targets {
 		total += len(tgts)
 	}
-	e.nextD, e.branchD = resized(e.nextD, n), resized(e.branchD, n)
+	e.nextD, e.branchD, e.pre = resized(e.nextD, n), resized(e.branchD, n), resized(e.pre, n)
 	e.meshOff, e.meshD = resized(e.meshOff, n), resized(e.meshD, total)
 	off := 0
 	for i := 0; i < n; i++ {
 		e.nextD[i], e.branchD[i] = 0, 0
 		if i+1 < n {
 			e.nextD[i] = int32(f.SerialDistance(nodeOf[i], nodeOf[i+1]))
+			e.pre[i+1] = e.pre[i] + e.nextD[i]
 		}
 		if mt := &e.meta[i]; mt.flags&metaBranch != 0 && mt.target >= 0 && int(mt.target) < n {
 			e.branchD[i] = int32(f.SerialDistance(nodeOf[i], nodeOf[mt.target]))
@@ -130,25 +208,74 @@ func (e *Engine) initEvent() {
 	e.tailPos = -1
 }
 
+// nextOrd is the processing-order key of a message pushed now (rule 1 in
+// the header): a token sent on, unstaggered, while its own arrival is being
+// processed keeps that arrival's key; any other push takes a fresh sequence
+// number — negated, so it sorts ahead of whatever group it later ties with,
+// unless it is an unstaggered push made outside bucket processing.
+func (e *Engine) nextOrd(tok token, stagger int) int {
+	if stagger == 0 && e.arrival != nil && e.arrival.tok == tok {
+		return e.arrival.ord
+	}
+	e.seq++
+	if stagger == 0 && e.arrival == nil {
+		return e.seq
+	}
+	return -e.seq
+}
+
+// parkTail records the TAIL buffered at node p and works out how long the
+// express messages in flight keep it there (rule 2 in the header): one sent
+// from before p and delivered beyond it is, for the reference loop, a live
+// token behind or at p until the clock it virtually arrives at p and is
+// sent on. liveAt counts it at its destination, so the TAIL is held until
+// the last such clock, and a wake entry makes the serial phase visit it.
+func (e *Engine) parkTail(p int) {
+	e.tailHeldAt = p
+	e.tailHold = 0
+	for _, b := range e.serialEv.pending() {
+		for k := range b.items {
+			if m := &b.items[k]; m.from < p && p < m.to {
+				if at := b.t - int(e.pre[m.to]-e.pre[p]); at > e.tailHold {
+					e.tailHold = at
+				}
+			}
+		}
+	}
+	if e.tailHold > e.serialNow {
+		e.serialEv.push(e.tailHold, serialMsg{tok: token{kind: tokWake}})
+	}
+}
+
 // deliverSerialBucket pops the earliest serial bucket (serialNow must
 // already equal its time) and processes its arrivals in the reference
 // order: all same-clock messages leave the in-flight index first, then
-// arrive sorted by (destination, kind).
+// arrive sorted by (destination, kind, ord). Each accounts the arrivals it
+// stands for — to-from of them, none for a wake entry.
 func (e *Engine) deliverSerialBucket() {
 	_, msgs := e.serialEv.takeMin()
-	for _, msg := range msgs {
-		if msg.tok.kind != tokTail {
+	hops := 0
+	for i := range msgs {
+		msg := &msgs[i]
+		if msg.tok.kind < tokTail {
 			e.liveAt[msg.to]--
 			if msg.to <= e.tailPos {
 				e.liveBehind--
 			}
 		}
+		hops += msg.to - msg.from
 	}
 	sortSerialArrivals(msgs)
-	e.stats.Events += uint64(len(msgs))
-	for _, msg := range msgs {
-		e.tokenArrives(msg.tok, msg.to)
+	e.stats.Events += uint64(hops)
+	e.stats.Delivered += uint64(len(msgs))
+	for i := range msgs {
+		if msgs[i].tok.kind == tokWake {
+			continue
+		}
+		e.arrival = &msgs[i]
+		e.tokenArrives(msgs[i].tok, msgs[i].to)
 	}
+	e.arrival = nil
 	e.serialEv.recycle(msgs)
 }
 
@@ -320,6 +447,7 @@ func (e *Engine) runEvent() (Result, error) {
 			_, msgs := e.meshEv.takeMin()
 			sortMeshArrivals(msgs)
 			e.stats.Events += uint64(len(msgs))
+			e.stats.Delivered += uint64(len(msgs))
 			for _, msg := range msgs {
 				e.meshDeliver(msg)
 			}
@@ -337,6 +465,7 @@ func (e *Engine) runEvent() (Result, error) {
 		if e.doneEv.n > 0 && e.doneEv.nextTime() == e.meshNow {
 			_, evs := e.doneEv.takeMin()
 			sortCompletions(evs)
+			e.stats.Delivered += uint64(len(evs))
 			for _, ev := range evs {
 				n := &e.nodes[ev.node]
 				if n.gen != ev.gen {

@@ -61,6 +61,9 @@ func (q *timeQ[T]) push(t int, v T) {
 // nextTime returns the earliest pending time; only valid when n > 0.
 func (q *timeQ[T]) nextTime() int { return q.asc[q.head].t }
 
+// pending returns the queued buckets in ascending time order, for reading.
+func (q *timeQ[T]) pending() []tbucket[T] { return q.asc[q.head:] }
+
 // takeMin detaches and returns the earliest bucket's time and items. The
 // caller processes the items and hands the slice back via recycle.
 func (q *timeQ[T]) takeMin() (int, []T) {
@@ -95,14 +98,17 @@ func (q *timeQ[T]) reset() {
 }
 
 // sortSerialArrivals stably orders same-clock serial arrivals by
-// (destination, token kind) — the reference loop's processing order.
-// Buckets are small (a handful of tokens), so stable insertion sort beats
-// sort.SliceStable and allocates nothing.
+// (destination, token kind, ord) — the reference loop's processing order.
+// The reference loop leaves ord zero, so its queue order breaks the ties;
+// the event loop's keys are distinct (Engine.nextOrd). Buckets are small (a
+// handful of tokens), so stable insertion sort beats sort.SliceStable and
+// allocates nothing.
 func sortSerialArrivals(a []serialMsg) {
 	for i := 1; i < len(a); i++ {
 		for j := i; j > 0; j-- {
-			if a[j].to > a[j-1].to ||
-				(a[j].to == a[j-1].to && a[j].tok.kind >= a[j-1].tok.kind) {
+			x, y := &a[j], &a[j-1]
+			if x.to > y.to || (x.to == y.to && (x.tok.kind > y.tok.kind ||
+				(x.tok.kind == y.tok.kind && x.ord >= y.ord))) {
 				break
 			}
 			a[j], a[j-1] = a[j-1], a[j]

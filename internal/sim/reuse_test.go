@@ -73,6 +73,31 @@ func deployments(t *testing.T) []reuseCell {
 	return out
 }
 
+// runState is every scalar an execution mutates. A Reset engine's must
+// equal a fresh engine's before the run starts: a stale order counter shifts
+// every key alike and a stale TAIL hold may fall before the first park, so
+// comparing outcomes alone would let either survive.
+type runState struct {
+	fired, serialNow, meshNow, meshTick        int
+	tailHeldAt, tailPos, liveBehind, tailHold  int
+	seq, executingCount, serviceCount          int
+	serialQueued, meshQueued, doneQueued, refQ int
+	finished, event, arriving                  bool
+	stats                                      EngineStats
+}
+
+func stateOf(e *Engine) runState {
+	return runState{
+		fired: e.fired, serialNow: e.serialNow, meshNow: e.meshNow, meshTick: e.meshTick,
+		tailHeldAt: e.tailHeldAt, tailPos: e.tailPos, liveBehind: e.liveBehind, tailHold: e.tailHold,
+		seq: e.seq, executingCount: e.executingCount, serviceCount: e.serviceCount,
+		serialQueued: e.serialEv.n, meshQueued: e.meshEv.n, doneQueued: e.doneEv.n,
+		refQ:     len(e.serialQ) + len(e.meshQ),
+		finished: e.finished, event: e.event, arriving: e.arrival != nil,
+		stats: e.stats,
+	}
+}
+
 func sameOutcome(t *testing.T, what string, c reuseCell, got Result, gotErr error, want Result, wantErr error) {
 	t.Helper()
 	sig := c.res.Placement.Method.Signature()
@@ -89,10 +114,12 @@ func sameOutcome(t *testing.T, what string, c reuseCell, got Result, gotErr erro
 // deployments (all sizes, all six configurations, both policies, folding
 // and quiesce variants), interleaved with runs that leave it dirty: tiny
 // cycle caps that time out with tokens in flight, contexts cancelled at the
-// first poll and mid-run, and reference-loop runs. After every Reset the
-// run must equal a fresh NewEngine's — Result, error text and event
-// counters — and each completed job's encoded MethodRun must equal both
-// the fresh event engine's and the reference loop's.
+// first poll and mid-run, and reference-loop runs — each leaving express
+// messages in flight, an advanced order counter and, often, a held TAIL.
+// After every Reset the engine's run state must equal a fresh NewEngine's
+// and so must the run — Result, error text and event counters — and each
+// completed job's encoded MethodRun must equal both the fresh event
+// engine's and the reference loop's.
 func TestDirtyEngineReuse(t *testing.T) {
 	deps := deployments(t)
 	rng := rand.New(rand.NewSource(13))
@@ -104,9 +131,12 @@ func TestDirtyEngineReuse(t *testing.T) {
 	run := func(c reuseCell) (Result, error) {
 		eng.Reset(c.cfg, c.res, c.policy)
 		c.arm(eng)
-		got, gotErr := eng.Run()
 		fresh := NewEngine(c.cfg, c.res, c.policy)
 		c.arm(fresh)
+		if reset, zero := stateOf(eng), stateOf(fresh); reset != zero {
+			t.Fatalf("Reset left run state behind:\n  reset: %+v\n  fresh: %+v", reset, zero)
+		}
+		got, gotErr := eng.Run()
 		want, wantErr := fresh.Run()
 		sameOutcome(t, "fresh engine", c, got, gotErr, want, wantErr)
 		if eng.Stats() != fresh.Stats() {

@@ -84,7 +84,10 @@ func releaseEngine(e *Engine) {
 // RunResolved executes an already-deployed method (both branch policies) —
 // the post-cache half of RunMethod. Results are identical to RunMethod's:
 // the engine never mutates the resolution, so one deployment can back any
-// number of executions, including concurrent ones.
+// number of executions, including concurrent ones. A method that never
+// consults the branch policy runs once: BP2's Result is BP1's, and the
+// process totals account the simulation BP2 would have repeated (not the
+// engine run it did not need).
 func (r *Runner) RunResolved(cfg Config, res *fabric.Resolution) (MethodRun, error) {
 	eng := enginePool.Get().(*Engine)
 	defer releaseEngine(eng)
@@ -92,6 +95,13 @@ func (r *Runner) RunResolved(cfg Config, res *fabric.Resolution) (MethodRun, err
 	var err error
 	if out.BP1, err = r.runPolicy(eng, cfg, res, BP1); err != nil {
 		return MethodRun{}, err
+	}
+	if metaFor(res.Placement.Method).policyInvariant {
+		out.BP2 = out.BP1
+		out.BP2.Policy = BP2
+		eng.foldSimulated()
+		engineTotals.shared.Add(1)
+		return out, nil
 	}
 	if out.BP2, err = r.runPolicy(eng, cfg, res, BP2); err != nil {
 		return MethodRun{}, err
