@@ -348,9 +348,9 @@ func reportStore(ctx *experiments.Context) {
 		return
 	}
 	fmt.Fprintf(os.Stderr,
-		"jfbench: store %s — %d/%d runs warm (%.1f%%), %d cold, %d deployments reused, %d records persisted\n",
+		"jfbench: store %s — %d/%d runs warm (%.1f%%), %d cold, %d records persisted\n",
 		st.Dir(), stats.RunHits, total, 100*float64(stats.RunHits)/float64(total),
-		stats.RunMisses, stats.DeployHits, stats.Records)
+		stats.RunMisses, stats.Records)
 	if stats.IngestedRecords > 0 || stats.IngestSkipped > 0 {
 		fmt.Fprintf(os.Stderr,
 			"jfbench: replicate — %d records pulled from peers (%d offered but already present), %d runs computed this invocation\n",

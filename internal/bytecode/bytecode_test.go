@@ -1,6 +1,8 @@
 package bytecode
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -114,6 +116,63 @@ func TestIntConst(t *testing.T) {
 		if got != c.want || ok != c.ok {
 			t.Errorf("%s: IntConst = (%d,%v), want (%d,%v)", c.in, got, ok, c.want, c.ok)
 		}
+	}
+}
+
+// TestOpcodeTables: for every byte value, the arrays the accessors index
+// answer exactly what a direct read of the map literals they are built
+// from answers.
+func TestOpcodeTables(t *testing.T) {
+	var defined []Opcode
+	for b := 0; b < 256; b++ {
+		op := Opcode(b)
+		want, ok := infos[op]
+		if ok {
+			defined = append(defined, op)
+		}
+		if got, gotOK := Lookup(op); got != want || gotOK != ok {
+			t.Errorf("0x%02x: Lookup = %+v, %v; literal %+v, %v", b, got, gotOK, want, ok)
+		}
+		if op.Group() != want.Group || op.IsDefined() != ok {
+			t.Errorf("0x%02x: Group %v IsDefined %v; literal %v, %v", b, op.Group(), op.IsDefined(), want.Group, ok)
+		}
+		wantName := want.Mnemonic
+		if !ok {
+			wantName = fmt.Sprintf("op#0x%02x", b)
+		}
+		if op.String() != wantName {
+			t.Errorf("0x%02x: String %q, want %q", b, op.String(), wantName)
+		}
+
+		in := Instruction{Op: op, A: 77, Target: 3}
+		if in.IsBranch() != want.Branch || in.IsReturn() != (want.Group == GroupReturn) || in.IsCall() != (want.Group == GroupCall) {
+			t.Errorf("0x%02x: IsBranch %v IsReturn %v IsCall %v disagree with %+v", b, in.IsBranch(), in.IsReturn(), in.IsCall(), want)
+		}
+		wantIdx, wantLocal := 0, false
+		switch want.Group {
+		case GroupLocalRead, GroupLocalWrite, GroupLocalInc:
+			wantIdx, wantLocal = 77, true
+			if idx, short := localIndexOps[op]; short {
+				wantIdx = idx
+			}
+		}
+		if idx, local := in.LocalIndex(); idx != wantIdx || local != wantLocal {
+			t.Errorf("0x%02x: LocalIndex (%d, %v), want (%d, %v)", b, idx, local, wantIdx, wantLocal)
+		}
+		wantInt, wantIntOK := constOps[op]
+		if op == Bipush || op == Sipush {
+			wantInt, wantIntOK = 77, true
+		}
+		if v, isConst := in.IntConst(); v != wantInt || isConst != wantIntOK {
+			t.Errorf("0x%02x: IntConst (%d, %v), want (%d, %v)", b, v, isConst, wantInt, wantIntOK)
+		}
+		wantFloat, wantFloatOK := constFloatOps[op]
+		if v, isConst := in.FloatConst(); v != wantFloat || isConst != wantFloatOK {
+			t.Errorf("0x%02x: FloatConst (%g, %v), want (%g, %v)", b, v, isConst, wantFloat, wantFloatOK)
+		}
+	}
+	if got := Opcodes(); !slices.Equal(got, defined) {
+		t.Errorf("Opcodes() = %v, want %v", got, defined)
 	}
 }
 

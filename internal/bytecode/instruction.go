@@ -82,7 +82,7 @@ func (in Instruction) Group() Group { return in.Op.Group() }
 
 // IsBranch reports whether the instruction may transfer control to Target.
 func (in Instruction) IsBranch() bool {
-	return in.Target != NoTarget && in.Info().Branch
+	return in.Target != NoTarget && infoTable.val[in.Op].Branch
 }
 
 // IsConditional reports whether the instruction is a conditional jump (it
@@ -92,13 +92,10 @@ func (in Instruction) IsConditional() bool {
 }
 
 // IsReturn reports whether the instruction ends the method.
-func (in Instruction) IsReturn() bool {
-	g := in.Group()
-	return g == GroupReturn
-}
+func (in Instruction) IsReturn() bool { return infoTable.val[in.Op].Group == GroupReturn }
 
 // IsCall reports whether the instruction invokes another method.
-func (in Instruction) IsCall() bool { return in.Group() == GroupCall }
+func (in Instruction) IsCall() bool { return infoTable.val[in.Op].Group == GroupCall }
 
 // localIndexOps maps the short-form load/store opcodes to their implicit
 // register numbers.
@@ -115,13 +112,15 @@ var localIndexOps = map[Opcode]int{
 	Astore0: 0, Astore1: 1, Astore2: 2, Astore3: 3,
 }
 
+var localIndexTable = tableOf(localIndexOps)
+
 // LocalIndex returns the local register accessed by the instruction and true
 // for local reads, writes and increments; otherwise (0, false).
 func (in Instruction) LocalIndex() (int, bool) {
-	switch in.Group() {
+	switch infoTable.val[in.Op].Group {
 	case GroupLocalRead, GroupLocalWrite, GroupLocalInc:
-		if idx, ok := localIndexOps[in.Op]; ok {
-			return idx, true
+		if localIndexTable.defined[in.Op] {
+			return localIndexTable.val[in.Op], true
 		}
 		return int(in.A), true
 	}
@@ -141,11 +140,16 @@ var constFloatOps = map[Opcode]float64{
 	Dconst0: 0, Dconst1: 1,
 }
 
+var (
+	constTable      = tableOf(constOps)
+	constFloatTable = tableOf(constFloatOps)
+)
+
 // IntConst returns the immediate integer constant produced by the
 // instruction, if it is an integer constant producer.
 func (in Instruction) IntConst() (int64, bool) {
-	if v, ok := constOps[in.Op]; ok {
-		return v, true
+	if constTable.defined[in.Op] {
+		return constTable.val[in.Op], true
 	}
 	switch in.Op {
 	case Bipush, Sipush:
@@ -157,8 +161,7 @@ func (in Instruction) IntConst() (int64, bool) {
 // FloatConst returns the immediate floating constant produced by the
 // instruction, if any.
 func (in Instruction) FloatConst() (float64, bool) {
-	v, ok := constFloatOps[in.Op]
-	return v, ok
+	return constFloatTable.val[in.Op], constFloatTable.defined[in.Op]
 }
 
 // String renders the instruction in JAVAP-like form (without addresses).

@@ -579,51 +579,64 @@ var infos = map[Opcode]Info{
 	JsrW:           {"jsr_w", 4, 0, 1, GroupSpecial, true},
 }
 
+// opTable is a map literal keyed by opcode flattened into arrays indexed
+// by the opcode byte, so the per-instruction lookups of verification,
+// loading and interpretation index instead of hashing. The literal stays
+// the single definition; the table is derived from it at package init.
+type opTable[V any] struct {
+	val     [256]V
+	defined [256]bool
+}
+
+func tableOf[V any](m map[Opcode]V) *opTable[V] {
+	t := new(opTable[V])
+	for op, v := range m {
+		t.val[op], t.defined[op] = v, true
+	}
+	return t
+}
+
+var infoTable = tableOf(infos)
+
 // Lookup returns the architected description of op and whether op is a
 // defined opcode.
 func Lookup(op Opcode) (Info, bool) {
-	info, ok := infos[op]
-	return info, ok
+	return infoTable.val[op], infoTable.defined[op]
 }
 
 // MustLookup returns the description of op, panicking on undefined opcodes.
 // It is intended for workload construction, where an undefined opcode is a
 // programming error.
 func MustLookup(op Opcode) Info {
-	info, ok := infos[op]
-	if !ok {
+	if !infoTable.defined[op] {
 		panic(fmt.Sprintf("bytecode: undefined opcode 0x%02x", byte(op)))
 	}
-	return info
+	return infoTable.val[op]
 }
 
 func (op Opcode) String() string {
-	if info, ok := infos[op]; ok {
-		return info.Mnemonic
+	if infoTable.defined[op] {
+		return infoTable.val[op].Mnemonic
 	}
 	return fmt.Sprintf("op#0x%02x", byte(op))
 }
 
 // Group returns the instruction group of op (GroupInvalid if undefined).
 func (op Opcode) Group() Group {
-	return infos[op].Group
+	return infoTable.val[op].Group
 }
 
 // IsDefined reports whether op is an architected (or _Quick) opcode.
 func (op Opcode) IsDefined() bool {
-	_, ok := infos[op]
-	return ok
+	return infoTable.defined[op]
 }
 
 // Opcodes returns every defined opcode in ascending numeric order.
 func Opcodes() []Opcode {
 	ops := make([]Opcode, 0, len(infos))
-	for op := range infos {
-		ops = append(ops, op)
-	}
-	for i := 1; i < len(ops); i++ {
-		for j := i; j > 0 && ops[j-1] > ops[j]; j-- {
-			ops[j-1], ops[j] = ops[j], ops[j-1]
+	for op := range infoTable.defined {
+		if infoTable.defined[op] {
+			ops = append(ops, Opcode(op))
 		}
 	}
 	return ops

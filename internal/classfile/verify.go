@@ -62,7 +62,7 @@ func Verify(m *Method) error {
 	for len(work) > 0 {
 		item := work[len(work)-1]
 		work = work[:len(work)-1]
-		in := m.Code[item.idx]
+		in := &m.Code[item.idx]
 
 		if in.Pop == bytecode.VarPop {
 			return &VerifyError{m.Signature(), item.idx,

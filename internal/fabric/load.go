@@ -92,7 +92,8 @@ type Loader struct {
 // subroutine instructions (Section 6.3, Special Instructions) — the GPP
 // executes those methods instead.
 func eligible(m *classfile.Method) error {
-	for i, in := range m.Code {
+	for i := range m.Code {
+		in := &m.Code[i]
 		switch in.Op {
 		case bytecode.Tableswitch, bytecode.Lookupswitch,
 			bytecode.Jsr, bytecode.JsrW, bytecode.Ret, bytecode.Wide:
@@ -132,10 +133,12 @@ func (l *Loader) Load(m *classfile.Method) (*Placement, error) {
 	// (Section 4.2). This is what yields the Sparse2 ratio of exactly 2
 	// and the heterogeneous ratio of ~3 (Table 19).
 	cursor := 0
-	for i, in := range m.Code {
+	for i := range m.Code {
+		in := &m.Code[i]
+		group := in.Op.Group()
 		placed := false
 		for n := cursor; n < maxNodes; n++ {
-			if !l.Fabric.Kind(n).Accepts(in.Group()) {
+			if !l.Fabric.Kind(n).Accepts(group) {
 				continue
 			}
 			cursor = n + 1
@@ -155,7 +158,7 @@ func (l *Loader) Load(m *classfile.Method) (*Placement, error) {
 		if !placed {
 			return nil, &LoadError{m.Signature(),
 				fmt.Sprintf("no %s-capable node within %d for instruction %d (%s)",
-					KindFor(in.Group()), maxNodes, i, in.Op)}
+					KindFor(group), maxNodes, i, in.Op)}
 		}
 	}
 	return p, nil

@@ -2,7 +2,7 @@ package fabric
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"javaflow/internal/bytecode"
 )
@@ -48,7 +48,11 @@ type Resolution struct {
 	BackMerges int
 }
 
-// Resolve runs address resolution over a placed method.
+// Resolve runs address resolution over a placed method. The method must
+// be verified, as Loader.Load's placements are: verification gives every
+// instruction a single stack depth, so a need arrives at each node with a
+// single skip count, and the needs-up walk marks nodes rather than
+// (node, skip) states.
 func Resolve(p *Placement) (*Resolution, error) {
 	m := p.Method
 	n := len(m.Code)
@@ -62,7 +66,8 @@ func Resolve(p *Placement) (*Resolution, error) {
 	// ---- Pass 1: CMD_SEND_ADDRESSES_DOWN ----
 	// Every instruction with a non-sequential successor identifies itself
 	// to the target; sequential flow is implicit ("only those nodes that
-	// are non-sequential must be explicitly identified").
+	// are non-sequential must be explicitly identified"). Sources come out
+	// in ascending order: they are appended as i ascends.
 	branchMessages := 0
 	addSource := func(to, from int) {
 		if to < 0 || to >= n {
@@ -70,7 +75,8 @@ func Resolve(p *Placement) (*Resolution, error) {
 		}
 		r.Sources[to] = append(r.Sources[to], from)
 	}
-	for i, in := range m.Code {
+	for i := range m.Code {
+		in := &m.Code[i]
 		switch {
 		case in.IsReturn():
 			// no successors
@@ -85,46 +91,42 @@ func Resolve(p *Placement) (*Resolution, error) {
 			addSource(i+1, i)
 		}
 	}
-	for i := range r.Sources {
-		sort.Ints(r.Sources[i])
-	}
 
 	// ---- Pass 2: CMD_SEND_NEEDS_UP ----
 	// Each instruction emits one need per pop; the need climbs the source
 	// chains until a producer with an unsatisfied push captures it. A
 	// Branch-ID tag deduplicates copies that reconverge above a control
-	// split — modelled here by memoizing (node, skip) states per need.
-	type capture struct{ producer, outIndex int }
+	// split — modelled here by marking the nodes a need has visited, so
+	// each node captures or forwards a need at most once. The marks and
+	// the work stack serve every need of the method: a need's mark is its
+	// own number, so nothing is cleared between needs.
+	type state struct{ node, skip int }
+	visited := make([]int, n)
+	need := 0
+	work := make([]state, 0, 8)
 	for c := n - 1; c >= 0; c-- {
-		in := m.Code[c]
-		for side := 1; side <= in.Pop; side++ {
-			skip := in.Pop - side
-			visited := make(map[[2]int]bool)
-			producers := map[int]bool{}
-
-			type state struct{ node, skip int }
-			work := make([]state, 0, 4)
+		pop := m.Code[c].Pop
+		for side := 1; side <= pop; side++ {
+			need++
+			producers := 0
 			for _, s := range r.Sources[c] {
-				work = append(work, state{s, skip})
+				work = append(work, state{s, pop - side})
 			}
 			for len(work) > 0 {
 				st := work[len(work)-1]
 				work = work[:len(work)-1]
-				key := [2]int{st.node, st.skip}
-				if visited[key] {
+				if visited[st.node] == need {
 					continue
 				}
-				visited[key] = true
-				pin := m.Code[st.node]
+				visited[st.node] = need
+				pin := &m.Code[st.node]
 				if pin.Push > st.skip {
 					// Captured: this node produces the wanted value.
-					if !producers[st.node] {
-						producers[st.node] = true
-						r.Targets[st.node] = append(r.Targets[st.node],
-							Target{Consumer: c, Side: side})
-						if st.node > c {
-							r.BackMerges++
-						}
+					producers++
+					r.Targets[st.node] = append(r.Targets[st.node],
+						Target{Consumer: c, Side: side})
+					if st.node > c {
+						r.BackMerges++
 					}
 					continue
 				}
@@ -142,32 +144,31 @@ func Resolve(p *Placement) (*Resolution, error) {
 						m.Signature(), c, side)
 				}
 			}
-			if len(producers) == 0 {
+			if producers == 0 {
 				return nil, fmt.Errorf(
 					"fabric: resolve %s: instruction %d side %d found no producer",
 					m.Signature(), c, side)
 			}
-			if len(producers) > 1 {
+			if producers > 1 {
 				r.Merges++
 			}
 		}
 		// Own needs buffered before forwarding anything from below.
-		r.QUp[c] += in.Pop
+		r.QUp[c] += pop
 	}
 
 	// Validation: every push must have found at least one consumer.
-	for i, in := range m.Code {
-		if in.Push > 0 && len(r.Targets[i]) == 0 {
+	for i := range m.Code {
+		if in := &m.Code[i]; in.Push > 0 && len(r.Targets[i]) == 0 {
 			return nil, fmt.Errorf(
 				"fabric: resolve %s: instruction %d (%s) pushes %d but has no consumers",
 				m.Signature(), i, in.Op, in.Push)
 		}
-		sort.Slice(r.Targets[i], func(a, b int) bool {
-			ta, tb := r.Targets[i][a], r.Targets[i][b]
-			if ta.Consumer != tb.Consumer {
-				return ta.Consumer < tb.Consumer
+		slices.SortFunc(r.Targets[i], func(a, b Target) int {
+			if a.Consumer != b.Consumer {
+				return a.Consumer - b.Consumer
 			}
-			return ta.Side < tb.Side
+			return a.Side - b.Side
 		})
 	}
 

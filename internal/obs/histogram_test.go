@@ -135,6 +135,21 @@ func TestNilHistogramSafe(t *testing.T) {
 	v.With("x").Record(time.Second) // nil vec → nil child → no-op
 }
 
+// TestHistogramRecordAllocs is the recording half of "observation never
+// perturbs": one Record allocates nothing. Allocation counts are exact,
+// so this replaces a nanosecond ceiling that depended on the machine;
+// BenchmarkHistogramRecord's ns/op is tracked, not gated.
+func TestHistogramRecordAllocs(t *testing.T) {
+	h := NewHistogram()
+	d := time.Microsecond
+	if allocs := testing.AllocsPerRun(1000, func() {
+		h.Record(d)
+		d += time.Microsecond
+	}); allocs != 0 {
+		t.Fatalf("Histogram.Record: %.2f allocations per call, want 0", allocs)
+	}
+}
+
 func BenchmarkHistogramRecord(b *testing.B) {
 	h := NewHistogram()
 	b.ReportAllocs()

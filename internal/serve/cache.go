@@ -9,7 +9,6 @@ import (
 	"javaflow/internal/core"
 	"javaflow/internal/fabric"
 	"javaflow/internal/sim"
-	"javaflow/internal/store"
 )
 
 // A DeploymentCache backs both deployment seams: core.Machine.SetProvider
@@ -66,18 +65,15 @@ type cacheItem struct {
 // fabric comparison — a key collision across different geometries degrades
 // to a miss instead of returning a wrong placement.
 //
-// An optional persistent store sits under the LRU as a read-through /
-// write-behind layer: an LRU miss consults the store before running the
-// deploy pipeline, and freshly computed outcomes (including fabric
-// rejections) are persisted so they survive restarts.
+// Deployments live only here, for the life of the process: a miss runs
+// the pipeline, which costs less than reading a stored deployment back
+// would, and a restarted process recomputes what it needs.
 type DeploymentCache struct {
 	shards   [cacheShards]cacheShard
 	perShard int
-	store    *store.Store
 
 	hits      atomic.Int64
 	misses    atomic.Int64
-	storeHits atomic.Int64
 	evictions atomic.Int64
 }
 
@@ -95,11 +91,6 @@ func NewDeploymentCache(capacity int) *DeploymentCache {
 	}
 	return c
 }
-
-// SetStore attaches the persistent store the cache reads through to and
-// writes deployments behind. Call before the cache starts serving traffic;
-// the scheduler wires this up from SchedulerOptions.Store.
-func (c *DeploymentCache) SetStore(st *store.Store) { c.store = st }
 
 // shardFor spreads keys across shards with FNV-1a over both key fields.
 func (c *DeploymentCache) shardFor(k cacheKey) *cacheShard {
@@ -166,25 +157,9 @@ func (c *DeploymentCache) ResolveMethod(cfg sim.Config, m *classfile.Method) (*f
 	shard.mu.Unlock()
 	c.misses.Add(1)
 
-	// Read through to the persistent store before paying for the deploy
-	// pipeline. A stored outcome (success or fabric rejection) from an
-	// earlier process life is as good as a computed one.
-	var dk store.DeployKey
-	if c.store != nil {
-		dk = store.DeployKeyFor(cfg, m)
-		if res, ok, derr := c.store.GetDeploy(dk, cfg.Fabric, m); ok {
-			c.storeHits.Add(1)
-			entry := c.insert(shard, key, cacheEntry{res: res, err: derr, fab: cfg.Fabric})
-			return entry.res, entry.err
-		}
-	}
-
 	// Deploy outside the shard lock: resolution is pure, so concurrent
 	// duplicate work is wasted effort at worst, never a correctness issue.
 	res, err := sim.DeployMethod(cfg, m)
-	if c.store != nil {
-		c.store.PutDeploy(dk, res, err)
-	}
 	entry := c.insert(shard, key, cacheEntry{res: res, err: err, fab: cfg.Fabric})
 	return entry.res, entry.err
 }
@@ -221,13 +196,10 @@ func (c *DeploymentCache) Len() int {
 	return n
 }
 
-// CacheStats is a point-in-time counter snapshot. StoreHits counts the
-// subset of Misses that a persistent store answered without running the
-// deploy pipeline.
+// CacheStats is a point-in-time counter snapshot.
 type CacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
-	StoreHits int64 `json:"storeHits"`
 	Evictions int64 `json:"evictions"`
 	Entries   int   `json:"entries"`
 }
@@ -237,7 +209,6 @@ func (c *DeploymentCache) Stats() CacheStats {
 	return CacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
-		StoreHits: c.storeHits.Load(),
 		Evictions: c.evictions.Load(),
 		Entries:   c.Len(),
 	}

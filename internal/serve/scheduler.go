@@ -42,10 +42,9 @@ type SchedulerOptions struct {
 	// MaxMeshCycles bounds each simulated execution — the per-job timeout
 	// in simulated time (<=0 uses sim.DefaultMaxMeshCycles).
 	MaxMeshCycles int
-	// Store persists completed MethodRuns and deployment outcomes across
-	// process lives (nil disables persistence). The scheduler reads
-	// through it before executing and writes results behind; it also
-	// threads the store under the deployment cache.
+	// Store persists completed MethodRuns across process lives (nil
+	// disables persistence). The scheduler reads through it before
+	// executing and writes results behind.
 	Store *store.Store
 }
 
@@ -100,7 +99,6 @@ func NewScheduler(opts SchedulerOptions) *Scheduler {
 		maxCycles = sim.DefaultMaxMeshCycles
 	}
 	if opts.Store != nil {
-		cache.SetStore(opts.Store)
 		opts.Store.RegisterMetrics(metrics.Registry())
 	}
 	registerCacheMetrics(metrics.Registry(), cache)
@@ -121,8 +119,6 @@ func registerCacheMetrics(reg *obs.Registry, cache *DeploymentCache) {
 		func() float64 { return float64(cache.Stats().Hits) })
 	reg.CounterFunc("javaflow_cache_misses_total", "Deployment-cache misses.",
 		func() float64 { return float64(cache.Stats().Misses) })
-	reg.CounterFunc("javaflow_cache_store_hits_total", "Cache misses answered by the persistent store.",
-		func() float64 { return float64(cache.Stats().StoreHits) })
 	reg.CounterFunc("javaflow_cache_evictions_total", "Deployment-cache evictions.",
 		func() float64 { return float64(cache.Stats().Evictions) })
 	reg.GaugeFunc("javaflow_cache_entries", "Deployments currently cached.",

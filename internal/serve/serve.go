@@ -13,11 +13,11 @@
 //     net/http API the jfserved daemon exposes (POST /v1/run,
 //     POST /v1/batch, GET /v1/configs, GET /v1/methods, GET /metrics).
 //
-// An optional persistent result store (internal/store) sits beneath both
-// layers: the cache reads deployment outcomes through it and the
-// scheduler reads completed MethodRuns through it, writing fresh work
-// behind, so a jfserved restart with the same -store-dir serves warm
-// results without re-running the engine.
+// An optional persistent result store (internal/store) sits beneath the
+// scheduler, which reads completed MethodRuns through it and writes fresh
+// ones behind, so a jfserved restart with the same -store-dir serves warm
+// results without re-running the engine. Deployments stay in the cache:
+// a restarted process recomputes the few it needs.
 //
 // cmd/jfserved serves the API; internal/experiments routes the Chapter-7
 // table sweeps through the same Scheduler so batch and interactive traffic

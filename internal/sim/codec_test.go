@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"testing"
+
+	"javaflow/internal/workload"
 )
 
 func sampleRun() MethodRun {
@@ -64,4 +66,54 @@ func TestMethodRunCodecRejectsGarbage(t *testing.T) {
 	if err := mr.UnmarshalBinary(bad); err == nil {
 		t.Fatalf("wrong version decoded without error")
 	}
+}
+
+// FuzzMethodRunUnmarshal feeds the codec the bytes a store replays from
+// disk and replication receives from peers: UnmarshalBinary never panics,
+// leaves its target untouched when it rejects the input, and whatever it
+// accepts re-encodes to bytes that decode to the same MethodRun and
+// re-encode to themselves. The seeds are real runs' encodings, each first
+// checked to round-trip exactly.
+func FuzzMethodRunUnmarshal(f *testing.F) {
+	runner := &Runner{MaxMeshCycles: 2_000} // low enough that some runs time out
+	for _, cfg := range Configurations() {
+		for _, m := range workload.NamedMethods()[:8] {
+			run, err := runner.RunMethod(cfg, m)
+			if err != nil {
+				continue // rejected by this fabric
+			}
+			enc, err := run.MarshalBinary()
+			if err != nil {
+				f.Fatal(err)
+			}
+			var back MethodRun
+			if err := back.UnmarshalBinary(enc); err != nil || back != run {
+				f.Fatalf("%s on %s: encoding does not round-trip (%v)", m.Signature(), cfg.Name, err)
+			}
+			f.Add(enc)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		run := sampleRun()
+		if err := run.UnmarshalBinary(data); err != nil {
+			if run != sampleRun() {
+				t.Fatalf("rejected input (%v) changed the target to %+v", err, run)
+			}
+			return
+		}
+		enc, err := run.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back MethodRun
+		if err := back.UnmarshalBinary(enc); err != nil {
+			t.Fatalf("re-encoding of accepted input does not decode: %v\n%x", err, enc)
+		}
+		if back != run {
+			t.Fatalf("re-encoding decodes to a different run:\n got %+v\nwant %+v", back, run)
+		}
+		if again, _ := back.MarshalBinary(); !bytes.Equal(again, enc) {
+			t.Fatalf("encoding is not a fixed point:\n%x\n%x", enc, again)
+		}
+	})
 }

@@ -113,3 +113,28 @@ func TestRunResolvedMatchesReference(t *testing.T) {
 	}
 	t.Logf("%d of %d jobs shared one engine run", shared, len(deps))
 }
+
+// TestDeployAllocations gates the cold deploy path's allocations: verify +
+// load + resolve of the bench lap's 800 methods on every configuration.
+// Opcode facts are table lookups and the needs-up walk reuses one set of
+// working buffers per method, so what is left is mostly the Resolution's
+// own slices: about 82 per deployment.
+func TestDeployAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	methods := workload.Corpus(2014, 1580)[:800]
+	configs := Configurations()
+	perSweep := testing.AllocsPerRun(2, func() {
+		for _, cfg := range configs {
+			for _, m := range methods {
+				_, _ = DeployMethod(cfg, m) // a rejection allocates too, and is counted
+			}
+		}
+	})
+	perDeploy := perSweep / float64(len(configs)*len(methods))
+	if perDeploy > 85 {
+		t.Fatalf("%.1f allocations per deployment, want <= 85", perDeploy)
+	}
+	t.Logf("%.2f allocations per deployment", perDeploy)
+}

@@ -59,6 +59,9 @@ func (k RunKey) encode() []byte {
 }
 
 // DeployKeyFor builds the deployment key of m on cfg's fabric.
+//
+// Deprecated: deployment records are no longer written or read (see
+// PutDeploy); RunKeyFor builds the key every serving path uses.
 func DeployKeyFor(cfg sim.Config, m *classfile.Method) DeployKey {
 	return DeployKey{
 		Signature:  m.Signature(),

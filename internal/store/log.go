@@ -13,7 +13,11 @@ const (
 	maxKeyBytes = 1 << 20
 	maxValBytes = 64 << 20
 	recTypeRun  = 1
-	recTypeDep  = 2
+	// recTypeDep records a deployment outcome. Nothing writes them any
+	// more (see PutDeploy), but older directories hold them, so the type
+	// stays valid: a scan that stopped at it would lose every record
+	// after it.
+	recTypeDep = 2
 	// recTypeMeta records node-local bookkeeping (replication cursors).
 	// Meta records live in the same log for the same crash-safety, but are
 	// never exported to peers by Ingest and never count as payload.

@@ -1,18 +1,20 @@
 // Package store is the persistent result store behind the simulation
 // service: an on-disk, crash-safe, append-only log of completed
-// sim.MethodRun results and deployment outcomes (including fabric
-// rejections), so jfserved restarts and repeated jfbench invocations
-// reuse verified work instead of recomputing sweeps.
+// sim.MethodRun results, so jfserved restarts and repeated jfbench
+// invocations reuse simulated work instead of recomputing sweeps.
+// Deployments are not stored: a process recomputes them, which is cheaper
+// than reading them back. Deployment records in directories written
+// before that (type 2 below) still replay, replicate and compact, unread.
 //
 // # Keying
 //
-// Records are content-keyed, never name-keyed. A deployment is identified
-// by (method signature, method body hash, fabric geometry) and a run
-// result additionally by (engine version, serial-per-mesh rule,
-// mesh-cycle bound) — see DeployKey and RunKey. Because the key carries
-// the fabric geometry rather than the configuration name, configurations
-// that share a fabric (Compact10/Compact4/Compact2) share deployments,
-// and renaming a configuration can never replay a wrong record.
+// Records are content-keyed, never name-keyed. A run result is identified
+// by (method signature, method body hash, fabric geometry, engine
+// version, serial-per-mesh rule, mesh-cycle bound) — see RunKey; its
+// first three fields form the DeployKey old deployment records carry.
+// Because the key carries the fabric geometry rather than the
+// configuration name, renaming a configuration can never replay a wrong
+// record.
 //
 // # On-disk format
 //
@@ -160,7 +162,9 @@ type Store struct {
 }
 
 // Stats is a point-in-time snapshot of store effectiveness and health,
-// exposed through serve.Metrics and GET /metrics.
+// exposed through serve.Metrics and GET /metrics. DeployHits and
+// DeployMisses count the deprecated GetDeploy, which no serving path
+// calls: on a jfserved node they read 0.
 type Stats struct {
 	RunHits        int64 `json:"runHits"`
 	RunMisses      int64 `json:"runMisses"`

@@ -43,7 +43,9 @@ func (s *Store) PutRun(k RunKey, run sim.MethodRun) {
 // a fabric rejection (Failed) or the pure derived data of a successful
 // placement + address resolution. The method body and fabric themselves
 // are not stored — they are reattached from the live registry on load,
-// guarded by the MethodHash and geometry in the key.
+// guarded by the MethodHash and geometry in the key. Directories written
+// before deployments left the store hold these; they replay, replicate
+// and compact like any record, and nothing reads them (see PutDeploy).
 type deployRecord struct {
 	Failed    bool   `json:"failed,omitempty"`
 	ErrMethod string `json:"errMethod,omitempty"`
@@ -64,6 +66,12 @@ type deployRecord struct {
 // resolution, or a *fabric.LoadError rejection. Other error kinds are not
 // persisted (they cannot be reconstructed as their concrete type, and the
 // sweep paths only memoize rejections).
+//
+// Deprecated: no serving path reads or writes deployment records any
+// more — recomputing a placement costs less than decoding a stored one,
+// so deployments are cached in memory per process only. It remains for
+// the repository benchmark's replay, which still times it, and goes once
+// that replay stops calling it.
 func (s *Store) PutDeploy(k DeployKey, res *fabric.Resolution, derr error) {
 	var rec deployRecord
 	switch {
@@ -99,6 +107,12 @@ func (s *Store) PutDeploy(k DeployKey, res *fabric.Resolution, derr error) {
 // to the live fabric and method. ok is false on a miss; on a hit exactly
 // one of the resolution and the error is non-nil, mirroring
 // sim.DeployMethod.
+//
+// Deprecated: no serving path reads or writes deployment records any
+// more — recomputing a placement costs less than decoding a stored one,
+// so deployments are cached in memory per process only. It remains for
+// the repository benchmark's replay, which still times it, and goes once
+// that replay stops calling it.
 func (s *Store) GetDeploy(k DeployKey, f *fabric.Fabric, m *classfile.Method) (res *fabric.Resolution, ok bool, derr error) {
 	val, hit := s.get(k.encode(), recTypeDep)
 	if !hit {
