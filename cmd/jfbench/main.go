@@ -14,7 +14,6 @@
 //	jfbench -scenarios           # list the scenario catalog
 //	jfbench -scenario chaos-fleet       # run one scenario bundle
 //	jfbench -scenario-file my.json      # run a user scenario (JSON)
-//	jfbench -sweep-digest        # per-config digests of the legacy sweep path
 //
 // The population defaults mirror the dissertation: ~1,600 methods, two
 // branch-policy executions each, six machine configurations. With
@@ -61,7 +60,6 @@ func main() {
 		scenName  = flag.String("scenario", "", "run one scenario bundle from the registry (see -scenarios)")
 		scenFile  = flag.String("scenario-file", "", "load, validate and run a user scenario bundle from a JSON file")
 		scenList  = flag.Bool("scenarios", false, "list the scenario catalog and exit")
-		sweepDig  = flag.Bool("sweep-digest", false, "run the legacy hard-coded sweep path and print per-configuration result digests (for catalog-equivalence checks)")
 		fleetURL  = flag.String("fleet", "", "fetch <base URL>/v1/fleet from a running jfserved and render the aggregated fleet-health table, then exit")
 	)
 	flag.Parse()
@@ -151,32 +149,6 @@ func main() {
 			}
 			fmt.Printf("%-20s %-12s %s\n", b.Name, b.Tier, b.Description)
 		}
-		if err := ctx.Close(); err != nil {
-			fail(1, "jfbench: closing store: %v\n", err)
-		}
-		return
-	}
-
-	if *sweepDig {
-		for _, cfg := range sim.Configurations() {
-			cr, err := ctx.SimResults(cfg)
-			if err != nil {
-				fail(1, "jfbench: %v\n", err)
-			}
-			digest, err := scenario.DigestRuns(cr.Runs)
-			if err != nil {
-				fail(1, "jfbench: %v\n", err)
-			}
-			cd := scenario.ConfigDigest{
-				Config: cfg.Name, Methods: len(cr.Runs),
-				Skipped: cr.Skipped, TimedOut: cr.TimedOut, Digest: digest,
-			}
-			fmt.Println(cd.DigestLine())
-		}
-		reportStore(ctx)
-		reportDispatch(ctx)
-		reportTraces(ctx)
-		reportEngine(start)
 		if err := ctx.Close(); err != nil {
 			fail(1, "jfbench: closing store: %v\n", err)
 		}

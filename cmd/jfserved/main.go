@@ -19,10 +19,11 @@
 // With -replicate-interval every peer's segment log is pulled into the
 // local store periodically, so each node ends up serving every warm
 // result the fleet has computed — no shared filesystem needed. Unless
-// -gossip-disable is set, replication also pushes: a node that commits
-// new results notifies a few random peers immediately (POST
-// /v1/replicate/notify), so warm convergence is sub-second and the
-// periodic pull is just the repair path — it can be set very long.
+// -gossip-disable is set, replication also pushes: a node that commits or
+// ingests new results notifies every peer of the segment positions that
+// peer has not acknowledged yet (POST /v1/replicate/notify), so warm
+// convergence is sub-second and the periodic pull is just the repair
+// path — it can be set very long.
 //
 // Endpoints:
 //
@@ -218,22 +219,12 @@ func main() {
 			Registry: sched.Metrics().Registry(),
 			Journal:  sched.Metrics().Journal(),
 		}
-		if st != nil {
-			// On a retry after a backend death, serve the job from the
-			// local store when replication (or a past run) already holds
-			// the key — byte-identical, no engine re-run.
-			opts.WarmLocal = func(job serve.Job, maxCycles int) bool {
-				return st.HasRun(store.RunKeyFor(job.Config, job.Method, maxCycles))
-			}
-		}
 		if rep != nil {
 			opts.SyncedPeers = rep.SyncedPeers
-			if rep.GossipEnabled() {
-				// Hinted handoff: a result computed while its ring owner was
-				// down is recorded durably and pushed over when a probe sees
-				// the owner return.
-				opts.Hints = rep
-			}
+			// A backend a probe sees return is pushed every segment
+			// position it has not acknowledged, so it serves what it
+			// missed warm (a no-op under -gossip-disable).
+			opts.OnRecovery = rep.PushTo
 		}
 		d, err := dispatch.New(opts)
 		if err != nil {

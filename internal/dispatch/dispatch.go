@@ -43,6 +43,7 @@ import (
 	"javaflow/internal/peer"
 	"javaflow/internal/serve"
 	"javaflow/internal/sim"
+	"javaflow/internal/store"
 )
 
 // Defaults for Options fields left zero.
@@ -64,7 +65,12 @@ type Options struct {
 	Client *http.Client
 	// Local is the in-process scheduler: the terminal fallback for jobs
 	// whose remote attempts fail, and the source of the default mesh-cycle
-	// bound. Required.
+	// bound. Required. When it has a persistent store, a job whose backend
+	// failed transiently is served from that store if it already holds the
+	// key — e.g. a record anti-entropy replication (internal/replicate)
+	// pulled from the fleet, or one this node computed before: a warm
+	// local serve is byte-identical to the dead backend's answer and skips
+	// both the network and the engine.
 	Local *serve.Scheduler
 	// MaxInflight bounds concurrent jobs per backend (<=0 uses 8).
 	MaxInflight int
@@ -79,28 +85,11 @@ type Options struct {
 	// admit.DefaultBackoffBase / admit.DefaultBackoffCap).
 	ProbeBackoffBase time.Duration
 	ProbeBackoffCap  time.Duration
-	// RetryBurst / RetryRate configure each backend's retry token bucket:
-	// a transient failure may reroute its job to another node only while
-	// the failed backend's budget has a token (burst capacity RetryBurst,
-	// refilled at RetryRate tokens per second; <=0 uses
-	// admit.DefaultRetryBurst / admit.DefaultRetryRate). An exhausted
-	// budget sends the job straight to the warm-local/local fallback —
-	// completion and byte-identity hold either way, the budget only
-	// bounds how hard the rest of the fleet is hit on a backend's behalf.
-	RetryBurst int
-	RetryRate  float64
-	// Now and Rand are test seams for the probe schedule and its jitter
-	// (nil uses time.Now and math/rand).
+	// Now and Rand are test seams for the probe schedule, the retry
+	// budgets' refill and the probe jitter (nil uses time.Now and
+	// math/rand).
 	Now  func() time.Time
 	Rand func() float64
-	// WarmLocal, when set, reports whether the local persistent store can
-	// already serve job's result warm — e.g. a record anti-entropy
-	// replication (internal/replicate) pulled from the fleet, or one this
-	// node computed before. Consulted after a transient backend failure:
-	// a warm local serve is byte-identical to the dead backend's answer
-	// and skips both the network and the engine. maxCycles arrives
-	// resolved (never 0).
-	WarmLocal func(job serve.Job, maxCycles int) bool
 	// SyncedPeers, when set, lists the backend names (exactly as given in
 	// Peers) whose segment logs this node's replicator has fully caught up
 	// with. On a retry the dispatcher prefers the ring owner among these:
@@ -108,10 +97,12 @@ type Options struct {
 	// — including the dead backend's — so the retry is served from its
 	// store instead of re-running the engine on a cold node.
 	SyncedPeers func() []string
-	// Hints, when set, receives hinted-handoff callbacks (see Hints).
-	// replicate.Replicator implements it over durable store meta records
-	// and gossip notifications.
-	Hints Hints
+	// OnRecovery, when set, is called with a backend's name each time a
+	// probe catches that suspended backend healthy again — the moment to
+	// push it what it missed while it was down (jfserved passes
+	// replicate.Replicator.PushTo). It runs on the probing job's goroutine
+	// and must not block on the network.
+	OnRecovery func(backend string)
 	// Tracer records dispatch-attempt spans; pass the serving node's
 	// serve.Metrics tracer so one /debug/traces dump covers ingress and
 	// fan-out. Nil disables span recording.
@@ -125,22 +116,6 @@ type Options struct {
 	// events; pass the serving node's serve.Metrics journal. Nil disables
 	// event recording.
 	Journal *obs.Journal
-}
-
-// Hints is the hinted-handoff seam between dispatch (which observes ring
-// owners dying and recovering) and replication (which owns durable state
-// and peer transfer). Both methods are called on job hot paths and must
-// not block on the network: RecordHint may write through the store's
-// write-behind queue; DeliverHints must kick off its transfer in the
-// background.
-type Hints interface {
-	// RecordHint notes that owner (a backend name) was unavailable when
-	// the result for signature was committed somewhere else, so owner is
-	// missing a key it should serve warm.
-	RecordHint(owner, signature string)
-	// DeliverHints is called when a probe observes owner healthy again;
-	// pending hints against it should now be pushed over.
-	DeliverHints(owner string)
 }
 
 // backendState wraps a Backend with its routing health and accounting.
@@ -174,9 +149,8 @@ type Dispatcher struct {
 	failureThreshold int64
 	now              func() time.Time
 
-	warmLocal   func(job serve.Job, maxCycles int) bool
 	syncedPeers func() []string
-	hints       Hints
+	onRecovery  func(backend string)
 
 	tracer      *obs.Tracer
 	journal     *obs.Journal
@@ -187,7 +161,6 @@ type Dispatcher struct {
 	retryDenials   atomic.Int64
 	warmLocalHits  atomic.Int64
 	warmRetries    atomic.Int64
-	handoffHints   atomic.Int64
 	ownerRecovers  atomic.Int64
 	suspensions    atomic.Int64
 }
@@ -240,9 +213,8 @@ func NewWithBackends(backends []Backend, opts Options) (*Dispatcher, error) {
 		localSem:         make(chan struct{}, opts.Local.Workers()),
 		failureThreshold: int64(threshold),
 		now:              now,
-		warmLocal:        opts.WarmLocal,
 		syncedPeers:      opts.SyncedPeers,
-		hints:            opts.Hints,
+		onRecovery:       opts.OnRecovery,
 		tracer:           opts.Tracer,
 		journal:          opts.Journal,
 	}
@@ -252,7 +224,7 @@ func NewWithBackends(backends []Backend, opts Options) (*Dispatcher, error) {
 		d.backends = append(d.backends, &backendState{
 			b:            b,
 			sem:          make(chan struct{}, inflight),
-			retryBudget:  admit.NewRetryBudget(opts.RetryBurst, opts.RetryRate, now),
+			retryBudget:  admit.NewRetryBudget(admit.DefaultRetryBurst, admit.DefaultRetryRate, now),
 			probeBackoff: admit.NewBackoff(opts.ProbeBackoffBase, opts.ProbeBackoffCap, opts.Rand),
 		})
 	}
@@ -280,8 +252,6 @@ func (d *Dispatcher) register(reg *obs.Registry) {
 		func() float64 { return float64(d.suspensions.Load()) })
 	reg.CounterFunc("javaflow_dispatch_warm_local_hits_total", "Retries short-circuited by the local store.",
 		func() float64 { return float64(d.warmLocalHits.Load()) })
-	reg.CounterFunc("javaflow_dispatch_handoff_hints_total", "Hinted handoffs recorded against absent ring owners.",
-		func() float64 { return float64(d.handoffHints.Load()) })
 	for _, bs := range d.backends {
 		bs := bs
 		reg.CounterFunc("javaflow_dispatch_backend_jobs_total", "Jobs completed per backend.",
@@ -421,13 +391,14 @@ func (d *Dispatcher) attempt(ctx context.Context, i int, job serve.Job, maxCycle
 	bs.nextProbe.Store(0)
 	if bs.consecFails.Swap(0) >= d.failureThreshold {
 		// This was the probe that caught a suspended backend recovering.
-		// Hand its hinted-handoff backlog over now, so its next
-		// ring-owned requests are warm instead of cold engine runs.
+		// Tell the recovery hook now, so what the backend missed is pushed
+		// over and its next ring-owned requests are warm instead of cold
+		// engine runs.
 		d.ownerRecovers.Add(1)
 		d.journal.Emit("dispatch", "recovery", obs.SevInfo, traceIDFrom(ctx),
 			"backend", bs.b.Name())
-		if d.hints != nil {
-			d.hints.DeliverHints(bs.b.Name())
+		if d.onRecovery != nil {
+			d.onRecovery(bs.b.Name())
 		}
 	}
 	return run, err
@@ -450,44 +421,25 @@ func (d *Dispatcher) runLocal(ctx context.Context, job serve.Job, maxCycles int)
 }
 
 // runJob is the per-job routing policy: ring owner, then — after a
-// transient failure — a warm local serve if the store already holds the
-// key, one retry on a replication-synced peer (falling back to the next
-// node clockwise), then the local scheduler. A job that succeeds
-// anywhere but its true ring owner records a hinted handoff: the owner
-// was suspended or failing, so it is now missing a key it should serve
-// warm, and the hint delivers the result when a probe sees it return.
-func (d *Dispatcher) runJob(ctx context.Context, job serve.Job, maxCycles int) (sim.MethodRun, error) {
+// transient failure — a warm local serve if the local store already
+// holds the key, one retry on a replication-synced peer (falling back to
+// the next node clockwise), then the local scheduler.
+func (d *Dispatcher) runJob(ctx context.Context, job serve.Job, maxCycles int) (run sim.MethodRun, err error) {
 	sig := job.Method.Signature()
-	run, servedOn, err := d.runJobRouted(ctx, sig, job, maxCycles)
-	if err == nil && d.hints != nil {
-		// The unfiltered ring owner (nil skip): who *should* hold this
-		// key, suspended or not.
-		if owner := d.ring.owner(sig, nil); owner >= 0 && owner != servedOn {
-			d.handoffHints.Add(1)
-			d.hints.RecordHint(d.backends[owner].b.Name(), sig)
-		}
-	}
-	return run, err
-}
-
-// runJobRouted is runJob's routing body; servedOn is the backend index
-// that produced the result (-1 for the local scheduler).
-func (d *Dispatcher) runJobRouted(ctx context.Context, sig string, job serve.Job, maxCycles int) (run sim.MethodRun, servedOn int, err error) {
 	first := d.route(sig, -1)
 	if first >= 0 {
 		run, err = d.attempt(ctx, first, job, maxCycles)
 		if err == nil || !transient(ctx, err) {
-			return run, first, err
+			return run, err
 		}
 		d.retries.Add(1)
 		d.backends[first].retriedAway.Add(1)
 		// A dead backend's results are not lost to the fleet: replication
 		// pulled its segments here, so a key the fleet ever computed is
 		// served from the local store — byte-identical, no engine run.
-		if d.warmLocal != nil && d.warmLocal(job, maxCycles) {
+		if st := d.local.Store(); st != nil && st.HasRun(store.RunKeyFor(job.Config, job.Method, maxCycles)) {
 			d.warmLocalHits.Add(1)
-			run, err = d.runLocal(ctx, job, maxCycles)
-			return run, -1, err
+			return d.runLocal(ctx, job, maxCycles)
 		}
 		// The network retry spends from the failed backend's token bucket:
 		// with the budget exhausted the job goes straight to the local
@@ -500,7 +452,7 @@ func (d *Dispatcher) runJobRouted(ctx context.Context, sig string, job serve.Job
 		} else if second := d.routeRetry(sig, first); second >= 0 {
 			run, err = d.attempt(ctx, second, job, maxCycles)
 			if err == nil || !transient(ctx, err) {
-				return run, second, err
+				return run, err
 			}
 		}
 	}
@@ -510,8 +462,7 @@ func (d *Dispatcher) runJobRouted(ctx context.Context, sig string, job serve.Job
 		// everything locally by construction.
 		d.journal.Emit("dispatch", "local_fallback", obs.SevInfo, traceIDFrom(ctx), "sig", sig)
 	}
-	run, err = d.runLocal(ctx, job, maxCycles)
-	return run, -1, err
+	return d.runLocal(ctx, job, maxCycles)
 }
 
 // traceIDFrom extracts the active trace ID for journal events ("" when
@@ -626,12 +577,8 @@ type Stats struct {
 	// WarmRetries counts retries routed to a replication-synced peer in
 	// preference to the plain next node clockwise.
 	WarmRetries int64 `json:"warmRetries"`
-	// HandoffHints counts jobs that completed away from their true ring
-	// owner and recorded a hinted handoff against it.
-	HandoffHints int64 `json:"handoffHints"`
 	// OwnerRecoveries counts probes that caught a suspended backend
-	// healthy again (each triggers hint delivery when a Hints seam is
-	// wired).
+	// healthy again (each calls Options.OnRecovery when it is set).
 	OwnerRecoveries int64 `json:"ownerRecoveries"`
 	// Suspensions counts backends crossing the consecutive-failure
 	// threshold into suspension (once per streak, not per skipped job).
@@ -649,7 +596,6 @@ func (d *Dispatcher) Stats() Stats {
 		LocalFallbacks:     d.localFallbacks.Load(),
 		WarmLocalHits:      d.warmLocalHits.Load(),
 		WarmRetries:        d.warmRetries.Load(),
-		HandoffHints:       d.handoffHints.Load(),
 		OwnerRecoveries:    d.ownerRecovers.Load(),
 		Suspensions:        d.suspensions.Load(),
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"javaflow/internal/admit"
 	"javaflow/internal/classfile"
 	"javaflow/internal/peer"
 	"javaflow/internal/serve"
@@ -78,7 +79,6 @@ func TestProbeSpacingDecorrelatedJitter(t *testing.T) {
 		FailureThreshold: 1,
 		ProbeBackoffBase: base,
 		ProbeBackoffCap:  cap,
-		RetryBurst:       1000, // not under test here
 		Now:              clock.Now,
 		// Pin jitter at its upper edge so the schedule is deterministic:
 		// each delay is exactly min(3*prev, cap). Jitter variability
@@ -142,12 +142,11 @@ func TestRetryBudgetNeverExceeded(t *testing.T) {
 	ts, _ := newPeer(t, corpus)
 	healthy := NewRemote(ts.URL, nil)
 
-	const burst, rate = 3, 0.5
+	// Every backend's bucket is built from the admit defaults.
+	const burst, rate = admit.DefaultRetryBurst, admit.DefaultRetryRate
 	d, err := NewWithBackends([]Backend{dead, healthy}, Options{
 		Local:            newLocalScheduler(),
 		FailureThreshold: 1000, // keep the dead backend routable: owned jobs keep hitting it
-		RetryBurst:       burst,
-		RetryRate:        rate,
 		Now:              clock.Now,
 	})
 	if err != nil {

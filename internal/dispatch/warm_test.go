@@ -27,9 +27,10 @@ func hostableMethod(t *testing.T, cfg sim.Config) *classfile.Method {
 }
 
 // TestDispatchWarmLocalRetryServesFromStore: the ring owner dies, but the
-// local store already holds the key (replication pulled it, or this node
-// computed it before) — the retry must serve it from the store without a
-// second network attempt or an engine re-run.
+// local scheduler's store already holds the key (replication pulled it, or
+// this node computed it before) — the retry must serve it from the store
+// without a second network attempt or an engine re-run. The store is
+// found through Options.Local alone; nothing else is wired.
 func TestDispatchWarmLocalRetryServesFromStore(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -50,12 +51,7 @@ func TestDispatchWarmLocalRetryServesFromStore(t *testing.T) {
 
 	dead := &chaos.FlakyBackend{Inner: NewRemote("http://192.0.2.1:1", nil), FailAfter: -1}
 	dead.Kill()
-	d, err := NewWithBackends([]Backend{dead}, Options{
-		Local: sched,
-		WarmLocal: func(job serve.Job, maxCycles int) bool {
-			return st.HasRun(store.RunKeyFor(job.Config, job.Method, maxCycles))
-		},
-	})
+	d, err := NewWithBackends([]Backend{dead}, Options{Local: sched})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -390,11 +390,11 @@ func (c *Context) drillPeerFlap(res *scenario.Resolved) (scenario.FaultOutcome, 
 // drillGossipPartition proves the push path converges without the pull
 // loop, and survives a partition. Two nodes with gossip-enabled
 // replicators whose periodic pull is never started: node A computes
-// results while node B's notify endpoint is down (the rumor is lost),
-// then the partition heals and A's next advertisement must catch B up —
-// to a byte-identical union including the records whose rumors were
-// dropped, because notifications carry cumulative segment positions, not
-// diffs.
+// results while node B's notify endpoint is down (the push is lost),
+// then the partition heals and A's next push must catch B up — to a
+// byte-identical union including the records whose push was dropped,
+// because A only counts positions B acknowledged and notifications carry
+// cumulative segment positions, not diffs.
 func (c *Context) drillGossipPartition(res *scenario.Resolved) (scenario.FaultOutcome, error) {
 	out := scenario.FaultOutcome{Kind: scenario.FaultGossipPartition}
 	methods := drillMethods(res)
@@ -486,7 +486,7 @@ func (c *Context) drillGossipPartition(res *scenario.Resolved) (scenario.FaultOu
 
 	// Healed phase: commit the second half and advertise again. The
 	// receiver pulls synchronously inside the notify handler, so when
-	// AdvertiseNow returns, B is caught up — lost rumors and all.
+	// AdvertiseNow returns, B is caught up — lost pushes and all.
 	gate.Up()
 	for _, r := range aSched.RunBatchCycles(ctx, drillJobs(cfg, methods[half:]), res.MaxMeshCycles) {
 		if r.Err != nil && !isLoadError(r.Err) {

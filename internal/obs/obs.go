@@ -7,7 +7,7 @@
 // Tracing is propagation-first: a TraceContext (trace ID, span ID, hop
 // depth) is minted at ingress, carried through contexts inside a process,
 // and crosses processes in the X-Javaflow-Trace header — dispatch /v1/run
-// hops, replication segment pulls, and gossip notify relays all inject it
+// hops, replication segment pulls, and gossip notifications all inject it
 // — so one request's spans can be reconstructed across the fleet from
 // each node's bounded in-memory ring (GET /debug/traces). The ring is
 // indexed by trace ID (Tracer.SpansFor) and AssembleTrace stitches

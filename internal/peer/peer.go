@@ -3,8 +3,8 @@
 // pull, a gossip notification, a fleet scrape — is built by Do, so it
 // always carries the caller's trace one hop deeper and its deadline, and
 // fails with a typed *StatusError on a non-200. Peer identity is decided
-// here too (ParseList, Normalize), so backend names, cursor keys, rumor
-// origins and hint keys agree on spelling. TestOneClient keeps both true.
+// here too (ParseList, Normalize), so backend names, cursor keys and
+// notification origins agree on spelling. TestOneClient keeps both true.
 package peer
 
 import (

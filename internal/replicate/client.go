@@ -30,7 +30,7 @@ func (r *Replicator) fetchManifest(ctx context.Context, base string) ([]store.Se
 	return m.Segments, nil
 }
 
-// postNotify pushes one rumor at a peer's POST /v1/replicate/notify.
+// postNotify pushes one notification at a peer's POST /v1/replicate/notify.
 // Only status 200 counts as delivered; anything else (including a peer
 // running without gossip, which answers 404) is an error the caller
 // accounts as a failed send.

@@ -1,28 +1,22 @@
-// Push/rumor-mongering side of the replicator: instead of waiting for a
-// peer's next pull round, a node that commits payload records advertises
-// the (segment seq, size, CRC) delta at a few random peers, which pull
-// exactly that range immediately and relay the rumor onward. TTL plus
-// rumor-ID dedup makes rumors die out; the periodic pull loop stays the
-// repair path for anything a partition or a dropped rumor missed.
+// Push side of the replicator: instead of waiting for a peer's next pull
+// round, a node tells every peer which (segment seq, size, CRC) positions
+// that peer has not acknowledged yet, and the peer pulls exactly that
+// range immediately. One push serves three triggers — a commit, an ingest
+// (so records hop on through a partial mesh in the receivers' own logs),
+// and dispatch seeing a suspended peer recover (PushTo) — and the periodic
+// pull loop stays the repair path for anything a partition missed.
 //
-// Hinted handoff rides the same substrate: when dispatch observes that a
-// key's ring owner was down while the result was computed elsewhere, it
-// records a durable hint (a store meta record keyed by the owner's URL);
-// when a probe sees the owner healthy again, the hint turns into one
-// direct notification so the owner pulls the backlog instead of waiting
-// for its own next pull interval.
+// A peer's acknowledged positions advance only when it answers 200, so a
+// peer that missed a push gets the whole gap at the next one; a receiver
+// whose cursor already covers a notification answers "current", which is
+// what makes a repeated notification harmless.
 package replicate
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
-	"math/rand/v2"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,35 +27,17 @@ import (
 )
 
 const (
-	// DefaultGossipTTL is the hop budget on locally originated rumors:
-	// with fanout f and TTL t a rumor can reach f^t nodes, so 3 hops at
-	// log-N fanout covers any fleet this system targets.
-	DefaultGossipTTL = 3
-	// maxGossipTTL caps the TTL accepted from the wire, so a buggy or
-	// hostile peer cannot mint immortal rumors.
-	maxGossipTTL = 8
 	// gossipDebounce coalesces the append-hook burst of a sweep into one
-	// advertisement: peers need the final delta, not one rumor per record.
+	// push: peers need the final positions, not one notification per record.
 	gossipDebounce = 25 * time.Millisecond
-	// rumorDedupCap bounds the seen-rumor set (FIFO eviction). Rumors
-	// identify monotonic log positions, so evicting an old ID can at
-	// worst cost one redundant no-op pull, never correctness.
-	rumorDedupCap = 4096
 	// notifyTimeout bounds one outbound notification, including the
 	// receiver's synchronous catch-up pull.
 	notifyTimeout = 30 * time.Second
-	// handoffMetaPrefix namespaces durable hinted-handoff meta records in
-	// the store ("meta|handoff|<owner URL>").
-	handoffMetaPrefix = "handoff|"
-	// maxHintSignatures bounds one owner's hint record; past that the
-	// hint's delivery already pushes the full manifest, so dropping the
-	// per-signature detail loses nothing but operator color.
-	maxHintSignatures = 256
 )
 
-// ErrGossipDisabled reports a gossip entry point on a pull-only
-// replicator. The serve handler maps it to 404, mirroring how endpoints
-// behave when no replicator is configured at all.
+// ErrGossipDisabled reports a push entry point on a pull-only replicator.
+// The serve handler maps it to 404, mirroring how endpoints behave when no
+// replicator is configured at all.
 var ErrGossipDisabled = errors.New("replicate: gossip not enabled (no advertise URL)")
 
 // ErrBadNotification reports a structurally invalid notification (empty
@@ -69,16 +45,17 @@ var ErrGossipDisabled = errors.New("replicate: gossip not enabled (no advertise 
 var ErrBadNotification = errors.New("replicate: bad notification: origin and segments are required")
 
 // Notification is the POST /v1/replicate/notify wire body: "Origin has
-// these segment positions — pull from it if you are behind, and pass it
-// on while TTL lasts." Segments carry cumulative positions, not diffs,
-// so a rumor lost to a partition is healed by any later rumor (or the
-// pull loop) rather than leaving a hole.
+// these segment positions — pull from it if you are behind." Segments
+// carry cumulative positions, not diffs, so a lost notification is healed
+// by the next one (or the pull loop) rather than leaving a hole.
 type Notification struct {
 	// Origin is the advertising node's base URL as its peers know it.
 	Origin string `json:"origin"`
-	// TTL is the remaining hop budget; a receiver relays with TTL-1
-	// while TTL > 1.
-	TTL int `json:"ttl"`
+	// TTL is a relay hop budget older nodes sent and acted on. It stays
+	// decodable so their notifications are still accepted; receivers
+	// ignore it and senders never set it (omitempty keeps it off the
+	// wire, so an older receiver reads 0 and never relays).
+	TTL int `json:"ttl,omitempty"`
 	// Segments are the origin's segment positions being advertised.
 	Segments []store.SegmentInfo `json:"segments"`
 }
@@ -86,49 +63,72 @@ type Notification struct {
 // NotifyOutcome is the notify response body.
 type NotifyOutcome struct {
 	// Result classifies what the receiver did: "pulled" (was behind,
-	// caught up synchronously), "current" (nothing missing), "duplicate"
-	// (rumor already seen), "self" (own rumor echoed back), or
-	// "unknown-origin" (origin is not a configured peer, nothing to pull
-	// from).
+	// caught up synchronously), "current" (nothing missing), "self" (own
+	// notification echoed back), or "unknown-origin" (origin is not a
+	// configured peer, nothing to pull from).
 	Result string `json:"result"`
 	// Ingested / Skipped count records merged vs. already present during
 	// a synchronous pull.
 	Ingested int64 `json:"ingested"`
 	Skipped  int64 `json:"skipped"`
-	// Relayed is how many peers the rumor was forwarded to.
-	Relayed int `json:"relayed"`
 }
 
 // gossip is the replicator's push-side state.
 type gossip struct {
 	advertise string
-	fanout    int
 	dirty     chan struct{} // append-hook wakeups, capacity 1
 
 	mu sync.Mutex
-	// lastAdvertised is the per-segment size already pushed at peers;
-	// the next advertisement carries only segments that grew past it.
-	lastAdvertised map[int]int64
-	rumorSeen      map[string]bool
-	rumorFIFO      []string
+	// acked[peer][seq] is the segment size that peer last answered 200
+	// for; a push sends it only the segments that grew past that.
+	acked map[string]map[int]int64
 
 	sent, sendErrors, received atomic.Int64
-	duplicates, unknownOrigin  atomic.Int64
-	pulls, relayed             atomic.Int64
-	hintsRecorded              atomic.Int64
-	hintsDelivered, hintErrors atomic.Int64
-	hintMu                     sync.Mutex // serializes hint-record read-modify-write
+	unknownOrigin, pulls       atomic.Int64
 }
 
-// newGossip sizes the fanout for a fleet of peerCount (>= 1) peers:
-// ceil(log2(peerCount+1)), which is never more than peerCount.
-func newGossip(advertise string, peerCount int) *gossip {
+func newGossip(advertise string) *gossip {
 	return &gossip{
-		advertise:      advertise,
-		fanout:         int(math.Ceil(math.Log2(float64(peerCount + 1)))),
-		dirty:          make(chan struct{}, 1),
-		lastAdvertised: make(map[int]int64),
-		rumorSeen:      make(map[string]bool),
+		advertise: advertise,
+		dirty:     make(chan struct{}, 1),
+		acked:     make(map[string]map[int]int64),
+	}
+}
+
+// delta returns the manifest segments that grew past peer's acknowledged
+// positions, forgetting positions of segments compaction folded away
+// (mirroring the pull loop's stale-cursor cleanup). Callers hold g.mu.
+func (g *gossip) delta(peer string, manifest []store.SegmentInfo) []store.SegmentInfo {
+	acked := g.acked[peer]
+	if acked == nil {
+		acked = make(map[int]int64)
+		g.acked[peer] = acked
+	}
+	live := make(map[int]bool, len(manifest))
+	var out []store.SegmentInfo
+	for _, seg := range manifest {
+		live[seg.Seq] = true
+		if seg.Size > acked[seg.Seq] {
+			out = append(out, seg)
+		}
+	}
+	for seq := range acked {
+		if !live[seq] {
+			delete(acked, seq)
+		}
+	}
+	return out
+}
+
+// ack advances peer's acknowledged positions to segs.
+func (g *gossip) ack(peer string, segs []store.SegmentInfo) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	acked := g.acked[peer]
+	for _, seg := range segs {
+		if seg.Size > acked[seg.Seq] {
+			acked[seg.Seq] = seg.Size
+		}
 	}
 }
 
@@ -147,7 +147,7 @@ func (r *Replicator) startGossip(ctx context.Context) <-chan struct{} {
 	r.st.SetAppendHook(func() {
 		select {
 		case r.g.dirty <- struct{}{}:
-		default: // a wakeup is already pending; the delta is cumulative
+		default: // a wakeup is already pending; the push is cumulative
 		}
 	})
 	go func() {
@@ -177,25 +177,59 @@ func (r *Replicator) startGossip(ctx context.Context) <-chan struct{} {
 	return done
 }
 
-// AdvertiseNow flushes the store and pushes the not-yet-advertised
-// segment delta at fanout random peers. It is a no-op when nothing grew
-// since the last successful advertisement. Exposed for hinted handoff
-// and tests; the notifier loop is the normal caller.
+// AdvertiseNow pushes every peer except this node itself the segment
+// positions it has not acknowledged yet (see push); peers that are
+// current are skipped. The notifier loop is the normal caller; tests and
+// drills call it to push synchronously.
+func (r *Replicator) AdvertiseNow(ctx context.Context) error {
+	if r.g == nil {
+		return ErrGossipDisabled
+	}
+	targets := make([]string, 0, len(r.peers))
+	for _, p := range r.peers {
+		if p.name != r.g.advertise {
+			targets = append(targets, p.name)
+		}
+	}
+	return r.push(ctx, targets)
+}
+
+// PushTo runs the push for one peer in the background — dispatch calls it
+// when a probe sees that peer recover, so the peer pulls what it missed
+// while it was down instead of waiting for its next pull round. Names
+// that are not configured peers, and pull-only replicators, are ignored.
+func (r *Replicator) PushTo(name string) {
+	if r.g == nil {
+		return
+	}
+	p := r.peerByName(peer.Normalize(name))
+	if p == nil || p.name == r.g.advertise {
+		return
+	}
+	go func() {
+		if err := r.push(context.Background(), []string{p.name}); err != nil {
+			r.logff("replicate: push to recovered peer %s: %v", p.name, err)
+		}
+	}()
+}
+
+// push flushes the store and sends each of peers, concurrently, the
+// manifest segments that grew past the positions that peer acknowledged.
+// A peer's positions advance only on a 200, so one that missed a push
+// gets the whole gap next time. The returned error joins the per-peer
+// failures.
 //
-// The advertisement runs under its own trace span (a fresh trace unless
-// the caller's ctx already carries one), and the minted context flows
-// into every notify POST — so the receivers' server spans, their relay
-// pulls, and the relays' receivers all correlate under one trace ID.
-func (r *Replicator) AdvertiseNow(ctx context.Context) (err error) {
+// The push runs under its own trace span (a fresh trace unless the
+// caller's ctx already carries one), and the context flows into every
+// notify POST, so the receivers' server spans and their pulls correlate
+// under one trace ID.
+func (r *Replicator) push(ctx context.Context, peers []string) (err error) {
 	ctx, span := r.tracer.StartSpan(ctx, "gossip.advertise")
 	defer func() { span.End(err) }()
 	g := r.g
-	if g == nil {
-		return ErrGossipDisabled
-	}
 	// Flush first: peers pull through ReadSegmentAt, which only serves
-	// written bytes — and a rumor must never advertise positions the
-	// origin cannot back with durable data.
+	// written bytes — and a push must never advertise positions the origin
+	// cannot back with durable data.
 	if err := r.st.Flush(); err != nil {
 		return err
 	}
@@ -203,141 +237,46 @@ func (r *Replicator) AdvertiseNow(ctx context.Context) (err error) {
 	if err != nil {
 		return err
 	}
+	deltas := make(map[string][]store.SegmentInfo, len(peers))
+	var targets []string
 	g.mu.Lock()
-	var delta []store.SegmentInfo
-	live := make(map[int]bool, len(manifest))
-	for _, seg := range manifest {
-		live[seg.Seq] = true
-		if seg.Size > g.lastAdvertised[seg.Seq] {
-			delta = append(delta, seg)
-		}
-	}
-	// Forget positions for segments compaction folded away, mirroring the
-	// pull loop's stale-cursor cleanup.
-	for seq := range g.lastAdvertised {
-		if !live[seq] {
-			delete(g.lastAdvertised, seq)
+	for _, name := range peers {
+		if d := g.delta(name, manifest); len(d) > 0 {
+			deltas[name] = d
+			targets = append(targets, name)
 		}
 	}
 	g.mu.Unlock()
-	if len(delta) == 0 {
+	if len(targets) == 0 {
 		return nil
 	}
-	sort.Slice(delta, func(i, j int) bool { return delta[i].Seq < delta[j].Seq })
-	n := Notification{Origin: g.advertise, TTL: DefaultGossipTTL, Segments: delta}
-	targets := r.pickTargets(g.fanout, g.advertise)
-	ok := r.sendNotify(ctx, n, targets)
-	span.SetAttr("segments", strconv.Itoa(len(delta)))
-	span.SetAttr("sent", strconv.Itoa(ok))
-	if ok == 0 && len(targets) > 0 {
-		// Leave lastAdvertised untouched: the next wakeup (or the next
-		// commit) re-advertises the whole delta, so a total push outage
-		// degrades to pull-only instead of silently dropping ranges.
-		return fmt.Errorf("replicate: gossip: notify failed for all %d peer(s)", len(targets))
-	}
-	g.mu.Lock()
-	for _, seg := range delta {
-		if seg.Size > g.lastAdvertised[seg.Seq] {
-			g.lastAdvertised[seg.Seq] = seg.Size
-		}
-	}
-	g.mu.Unlock()
-	return nil
-}
-
-// pickTargets draws up to fanout distinct random peers, excluding any
-// whose normalized name appears in exclude.
-func (r *Replicator) pickTargets(fanout int, exclude ...string) []string {
-	skip := make(map[string]bool, len(exclude))
-	for _, e := range exclude {
-		skip[e] = true
-	}
-	var pool []string
-	for _, p := range r.peers {
-		if !skip[p.name] {
-			pool = append(pool, p.name)
-		}
-	}
-	rand.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
-	if len(pool) > fanout {
-		pool = pool[:fanout]
-	}
-	return pool
-}
-
-// sendNotify posts n at every target concurrently and returns how many
-// accepted it.
-func (r *Replicator) sendNotify(ctx context.Context, n Notification, targets []string) (ok int) {
 	errs := peer.Each(ctx, targets, len(targets), notifyTimeout, func(sctx context.Context, name string) error {
-		return r.postNotify(sctx, name, n)
+		return r.postNotify(sctx, name, Notification{Origin: g.advertise, Segments: deltas[name]})
 	})
-	for i, err := range errs {
-		if err != nil {
-			r.g.sendErrors.Add(1)
-			// A peer that cannot be told about new data may be
-			// partitioned from us; the pull loop is the repair path.
+	var failed []error
+	for i, name := range targets {
+		if errs[i] != nil {
+			g.sendErrors.Add(1)
+			// A peer that cannot be told about new data may be partitioned
+			// from us; its positions stay put, so the next push (or the
+			// pull loop) covers the gap.
 			r.journal.Emit("replicate", "partition_suspected", obs.SevWarn, traceIDFrom(ctx),
-				"peer", targets[i], "error", err.Error())
-			r.logff("replicate: gossip: notify %s: %v", targets[i], err)
+				"peer", name, "error", errs[i].Error())
+			failed = append(failed, fmt.Errorf("notify %s: %w", name, errs[i]))
 			continue
 		}
-		r.g.sent.Add(1)
-		ok++
+		g.sent.Add(1)
+		g.ack(name, deltas[name])
 	}
-	return ok
+	span.SetAttr("peers", strconv.Itoa(len(targets)))
+	span.SetAttr("sent", strconv.Itoa(len(targets)-len(failed)))
+	return errors.Join(failed...)
 }
 
-// rumorID canonically names one advertisement: same origin + same
-// positions = same rumor, regardless of which peer relayed it or how the
-// origin URL was spelled.
-func rumorID(origin string, segs []store.SegmentInfo) string {
-	parts := make([]string, 0, len(segs)+1)
-	parts = append(parts, origin)
-	sorted := append([]store.SegmentInfo(nil), segs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Seq < sorted[j].Seq })
-	for _, s := range sorted {
-		parts = append(parts, strconv.Itoa(s.Seq)+":"+strconv.FormatInt(s.Size, 10))
-	}
-	return strings.Join(parts, "|")
-}
-
-// markRumor records id as seen, evicting the oldest entry past the cap.
-// It returns false when the rumor was already known.
-func (g *gossip) markRumor(id string) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.rumorSeen[id] {
-		return false
-	}
-	g.rumorSeen[id] = true
-	g.rumorFIFO = append(g.rumorFIFO, id)
-	if len(g.rumorFIFO) > rumorDedupCap {
-		delete(g.rumorSeen, g.rumorFIFO[0])
-		g.rumorFIFO = g.rumorFIFO[1:]
-	}
-	return true
-}
-
-// unmarkRumor forgets id, so a rumor whose pull failed can be accepted
-// again on retry instead of being deduped into a hole until the next
-// pull round.
-func (g *gossip) unmarkRumor(id string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	delete(g.rumorSeen, id)
-	for i, v := range g.rumorFIFO {
-		if v == id {
-			g.rumorFIFO = append(g.rumorFIFO[:i], g.rumorFIFO[i+1:]...)
-			break
-		}
-	}
-}
-
-// HandleNotify is the receiver side of a rumor: dedup it, pull the
-// advertised range from the origin synchronously (so the sender's POST
-// returning means the data moved), then relay it onward with TTL-1.
-// The pull shares the round mutex with the periodic loop, so cursors
-// never race.
+// HandleNotify is the receiver side of a push: pull the advertised range
+// from the origin synchronously (so the sender's POST returning means the
+// data moved). It never forwards the notification. The pull shares the
+// round mutex with the periodic loop, so cursors never race.
 func (r *Replicator) HandleNotify(ctx context.Context, n Notification) (NotifyOutcome, error) {
 	ctx, span := r.tracer.StartSpan(ctx, "gossip.notify")
 	out, err := r.handleNotify(ctx, n)
@@ -362,23 +301,16 @@ func (r *Replicator) handleNotify(ctx context.Context, n Notification) (NotifyOu
 		out.Result = "self"
 		return out, nil
 	}
-	id := rumorID(origin, n.Segments)
-	if !g.markRumor(id) {
-		g.duplicates.Add(1)
-		out.Result = "duplicate"
-		return out, nil
-	}
 	p := r.peerByName(origin)
 	if p == nil {
-		// Nothing to pull from (no cursor namespace for a stranger) and
-		// nothing worth relaying: peers we cannot verify would spread
-		// unverifiable rumors.
+		// Nothing to pull from: no cursor namespace for a stranger.
 		g.unknownOrigin.Add(1)
 		out.Result = "unknown-origin"
 		return out, nil
 	}
 
 	r.syncMu.Lock()
+	defer r.syncMu.Unlock()
 	cursor := p.loadCursor(r.st)
 	behind := false
 	for _, seg := range n.Segments {
@@ -387,88 +319,60 @@ func (r *Replicator) handleNotify(ctx context.Context, n Notification) (NotifyOu
 			break
 		}
 	}
-	var res pullResult
-	var pullErr error
-	if behind {
-		g.pulls.Add(1)
-		res, pullErr = r.pullSegments(ctx, p, n.Segments, cursor)
-		if res.segsPulled > 0 {
-			// Cursor strictly after the data, as everywhere else.
-			r.st.PutMeta(cursorMetaPrefix+p.name, store.MarshalCursor(cursor))
-			if err := r.st.Flush(); err != nil && pullErr == nil {
-				pullErr = err
-			}
-		}
-		p.mu.Lock()
-		p.cursor = cursor
-		p.ingested += res.ingested
-		p.skipped += res.skipped
-		p.bytesFetched += res.fetched
-		p.segsPulled += res.segsPulled
-		if pullErr != nil {
-			p.lastErr = pullErr.Error()
-		}
-		p.mu.Unlock()
-	}
-	r.syncMu.Unlock()
-	if pullErr != nil {
-		// Forget the rumor so a re-send retries the pull instead of
-		// deduping into a gap the repair loop would have to fill.
-		g.unmarkRumor(id)
-		return out, pullErr
-	}
-	out.Ingested, out.Skipped = res.ingested, res.skipped
-	if behind {
-		out.Result = "pulled"
-	} else {
+	if !behind {
 		out.Result = "current"
+		return out, nil
 	}
-
-	ttl := n.TTL
-	if ttl > maxGossipTTL {
-		ttl = maxGossipTTL
-	}
-	if ttl > 1 {
-		targets := r.pickTargets(g.fanout, origin, g.advertise)
-		if len(targets) > 0 {
-			out.Relayed = len(targets)
-			g.relayed.Add(int64(len(targets)))
-			relay := Notification{Origin: origin, TTL: ttl - 1, Segments: n.Segments}
-			// Detached: the sender's POST must not wait for the next hop;
-			// sendNotify bounds each send with notifyTimeout. The trace
-			// context survives the detach so relay hops stay correlated
-			// under the originating advertisement's trace ID.
-			go r.sendNotify(context.WithoutCancel(ctx), relay, targets)
+	g.pulls.Add(1)
+	res, err := r.pullSegments(ctx, p, n.Segments, cursor)
+	if res.segsPulled > 0 {
+		// Cursor strictly after the data, as everywhere else.
+		r.st.PutMeta(cursorMetaPrefix+p.name, store.MarshalCursor(cursor))
+		if ferr := r.st.Flush(); ferr != nil && err == nil {
+			err = ferr
 		}
 	}
+	p.mu.Lock()
+	p.cursor = cursor
+	p.ingested += res.ingested
+	p.skipped += res.skipped
+	p.bytesFetched += res.fetched
+	p.segsPulled += res.segsPulled
+	healed := err == nil && p.lastErr != ""
+	if err != nil {
+		p.lastErr = err.Error()
+	} else {
+		// A clean pull is as good a verdict on the peer as a clean round:
+		// without this, one failed notify pull would hide it from
+		// SyncedPeers until the next pull round, which may be hours away.
+		p.lastErr = ""
+	}
+	p.mu.Unlock()
+	if healed {
+		r.journal.Emit("replicate", "cursor_heal", obs.SevInfo, traceIDFrom(ctx), "peer", p.name)
+	}
+	if err != nil {
+		return out, err
+	}
+	out.Result = "pulled"
+	out.Ingested, out.Skipped = res.ingested, res.skipped
 	return out, nil
 }
 
 // GossipStats is the push side's observable state, folded into Stats.
 type GossipStats struct {
-	// Advertise is the origin URL stamped on this node's rumors.
+	// Advertise is the origin URL stamped on this node's notifications.
 	Advertise string `json:"advertise"`
-	Fanout    int    `json:"fanout"`
-	TTL       int    `json:"ttl"`
-	// RumorsSent counts accepted outbound notifications (originated and
-	// relayed); SendErrors counts rejected or unreachable ones.
+	// RumorsSent counts notifications peers accepted; SendErrors counts
+	// rejected or unreachable ones.
 	RumorsSent int64 `json:"rumorsSent"`
 	SendErrors int64 `json:"sendErrors"`
-	// RumorsReceived counts inbound notifications before dedup.
+	// RumorsReceived counts inbound notifications.
 	RumorsReceived int64 `json:"rumorsReceived"`
-	Duplicates     int64 `json:"duplicates"`
 	UnknownOrigin  int64 `json:"unknownOrigin"`
-	// PullsTriggered counts rumors that found this node behind and
+	// PullsTriggered counts notifications that found this node behind and
 	// triggered a synchronous catch-up pull.
 	PullsTriggered int64 `json:"pullsTriggered"`
-	// Relayed counts onward forwards of fresh rumors.
-	Relayed int64 `json:"relayed"`
-	// HintsRecorded / HintsDelivered count hinted-handoff writes and
-	// successful deliveries to recovered owners; HintErrors counts
-	// failed delivery attempts (retried on the owner's next recovery).
-	HintsRecorded  int64 `json:"hintsRecorded"`
-	HintsDelivered int64 `json:"hintsDelivered"`
-	HintErrors     int64 `json:"hintErrors"`
 }
 
 // gossipStats snapshots the gossip counters (nil when gossip is off).
@@ -479,104 +383,10 @@ func (r *Replicator) gossipStats() *GossipStats {
 	}
 	return &GossipStats{
 		Advertise:      g.advertise,
-		Fanout:         g.fanout,
-		TTL:            DefaultGossipTTL,
 		RumorsSent:     g.sent.Load(),
 		SendErrors:     g.sendErrors.Load(),
 		RumorsReceived: g.received.Load(),
-		Duplicates:     g.duplicates.Load(),
 		UnknownOrigin:  g.unknownOrigin.Load(),
 		PullsTriggered: g.pulls.Load(),
-		Relayed:        g.relayed.Load(),
-		HintsRecorded:  g.hintsRecorded.Load(),
-		HintsDelivered: g.hintsDelivered.Load(),
-		HintErrors:     g.hintErrors.Load(),
 	}
-}
-
-// hintValue is the durable hint record body: which signatures the owner
-// missed while it was down. Delivery pushes the full manifest (cursor
-// comparison on the owner's side pulls only what it lacks), so the
-// signature list is operator color, not the transfer unit.
-type hintValue struct {
-	Signatures []string `json:"signatures"`
-}
-
-// RecordHint durably notes that owner — a ring peer, by base URL — was
-// unavailable when this node committed the result for signature, so the
-// owner is missing a key it should serve warm. Implements dispatch's
-// Hints seam. Hints are written through the store's ordered log as meta
-// records; they never replicate (Ingest skips meta), so each node only
-// delivers what it witnessed.
-func (r *Replicator) RecordHint(owner, signature string) {
-	g := r.g
-	if g == nil {
-		return
-	}
-	owner = peer.Normalize(owner)
-	if owner == "" {
-		return
-	}
-	g.hintMu.Lock()
-	defer g.hintMu.Unlock()
-	var hv hintValue
-	if val, ok := r.st.GetMeta(handoffMetaPrefix + owner); ok {
-		_ = json.Unmarshal(val, &hv)
-	}
-	for _, s := range hv.Signatures {
-		if s == signature {
-			return // already hinted; no extra log traffic
-		}
-	}
-	if len(hv.Signatures) < maxHintSignatures {
-		hv.Signatures = append(hv.Signatures, signature)
-	}
-	data, _ := json.Marshal(hv)
-	r.st.PutMeta(handoffMetaPrefix+owner, data)
-	g.hintsRecorded.Add(1)
-}
-
-// DeliverHints checks for a pending hint against owner and, if one
-// exists, pushes this node's full manifest at it as one direct TTL-1
-// notification — the owner's cursor comparison pulls exactly the backlog
-// it missed. Called by dispatch when a probe sees the owner healthy
-// again; the delivery runs detached so the probing job is never blocked
-// on it. Implements dispatch's Hints seam.
-func (r *Replicator) DeliverHints(owner string) {
-	g := r.g
-	if g == nil {
-		return
-	}
-	owner = peer.Normalize(owner)
-	g.hintMu.Lock()
-	val, ok := r.st.GetMeta(handoffMetaPrefix + owner)
-	g.hintMu.Unlock()
-	var hv hintValue
-	if !ok || json.Unmarshal(val, &hv) != nil || len(hv.Signatures) == 0 {
-		return
-	}
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), notifyTimeout)
-		defer cancel()
-		if err := r.st.Flush(); err != nil {
-			g.hintErrors.Add(1)
-			return
-		}
-		manifest, err := r.st.Manifest()
-		if err != nil || len(manifest) == 0 {
-			g.hintErrors.Add(1)
-			return
-		}
-		n := Notification{Origin: g.advertise, TTL: 1, Segments: manifest}
-		if err := r.postNotify(ctx, owner, n); err != nil {
-			g.hintErrors.Add(1)
-			r.logff("replicate: handoff to %s failed (kept for next recovery): %v", owner, err)
-			return
-		}
-		g.hintMu.Lock()
-		r.st.PutMeta(handoffMetaPrefix+owner, []byte("{}"))
-		g.hintMu.Unlock()
-		g.hintsDelivered.Add(1)
-		r.logff("replicate: delivered handoff hint to recovered owner %s (%d signature(s))", owner, len(hv.Signatures))
-	}()
 }

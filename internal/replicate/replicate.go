@@ -6,12 +6,12 @@
 // ingested yet (GET /v1/replicate/segment/{seq}, resumed from a per-peer
 // cursor persisted in the local store), and merges the fetched frames
 // through store.Ingest — which re-validates every CRC and skips keys that
-// are already live. The push plane is gossip/rumor mongering (see
-// gossip.go): a node that commits payload records advertises the new
-// segment positions at a few random peers (POST /v1/replicate/notify),
-// which pull the delta immediately and relay the rumor onward with a TTL
-// — warm results are fleet-wide in milliseconds while the pull loop,
-// which repairs anything push missed, can tick hourly.
+// are already live. The push plane (see gossip.go): a node that commits
+// or ingests payload records tells every peer the segment positions that
+// peer has not acknowledged yet (POST /v1/replicate/notify), and the peer
+// pulls the delta immediately — warm results are fleet-wide in
+// milliseconds while the pull loop, which repairs anything push missed,
+// can tick hourly.
 //
 // No node coordinates, and any topology that keeps the fleet connected
 // converges every store to the union of all live records. Convergence is
@@ -77,16 +77,14 @@ type Options struct {
 	// Logf, when non-nil, receives operator-facing progress lines.
 	Logf func(format string, args ...any)
 
-	// Advertise, when non-empty, enables push/rumor-mongering gossip and
-	// is the base URL peers reach this node at (it becomes
-	// Notification.Origin, so it must appear in the peers' own Peers
-	// lists, or they will drop the rumor as unknown-origin). With gossip
-	// enabled, Start also installs a store append hook: every committed
-	// payload record wakes the notifier, which advertises the (segment
-	// seq, size, CRC) delta to ceil(log2(len(Peers)+1)) random peers — the
-	// classic epidemic fanout that reaches N nodes in O(log N) hops — with
-	// a hop budget of DefaultGossipTTL; the periodic pull loop remains the
-	// repair path for missed rumors.
+	// Advertise, when non-empty, enables push and is the base URL peers
+	// reach this node at (it becomes Notification.Origin, so it must
+	// appear in the peers' own Peers lists, or they will drop the
+	// notification as unknown-origin). With push enabled, Start also
+	// installs a store append hook: every committed or ingested payload
+	// record wakes the notifier, which sends every peer the (segment seq,
+	// size, CRC) positions that peer has not acknowledged; the periodic
+	// pull loop remains the repair path for anything a push missed.
 	Advertise string
 
 	// Tracer records pull and gossip spans; pass the serving node's
@@ -138,8 +136,8 @@ type Replicator struct {
 	journal  *obs.Journal
 	pullHist *obs.HistogramVec // per-peer pull duration (round slice or notify delta)
 
-	// g is the push/rumor-mongering side; nil when Options.Advertise is
-	// empty (pull-only replicator).
+	// g is the push side; nil when Options.Advertise is empty (pull-only
+	// replicator).
 	g *gossip
 }
 
@@ -180,7 +178,7 @@ func New(opts Options) (*Replicator, error) {
 		r.peers = append(r.peers, &peerState{name: p})
 	}
 	if adv := peer.Normalize(opts.Advertise); adv != "" {
-		r.g = newGossip(adv, len(r.peers))
+		r.g = newGossip(adv)
 	}
 	r.tracer = opts.Tracer
 	r.journal = opts.Journal
@@ -211,14 +209,10 @@ func (r *Replicator) register(reg *obs.Registry) {
 			return float64(n)
 		})
 	if r.g != nil {
-		reg.CounterFunc("javaflow_gossip_rumors_sent_total", "Gossip notifications sent (originated).",
+		reg.CounterFunc("javaflow_gossip_rumors_sent_total", "Push notifications peers accepted.",
 			func() float64 { return float64(r.g.sent.Load()) })
-		reg.CounterFunc("javaflow_gossip_rumors_relayed_total", "Gossip notifications relayed onward.",
-			func() float64 { return float64(r.g.relayed.Load()) })
-		reg.CounterFunc("javaflow_gossip_rumors_received_total", "Gossip notifications received.",
+		reg.CounterFunc("javaflow_gossip_rumors_received_total", "Push notifications received.",
 			func() float64 { return float64(r.g.received.Load()) })
-		reg.CounterFunc("javaflow_gossip_duplicates_total", "Received rumors dropped as duplicates.",
-			func() float64 { return float64(r.g.duplicates.Load()) })
 		reg.CounterFunc("javaflow_gossip_pulls_total", "Delta pulls triggered by notifications.",
 			func() float64 { return float64(r.g.pulls.Load()) })
 	}
@@ -242,10 +236,10 @@ func (r *Replicator) logff(format string, args ...any) {
 
 // Start launches the background sync loop: one round immediately (so a
 // fresh daemon warms up without waiting a full interval), then one per
-// interval. With gossip enabled (Options.Advertise) it also installs the
+// interval. With push enabled (Options.Advertise) it also installs the
 // store append hook and starts the notifier, so every committed payload
-// record — engine run or ingested foreign frame — is pushed at random
-// peers without waiting for their next pull. The returned stop is
+// record — engine run or ingested foreign frame — is pushed at every peer
+// without waiting for its next pull. The returned stop is
 // idempotent and waits for any in-flight round to finish.
 func (r *Replicator) Start() (stop func()) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -527,8 +521,8 @@ type Stats struct {
 	IntervalSeconds float64 `json:"intervalSeconds"`
 	Rounds          int64   `json:"rounds"`
 	RoundErrors     int64   `json:"roundErrors"`
-	// Gossip is the push/rumor-mongering block; absent on pull-only
-	// replicators (Options.Advertise unset).
+	// Gossip is the push block; absent on pull-only replicators
+	// (Options.Advertise unset).
 	Gossip *GossipStats `json:"gossip,omitempty"`
 	Peers  []PeerStats  `json:"peers"`
 }

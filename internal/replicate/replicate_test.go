@@ -69,8 +69,14 @@ type node struct {
 
 func newNode(t *testing.T, methods []*classfile.Method) *node {
 	t.Helper()
+	return newNodeWith(t, methods, store.Options{})
+}
+
+// newNodeWith is newNode over a store opened with opts.
+func newNodeWith(t *testing.T, methods []*classfile.Method, opts store.Options) *node {
+	t.Helper()
 	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{})
+	st, err := store.Open(dir, opts)
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}

@@ -12,7 +12,8 @@ import (
 // ConfigDigest summarizes one configuration's sweep: how many methods ran
 // and a SHA-256 digest over the concatenated MethodRun binary encodings in
 // collection order. Two runs are byte-identical iff their digests match,
-// which is what the CI catalog-equivalence check compares.
+// which is what the catalog-equivalence test
+// (experiments.TestChapter7DigestsMatchSimResults) compares.
 type ConfigDigest struct {
 	Config   string `json:"config"`
 	Methods  int    `json:"methods"`
@@ -34,8 +35,7 @@ func DigestRuns(runs []sim.MethodRun) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// DigestLine renders the stable one-line form shared by `jfbench -scenario`
-// and the legacy `jfbench -sweep-digest` path, so CI can diff the two.
+// DigestLine renders the stable one-line form `jfbench -scenario` prints.
 func (cd ConfigDigest) DigestLine() string {
 	return fmt.Sprintf("digest %s methods=%d skipped=%d timedout=%d sha256=%s",
 		cd.Config, cd.Methods, cd.Skipped, cd.TimedOut, cd.Digest)

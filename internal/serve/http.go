@@ -240,12 +240,14 @@ func NewHandler(svc *Service) http.Handler {
 		writeJSON(w, http.StatusOK, rp.Stats())
 	}))
 
-	// Gossip receiver: a peer advertising freshly committed segment ranges.
-	// The handler pulls the advertised delta synchronously — when the 200
-	// goes out, this node has the data — and relays the rumor onward in the
-	// background. 404 without a gossip-enabled replicator, so senders
-	// account a pull-only peer as a failed send and the fleet still
-	// converges through their pull loops.
+	// Push receiver: a peer advertising segment positions this node has
+	// not acknowledged yet. The handler pulls what it is behind on
+	// synchronously — when the 200 goes out, this node has the data, and
+	// the sender counts those positions as acknowledged. It never forwards
+	// the notification: records reach further nodes because they land in
+	// this node's own log, which it pushes in turn. 404 without a
+	// gossip-enabled replicator, so senders account a pull-only peer as a
+	// failed send and the fleet still converges through their pull loops.
 	mux.HandleFunc("POST /v1/replicate/notify", guard(svc, admit.ClassReplicate, func(w http.ResponseWriter, r *http.Request) {
 		rp := svc.Replicator()
 		if rp == nil || !rp.GossipEnabled() {

@@ -357,22 +357,11 @@ func (s *Scheduler) Sweep(ctx context.Context, configs []sim.Config, methods []*
 // the population on one configuration, skips fabric-rejected methods,
 // filters timeouts, and produces results identical to the serial path.
 func (s *Scheduler) RunAll(ctx context.Context, cfg sim.Config, methods []*classfile.Method) (*sim.ConfigResults, error) {
-	return s.runAllCycles(ctx, cfg, methods, 0)
-}
-
-// RunAllCycles is RunAll with an explicit per-execution mesh-cycle bound
-// overriding the scheduler default (0 keeps the default).
-func (s *Scheduler) RunAllCycles(ctx context.Context, cfg sim.Config, methods []*classfile.Method, maxCycles int) (*sim.ConfigResults, error) {
-	return s.runAllCycles(ctx, cfg, methods, maxCycles)
-}
-
-func (s *Scheduler) runAllCycles(ctx context.Context, cfg sim.Config, methods []*classfile.Method, maxCycles int) (*sim.ConfigResults, error) {
 	jobs := make([]Job, len(methods))
 	for i, m := range methods {
 		jobs[i] = Job{Config: cfg, Method: m}
 	}
-	results := s.RunBatchCycles(ctx, jobs, maxCycles)
-	return CollectRuns(cfg, results)
+	return CollectRuns(cfg, s.RunBatch(ctx, jobs))
 }
 
 // CollectRuns folds ordered per-job results into the ConfigResults shape of

@@ -80,9 +80,6 @@ type Options struct {
 	// MaxSegmentBytes rotates the active segment when it grows past this
 	// (<=0 uses DefaultMaxSegmentBytes).
 	MaxSegmentBytes int64
-	// SyncEveryPut fsyncs after every append instead of only on rotate,
-	// Flush and Close. Durable against power loss, ~100x slower.
-	SyncEveryPut bool
 }
 
 // indexEntry is one live record in memory.
@@ -377,7 +374,7 @@ func (s *Store) writer() {
 			}
 			s.fmu.Unlock()
 		} else if req.rec.typ != recTypeMeta {
-			// Meta records (replication cursors, handoff hints) are
+			// Meta records (replication cursors) are
 			// node-local bookkeeping — advertising them would make every
 			// cursor write gossip about itself.
 			if fn := s.appendHook.Load(); fn != nil {
@@ -436,9 +433,6 @@ func (s *Store) appendToDisk(rec record) error {
 			s.segCount++
 		}
 		return err
-	}
-	if s.opts.SyncEveryPut {
-		return s.active.Sync()
 	}
 	return nil
 }
