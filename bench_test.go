@@ -317,107 +317,6 @@ func BenchmarkStoreSweep(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineRun pits the event-driven engine core against the
-// reference clock-by-clock loop on the slowest named workload method (by
-// simulated mesh cycles on the tightest serial budget). All sub-benches
-// execute the identical resolved deployment; the differential tests prove
-// the results byte-identical, so the delta is pure loop mechanics. "event"
-// is the path the service runs — one engine, Reset per run, as the pooled
-// Runner.RunResolved does — and "fresh" the same loop on a new engine per
-// run, so the gap between the two is what reuse buys. CI guards the event
-// core at ≥5x fewer ns/op and allocs/op than the reference. "lap" is the
-// repository benchmark's lap in-process — 800 corpus methods on every
-// configuration through Runner.RunResolved, deployments resolved outside
-// the timer — reporting ns and dequeued queue entries per job; tracked,
-// not gated.
-func BenchmarkEngineRun(b *testing.B) {
-	cfg := benchConfig(b, "Compact2")
-	const maxCycles = 400_000
-
-	var slowRes *fabric.Resolution
-	slowCycles := 0
-	slowSig := ""
-	for _, m := range workload.NamedMethods() {
-		res, err := sim.DeployMethod(cfg, m)
-		if err != nil {
-			continue
-		}
-		eng := sim.NewEngine(cfg, res, sim.BP1)
-		eng.SetMaxCycles(maxCycles)
-		r, err := eng.Run()
-		if err != nil || r.TimedOut {
-			continue
-		}
-		if r.MeshCycles > slowCycles {
-			slowCycles, slowRes, slowSig = r.MeshCycles, res, m.Signature()
-		}
-	}
-	if slowRes == nil {
-		b.Fatal("no runnable named method")
-	}
-	b.Logf("slowest method: %s (%d mesh cycles on %s)", slowSig, slowCycles, cfg.Name)
-
-	b.Run("event", func(b *testing.B) {
-		b.ReportAllocs()
-		eng := sim.NewEngine(cfg, slowRes, sim.BP1)
-		for i := 0; i < b.N; i++ {
-			eng.Reset(cfg, slowRes, sim.BP1)
-			eng.SetMaxCycles(maxCycles)
-			if _, err := eng.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			eng := sim.NewEngine(cfg, slowRes, sim.BP1)
-			eng.SetMaxCycles(maxCycles)
-			if _, err := eng.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			eng := sim.NewEngine(cfg, slowRes, sim.BP1)
-			eng.SetMaxCycles(maxCycles)
-			if _, err := eng.RunReference(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("lap", func(b *testing.B) {
-		type job struct {
-			cfg sim.Config
-			res *fabric.Resolution
-		}
-		var jobs []job
-		for _, c := range sim.Configurations() {
-			for _, m := range workload.Corpus(2014, 1580)[:800] {
-				if res, err := sim.DeployMethod(c, m); err == nil {
-					jobs = append(jobs, job{c, res})
-				}
-			}
-		}
-		runner := &sim.Runner{MaxMeshCycles: maxCycles}
-		b.ReportAllocs()
-		b.ResetTimer()
-		before := sim.TotalEngineStats()
-		for i := 0; i < b.N; i++ {
-			for _, j := range jobs {
-				if _, err := runner.RunResolved(j.cfg, j.res); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		n := float64(b.N * len(jobs))
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/job")
-		b.ReportMetric(float64(sim.TotalEngineStats().Delivered-before.Delivered)/n, "dequeued/job")
-	})
-}
-
 // BenchmarkWarmRun measures what a store hit costs inside the daemon's own
 // handler: POST /v1/run through serve.NewHandler on a store-backed stack
 // whose every (method, configuration) result is already persisted, so the
@@ -455,17 +354,6 @@ func BenchmarkWarmRun(b *testing.B) {
 			b.Fatalf("warm run: status %d", code)
 		}
 	}
-}
-
-func benchConfig(b *testing.B, name string) sim.Config {
-	b.Helper()
-	for _, cfg := range sim.Configurations() {
-		if cfg.Name == name {
-			return cfg
-		}
-	}
-	b.Fatalf("no config %s", name)
-	return sim.Config{}
 }
 
 // BenchmarkDeployPipeline isolates the work the cache saves: the verify +

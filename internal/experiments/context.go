@@ -8,7 +8,8 @@
 // The load-bearing invariant: every sweep routes through the same
 // serve.Scheduler/collect path the daemon uses — never a private engine
 // loop — so scenario-keyed, dispatched, replicated and legacy sweeps all
-// produce byte-identical digests (CI diffs them).
+// produce byte-identical digests (TestChapter7DigestsMatchSimResults
+// compares them).
 package experiments
 
 import (

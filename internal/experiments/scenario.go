@@ -32,9 +32,9 @@ import (
 // RunScenario executes a resolved scenario bundle end to end: the sweep tier
 // runs the resolved methods × configurations through the context's
 // BatchRunner — the exact code path SimResults uses, so catalog entries stay
-// byte-identical to the legacy hard-coded sweeps — then the oracle tier (if
-// any) and each scheduled fault, interpreted by the chaos harness against
-// real dispatch/replicate/store instances.
+// byte-identical to the legacy hard-coded sweeps — then each scheduled
+// fault, interpreted by the chaos harness against real
+// dispatch/replicate/store instances.
 func (c *Context) RunScenario(res *scenario.Resolved) (*scenario.Report, error) {
 	b := res.Bundle
 	rep := &scenario.Report{Scenario: b.Name, Tier: b.Tier}
@@ -63,14 +63,6 @@ func (c *Context) RunScenario(res *scenario.Resolved) (*scenario.Report, error) 
 				Skipped: cr.Skipped, TimedOut: cr.TimedOut, Digest: digest,
 			})
 		}
-	}
-
-	if b.Oracle != nil {
-		or, err := scenario.RunOracle(*b.Oracle)
-		if err != nil {
-			return nil, err
-		}
-		rep.Oracle = or
 	}
 
 	for _, f := range b.Faults {

@@ -8,7 +8,6 @@ import (
 	"javaflow/internal/report"
 	"javaflow/internal/sim"
 	"javaflow/internal/stats"
-	"javaflow/internal/workload"
 )
 
 const summaryHeader = "Mean/StdDev/Median/Max/Min"
@@ -461,5 +460,3 @@ func (c *Context) TableByNumber(n int) (*report.Table, error) {
 	}
 	return f()
 }
-
-var _ = workload.NamedMethods // keep import symmetry with ch5 tables

@@ -141,7 +141,7 @@ func (r *Registry) LoadFile(path string) (*Bundle, error) {
 
 // Catalog returns the built-in bundles: every existing hard-coded suite
 // sweep re-expressed as data (byte-identical results to the legacy paths),
-// plus the adversarial oracle and chaos-fleet tiers.
+// plus the adversarial overload and chaos-fleet drills.
 func Catalog() []*Bundle {
 	return []*Bundle{
 		{
@@ -176,16 +176,6 @@ func Catalog() []*Bundle {
 			Description: "The SPECjvm98 analog roster (_209_db, _222_mpegaudio, _202_jess, _227_mtrt, _228_jack, _201_compress).",
 			Tier:        TierStandard,
 			Workload:    WorkloadSpec{Suites: []string{"era:SpecJvm98"}},
-		},
-		{
-			Name:        "adversarial-oracle",
-			Description: "Property-generated bytecode corpus pushed through both engine loops (event-driven vs reference) with folding and a quiesce window; any divergence fails the tier.",
-			Tier:        TierAdversarial,
-			Workload:    WorkloadSpec{},
-			Oracle: &OracleSpec{
-				Seed: 9, Count: 16, MaxCycles: 60_000,
-				Folding: true, QuiesceAt: 64, QuiesceFor: 700,
-			},
 		},
 		{
 			Name:        "overload",

@@ -41,16 +41,6 @@ func (cd ConfigDigest) DigestLine() string {
 		cd.Config, cd.Methods, cd.Skipped, cd.TimedOut, cd.Digest)
 }
 
-// OracleReport summarizes a differential-oracle tier.
-type OracleReport struct {
-	Cells      int  `json:"cells"`
-	Skipped    int  `json:"skipped"` // load-ineligible (method, config) pairs
-	Mismatches int  `json:"mismatches"`
-	Passed     bool `json:"passed"`
-	// Detail carries the first divergence, for debugging.
-	Detail string `json:"detail,omitempty"`
-}
-
 // FaultOutcome records one interpreted fault-schedule entry.
 type FaultOutcome struct {
 	Kind FaultKind `json:"kind"`
@@ -74,7 +64,6 @@ type Report struct {
 	Scenario string         `json:"scenario"`
 	Tier     Tier           `json:"tier"`
 	Configs  []ConfigDigest `json:"configs,omitempty"`
-	Oracle   *OracleReport  `json:"oracle,omitempty"`
 	Faults   []FaultOutcome `json:"faults,omitempty"`
 	Tiers    []TierResult   `json:"tiers"`
 	Passed   bool           `json:"passed"`
@@ -90,14 +79,6 @@ func (r *Report) Finish() {
 			Name: "sweep", Passed: true,
 			Detail: fmt.Sprintf("%d configuration(s)", len(r.Configs)),
 		})
-	}
-	if r.Oracle != nil {
-		tr := TierResult{Name: "oracle", Passed: r.Oracle.Passed,
-			Detail: fmt.Sprintf("%d cells, %d mismatches", r.Oracle.Cells, r.Oracle.Mismatches)}
-		if !tr.Passed {
-			r.Passed = false
-		}
-		r.Tiers = append(r.Tiers, tr)
 	}
 	if len(r.Faults) > 0 {
 		ok := true
@@ -120,13 +101,6 @@ func (r *Report) Render() string {
 	fmt.Fprintf(&b, "scenario %s (tier %s)\n", r.Scenario, r.Tier)
 	for _, cd := range r.Configs {
 		fmt.Fprintf(&b, "  %s\n", cd.DigestLine())
-	}
-	if o := r.Oracle; o != nil {
-		fmt.Fprintf(&b, "  oracle cells=%d skipped=%d mismatches=%d %s\n",
-			o.Cells, o.Skipped, o.Mismatches, passFail(o.Passed))
-		if o.Detail != "" {
-			fmt.Fprintf(&b, "    first divergence: %s\n", o.Detail)
-		}
 	}
 	for _, f := range r.Faults {
 		fmt.Fprintf(&b, "  fault %-18s injected=%v recovered=%v %s\n",

@@ -19,7 +19,7 @@ import (
 
 // Tier grades a scenario's difficulty, after the honeycomb-style
 // scenario/difficulty split: standard scenarios measure, adversarial ones
-// also try to break the system (fault schedules, differential oracles).
+// also try to break the system (fault schedules).
 type Tier string
 
 const (
@@ -112,24 +112,6 @@ type WorkloadSpec struct {
 	Generated *GenSpec `json:"generated,omitempty"`
 }
 
-// OracleSpec configures a differential-oracle tier: a property-generated
-// bytecode corpus pushed through both engine loops (Engine.Run vs
-// Engine.RunReference), which must agree exactly.
-type OracleSpec struct {
-	Seed  int64 `json:"seed"`
-	Count int   `json:"count"`
-	// Configs limits the fabric geometries (default: all).
-	Configs []string `json:"configs,omitempty"`
-	// MaxCycles bounds each engine run (default 60000).
-	MaxCycles int `json:"maxCycles,omitempty"`
-	// Folding enables transfer folding on both loops.
-	Folding bool `json:"folding,omitempty"`
-	// QuiesceAt/QuiesceFor schedule a clock-quiesce window (disabled when
-	// QuiesceFor is 0).
-	QuiesceAt  int `json:"quiesceAt,omitempty"`
-	QuiesceFor int `json:"quiesceFor,omitempty"`
-}
-
 // Bundle is one named scenario: everything needed to reproduce a run.
 type Bundle struct {
 	Name        string       `json:"name"`
@@ -141,8 +123,6 @@ type Bundle struct {
 	Configs []string `json:"configs,omitempty"`
 	// MaxMeshCycles bounds each simulated run (0 = resolver default).
 	MaxMeshCycles int `json:"maxMeshCycles,omitempty"`
-	// Oracle, when set, adds a differential-oracle tier.
-	Oracle *OracleSpec `json:"oracle,omitempty"`
 	// Faults is the chaos schedule, interpreted by the harness.
 	Faults []Fault `json:"faults,omitempty"`
 }
@@ -163,7 +143,7 @@ func (b *Bundle) invalid(format string, args ...any) error {
 
 // Validate checks the bundle against the catalog's invariants: known
 // selectors, known fault kinds with sane parameters, and tier consistency
-// (fault schedules and oracles are adversarial machinery).
+// (fault schedules are adversarial machinery).
 func (b *Bundle) Validate() error {
 	if b.Name == "" {
 		return b.invalid("name must be non-empty")
@@ -173,8 +153,8 @@ func (b *Bundle) Validate() error {
 	default:
 		return b.invalid("unknown tier %q (want %q or %q)", b.Tier, TierStandard, TierAdversarial)
 	}
-	if len(b.Workload.Suites) == 0 && b.Workload.Generated == nil && b.Oracle == nil {
-		return b.invalid("empty workload: select suites, a generated corpus, or an oracle")
+	if len(b.Workload.Suites) == 0 && b.Workload.Generated == nil {
+		return b.invalid("empty workload: select suites or a generated corpus")
 	}
 	for _, sel := range b.Workload.Suites {
 		if _, err := suiteSelection(sel); err != nil {
@@ -189,20 +169,6 @@ func (b *Bundle) Validate() error {
 	}
 	if b.MaxMeshCycles < 0 {
 		return b.invalid("maxMeshCycles must be >= 0, got %d", b.MaxMeshCycles)
-	}
-	if o := b.Oracle; o != nil {
-		if b.Tier != TierAdversarial {
-			return b.invalid("oracle tiers require tier %q", TierAdversarial)
-		}
-		if o.Count <= 0 {
-			return b.invalid("oracle count must be > 0, got %d", o.Count)
-		}
-		if o.MaxCycles < 0 || o.QuiesceAt < 0 || o.QuiesceFor < 0 {
-			return b.invalid("oracle cycle bounds must be >= 0")
-		}
-		if _, err := configsByName(o.Configs); err != nil {
-			return b.invalid("oracle: %v", err)
-		}
 	}
 	if len(b.Faults) > 0 && b.Tier != TierAdversarial {
 		return b.invalid("fault schedules require tier %q", TierAdversarial)

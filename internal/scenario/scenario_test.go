@@ -44,8 +44,7 @@ func TestCatalogResolves(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		b, _ := reg.Get(name)
-		if len(res.Methods) == 0 && b.Oracle == nil {
+		if len(res.Methods) == 0 {
 			t.Fatalf("%s: resolved to an empty workload", name)
 		}
 		if len(res.Configs) == 0 {
@@ -164,12 +163,6 @@ func TestValidationErrors(t *testing.T) {
 			want: "fault schedules require tier",
 		},
 		{
-			label: "oracle without adversarial tier",
-			bundle: scenario.Bundle{Name: "x", Tier: scenario.TierStandard,
-				Oracle: &scenario.OracleSpec{Seed: 1, Count: 4}},
-			want: "oracle tiers require tier",
-		},
-		{
 			label: "unknown fault kind",
 			bundle: scenario.Bundle{Name: "x", Tier: scenario.TierAdversarial,
 				Workload: scenario.WorkloadSpec{Suites: []string{"named"}},
@@ -190,12 +183,6 @@ func TestValidationErrors(t *testing.T) {
 				MaxMeshCycles: -1},
 			want: "maxMeshCycles must be >= 0",
 		},
-		{
-			label: "zero oracle count",
-			bundle: scenario.Bundle{Name: "x", Tier: scenario.TierAdversarial,
-				Oracle: &scenario.OracleSpec{Seed: 1}},
-			want: "oracle count must be > 0",
-		},
 	}
 	for _, tc := range cases {
 		err := tc.bundle.Validate()
@@ -210,11 +197,18 @@ func TestValidationErrors(t *testing.T) {
 }
 
 // TestParseBundleRejectsUnknownFields: typos in user scenario files must fail
-// loudly instead of silently resolving a different scenario.
+// loudly instead of silently resolving a different scenario. So must the
+// removed differential-oracle tier's "oracle" key: a bundle written for it
+// would otherwise run without the tier it asks for.
 func TestParseBundleRejectsUnknownFields(t *testing.T) {
-	_, err := scenario.ParseBundle([]byte(`{"name":"x","tier":"standard","workloads":{}}`))
-	if err == nil || !strings.Contains(err.Error(), "unknown field") {
-		t.Fatalf("err = %v, want an unknown-field rejection", err)
+	for _, tc := range []struct{ bundle, field string }{
+		{`{"name":"x","tier":"standard","workloads":{}}`, "workloads"},
+		{`{"name":"x","tier":"adversarial","workload":{"suites":["named"]},"oracle":{"seed":9,"count":16}}`, "oracle"},
+	} {
+		_, err := scenario.ParseBundle([]byte(tc.bundle))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.field+`"`) {
+			t.Fatalf("%s: err = %v, want an unknown-field rejection of %q", tc.bundle, err, tc.field)
+		}
 	}
 	if _, err := scenario.ParseBundle([]byte(`{nope`)); err == nil {
 		t.Fatal("malformed JSON parsed")

@@ -46,8 +46,16 @@ func TestHTTPScenarioList(t *testing.T) {
 	if cf := byName["chaos-fleet"]; cf.Tier != scenario.TierAdversarial || len(cf.Faults) != 5 {
 		t.Fatalf("chaos-fleet info = %+v, want adversarial with 5 faults", cf)
 	}
-	if ao := byName["adversarial-oracle"]; !ao.Oracle {
-		t.Fatalf("adversarial-oracle info = %+v, want oracle=true", ao)
+	// The differential-oracle tier and its row field are gone.
+	var rows []map[string]json.RawMessage
+	getJSON(t, ts.URL+"/v1/scenarios", &rows)
+	for _, row := range rows {
+		if _, ok := row["oracle"]; ok {
+			t.Fatalf("scenario row %s still carries oracle", row["name"])
+		}
+	}
+	if _, ok := byName["adversarial-oracle"]; ok {
+		t.Fatal("adversarial-oracle is still in the catalog")
 	}
 
 	// Describe round-trips the full bundle.

@@ -334,25 +334,6 @@ func FanOut(ctx context.Context, jobs []Job, workers int, emit func(i int, r Job
 	return results
 }
 
-// Sweep fans a full cross product (methods × configs) across the pool and
-// returns results grouped by configuration, each group in method order —
-// the batch-submission shape POST /v1/batch and the Chapter-7 table sweeps
-// share.
-func (s *Scheduler) Sweep(ctx context.Context, configs []sim.Config, methods []*classfile.Method) [][]JobResult {
-	jobs := make([]Job, 0, len(configs)*len(methods))
-	for _, cfg := range configs {
-		for _, m := range methods {
-			jobs = append(jobs, Job{Config: cfg, Method: m})
-		}
-	}
-	flat := s.RunBatch(ctx, jobs)
-	out := make([][]JobResult, len(configs))
-	for i := range configs {
-		out[i] = flat[i*len(methods) : (i+1)*len(methods)]
-	}
-	return out
-}
-
 // RunAll is the pooled, cached equivalent of sim.Runner.RunAll: it executes
 // the population on one configuration, skips fabric-rejected methods,
 // filters timeouts, and produces results identical to the serial path.

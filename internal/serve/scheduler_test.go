@@ -74,18 +74,22 @@ func TestSweepSharesCacheAcrossConfigs(t *testing.T) {
 	configs := []sim.Config{testConfig(t, "Compact2"), testConfig(t, "Sparse2")}
 	sched := NewScheduler(SchedulerOptions{Workers: 4, MaxMeshCycles: testMaxCycles})
 
-	groups := sched.Sweep(context.Background(), configs, methods)
-	if len(groups) != 2 || len(groups[0]) != 4 || len(groups[1]) != 4 {
-		t.Fatalf("sweep shape = %d groups", len(groups))
+	var jobs []Job
+	for _, cfg := range configs {
+		for _, m := range methods {
+			jobs = append(jobs, Job{Config: cfg, Method: m})
+		}
 	}
-	for gi, group := range groups {
-		for mi, r := range group {
-			if r.Err != nil {
-				t.Fatalf("group %d job %d: %v", gi, mi, r.Err)
-			}
-			if r.Run.Signature != methods[mi].Signature() {
-				t.Fatalf("group %d job %d out of order: %s", gi, mi, r.Run.Signature)
-			}
+	results := sched.RunBatch(context.Background(), jobs)
+	if len(results) != len(jobs) {
+		t.Fatalf("got %d results for %d jobs", len(results), len(jobs))
+	}
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("job %d: %v", i, r.Err)
+		}
+		if want := methods[i%len(methods)].Signature(); r.Run.Signature != want {
+			t.Fatalf("job %d out of order: %s, want %s", i, r.Run.Signature, want)
 		}
 	}
 	// 4 methods × 2 configs = 8 distinct deployments, all misses.
@@ -94,7 +98,7 @@ func TestSweepSharesCacheAcrossConfigs(t *testing.T) {
 	}
 
 	// Re-sweeping is all hits.
-	sched.Sweep(context.Background(), configs, methods)
+	sched.RunBatch(context.Background(), jobs)
 	if st := sched.Cache().Stats(); st.Hits != 8 {
 		t.Fatalf("expected warm sweep to hit 8 times: %+v", st)
 	}

@@ -1,10 +1,11 @@
 // Package serve turns the per-method JavaFlow simulator into a long-lived
 // concurrent service. Three pieces compose:
 //
-//   - DeploymentCache: a sharded LRU keyed by (method signature,
-//     configuration name) memoizing the verified fabric.Placement +
-//     fabric.Resolution, so repeated runs skip the Figure 20 / Figure 22
-//     deploy pipeline entirely;
+//   - DeploymentCache: a sharded LRU keyed by (method signature, fabric
+//     geometry) memoizing the verified fabric.Placement +
+//     fabric.Resolution, so repeated runs — on any configuration sharing
+//     the geometry — skip the Figure 20 / Figure 22 deploy pipeline
+//     entirely;
 //   - Scheduler: a bounded worker pool fanning batch submissions
 //     (methods × configurations) across goroutines with context
 //     cancellation and deterministic, submission-ordered results that are
@@ -545,7 +546,6 @@ type ScenarioInfo struct {
 	Generated   bool                 `json:"generated"`
 	Configs     []string             `json:"configs,omitempty"` // empty = all
 	Faults      []scenario.FaultKind `json:"faults,omitempty"`
-	Oracle      bool                 `json:"oracle"`
 }
 
 // ScenarioInfos lists the registered scenarios in catalog order (empty
@@ -567,7 +567,6 @@ func (s *Service) ScenarioInfos() []ScenarioInfo {
 			Suites:      b.Workload.Suites,
 			Generated:   b.Workload.Generated != nil,
 			Configs:     b.Configs,
-			Oracle:      b.Oracle != nil,
 		}
 		for _, f := range b.Faults {
 			info.Faults = append(info.Faults, f.Kind)

@@ -5,16 +5,17 @@
 // transit/service times, and the BP1/BP2 branch-prediction methodology,
 // measuring IPC, Figure of Merit, coverage and parallelism.
 //
-// The load-bearing invariant is byte-identity across execution loops:
-// the event-driven core (Engine.Run) and the clock-by-clock reference
-// loop (Engine.RunReference) must produce identical Results and
-// identical encoded MethodRun bytes for every method, configuration,
-// branch policy, folding setting and quiesce schedule. Any change that
-// can alter a Result must bump EngineVersion so persisted store records
-// become misses instead of silently replaying stale semantics; a pure
-// performance change that passes the differential suite must not.
+// The load-bearing invariant is byte-identity with the rules as stated:
+// the engine (Engine.Run, an event-driven loop) must produce the Results
+// and encoded MethodRun bytes of a clock-by-clock, hop-by-hop transcription
+// of Section 6.3 — the test-side oracle refEngine in reference_test.go,
+// which shares no code with Engine — for every method, configuration,
+// branch policy, folding setting and quiesce schedule. Any change that can
+// alter a Result must bump EngineVersion so persisted store records become
+// misses instead of silently replaying stale semantics; a pure performance
+// change that passes the differential suite must not.
 //
-// The event-driven core does not simulate what cannot change the answer.
+// The engine does not simulate what cannot change the answer.
 // Runner.RunResolved runs a method once when no node ever asks the branch
 // predictor a forward question (BP2's Result is BP1's), and the serial
 // network delivers a token at the next node that observes it — REGISTER r
@@ -24,7 +25,7 @@
 // processing order, the rearmost-TAIL watermark and the event count are
 // kept exact by the three rules in engine_event.go's header. The counters
 // reflect the split: EngineStats.Events is what the machine simulated (the
-// reference loop counts the same number), Delivered what the loop had to
+// oracle counts the same number), Delivered what the loop had to
 // dequeue for it, EngineTotals.PolicyRunsShared the runs not needed.
 package sim
 

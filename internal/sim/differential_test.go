@@ -10,10 +10,11 @@ import (
 	"javaflow/internal/workload"
 )
 
-// The event-driven core must be observationally indistinguishable from the
-// reference loop: same Result structs, same encoded MethodRun bytes, same
-// stall errors. This is the invariant that lets EngineVersion stay at 1
-// across the rewrite, so every persisted store record keeps replaying.
+// The engine must be observationally indistinguishable from the oracle
+// (refEngine, reference_test.go): same Result structs, same encoded
+// MethodRun bytes, same stall errors, same simulated counters. This is the
+// invariant that lets EngineVersion stay at 1 across engine rewrites, so
+// every persisted store record keeps replaying.
 
 // diffVariant is one engine configuration axis combination.
 type diffVariant struct {
@@ -46,6 +47,13 @@ func (v diffVariant) arm(eng *Engine, cap int) {
 	}
 }
 
+// ref builds the oracle for the same cell.
+func (v diffVariant) ref(cfg Config, res *fabric.Resolution, p BranchPolicy, cap int) *refEngine {
+	rf := newRefEngine(cfg, res, p)
+	rf.cycleCap, rf.fold, rf.qAt, rf.qFor = cap, v.fold, v.qAt, v.qFor
+	return rf
+}
+
 // newDiffEngine builds an armed engine that also checks, at every backward
 // bundle transport, the invariant the loop-span reset relies on: whatever
 // is still in flight was sent from the jump or beyond it. (A control node
@@ -68,23 +76,23 @@ func newDiffEngine(t *testing.T, cfg Config, res *fabric.Resolution, p BranchPol
 	return eng
 }
 
-// runPair executes one (method, config, policy, variant) cell on both
-// loops and asserts identical outcomes — Result or error text, and the
-// simulated activity counters, which the reference loop defines: every
-// arrival, operand delivery and phase completion it processes is one event,
-// however few of them the event loop had to dequeue. Returns both results
-// for independent MethodRun assembly.
+// runPair executes one (method, config, policy, variant) cell on the engine
+// and the oracle and asserts identical outcomes — Result or error text, and
+// the simulated activity counters, which the oracle defines: every arrival,
+// operand delivery and phase completion it processes is one event, however
+// few of them the engine had to dequeue. Returns both results for
+// independent MethodRun assembly.
 func runPair(t *testing.T, cfg Config, res *fabric.Resolution, p BranchPolicy, v diffVariant) (Result, Result, bool) {
 	t.Helper()
 	sig := res.Placement.Method.Signature()
 
 	run := func(cap int) (Result, Result, error, error) {
-		event, reference := newDiffEngine(t, cfg, res, p, v, cap), newDiffEngine(t, cfg, res, p, v, cap)
+		event, reference := newDiffEngine(t, cfg, res, p, v, cap), v.ref(cfg, res, p, cap)
 		ev, evErr := event.Run()
-		rf, rfErr := reference.RunReference()
-		if got, want := event.Stats(), reference.Stats(); got.Events != want.Events || got.MeshCycles != want.MeshCycles {
+		rf, rfErr := reference.simulate()
+		if got := event.Stats(); got.Events != reference.events || got.MeshCycles != reference.cycles {
 			t.Fatalf("%s/%s/%v/%s cap %d: event loop accounts %d events over %d mesh cycles, reference %d over %d",
-				sig, cfg.Name, p, v.name, cap, got.Events, got.MeshCycles, want.Events, want.MeshCycles)
+				sig, cfg.Name, p, v.name, cap, got.Events, got.MeshCycles, reference.events, reference.cycles)
 		}
 		return ev, rf, evErr, rfErr
 	}
@@ -92,7 +100,7 @@ func runPair(t *testing.T, cfg Config, res *fabric.Resolution, p BranchPolicy, v
 	cap := v.cap
 	ev, rf, evErr, rfErr := run(cap)
 	if evErr == nil && ev.TimedOut && v.short < cap {
-		// Timeout runs cost the reference loop cap×O(nodes) work; compare
+		// Timeout runs cost the oracle cap×O(nodes) work; compare
 		// them at a reduced cap instead (a method that times out at the
 		// full cap necessarily times out at any smaller one).
 		cap = v.short
@@ -121,8 +129,10 @@ func diffMethods(t *testing.T) []*classfile.Method {
 	t.Helper()
 	methods := workload.NamedMethods()
 	for _, c := range workload.Generate(workload.GenConfig{Seed: 9, Count: 50}) {
-		for _, m := range c.Methods {
-			methods = append(methods, m)
+		// In name order, not map order: TestEventsAtEveryCap samples every
+		// ninth method, and its count must repeat from run to run.
+		for _, name := range c.MethodNames() {
+			methods = append(methods, c.Methods[name])
 		}
 	}
 	return methods
@@ -257,8 +267,8 @@ func FuzzEventVsReference(f *testing.F) {
 	f.Fuzz(fuzzCell)
 }
 
-// TestDifferentialPreemptMatches: a cancelled context must abort both
-// loops identically — error out with no Result.
+// TestDifferentialPreemptMatches: a cancelled context must abort the
+// engine and the oracle identically — error out with no Result.
 func TestDifferentialPreemptMatches(t *testing.T) {
 	m := methodBySignature(t, "scimark/utils/Random.nextDouble/0")
 	cfg := configByName(t, "Compact4")
@@ -279,9 +289,9 @@ func TestDifferentialPreemptMatches(t *testing.T) {
 	if _, err := ev.Run(); err == nil {
 		t.Fatal("event loop ignored cancelled context")
 	}
-	rf := NewEngine(cfg, res, BP1)
-	rf.SetPreempt(ctx)
-	if _, err := rf.RunReference(); err == nil {
+	rf := newRefEngine(cfg, res, BP1)
+	rf.ctx = ctx
+	if _, err := rf.simulate(); err == nil {
 		t.Fatal("reference loop ignored cancelled context")
 	}
 }

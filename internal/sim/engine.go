@@ -21,9 +21,9 @@ const DefaultMaxMeshCycles = 2_000_000
 // context. A power of two so the check is a mask, not a division; at ~4096
 // cycles the poll adds one atomic load per few hundred thousand token moves,
 // while a cancelled 2M-cycle method aborts within a fraction of a percent of
-// its full budget instead of running to completion. The event-driven loop
-// honors the same contract — it polls whenever a cycle jump crosses a
-// preemptEvery boundary — so cancellation latency is unchanged.
+// its full budget instead of running to completion. A cycle jump that
+// crosses a preemptEvery boundary polls too, so skipping idle cycles never
+// delays cancellation.
 const preemptEvery = 4096
 
 // tokenKind identifies a member of the token bundle (Figure 23).
@@ -35,7 +35,7 @@ const (
 	tokRegister
 	tokTail
 	// tokWake is not a token: a serial-queue entry of this kind only makes
-	// the event loop visit a clock (see Engine.parkTail).
+	// the loop visit a clock (see Engine.parkTail).
 	tokWake
 )
 
@@ -60,28 +60,26 @@ type token struct {
 	reg  int // register number for tokRegister
 }
 
-// serialMsg is a token travelling the ordered network. In the event loop
-// it walks the linear order from `from` and is delivered at `to`, the first
-// node past `from` that observes it; the nodes in between see it only
-// virtually (engine_event.go, "Express delivery"). Branch-addressed and
-// one-hop sends have from == to-1.
+// serialMsg is a token travelling the ordered network. It walks the linear
+// order from `from` and is delivered at `to`, the first node past `from`
+// that observes it; the nodes in between see it only virtually
+// (engine_event.go, "Express delivery"). Branch-addressed and one-hop sends
+// have from == to-1.
 type serialMsg struct {
-	tok   token
-	to    int // destination instruction index
-	delay int // serial clocks remaining (reference loop only)
-	from  int // event loop only
-	ord   int // same-clock, same-node, same-kind processing order (event loop only)
+	tok  token
+	to   int // destination instruction index
+	from int
+	ord  int // same-clock, same-node, same-kind processing order
 }
 
 // meshMsg is a producer→consumer operand transfer.
 type meshMsg struct {
-	to    int // consumer instruction index
-	delay int // mesh cycles remaining (reference loop only)
+	to int // consumer instruction index
 }
 
-// completion is a scheduled execution/service phase end for the event loop;
-// gen invalidates completions of nodes reset by a backward bundle
-// transport before their phase finished.
+// completion is a scheduled execution/service phase end; gen invalidates
+// completions of nodes reset by a backward bundle transport before their
+// phase finished.
 type completion struct {
 	node int
 	gen  uint32
@@ -90,7 +88,7 @@ type completion struct {
 // nodeMeta caches the per-instruction properties the token rules consult
 // on every arrival — group, branch target, local register, stack effects,
 // classification flags — decoded once at engine construction so the hot
-// loops never re-copy a full bytecode.Instruction or re-run its map
+// loop never re-copies a full bytecode.Instruction or re-runs its table
 // lookups.
 type nodeMeta struct {
 	target   int32 // branch target (bytecode.NoTarget when none)
@@ -227,11 +225,9 @@ type nodeState struct {
 	memSeen      bool
 	regSeen      bool // matching REGISTER_TOKEN held (local read/inc)
 	held         []token
-	execLeft     int
-	serviceLeft  int
-	// gen counts resets of this node (backward bundle transports); the
-	// event loop tags scheduled completions with it so a reset mid-phase
-	// orphans the stale completion instead of firing a reset node.
+	// gen counts resets of this node (backward bundle transports);
+	// scheduled completions carry it so a reset mid-phase orphans the
+	// stale completion instead of firing a reset node.
 	gen uint32
 	// decision caches the control-flow outcome chosen at fire time.
 	decisionTaken bool
@@ -283,28 +279,27 @@ func (r Result) Parallelism() float64 {
 
 // Engine simulates one method execution on one configuration.
 //
-// Two interchangeable loops drive the shared token-rule semantics below:
-// Run uses the event-driven core (engine_event.go) — arrival-bucketed
-// queues, express token delivery past nodes that ignore the token, an
-// incremental rearmost-TAIL watermark, counter-based phase tracking and
-// cycle skipping — while RunReference replays the original clock-by-clock,
-// hop-by-hop loop. Both produce byte-identical Results; the
-// differential tests assert it and the reference loop is kept as the
-// oracle. An Engine executes once per Reset; Reset reuses the previous
-// run's buffers (node array, held-token buffers, queue buckets, distance
-// tables, predictor maps), so a recycled engine's state stops allocating
-// once it has seen its largest deployment. Reuse is unobservable: a Reset engine is byte-identical to
-// a fresh one whatever the previous run left behind (TestDirtyEngineReuse).
+// Run drives the token rules below with an event-driven loop
+// (engine_event.go): arrival-bucketed queues, express token delivery past
+// nodes that ignore the token, an incremental rearmost-TAIL watermark,
+// counter-based phase tracking and cycle skipping. The Section 6.3 rules
+// as stated — clock by clock, hop by hop — live in a test-side
+// transcription (refEngine, reference_test.go) that shares no code with
+// this one; the differential tests require byte-identical Results and the
+// same simulated counters from both. An Engine executes once per Reset;
+// Reset reuses the previous run's buffers (node array, held-token buffers,
+// queue buckets, distance tables, predictor maps), so a recycled engine's
+// state stops allocating once it has seen its largest deployment. Reuse is
+// unobservable: a Reset engine is byte-identical to a fresh one whatever
+// the previous run left behind (TestDirtyEngineReuse).
 type Engine struct {
 	cfg        Config
 	placement  *fabric.Placement
 	resolution *fabric.Resolution
 	predictor  *Predictor
 
-	nodes   []nodeState
-	meta    []nodeMeta
-	serialQ []serialMsg // reference loop in-flight serial messages
-	meshQ   []meshMsg   // reference loop in-flight operand transfers
+	nodes []nodeState
+	meta  []nodeMeta
 
 	maxCycles int
 	fired     int
@@ -330,18 +325,15 @@ type Engine struct {
 	// elimination after the linkage process.
 	foldTransfers bool
 
-	// ---- event-driven core state (engine_event.go) ----
+	// ---- loop state (engine_event.go) ----
 
-	// event selects the event-driven representations in the shared
-	// semantic code; set by Run, left false by RunReference.
-	event bool
 	// serialNow / meshNow are the absolute serial clock and active mesh
 	// cycle counts; every queued arrival and completion is keyed on them.
 	// meshTick counts completed mesh decrement passes: it runs one ahead
-	// of meshNow during a cycle's mesh phase, because the reference loop
-	// decrements a message pushed in the serial phase on that same
-	// cycle's mesh clock (arrival c+d-1) but a message pushed during the
-	// mesh clock only from the next cycle (arrival c+d).
+	// of meshNow during a cycle's mesh phase, because the model decrements
+	// a message pushed in the serial phase on that same cycle's mesh clock
+	// (arrival c+d-1) but a message pushed during the mesh clock only from
+	// the next cycle (arrival c+d).
 	serialNow int
 	meshNow   int
 	meshTick  int
@@ -355,8 +347,8 @@ type Engine struct {
 	// position p — in-flight serial messages by destination plus held
 	// tokens by node — and liveBehind is the running sum of
 	// liveAt[0..tailPos], updated in O(1) per token move and O(span)
-	// when the TAIL itself moves. The reference loop's
-	// O(serialQ + nodes·held) rearmost scan becomes liveBehind==0.
+	// when the TAIL itself moves, so "the TAIL is rearmost" is
+	// liveBehind==0 rather than a scan of every queue and buffer.
 	tailHeldAt int
 	tailPos    int
 	liveAt     []int32
@@ -371,8 +363,8 @@ type Engine struct {
 	// onBackward, when set (tests only), sees every backward bundle
 	// transport just before node i's bundle moves.
 	onBackward func(i int)
-	// executingCount/serviceCount replace the reference loop's full-node
-	// sweeps for busy accounting and in-flight detection.
+	// executingCount/serviceCount are the nodes in each phase, for busy
+	// accounting and in-flight detection without a node sweep.
 	executingCount int
 	serviceCount   int
 	// Precomputed per-placement distances: nextD[i] is the serial hop to
@@ -418,27 +410,28 @@ func (e *Engine) Reset(cfg Config, res *fabric.Resolution, policy BranchPolicy) 
 	// references the deployment they were built for (releaseEngine clears
 	// it), so pointer equality cannot be fooled by a recycled address.
 	sameDeployment := e.resolution == res && e.cfg.Fabric == cfg.Fabric
+	n := len(res.Placement.Method.Code)
 	*e = Engine{
 		cfg:        cfg,
 		placement:  res.Placement,
 		resolution: res,
 		predictor:  e.predictor,
-		nodes:      resized(e.nodes, len(res.Placement.Method.Code)),
+		nodes:      resized(e.nodes, n),
 		meta:       metaFor(res.Placement.Method).nodes,
-		serialQ:    e.serialQ[:0],
-		meshQ:      e.meshQ[:0],
 		maxCycles:  DefaultMaxMeshCycles,
 		serialEv:   e.serialEv,
 		meshEv:     e.meshEv,
 		doneEv:     e.doneEv,
 		tailHeldAt: -1,
-		liveAt:     e.liveAt,
+		tailPos:    -1,
+		liveAt:     resized(e.liveAt, n),
 		nextD:      e.nextD,
 		pre:        e.pre,
 		branchD:    e.branchD,
 		meshD:      e.meshD,
 		meshOff:    e.meshOff,
 	}
+	clear(e.liveAt)
 	for i := range e.nodes {
 		e.nodes[i] = nodeState{held: e.nodes[i].held[:0]}
 	}
@@ -486,47 +479,13 @@ func (e *Engine) code(i int) bytecode.Instruction {
 	return e.placement.Method.Code[i]
 }
 
-func (e *Engine) serialDist(from, to int) int {
-	return e.cfg.Fabric.SerialDistance(e.placement.NodeOf[from], e.placement.NodeOf[to])
-}
-
-func (e *Engine) meshDist(from, to int) int {
-	return e.cfg.Fabric.MeshDistance(e.placement.NodeOf[from], e.placement.NodeOf[to])
-}
-
-// targetDelay is the serial delay from a branch at `from` to its Target.
-func (e *Engine) targetDelay(from, to int) int {
-	if e.event {
-		return int(e.branchD[from])
-	}
-	return e.serialDist(from, to)
-}
-
-// isControl reports whether instruction i buffers the token bundle until it
-// fires (Section 6.3, Control Flow Operations). Calls pass tokens through
-// (only TAIL is buffered), so they are not control for buffering purposes.
-func (e *Engine) isControl(i int) bool {
-	return e.meta[i].flags&metaControl != 0
-}
-
-// isOrderedStorage reports whether instruction i participates in
-// MEMORY_TOKEN ordering: array and field accesses, but not constant-pool
-// loads ("unordered constant access to the Method Area").
-func (e *Engine) isOrderedStorage(i int) bool {
-	return e.meta[i].flags&metaOrderedStorage != 0
-}
-
-// ---- queue and bookkeeping primitives shared by both loops ----
+// ---- queue and bookkeeping primitives ----
 
 // pushSerial schedules tok for node `to`, delay+stagger serial clocks out.
 // from is the node whose linear successors the message walks on its way
 // (to-1 when it is addressed straight to `to`); stagger is its position in
 // a bundle released one clock apart.
 func (e *Engine) pushSerial(t token, from, to, delay, stagger int) {
-	if !e.event {
-		e.serialQ = append(e.serialQ, serialMsg{tok: t, to: to, delay: delay + stagger})
-		return
-	}
 	e.serialEv.push(e.serialNow+delay+stagger, serialMsg{tok: t, to: to, from: from, ord: e.nextOrd(t, stagger)})
 	if t.kind == tokTail {
 		e.moveTail(to)
@@ -557,33 +516,24 @@ func (e *Engine) moveTail(p int) {
 
 // pushMesh schedules an operand delivery `delay` mesh cycles out.
 func (e *Engine) pushMesh(to, delay int) {
-	if !e.event {
-		e.meshQ = append(e.meshQ, meshMsg{to: to, delay: delay})
-		return
-	}
-	e.meshEv.push(e.meshTick+delay-1, meshMsg{to: to, delay: delay})
+	e.meshEv.push(e.meshTick+delay-1, meshMsg{to: to})
 }
 
 // holdToken buffers tok at node i.
 func (e *Engine) holdToken(i int, t token) {
 	e.nodes[i].held = append(e.nodes[i].held, t)
-	if e.event {
-		if t.kind == tokTail {
-			e.parkTail(i) // tailPos is already i (its delivery target)
-		} else {
-			e.liveAt[i]++
-			if i <= e.tailPos {
-				e.liveBehind++
-			}
+	if t.kind == tokTail {
+		e.parkTail(i) // tailPos is already i (its delivery target)
+	} else {
+		e.liveAt[i]++
+		if i <= e.tailPos {
+			e.liveBehind++
 		}
 	}
 }
 
 // noteUnheld records that tok left node i's buffer.
 func (e *Engine) noteUnheld(i int, t token) {
-	if !e.event {
-		return
-	}
 	if t.kind == tokTail {
 		e.tailHeldAt = -1 // position unchanged until the re-push
 	} else {
@@ -594,49 +544,31 @@ func (e *Engine) noteUnheld(i int, t token) {
 	}
 }
 
-// setPhase transitions node i, keeping the event loop's phase counters.
+// setPhase transitions node i, keeping the phase counters.
 func (e *Engine) setPhase(i int, p nodePhase) {
 	n := &e.nodes[i]
 	if n.phase == p {
 		return
 	}
-	if e.event {
-		switch n.phase {
-		case phaseExecuting:
-			e.executingCount--
-		case phaseService:
-			e.serviceCount--
-		}
-		switch p {
-		case phaseExecuting:
-			e.executingCount++
-		case phaseService:
-			e.serviceCount++
-		}
+	switch n.phase {
+	case phaseExecuting:
+		e.executingCount--
+	case phaseService:
+		e.serviceCount--
+	}
+	switch p {
+	case phaseExecuting:
+		e.executingCount++
+	case phaseService:
+		e.serviceCount++
 	}
 	n.phase = p
 }
 
 // scheduleDone registers node i's current phase to complete at the given
-// absolute mesh cycle (event loop only).
+// absolute mesh cycle.
 func (e *Engine) scheduleDone(i, at int) {
 	e.doneEv.push(at, completion{node: i, gen: e.nodes[i].gen})
-}
-
-// pendingSerial / pendingMesh are the in-flight message counts under
-// whichever representation the active loop uses.
-func (e *Engine) pendingSerial() int {
-	if e.event {
-		return e.serialEv.n
-	}
-	return len(e.serialQ)
-}
-
-func (e *Engine) pendingMesh() int {
-	if e.event {
-		return e.meshEv.n
-	}
-	return len(e.meshQ)
 }
 
 // injectBundle enqueues the initial token bundle at instruction 0,
@@ -656,85 +588,6 @@ func (e *Engine) injectBundle() {
 	inject(token{kind: tokTail})
 }
 
-// Run simulates the method to completion (a Return fires) or timeout,
-// using the event-driven core. Results are byte-identical to
-// RunReference's (asserted by the differential tests), so EngineVersion
-// covers both loops.
-func (e *Engine) Run() (Result, error) { return e.runEvent() }
-
-// RunReference simulates with the original clock-by-clock loop: every
-// serial clock decrements every in-flight message, every mesh cycle sweeps
-// every node. It is kept as the equivalence oracle for the event-driven
-// core and for microbenchmark comparison; production paths use Run.
-func (e *Engine) RunReference() (Result, error) {
-	m := e.placement.Method
-	res := Result{
-		Config:    e.cfg.Name,
-		Signature: m.Signature(),
-		Static:    len(m.Code),
-		MaxNode:   e.placement.MaxNode,
-	}
-
-	e.injectBundle()
-
-	for cycle := 0; ; cycle++ {
-		if e.preemptCtx != nil && cycle&(preemptEvery-1) == 0 {
-			if err := e.preemptCtx.Err(); err != nil {
-				return Result{}, err
-			}
-		}
-		if cycle >= e.maxCycles {
-			res.MeshCycles = cycle
-			res.Fired = e.fired
-			res.TimedOut = true
-			e.fillCoverage(&res)
-			e.stats.MeshCycles = uint64(cycle)
-			return res, nil
-		}
-
-		// Quiesced fabric: the whole chip stalls while the GPP performs
-		// its management task; nothing moves, cycles still elapse.
-		if e.quiesceFor > 0 && cycle >= e.quiesceAt && cycle < e.quiesceAt+e.quiesceFor {
-			continue
-		}
-
-		// --- Serial phase: up to SerialPerMesh serial clocks (or drain
-		// for the Baseline rule). ---
-		budget := e.cfg.SerialPerMesh
-		for s := 0; budget == DrainSerial || s < budget; s++ {
-			e.releasePendingTails()
-			if len(e.serialQ) == 0 {
-				break
-			}
-			e.serialClock()
-		}
-		e.releasePendingTails()
-
-		// --- Mesh phase: one mesh clock. ---
-		executing := e.meshClock()
-		e.releasePendingTails()
-		if executing >= 1 {
-			res.BusyCycles++
-		}
-		if executing >= 2 {
-			res.ParallelCycles++
-		}
-
-		if e.finished {
-			res.MeshCycles = cycle + 1
-			res.Fired = e.fired
-			e.fillCoverage(&res)
-			e.stats.MeshCycles = uint64(cycle + 1)
-			return res, nil
-		}
-		if len(e.serialQ) == 0 && len(e.meshQ) == 0 && !e.anyInFlight() {
-			e.stats.MeshCycles = uint64(cycle + 1)
-			return res, fmt.Errorf("sim: %s stalled on %s at mesh cycle %d",
-				m.Signature(), e.cfg.Name, cycle)
-		}
-	}
-}
-
 func (e *Engine) fillCoverage(res *Result) {
 	for i := range e.nodes {
 		if e.nodes[i].firedOnce {
@@ -743,44 +596,9 @@ func (e *Engine) fillCoverage(res *Result) {
 	}
 }
 
-func (e *Engine) anyInFlight() bool {
-	if e.event {
-		return e.executingCount > 0 || e.serviceCount > 0
-	}
-	for i := range e.nodes {
-		switch e.nodes[i].phase {
-		case phaseExecuting, phaseService:
-			return true
-		}
-	}
-	return false
-}
-
-// serialClock advances every in-flight serial message one clock and
-// processes arrivals (reference loop).
-func (e *Engine) serialClock() {
-	var arrivals []serialMsg
-	keep := e.serialQ[:0]
-	for _, msg := range e.serialQ {
-		msg.delay--
-		if msg.delay <= 0 {
-			arrivals = append(arrivals, msg)
-		} else {
-			keep = append(keep, msg)
-		}
-	}
-	e.serialQ = keep
-	// Deterministic processing order: by destination, then token kind.
-	sortSerialArrivals(arrivals)
-	e.stats.Events += uint64(len(arrivals))
-	for _, msg := range arrivals {
-		e.tokenArrives(msg.tok, msg.to)
-	}
-}
-
 // tokenArrives applies the Section 6.3 per-group token rules at node i.
-// The event loop calls it only where nodeMeta.observes says the node may act
-// on the token: a rule that makes a node look at a token it used to pass on
+// The loop calls it only where nodeMeta.observes says the node may act on
+// the token: a rule that makes a node look at a token it used to pass on
 // belongs in both.
 func (e *Engine) tokenArrives(tok token, i int) {
 	n := &e.nodes[i]
@@ -858,46 +676,22 @@ func (e *Engine) tokenArrives(tok token, i int) {
 	}
 }
 
-// tailIsRearmost reports whether no other live token is behind or at node
-// i — the global "TAIL_TOKEN may never pass any other token" invariant.
-// The event loop answers from the incrementally maintained watermark
-// indices; the reference loop scans the queues.
-func (e *Engine) tailIsRearmost(i int) bool {
-	if e.event {
-		// Only ever asked about the parked TAIL itself, so i == tailPos
-		// and liveBehind is exactly the count of non-TAIL tokens held at
-		// or delivered to nodes <= i; tailHold covers the express messages
-		// delivered beyond i that have not virtually left it yet.
-		return e.liveBehind == 0 && e.serialNow >= e.tailHold
-	}
-	for _, msg := range e.serialQ {
-		if msg.tok.kind != tokTail && msg.to <= i {
-			return false
-		}
-	}
-	for k := 0; k <= i; k++ {
-		for _, t := range e.nodes[k].held {
-			if t.kind != tokTail {
-				return false
-			}
-		}
-	}
-	return true
+// tailIsRearmost reports whether no other live token is behind or at the
+// parked TAIL — the global "TAIL_TOKEN may never pass any other token"
+// invariant — from the incrementally maintained watermark: liveBehind is
+// exactly the count of non-TAIL tokens held at or delivered to nodes <=
+// tailPos, and tailHold covers the express messages delivered beyond it
+// that have not virtually left it yet.
+func (e *Engine) tailIsRearmost() bool {
+	return e.liveBehind == 0 && e.serialNow >= e.tailHold
 }
 
 // releasePendingTails advances a parked TAIL_TOKEN when its node has fired
 // and the token is globally rearmost. Backward-taken jumps instead trigger
-// the bundle transport. There is exactly one TAIL in the machine, so the
-// event loop checks just its tracked holder; the reference loop sweeps
-// every node.
+// the bundle transport. There is exactly one TAIL in the machine, so only
+// its tracked holder is checked.
 func (e *Engine) releasePendingTails() {
-	if e.event {
-		if i := e.tailHeldAt; i >= 0 {
-			e.tryReleaseTail(i)
-		}
-		return
-	}
-	for i := range e.nodes {
+	if i := e.tailHeldAt; i >= 0 {
 		e.tryReleaseTail(i)
 	}
 }
@@ -917,7 +711,7 @@ func (e *Engine) tryReleaseTail(i int) {
 	if mt.flags&metaReturn != 0 {
 		return // consumed by the return
 	}
-	if !e.tailIsRearmost(i) {
+	if !e.tailIsRearmost() {
 		return
 	}
 	e.removeTail(i)
@@ -941,18 +735,14 @@ func (e *Engine) removeTail(i int) {
 }
 
 // forwardToken sends tok from node i down the linear order, `stagger`
-// clocks behind the head of its bundle. The reference loop moves it one
-// serial hop per physical node; the event loop delivers it at the first
-// node past i that observes it, or at the last node (where an unobserved
-// token falls off the method end), after the same total delay.
+// clocks behind the head of its bundle. The model moves it one serial hop
+// per physical node; it is delivered at the first node past i that
+// observes it, or at the last node (where an unobserved token falls off
+// the method end), after the same total delay.
 func (e *Engine) forwardToken(tok token, i, stagger int) {
 	to := i + 1
 	if to >= len(e.nodes) {
 		return // fell off the method end (only returns should consume TAIL)
-	}
-	if !e.event {
-		e.pushSerial(tok, i, to, e.serialDist(i, to), stagger)
-		return
 	}
 	for to < len(e.nodes)-1 && !e.meta[to].observes(tok) {
 		to++
@@ -960,13 +750,14 @@ func (e *Engine) forwardToken(tok token, i, stagger int) {
 	e.pushSerial(tok, i, to, int(e.pre[to]-e.pre[i]), stagger)
 }
 
-// forwardTokenTo schedules tok with an explicit target (taken branches);
-// intervening nodes ignore explicitly addressed messages.
+// forwardTokenTo schedules tok from the branch at `from` to its target
+// `to` (taken branches); intervening nodes ignore explicitly addressed
+// messages.
 func (e *Engine) forwardTokenTo(tok token, from, to, stagger int) {
 	if to >= len(e.nodes) {
 		return // a branch to the method end drops what it routes
 	}
-	e.pushSerial(tok, to-1, to, e.targetDelay(from, to), stagger)
+	e.pushSerial(tok, to-1, to, int(e.branchD[from]), stagger)
 }
 
 // meshDeliver processes an operand arrival.
@@ -1020,23 +811,20 @@ func (e *Engine) checkFire(i int) {
 	}
 
 	e.setPhase(i, phaseExecuting)
-	n.execLeft = ExecCycles(mt.group)
-	if mt.group == bytecode.GroupCall {
-		// invoke round trip through the GPP
-		n.execLeft += GPPServiceCycles
-	}
-	if mt.group == bytecode.GroupSpecial {
-		n.execLeft += GPPServiceCycles
-	}
 	if e.foldable(i) {
 		// Folded transfers are free: complete immediately without
 		// occupying an execution cycle.
 		e.completeExecution(i)
-	} else if e.event {
-		// A node armed during cycle c is first decremented during c's
-		// mesh clock, so an execLeft of L completes at cycle c+L-1.
-		e.scheduleDone(i, e.meshNow+n.execLeft-1)
+		return
 	}
+	exec := ExecCycles(mt.group)
+	if mt.group == bytecode.GroupCall || mt.group == bytecode.GroupSpecial {
+		// invoke round trip through the GPP, or a delegated service
+		exec += GPPServiceCycles
+	}
+	// A node armed during cycle c is first decremented during c's mesh
+	// clock, so an execution of L cycles completes at cycle c+L-1.
+	e.scheduleDone(i, e.meshNow+exec-1)
 }
 
 // holdsTail reports whether node i currently buffers the TAIL_TOKEN.
@@ -1049,66 +837,17 @@ func (e *Engine) holdsTail(i int) bool {
 	return false
 }
 
-// meshClock advances mesh messages, execution and service phases; returns
-// the number of nodes that were in their execution phase this cycle
-// (reference loop).
-func (e *Engine) meshClock() int {
-	// Operand deliveries.
-	var deliver []meshMsg
-	keep := e.meshQ[:0]
-	for _, msg := range e.meshQ {
-		msg.delay--
-		if msg.delay <= 0 {
-			deliver = append(deliver, msg)
-		} else {
-			keep = append(keep, msg)
-		}
-	}
-	e.meshQ = keep
-	sortMeshArrivals(deliver)
-	e.stats.Events += uint64(len(deliver))
-	for _, msg := range deliver {
-		e.meshDeliver(msg)
-	}
-
-	// Execution and service progress.
-	executing := 0
-	for i := range e.nodes {
-		n := &e.nodes[i]
-		switch n.phase {
-		case phaseExecuting:
-			executing++
-			n.execLeft--
-			if n.execLeft <= 0 {
-				e.stats.Events++
-				e.completeExecution(i)
-			}
-		case phaseService:
-			n.serviceLeft--
-			if n.serviceLeft <= 0 {
-				e.stats.Events++
-				e.completeService(i)
-			}
-		}
-	}
-	return executing
-}
-
 // completeExecution finishes the execution phase: storage reads transition
 // to their service wait; everything else fires.
 func (e *Engine) completeExecution(i int) {
-	n := &e.nodes[i]
 	group := e.meta[i].group
 	if group == bytecode.GroupMemRead {
 		// "the node must remain in the 'waitingForService' state until
-		// the memory system returns the result."
+		// the memory system returns the result." First decremented on the
+		// next mesh clock: completes MemoryServiceCycles cycles after the
+		// transition.
 		e.setPhase(i, phaseService)
-		n.serviceLeft = MemoryServiceCycles
-		if e.event {
-			// First decremented on the next mesh clock: completes
-			// serviceLeft cycles after the transition.
-			e.scheduleDone(i, e.meshNow+n.serviceLeft)
-		}
+		e.scheduleDone(i, e.meshNow+MemoryServiceCycles)
 		// The MEMORY_TOKEN (order number assigned) moves on immediately.
 		e.releaseMemoryToken(i)
 		return
@@ -1152,15 +891,9 @@ func (e *Engine) fireNode(i int) {
 
 	// Operand emission to every resolved consumer.
 	if mt.push > 0 {
-		if e.event {
-			off := int(e.meshOff[i])
-			for k, tg := range e.resolution.Targets[i] {
-				e.pushMesh(tg.Consumer, int(e.meshD[off+k]))
-			}
-		} else {
-			for _, tg := range e.resolution.Targets[i] {
-				e.pushMesh(tg.Consumer, e.meshDist(i, tg.Consumer))
-			}
+		off := int(e.meshOff[i])
+		for k, tg := range e.resolution.Targets[i] {
+			e.pushMesh(tg.Consumer, int(e.meshD[off+k]))
 		}
 	}
 
@@ -1261,26 +994,13 @@ func (e *Engine) maybeCompleteBackward(i int) {
 		return
 	}
 	// The transport may only move a complete bundle: nothing still in
-	// flight toward the jump and nothing buffered behind it.
-	if e.event {
-		// The TAIL is held here (checked above), so tailPos == i and
-		// liveBehind counts non-TAIL tokens in flight to <= i or held at
-		// <= i. The bundle buffered at i itself is expected; anything
-		// beyond it blocks the transport.
-		if e.liveBehind != len(n.held)-1 {
-			return
-		}
-	} else {
-		for _, msg := range e.serialQ {
-			if msg.to <= i {
-				return
-			}
-		}
-		for k := 0; k < i; k++ {
-			if len(e.nodes[k].held) > 0 {
-				return
-			}
-		}
+	// flight toward the jump and nothing buffered behind it. The TAIL is
+	// held here (checked above), so tailPos == i and liveBehind counts
+	// non-TAIL tokens in flight to <= i or held at <= i. The bundle
+	// buffered at i itself is expected; anything beyond it blocks the
+	// transport.
+	if e.liveBehind != len(n.held)-1 {
+		return
 	}
 	if e.onBackward != nil {
 		e.onBackward(i)
@@ -1297,13 +1017,11 @@ func (e *Engine) maybeCompleteBackward(i int) {
 	// Reset the loop span (including this jump, which will re-execute).
 	for k := target; k <= i; k++ {
 		nk := &e.nodes[k]
-		if e.event {
-			switch nk.phase {
-			case phaseExecuting:
-				e.executingCount--
-			case phaseService:
-				e.serviceCount--
-			}
+		switch nk.phase {
+		case phaseExecuting:
+			e.executingCount--
+		case phaseService:
+			e.serviceCount--
 		}
 		// gen advances so completions scheduled for the old incarnation
 		// are orphaned; held is preserved (always empty below the jump —
@@ -1313,7 +1031,7 @@ func (e *Engine) maybeCompleteBackward(i int) {
 
 	// Re-inject the bundle at the loop head, one serial clock apart, after
 	// the reverse transit.
-	dist := e.targetDelay(i, target)
+	dist := int(e.branchD[i])
 	sortTokensByKind(bundle)
 	stagger := 0
 	for _, t := range bundle {
@@ -1325,7 +1043,7 @@ func (e *Engine) maybeCompleteBackward(i int) {
 // DebugState renders node phases and pending queues for stall diagnosis.
 func (e *Engine) DebugState() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "serialQ=%d meshQ=%d\n", e.pendingSerial(), e.pendingMesh())
+	fmt.Fprintf(&b, "serial=%d mesh=%d\n", e.serialEv.n, e.meshEv.n)
 	for i := range e.nodes {
 		n := &e.nodes[i]
 		if n.phase == phaseReady && len(n.held) == 0 && !n.headSeen && n.popsReceived == 0 {

@@ -5,21 +5,23 @@ import (
 	"sync/atomic"
 )
 
-// The event-driven engine core.
+// The event-driven engine loop.
 //
-// The reference loop (Engine.RunReference) is O(nodes × cycles): every mesh
-// cycle decrements every in-flight message and sweeps every node, even when
-// nothing in the fabric can change. Between token arrivals and phase
-// completions the machine is static, so this loop advances time to the next
-// event instead of ticking every clock:
+// The Section 6.3 rules as stated are O(nodes × cycles): every mesh cycle
+// decrements every in-flight message and sweeps every node, even when
+// nothing in the fabric can change — the test-side oracle (refEngine,
+// reference_test.go) runs them exactly so. Between token arrivals and phase
+// completions the machine is static, so this loop advances time to the
+// next event instead of ticking every clock:
 //
 //   - serial and mesh messages are bucketed by absolute arrival clock in
 //     timeQs, so an idle clock costs nothing and a bucket pops pre-grouped;
 //   - a serial token is delivered at the next node that observes it, not
 //     at every node on the way (see "Express delivery" below);
-//   - tail release keeps a "rearmost live token" watermark (two fenwick
-//     indices plus the single TAIL's tracked position) updated on token
-//     moves, replacing the per-clock O(serialQ + nodes·held) scan;
+//   - tail release keeps a "rearmost live token" watermark (liveAt counts
+//     per position, their running sum liveBehind up to the single TAIL's
+//     tracked position) updated on token moves, instead of rescanning
+//     every queue and buffer each clock;
 //   - executing/service counters and scheduled completions replace the
 //     per-cycle node sweep; BusyCycles/ParallelCycles accrue from the
 //     counters;
@@ -40,7 +42,7 @@ import (
 // machine read where a token is rather than where it is going, and each
 // has a rule (the differential suite fails when any one is removed):
 //
-//  1. Same-clock order. The reference loop processes a clock's arrivals
+//  1. Same-clock order. Hop by hop, a clock's arrivals are processed
 //     sorted by (destination, kind) and, within a tie, in the order of
 //     their last hop's push. Messages that skip hops no longer have that
 //     push, so each carries its order in serialMsg.ord (nextOrd): a token
@@ -61,17 +63,17 @@ import (
 //     message virtually arrives at p and moves on: arrive − (pre[to] −
 //     pre[p]). parkTail takes the latest such clock as tailHold and queues
 //     a wake entry there (tokWake: no token, no event) so the serial phase
-//     visits it and the release happens at the reference's clock.
+//     visits it and the release happens at the hop-by-hop clock.
 //  3. Event accounting. EngineStats.Events counts simulated arrivals, so
 //     a delivery accounts to−from of them, and finishStats adds, for
 //     messages still in flight when a run finishes, times out or is
 //     cancelled, the skipped hops whose virtual arrival clock is not after
-//     serialNow. The reference loop counts the same events one by one
+//     serialNow. The oracle counts the same events one by one
 //     (TestEventsAtEveryCap stops both at every cycle).
 //
-// Every Result field is computed exactly as the reference loop computes it;
-// the differential tests assert byte-identical MethodRun encodings, which
-// is what lets EngineVersion — and therefore every persisted store record —
+// Every Result field is computed exactly as the oracle computes it; the
+// differential tests assert byte-identical MethodRun encodings, which is
+// what lets EngineVersion — and therefore every persisted store record —
 // stay valid across this rewrite.
 
 // EngineStats reports one engine run's activity.
@@ -80,9 +82,9 @@ type EngineStats struct {
 	// skipped cycles.
 	MeshCycles uint64
 	// Events counts simulated token arrivals, operand deliveries and phase
-	// completions — what the reference loop would have processed, whether
-	// or not this loop had to (an express delivery accounts every hop it
-	// elides).
+	// completions — what a clock-by-clock, hop-by-hop simulation
+	// processes, whether or not this loop had to (an express delivery
+	// accounts every hop it elides).
 	Events uint64
 	// Delivered counts the serial, mesh and completion queue entries this
 	// loop actually dequeued to simulate Events.
@@ -92,8 +94,7 @@ type EngineStats struct {
 	CyclesSkipped uint64
 }
 
-// Stats returns the run's activity counters. The reference oracle fills
-// MeshCycles and Events — it defines them — and nothing else.
+// Stats returns the run's activity counters.
 func (e *Engine) Stats() EngineStats { return e.stats }
 
 // Process-wide engine throughput counters, aggregated at the end of every
@@ -138,8 +139,8 @@ func TotalEngineStats() EngineTotals {
 // process totals.
 func (e *Engine) finishStats(cycles int) {
 	// A message still in flight has virtually arrived at every elided node
-	// whose clock is not after serialNow: the reference loop processed
-	// those arrivals before it stopped.
+	// whose clock is not after serialNow: hop by hop, those arrivals were
+	// processed before the run stopped.
 	for _, b := range e.serialEv.pending() {
 		for k := range b.items {
 			m := &b.items[k]
@@ -198,16 +199,6 @@ func (e *Engine) buildDist() {
 	}
 }
 
-// initEvent switches the engine into event mode — hop and operand delays
-// come from the distance tables, so the inner loop never calls through
-// fabric.Fabric per message — and zeroes the watermark index.
-func (e *Engine) initEvent() {
-	e.event = true
-	e.liveAt = resized(e.liveAt, len(e.nodes))
-	clear(e.liveAt)
-	e.tailPos = -1
-}
-
 // nextOrd is the processing-order key of a message pushed now (rule 1 in
 // the header): a token sent on, unstaggered, while its own arrival is being
 // processed keeps that arrival's key; any other push takes a fresh sequence
@@ -226,10 +217,10 @@ func (e *Engine) nextOrd(tok token, stagger int) int {
 
 // parkTail records the TAIL buffered at node p and works out how long the
 // express messages in flight keep it there (rule 2 in the header): one sent
-// from before p and delivered beyond it is, for the reference loop, a live
-// token behind or at p until the clock it virtually arrives at p and is
-// sent on. liveAt counts it at its destination, so the TAIL is held until
-// the last such clock, and a wake entry makes the serial phase visit it.
+// from before p and delivered beyond it is, hop by hop, a live token
+// behind or at p until the clock it virtually arrives at p and is sent on.
+// liveAt counts it at its destination, so the TAIL is held until the last
+// such clock, and a wake entry makes the serial phase visit it.
 func (e *Engine) parkTail(p int) {
 	e.tailHeldAt = p
 	e.tailHold = 0
@@ -248,7 +239,7 @@ func (e *Engine) parkTail(p int) {
 }
 
 // deliverSerialBucket pops the earliest serial bucket (serialNow must
-// already equal its time) and processes its arrivals in the reference
+// already equal its time) and processes its arrivals in the hop-by-hop
 // order: all same-clock messages leave the in-flight index first, then
 // arrive sorted by (destination, kind, ord). Each accounts the arrivals it
 // stands for — to-from of them, none for a wake entry.
@@ -328,8 +319,8 @@ func (e *Engine) pollPreemptBetween(from, to int) error {
 	return nil
 }
 
-// runEvent is the event-driven Run loop.
-func (e *Engine) runEvent() (Result, error) {
+// Run simulates the method to completion (a Return fires) or timeout.
+func (e *Engine) Run() (Result, error) {
 	m := e.placement.Method
 	res := Result{
 		Config:    e.cfg.Name,
@@ -338,7 +329,6 @@ func (e *Engine) runEvent() (Result, error) {
 		MaxNode:   e.placement.MaxNode,
 	}
 
-	e.initEvent()
 	e.injectBundle()
 
 	budget := e.cfg.SerialPerMesh
@@ -380,8 +370,8 @@ func (e *Engine) runEvent() (Result, error) {
 		// the machine state cannot change (tail releases reached their
 		// fixpoint at the end of the previous cycle), so jump to the next
 		// event, accruing busy counters and serial clocks arithmetically.
-		// A fully drained machine must instead fall through and hit the
-		// reference loop's stall error at this cycle.
+		// A fully drained machine must instead fall through and report the
+		// stall at this cycle, as a cycle-by-cycle simulation does.
 		stalled := e.serialEv.n == 0 && e.meshEv.n == 0 &&
 			e.executingCount == 0 && e.serviceCount == 0
 		if !stalled {
@@ -454,7 +444,7 @@ func (e *Engine) runEvent() (Result, error) {
 			e.meshEv.recycle(msgs)
 		}
 		// Busy accounting snapshots the counters after deliveries and
-		// before completions — exactly the set of nodes the reference
+		// before completions — exactly the set of nodes a per-cycle node
 		// sweep finds in their execution phase this cycle.
 		if e.executingCount >= 1 {
 			res.BusyCycles++

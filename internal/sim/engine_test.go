@@ -46,7 +46,7 @@ func runOn(t *testing.T, cfg Config, m *classfile.Method, policy BranchPolicy) R
 	return result
 }
 
-func configByName(t *testing.T, name string) Config {
+func configByName(t testing.TB, name string) Config {
 	t.Helper()
 	for _, c := range Configurations() {
 		if c.Name == name {

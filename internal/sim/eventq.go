@@ -1,17 +1,15 @@
 package sim
 
-// Time-indexed containers for the event-driven engine core.
+// Time-indexed containers for the event-driven engine loop.
 //
-// The reference loop pays for every clock: each serial/mesh tick decrements
-// every in-flight message and re-sorts the arrivals. The event-driven loop
+// A clock-by-clock simulation pays for every clock: each serial/mesh tick
+// decrements every in-flight message and re-sorts the arrivals. The engine
 // instead keys every message on its absolute arrival clock at send time and
 // stores it in a timeQ — a bucket queue whose distinct pending times form a
 // sorted list — so an idle clock costs nothing and a bucket pops already
-// grouped by arrival time. Within a bucket, items keep insertion order,
-// which is exactly the reference queue's order among same-clock arrivals;
-// the small stable insertion sorts below then reproduce the reference's
-// deterministic processing order without sort.SliceStable's closure
-// allocations.
+// grouped by arrival time. Within a bucket, items keep insertion order; the
+// small stable insertion sorts below then give the model's deterministic
+// processing order without sort.SliceStable's closure allocations.
 
 // tbucket is one pending arrival time and its FIFO payload.
 type tbucket[T any] struct {
@@ -98,11 +96,10 @@ func (q *timeQ[T]) reset() {
 }
 
 // sortSerialArrivals stably orders same-clock serial arrivals by
-// (destination, token kind, ord) — the reference loop's processing order.
-// The reference loop leaves ord zero, so its queue order breaks the ties;
-// the event loop's keys are distinct (Engine.nextOrd). Buckets are small (a
-// handful of tokens), so stable insertion sort beats sort.SliceStable and
-// allocates nothing.
+// (destination, token kind, ord) — the hop-by-hop processing order, with
+// ord standing in for the order of each message's last hop
+// (Engine.nextOrd). Buckets are small (a handful of tokens), so stable
+// insertion sort beats sort.SliceStable and allocates nothing.
 func sortSerialArrivals(a []serialMsg) {
 	for i := 1; i < len(a); i++ {
 		for j := i; j > 0; j-- {
@@ -126,7 +123,7 @@ func sortMeshArrivals(a []meshMsg) {
 }
 
 // sortCompletions orders same-cycle phase completions by node index — the
-// reference loop's ascending node sweep.
+// order of a per-cycle ascending node sweep.
 func sortCompletions(a []completion) {
 	for i := 1; i < len(a); i++ {
 		for j := i; j > 0 && a[j].node < a[j-1].node; j-- {
@@ -136,8 +133,8 @@ func sortCompletions(a []completion) {
 }
 
 // sortTokensByKind stably orders a held-token buffer by kind, the release
-// order of Section 6.3 (HEAD, MEMORY, REGISTERs, TAIL). Shared by both
-// engine loops; buffers hold at most the full bundle.
+// order of Section 6.3 (HEAD, MEMORY, REGISTERs, TAIL). Buffers hold at
+// most the full bundle.
 func sortTokensByKind(a []token) {
 	for i := 1; i < len(a); i++ {
 		for j := i; j > 0 && a[j].kind < a[j-1].kind; j-- {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"javaflow/internal/fabric"
@@ -12,7 +13,7 @@ import (
 // first 800 methods of the (2014, 1580) corpus on every configuration
 // through Runner.RunResolved at jfserved's default cycle bound — and pins
 // its algorithmic profile without a timer: the simulated statistics
-// (events, mesh cycles) are what the reference loop would count and must
+// (events, mesh cycles) are what the oracle (refEngine) counts and must
 // never move, while the work actually done (engine runs, queue entries
 // dequeued) must stay where policy sharing and express delivery put it.
 func TestBenchLapCounters(t *testing.T) {
@@ -25,7 +26,7 @@ func TestBenchLapCounters(t *testing.T) {
 			res, err := DeployMethod(cfg, m)
 			if err != nil {
 				var le *fabric.LoadError
-				if !asLoadError(err, &le) {
+				if !errors.As(err, &le) {
 					t.Fatal(err)
 				}
 				continue
@@ -63,8 +64,8 @@ func TestBenchLapCounters(t *testing.T) {
 
 // TestRunResolvedMatchesReference: the job-level path — one engine run
 // shared by both policies when the method never asks the predictor a
-// forward question, two otherwise — must encode to the bytes two
-// reference-loop runs produce.
+// forward question, two otherwise — must encode to the bytes two oracle
+// runs produce.
 func TestRunResolvedMatchesReference(t *testing.T) {
 	const cap = 6_000
 	runner := &Runner{MaxMeshCycles: cap}
@@ -75,9 +76,9 @@ func TestRunResolvedMatchesReference(t *testing.T) {
 		want := MethodRun{Signature: d.res.Placement.Method.Signature()}
 		var wantErr error
 		for _, policy := range []BranchPolicy{BP1, BP2} {
-			rf := NewEngine(d.cfg, d.res, policy)
-			rf.SetMaxCycles(cap)
-			r, err := rf.RunReference()
+			rf := newRefEngine(d.cfg, d.res, policy)
+			rf.cycleCap = cap
+			r, err := rf.simulate()
 			if err != nil {
 				wantErr = err
 				break
@@ -137,4 +138,104 @@ func TestDeployAllocations(t *testing.T) {
 		t.Fatalf("%.1f allocations per deployment, want <= 85", perDeploy)
 	}
 	t.Logf("%.2f allocations per deployment", perDeploy)
+}
+
+// BenchmarkEngineRun pits the engine against the clock-by-clock oracle on
+// the slowest named workload method (by simulated mesh cycles on the
+// tightest serial budget). All sub-benches execute the identical resolved
+// deployment; the differential tests prove the results byte-identical, so
+// the delta is pure loop mechanics. "event" is the path the service runs —
+// one engine, Reset per run, as the pooled Runner.RunResolved does — and
+// "fresh" the same loop on a new engine per run, so the gap between the two
+// is what reuse buys. CI guards "event" at ≥5x fewer ns/op than
+// "reference". "lap" is the repository benchmark's lap in-process — 800
+// corpus methods on every configuration through Runner.RunResolved,
+// deployments resolved outside the timer — reporting ns and dequeued queue
+// entries per job; tracked, not gated.
+func BenchmarkEngineRun(b *testing.B) {
+	cfg := configByName(b, "Compact2")
+	const maxCycles = 400_000
+
+	var slowRes *fabric.Resolution
+	slowCycles := 0
+	slowSig := ""
+	for _, m := range workload.NamedMethods() {
+		res, err := DeployMethod(cfg, m)
+		if err != nil {
+			continue
+		}
+		eng := NewEngine(cfg, res, BP1)
+		eng.SetMaxCycles(maxCycles)
+		r, err := eng.Run()
+		if err != nil || r.TimedOut {
+			continue
+		}
+		if r.MeshCycles > slowCycles {
+			slowCycles, slowRes, slowSig = r.MeshCycles, res, m.Signature()
+		}
+	}
+	if slowRes == nil {
+		b.Fatal("no runnable named method")
+	}
+	b.Logf("slowest method: %s (%d mesh cycles on %s)", slowSig, slowCycles, cfg.Name)
+
+	b.Run("event", func(b *testing.B) {
+		b.ReportAllocs()
+		eng := NewEngine(cfg, slowRes, BP1)
+		for i := 0; i < b.N; i++ {
+			eng.Reset(cfg, slowRes, BP1)
+			eng.SetMaxCycles(maxCycles)
+			if _, err := eng.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			eng := NewEngine(cfg, slowRes, BP1)
+			eng.SetMaxCycles(maxCycles)
+			if _, err := eng.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rf := newRefEngine(cfg, slowRes, BP1)
+			rf.cycleCap = maxCycles
+			if _, err := rf.simulate(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("lap", func(b *testing.B) {
+		type job struct {
+			cfg Config
+			res *fabric.Resolution
+		}
+		var jobs []job
+		for _, c := range Configurations() {
+			for _, m := range workload.Corpus(2014, 1580)[:800] {
+				if res, err := DeployMethod(c, m); err == nil {
+					jobs = append(jobs, job{c, res})
+				}
+			}
+		}
+		runner := &Runner{MaxMeshCycles: maxCycles}
+		b.ReportAllocs()
+		b.ResetTimer()
+		before := TotalEngineStats()
+		for i := 0; i < b.N; i++ {
+			for _, j := range jobs {
+				if _, err := runner.RunResolved(j.cfg, j.res); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		n := float64(b.N * len(jobs))
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/job")
+		b.ReportMetric(float64(TotalEngineStats().Delivered-before.Delivered)/n, "dequeued/job")
+	})
 }

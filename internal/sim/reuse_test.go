@@ -78,12 +78,12 @@ func deployments(t *testing.T) []reuseCell {
 // every key alike and a stale TAIL hold may fall before the first park, so
 // comparing outcomes alone would let either survive.
 type runState struct {
-	fired, serialNow, meshNow, meshTick        int
-	tailHeldAt, tailPos, liveBehind, tailHold  int
-	seq, executingCount, serviceCount          int
-	serialQueued, meshQueued, doneQueued, refQ int
-	finished, event, arriving                  bool
-	stats                                      EngineStats
+	fired, serialNow, meshNow, meshTick       int
+	tailHeldAt, tailPos, liveBehind, tailHold int
+	seq, executingCount, serviceCount         int
+	serialQueued, meshQueued, doneQueued      int
+	finished, arriving                        bool
+	stats                                     EngineStats
 }
 
 func stateOf(e *Engine) runState {
@@ -92,8 +92,7 @@ func stateOf(e *Engine) runState {
 		tailHeldAt: e.tailHeldAt, tailPos: e.tailPos, liveBehind: e.liveBehind, tailHold: e.tailHold,
 		seq: e.seq, executingCount: e.executingCount, serviceCount: e.serviceCount,
 		serialQueued: e.serialEv.n, meshQueued: e.meshEv.n, doneQueued: e.doneEv.n,
-		refQ:     len(e.serialQ) + len(e.meshQ),
-		finished: e.finished, event: e.event, arriving: e.arrival != nil,
+		finished: e.finished, arriving: e.arrival != nil,
 		stats: e.stats,
 	}
 }
@@ -112,14 +111,14 @@ func sameOutcome(t *testing.T, what string, c reuseCell, got Result, gotErr erro
 
 // TestDirtyEngineReuse drives ONE engine through a shuffled mix of
 // deployments (all sizes, all six configurations, both policies, folding
-// and quiesce variants), interleaved with runs that leave it dirty: tiny
-// cycle caps that time out with tokens in flight, contexts cancelled at the
-// first poll and mid-run, and reference-loop runs — each leaving express
-// messages in flight, an advanced order counter and, often, a held TAIL.
-// After every Reset the engine's run state must equal a fresh NewEngine's
-// and so must the run — Result, error text and event counters — and each
-// completed job's encoded MethodRun must equal both the fresh event
-// engine's and the reference loop's.
+// and quiesce variants), interleaved with runs that leave it dirty: cycle
+// caps that time out with tokens in flight — some while the bundle is still
+// entering — and contexts cancelled at the first poll and mid-run, each
+// leaving express messages in flight, an advanced order counter and, often,
+// a held TAIL. After every Reset the engine's run state must equal a fresh
+// NewEngine's and so must the run — Result, error text and event counters —
+// and each completed job's encoded MethodRun must equal both the fresh
+// engine's and the oracle's.
 func TestDirtyEngineReuse(t *testing.T) {
 	deps := deployments(t)
 	rng := rand.New(rand.NewSource(13))
@@ -169,21 +168,16 @@ func TestDirtyEngineReuse(t *testing.T) {
 			if r, err := run(c); !errors.Is(err, context.Canceled) && (err != nil || r.MeshCycles > c.variant.qAt) {
 				t.Fatalf("mid-run cancellation returned %+v, %v", r, err)
 			}
-		case 3: // the reference loop on the same engine, stopped early
-			eng.Reset(c.cfg, c.res, c.policy)
-			eng.SetMaxCycles(1 + rng.Intn(60))
-			got, gotErr := eng.RunReference()
-			fresh := NewEngine(c.cfg, c.res, c.policy)
-			fresh.SetMaxCycles(eng.maxCycles)
-			want, wantErr := fresh.RunReference()
-			sameOutcome(t, "fresh reference loop", c, got, gotErr, want, wantErr)
+		case 3: // stopped within 60 cycles, the bundle often still entering
+			c.cap = 1 + rng.Intn(60)
+			run(c)
 		}
 	}
 
 	jobs, dirtied := 0, 0
 	// runJob runs both policies of d on the reused engine against the
-	// reference loop and compares the encoded MethodRuns; it reports a
-	// timeout instead of paying the reference loop's cap×O(nodes) for it.
+	// oracle and compares the encoded MethodRuns; it reports a timeout
+	// instead of paying the oracle's cap×O(nodes) for it.
 	runJob := func(d reuseCell) (timedOut bool) {
 		var reused, reference MethodRun
 		reused.Signature = d.res.Placement.Method.Signature()
@@ -200,12 +194,10 @@ func TestDirtyEngineReuse(t *testing.T) {
 			if err == nil && ev.TimedOut && d.cap > d.variant.short {
 				return true
 			}
-			rf := NewEngine(d.cfg, d.res, policy)
-			d.arm(rf)
-			want, wantErr := rf.RunReference()
+			want, wantErr := d.variant.ref(d.cfg, d.res, policy, d.cap).simulate()
 			sameOutcome(t, "reference loop", d, ev, err, want, wantErr)
 			if err != nil {
-				return false // stalled identically on both loops
+				return false // stalled identically on both
 			}
 			ev.Policy, want.Policy = policy, policy
 			if policy == BP1 {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -145,7 +146,7 @@ func (r *Runner) RunAll(cfg Config, methods []*classfile.Method) (*ConfigResults
 		run, err := r.RunMethod(cfg, m)
 		if err != nil {
 			var le *fabric.LoadError
-			if asLoadError(err, &le) {
+			if errors.As(err, &le) {
 				out.Skipped++
 				continue
 			}
@@ -158,21 +159,6 @@ func (r *Runner) RunAll(cfg Config, methods []*classfile.Method) (*ConfigResults
 		out.Runs = append(out.Runs, run)
 	}
 	return out, nil
-}
-
-func asLoadError(err error, target **fabric.LoadError) bool {
-	for err != nil {
-		if le, ok := err.(*fabric.LoadError); ok {
-			*target = le
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // IPCs extracts the per-method mean IPC series.
