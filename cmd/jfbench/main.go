@@ -12,7 +12,7 @@
 //	                             # compute only what nobody has
 //	jfbench -fleet http://10.0.0.7:8077 # render the fleet-health table
 //	jfbench -scenarios           # list the scenario catalog
-//	jfbench -scenario chaos-fleet       # run one scenario bundle
+//	jfbench -scenario crypto            # run one scenario bundle
 //	jfbench -scenario-file my.json      # run a user scenario (JSON)
 //
 // The population defaults mirror the dissertation: ~1,600 methods, two
@@ -147,7 +147,7 @@ func main() {
 			if err != nil {
 				fail(1, "jfbench: %v\n", err)
 			}
-			fmt.Printf("%-20s %-12s %s\n", b.Name, b.Tier, b.Description)
+			fmt.Printf("%-20s %s\n", b.Name, b.Description)
 		}
 		if err := ctx.Close(); err != nil {
 			fail(1, "jfbench: closing store: %v\n", err)
@@ -188,9 +188,6 @@ func main() {
 		reportEngine(start)
 		if err := ctx.Close(); err != nil {
 			fail(1, "jfbench: closing store: %v\n", err)
-		}
-		if !report.Passed {
-			os.Exit(1)
 		}
 		return
 	}

@@ -77,17 +77,13 @@ type Options struct {
 	// FailureThreshold suspends a backend after this many consecutive
 	// transient failures (<=0 uses 3).
 	FailureThreshold int
-	// ProbeBackoffBase / ProbeBackoffCap bound the decorrelated-jitter
-	// schedule of suspension probes: a suspended backend is probed with a
-	// real job no sooner than the current backoff delay after its last
-	// failure, with the delay growing (jittered, up to 3× per step) toward
-	// the cap while failures continue and resetting on success (<=0 uses
-	// admit.DefaultBackoffBase / admit.DefaultBackoffCap).
-	ProbeBackoffBase time.Duration
-	ProbeBackoffCap  time.Duration
 	// Now and Rand are test seams for the probe schedule, the retry
 	// budgets' refill and the probe jitter (nil uses time.Now and
-	// math/rand).
+	// math/rand). A suspended backend is probed with a real job no sooner
+	// than the current backoff delay after its last failure; the delay
+	// starts at admit.DefaultBackoffBase and grows (jittered, up to 3× per
+	// step) toward admit.DefaultBackoffCap while failures continue, and
+	// resets on success.
 	Now  func() time.Time
 	Rand func() float64
 	// SyncedPeers, when set, lists the backend names (exactly as given in
@@ -225,7 +221,7 @@ func NewWithBackends(backends []Backend, opts Options) (*Dispatcher, error) {
 			b:            b,
 			sem:          make(chan struct{}, inflight),
 			retryBudget:  admit.NewRetryBudget(admit.DefaultRetryBurst, admit.DefaultRetryRate, now),
-			probeBackoff: admit.NewBackoff(opts.ProbeBackoffBase, opts.ProbeBackoffCap, opts.Rand),
+			probeBackoff: admit.NewBackoff(admit.DefaultBackoffBase, admit.DefaultBackoffCap, opts.Rand),
 		})
 	}
 	d.ring = newRing(names)

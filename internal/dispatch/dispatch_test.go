@@ -251,8 +251,7 @@ func TestDispatchBackendDiesMidBatch(t *testing.T) {
 	corpus := partitionCorpus()
 	ts1, _ := newPeer(t, corpus)
 	ts2, _ := newPeer(t, corpus)
-	// The flaky backend serves its first job, then dies. The injector is
-	// the scenario harness's: the same machinery `jfbench -scenario` runs.
+	// The flaky backend serves its first job, then dies.
 	flaky := &chaos.FlakyBackend{Inner: NewRemote(ts2.URL, nil), FailAfter: 1}
 
 	d, err := NewWithBackends([]Backend{NewRemote(ts1.URL, nil), flaky}, Options{

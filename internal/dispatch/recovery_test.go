@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"javaflow/internal/classfile"
+	"javaflow/internal/obs"
 	"javaflow/internal/scenario/chaos"
 	"javaflow/internal/serve"
 	"javaflow/internal/sim"
@@ -15,7 +16,9 @@ import (
 // TestDispatchRecoveryCallback pins when dispatch calls Options.OnRecovery:
 // exactly once per suspended→healthy transition, from the probe that sees
 // the backend answer again — never for jobs routed around the suspension,
-// never for ordinary successes.
+// never for ordinary successes. The journal narrates each episode too: one
+// dispatch/suspension event when the backend dies and one
+// dispatch/recovery event when the probe sees it back.
 func TestDispatchRecoveryCallback(t *testing.T) {
 	corpus := partitionCorpus()
 	ts1, _ := newPeer(t, corpus)
@@ -31,8 +34,10 @@ func TestDispatchRecoveryCallback(t *testing.T) {
 	}
 
 	clock := newTestClock()
+	journal := obs.NewJournal("test", 64)
 	d, err := NewWithBackends([]Backend{flaky, NewRemote(ts2.URL, nil)}, Options{
 		Local:            newLocalScheduler(),
+		Journal:          journal,
 		FailureThreshold: 1,
 		OnRecovery: func(backend string) {
 			mu.Lock()
@@ -104,5 +109,9 @@ func TestDispatchRecoveryCallback(t *testing.T) {
 	}
 	if stats := d.Stats(); stats.OwnerRecoveries != 2 || stats.Suspensions != 2 {
 		t.Fatalf("OwnerRecoveries = %d, Suspensions = %d, want 2 and 2", stats.OwnerRecoveries, stats.Suspensions)
+	}
+	counts := journal.CountsByKind()
+	if counts["dispatch/suspension"] != 2 || counts["dispatch/recovery"] != 2 {
+		t.Fatalf("journal counts %v, want 2 dispatch/suspension and 2 dispatch/recovery (one pair per episode)", counts)
 	}
 }

@@ -73,12 +73,11 @@ func TestProbeSpacingDecorrelatedJitter(t *testing.T) {
 	clock := newTestClock()
 	dead := &deadBackend{name: "peer-dead", clock: clock}
 
-	base, cap := 100*time.Millisecond, 10*time.Second
+	// Every backend's probe schedule is built from the admit defaults.
+	const base, cap = admit.DefaultBackoffBase, admit.DefaultBackoffCap
 	d, err := NewWithBackends([]Backend{dead}, Options{
 		Local:            newLocalScheduler(),
 		FailureThreshold: 1,
-		ProbeBackoffBase: base,
-		ProbeBackoffCap:  cap,
 		Now:              clock.Now,
 		// Pin jitter at its upper edge so the schedule is deterministic:
 		// each delay is exactly min(3*prev, cap). Jitter variability
@@ -208,9 +207,11 @@ func TestRetryBudgetNeverExceeded(t *testing.T) {
 // TestRemoteTimeoutOnStalledPeer is the satellite regression test: a peer
 // that accepts the connection and then never sends response headers must
 // fail the attempt at the transport's header timeout instead of pinning
-// the inflight slot until the caller gives up.
+// the inflight slot until the caller gives up — and a dispatcher whose only
+// backend is that peer must still complete its batch, byte-identically, by
+// local fallback.
 func TestRemoteTimeoutOnStalledPeer(t *testing.T) {
-	methods := testMethods(t, 1)
+	methods := testMethods(t, 4)
 	stall := make(chan struct{})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		<-stall // hold the request open, never write headers
@@ -220,6 +221,7 @@ func TestRemoteTimeoutOnStalledPeer(t *testing.T) {
 
 	remote := NewRemote(ts.URL, peer.NewClient(1, 200*time.Millisecond))
 	cfg := testConfig(t, "Compact2")
+	bound := time.After(5 * time.Second)
 
 	done := make(chan error, 1)
 	go func() {
@@ -231,8 +233,25 @@ func TestRemoteTimeoutOnStalledPeer(t *testing.T) {
 		if err == nil {
 			t.Fatal("stalled peer reported success")
 		}
-	case <-time.After(5 * time.Second):
+	case <-bound:
 		t.Fatal("stalled peer pinned the attempt past the header timeout")
+	}
+
+	d, err := NewWithBackends([]Backend{remote}, Options{Local: newLocalScheduler()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := sweepJobs(t, []string{"Compact2"}, methods)
+	batch := make(chan []serve.JobResult, 1)
+	go func() { batch <- d.RunBatchCycles(context.Background(), jobs, testMaxCycles) }()
+	select {
+	case got := <-batch:
+		assertSameResults(t, got, newLocalScheduler().RunBatchCycles(context.Background(), jobs, testMaxCycles))
+	case <-bound:
+		t.Fatal("stalled peer wedged the dispatched batch past the header timeout")
+	}
+	if st := d.Stats(); st.LocalFallbacks < 1 {
+		t.Fatalf("batch behind a stalled peer completed without a local fallback: %+v", st)
 	}
 }
 

@@ -179,8 +179,8 @@ func (r *Replicator) startGossip(ctx context.Context) <-chan struct{} {
 
 // AdvertiseNow pushes every peer except this node itself the segment
 // positions it has not acknowledged yet (see push); peers that are
-// current are skipped. The notifier loop is the normal caller; tests and
-// drills call it to push synchronously.
+// current are skipped. The notifier loop is the normal caller; tests call
+// it to push synchronously.
 func (r *Replicator) AdvertiseNow(ctx context.Context) error {
 	if r.g == nil {
 		return ErrGossipDisabled

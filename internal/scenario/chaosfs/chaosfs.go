@@ -1,7 +1,7 @@
-// Package chaosfs provides the on-disk surgery primitives the chaos harness
-// and the store corruption tests share: deterministic segment damage with no
-// dependency on any other javaflow package, so even internal store tests can
-// import it without a cycle.
+// Package chaosfs provides the on-disk surgery primitives the store
+// corruption and replication tests share: deterministic segment damage with
+// no dependency on any other javaflow package, so even internal store tests
+// can import it without a cycle.
 package chaosfs
 
 import (

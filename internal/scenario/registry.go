@@ -140,20 +140,17 @@ func (r *Registry) LoadFile(path string) (*Bundle, error) {
 }
 
 // Catalog returns the built-in bundles: every existing hard-coded suite
-// sweep re-expressed as data (byte-identical results to the legacy paths),
-// plus the adversarial overload and chaos-fleet drills.
+// sweep re-expressed as data (byte-identical results to the legacy paths).
 func Catalog() []*Bundle {
 	return []*Bundle{
 		{
 			Name:        "chapter7",
 			Description: "Full Chapter-7 sweep: every named SPEC-analog method plus the seeded generated corpus across all six fabric configurations (the legacy jfbench -all population).",
-			Tier:        TierStandard,
 			Workload:    WorkloadSpec{Suites: []string{"named"}, Generated: &GenSpec{}},
 		},
 		{
 			Name:        "scimark",
 			Description: "SciMark 2.0 large analogs (FFT, LU, SOR, sparse matmult, Monte Carlo) across all configurations.",
-			Tier:        TierStandard,
 			Workload: WorkloadSpec{Suites: []string{
 				"scimark.fft.large", "scimark.lu.large", "scimark.sor.large",
 				"scimark.sparse.large", "scimark.monte_carlo",
@@ -162,48 +159,17 @@ func Catalog() []*Bundle {
 		{
 			Name:        "crypto",
 			Description: "SPECjvm2008 crypto.signverify analog (sha/mul/submul_1 kernels).",
-			Tier:        TierStandard,
 			Workload:    WorkloadSpec{Suites: []string{"crypto.signverify"}},
 		},
 		{
 			Name:        "compress",
 			Description: "Both compress eras (SPECjvm2008 compress and JVM98 _201_compress) over the shared LZW kernels.",
-			Tier:        TierStandard,
 			Workload:    WorkloadSpec{Suites: []string{"compress", "_201_compress"}},
 		},
 		{
 			Name:        "spec98",
 			Description: "The SPECjvm98 analog roster (_209_db, _222_mpegaudio, _202_jess, _227_mtrt, _228_jack, _201_compress).",
-			Tier:        TierStandard,
 			Workload:    WorkloadSpec{Suites: []string{"era:SpecJvm98"}},
-		},
-		{
-			Name:        "overload",
-			Description: "Overload drill on Compact2: a 4x-capacity flood against a capped admission gate must shed with typed 429s carrying an honest Retry-After while admitted work stays byte-identical and service recovers fully, and a wedged slow peer must be timed out at the transport and routed around.",
-			Tier:        TierAdversarial,
-			Workload:    WorkloadSpec{Suites: []string{"crypto.signverify"}},
-			Configs:     []string{"Compact2"},
-			Faults: []Fault{
-				{Kind: FaultOverload, Cap: 2, Flood: 8},
-				{Kind: FaultSlowPeer, DelayMs: 2000},
-			},
-		},
-		{
-			Name:        "chaos-fleet",
-			Description: "Small corpus on Compact2 under the full fault schedule: a dispatch backend dies mid-batch, a replication peer flaps, a gossip partition drops push notifications until the next advertisement heals it, a flushed segment is corrupted on disk, and the deadline budget is squeezed.",
-			Tier:        TierAdversarial,
-			Workload: WorkloadSpec{
-				Suites:    []string{"crypto.signverify"},
-				Generated: &GenSpec{Seed: 11, Count: 24},
-			},
-			Configs: []string{"Compact2"},
-			Faults: []Fault{
-				{Kind: FaultBackendDeath, After: 1},
-				{Kind: FaultPeerFlap},
-				{Kind: FaultGossipPartition},
-				{Kind: FaultStoreCorruption, Mode: CorruptBitFlip},
-				{Kind: FaultDeadlinePressure, MaxCycles: 500},
-			},
 		},
 	}
 }

@@ -41,81 +41,18 @@ func (cd ConfigDigest) DigestLine() string {
 		cd.Config, cd.Methods, cd.Skipped, cd.TimedOut, cd.Digest)
 }
 
-// FaultOutcome records one interpreted fault-schedule entry.
-type FaultOutcome struct {
-	Kind FaultKind `json:"kind"`
-	// Injected reports the fault actually fired (a schedule that never
-	// injects proves nothing).
-	Injected bool `json:"injected"`
-	// Recovered reports the system produced correct results anyway.
-	Recovered bool   `json:"recovered"`
-	Detail    string `json:"detail,omitempty"`
-}
-
-// TierResult is a per-tier pass/fail row.
-type TierResult struct {
-	Name   string `json:"name"`
-	Passed bool   `json:"passed"`
-	Detail string `json:"detail,omitempty"`
-}
-
-// Report is the outcome of one scenario run.
+// Report is the outcome of one scenario sweep: one digest per configuration.
 type Report struct {
 	Scenario string         `json:"scenario"`
-	Tier     Tier           `json:"tier"`
 	Configs  []ConfigDigest `json:"configs,omitempty"`
-	Faults   []FaultOutcome `json:"faults,omitempty"`
-	Tiers    []TierResult   `json:"tiers"`
-	Passed   bool           `json:"passed"`
-}
-
-// Finish derives the per-tier rows and the overall verdict from the
-// collected sections. Call once after all sections are filled in.
-func (r *Report) Finish() {
-	r.Tiers = r.Tiers[:0]
-	r.Passed = true
-	if len(r.Configs) > 0 {
-		r.Tiers = append(r.Tiers, TierResult{
-			Name: "sweep", Passed: true,
-			Detail: fmt.Sprintf("%d configuration(s)", len(r.Configs)),
-		})
-	}
-	if len(r.Faults) > 0 {
-		ok := true
-		for _, f := range r.Faults {
-			if !f.Injected || !f.Recovered {
-				ok = false
-			}
-		}
-		if !ok {
-			r.Passed = false
-		}
-		r.Tiers = append(r.Tiers, TierResult{Name: "chaos", Passed: ok,
-			Detail: fmt.Sprintf("%d fault(s) injected", len(r.Faults))})
-	}
 }
 
 // Render formats the report for terminals (jfbench output).
 func (r *Report) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "scenario %s (tier %s)\n", r.Scenario, r.Tier)
+	fmt.Fprintf(&b, "scenario %s\n", r.Scenario)
 	for _, cd := range r.Configs {
 		fmt.Fprintf(&b, "  %s\n", cd.DigestLine())
 	}
-	for _, f := range r.Faults {
-		fmt.Fprintf(&b, "  fault %-18s injected=%v recovered=%v %s\n",
-			f.Kind, f.Injected, f.Recovered, f.Detail)
-	}
-	for _, tr := range r.Tiers {
-		fmt.Fprintf(&b, "  tier %-8s %s (%s)\n", tr.Name, passFail(tr.Passed), tr.Detail)
-	}
-	fmt.Fprintf(&b, "scenario %s: %s\n", r.Scenario, passFail(r.Passed))
 	return b.String()
-}
-
-func passFail(ok bool) string {
-	if ok {
-		return "PASS"
-	}
-	return "FAIL"
 }

@@ -1,11 +1,11 @@
 // Package scenario is the declarative registry behind "as many scenarios as
 // you can imagine": every Chapter-7 experiment — a workload mix × fabric
-// geometry set × clocking policy, optionally under an adversarial fault
-// schedule — is described as a data bundle instead of a hard-coded sweep.
-// The built-in catalog re-expresses the existing suite sweeps byte-for-byte,
-// user scenarios load from JSON, and the chaos tiers drive the injectors in
-// the scenario/chaos and scenario/chaosfs subpackages against the
-// dispatch/replicate/store seams.
+// geometry set × clocking policy × cycle budget — is described as a data
+// bundle instead of a hard-coded sweep. The built-in catalog re-expresses
+// the existing suite sweeps byte-for-byte and user scenarios load from
+// JSON. A scenario is only a sweep: fault injection lives in the tests of
+// the package that survives the fault (the scenario/chaos and
+// scenario/chaosfs injectors are their shared test doubles).
 package scenario
 
 import (
@@ -16,83 +16,6 @@ import (
 	"javaflow/internal/sim"
 	"javaflow/internal/workload"
 )
-
-// Tier grades a scenario's difficulty, after the honeycomb-style
-// scenario/difficulty split: standard scenarios measure, adversarial ones
-// also try to break the system (fault schedules).
-type Tier string
-
-const (
-	TierStandard    Tier = "standard"
-	TierAdversarial Tier = "adversarial"
-)
-
-// FaultKind names one injectable failure mode. Each kind maps onto a seam
-// the repo already survives in one-off tests; the chaos harness makes the
-// injection schedulable from data.
-type FaultKind string
-
-const (
-	// FaultBackendDeath kills a dispatch backend mid-batch (the PR 3
-	// failure drill): the ring must retry the stranded jobs elsewhere.
-	FaultBackendDeath FaultKind = "backend-death"
-	// FaultPeerFlap makes a replication peer serve errors for part of a
-	// sync round, then heal: cursors must hold partial progress and the
-	// next round must converge byte-identically.
-	FaultPeerFlap FaultKind = "peer-flap"
-	// FaultStoreCorruption damages a flushed segment on disk (CRC bit-flip
-	// or tail truncation): reopen must quarantine the damage and
-	// recomputation must restore byte-identical records.
-	FaultStoreCorruption FaultKind = "store-corruption"
-	// FaultDeadlinePressure squeezes the mesh-cycle budget until runs time
-	// out, then restores it: timeouts must be reported, never mistaken for
-	// results.
-	FaultDeadlinePressure FaultKind = "deadline-pressure"
-	// FaultGossipPartition drops a peer's inbound gossip notifications
-	// while results commit, then heals the partition: the next
-	// advertisement must catch the peer up to a byte-identical union with
-	// no periodic pull round involved.
-	FaultGossipPartition FaultKind = "gossip-partition"
-	// FaultOverload floods the serving front past its run-class admission
-	// cap: the overflow must shed with typed 429s carrying an honest
-	// Retry-After, every admitted request must return byte-identical
-	// results, and service must recover fully once the flood drains.
-	FaultOverload FaultKind = "overload"
-	// FaultSlowPeer wedges a dispatch peer — it accepts connections but
-	// stalls before answering: the transport header timeout must fail the
-	// attempt, and retry/local fallback must complete every job
-	// byte-identically instead of letting the slow peer wedge the batch.
-	FaultSlowPeer FaultKind = "slow-peer"
-)
-
-// Corruption modes for FaultStoreCorruption.
-const (
-	CorruptBitFlip  = "bitflip"
-	CorruptTruncate = "truncate"
-)
-
-// Fault is one scheduled injection.
-type Fault struct {
-	Kind FaultKind `json:"kind"`
-	// After is, for backend-death, how many jobs the doomed backend
-	// completes before dying (default 1).
-	After int `json:"after,omitempty"`
-	// Mode is, for store-corruption, "bitflip" (flip a CRC-trailer bit) or
-	// "truncate" (drop the segment tail). Default "bitflip".
-	Mode string `json:"mode,omitempty"`
-	// MaxCycles is, for deadline-pressure, the squeezed per-run mesh-cycle
-	// budget (default 500 — low enough that real methods time out).
-	MaxCycles int `json:"maxCycles,omitempty"`
-	// Cap is, for overload, the run-class admission cap the drill floods
-	// against (default 2).
-	Cap int `json:"cap,omitempty"`
-	// Flood is, for overload, how many concurrent requests the drill
-	// fires (default 4×Cap — the CI-pinned 4×-capacity flood).
-	Flood int `json:"flood,omitempty"`
-	// DelayMs is, for slow-peer, how long the wedged peer stalls before
-	// answering, in milliseconds (default 2000).
-	DelayMs int `json:"delayMs,omitempty"`
-}
 
 // GenSpec selects a slice of the seeded generated corpus. Zero fields
 // inherit the registry defaults, so catalog entries track the -seed/-gen
@@ -116,15 +39,12 @@ type WorkloadSpec struct {
 type Bundle struct {
 	Name        string       `json:"name"`
 	Description string       `json:"description,omitempty"`
-	Tier        Tier         `json:"tier"`
 	Workload    WorkloadSpec `json:"workload"`
 	// Configs lists fabric geometry/clocking entries by sim.Config name
 	// (default: all six).
 	Configs []string `json:"configs,omitempty"`
 	// MaxMeshCycles bounds each simulated run (0 = resolver default).
 	MaxMeshCycles int `json:"maxMeshCycles,omitempty"`
-	// Faults is the chaos schedule, interpreted by the harness.
-	Faults []Fault `json:"faults,omitempty"`
 }
 
 // ValidationError reports why a bundle is malformed.
@@ -141,17 +61,12 @@ func (b *Bundle) invalid(format string, args ...any) error {
 	return &ValidationError{Scenario: b.Name, Reason: fmt.Sprintf(format, args...)}
 }
 
-// Validate checks the bundle against the catalog's invariants: known
-// selectors, known fault kinds with sane parameters, and tier consistency
-// (fault schedules are adversarial machinery).
+// Validate checks the bundle against the catalog's invariants: a name, a
+// non-empty workload of known selectors, known configurations and a
+// non-negative cycle budget.
 func (b *Bundle) Validate() error {
 	if b.Name == "" {
 		return b.invalid("name must be non-empty")
-	}
-	switch b.Tier {
-	case TierStandard, TierAdversarial:
-	default:
-		return b.invalid("unknown tier %q (want %q or %q)", b.Tier, TierStandard, TierAdversarial)
 	}
 	if len(b.Workload.Suites) == 0 && b.Workload.Generated == nil {
 		return b.invalid("empty workload: select suites or a generated corpus")
@@ -169,50 +84,6 @@ func (b *Bundle) Validate() error {
 	}
 	if b.MaxMeshCycles < 0 {
 		return b.invalid("maxMeshCycles must be >= 0, got %d", b.MaxMeshCycles)
-	}
-	if len(b.Faults) > 0 && b.Tier != TierAdversarial {
-		return b.invalid("fault schedules require tier %q", TierAdversarial)
-	}
-	for i, f := range b.Faults {
-		if err := f.validate(); err != nil {
-			return b.invalid("fault %d: %v", i, err)
-		}
-	}
-	return nil
-}
-
-func (f Fault) validate() error {
-	switch f.Kind {
-	case FaultBackendDeath:
-		if f.After < 0 {
-			return fmt.Errorf("%s: after must be >= 0, got %d", f.Kind, f.After)
-		}
-	case FaultPeerFlap:
-	case FaultGossipPartition:
-	case FaultStoreCorruption:
-		switch f.Mode {
-		case "", CorruptBitFlip, CorruptTruncate:
-		default:
-			return fmt.Errorf("%s: unknown mode %q (want %q or %q)",
-				f.Kind, f.Mode, CorruptBitFlip, CorruptTruncate)
-		}
-	case FaultDeadlinePressure:
-		if f.MaxCycles < 0 {
-			return fmt.Errorf("%s: maxCycles must be >= 0, got %d", f.Kind, f.MaxCycles)
-		}
-	case FaultOverload:
-		if f.Cap < 0 {
-			return fmt.Errorf("%s: cap must be >= 0, got %d", f.Kind, f.Cap)
-		}
-		if f.Flood < 0 {
-			return fmt.Errorf("%s: flood must be >= 0, got %d", f.Kind, f.Flood)
-		}
-	case FaultSlowPeer:
-		if f.DelayMs < 0 {
-			return fmt.Errorf("%s: delayMs must be >= 0, got %d", f.Kind, f.DelayMs)
-		}
-	default:
-		return fmt.Errorf("unknown fault kind %q", f.Kind)
 	}
 	return nil
 }

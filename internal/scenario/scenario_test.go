@@ -105,7 +105,6 @@ func TestRegistryRejectsDuplicate(t *testing.T) {
 	reg := scenario.NewRegistry(testDefaults)
 	dup := &scenario.Bundle{
 		Name:     "crypto", // collides with the catalog entry
-		Tier:     scenario.TierStandard,
 		Workload: scenario.WorkloadSpec{Suites: []string{"crypto.signverify"}},
 	}
 	if err := reg.Add(dup); err == nil || !strings.Contains(err.Error(), "already registered") {
@@ -123,62 +122,36 @@ func TestValidationErrors(t *testing.T) {
 	}{
 		{
 			label:  "empty name",
-			bundle: scenario.Bundle{Tier: scenario.TierStandard},
+			bundle: scenario.Bundle{},
 			want:   "name must be non-empty",
 		},
 		{
-			label:  "unknown tier",
-			bundle: scenario.Bundle{Name: "x", Tier: "heroic"},
-			want:   `unknown tier "heroic"`,
-		},
-		{
 			label:  "empty workload",
-			bundle: scenario.Bundle{Name: "x", Tier: scenario.TierStandard},
+			bundle: scenario.Bundle{Name: "x"},
 			want:   "empty workload",
 		},
 		{
 			label: "unknown suite",
-			bundle: scenario.Bundle{Name: "x", Tier: scenario.TierStandard,
+			bundle: scenario.Bundle{Name: "x",
 				Workload: scenario.WorkloadSpec{Suites: []string{"scimark.bogus"}}},
 			want: `unknown suite "scimark.bogus"`,
 		},
 		{
 			label: "unknown era",
-			bundle: scenario.Bundle{Name: "x", Tier: scenario.TierStandard,
+			bundle: scenario.Bundle{Name: "x",
 				Workload: scenario.WorkloadSpec{Suites: []string{"era:SpecJvm86"}}},
 			want: `unknown era selector "era:SpecJvm86"`,
 		},
 		{
 			label: "unknown config",
-			bundle: scenario.Bundle{Name: "x", Tier: scenario.TierStandard,
+			bundle: scenario.Bundle{Name: "x",
 				Workload: scenario.WorkloadSpec{Suites: []string{"named"}},
 				Configs:  []string{"Compact3"}},
 			want: `unknown config "Compact3"`,
 		},
 		{
-			label: "faults without adversarial tier",
-			bundle: scenario.Bundle{Name: "x", Tier: scenario.TierStandard,
-				Workload: scenario.WorkloadSpec{Suites: []string{"named"}},
-				Faults:   []scenario.Fault{{Kind: scenario.FaultPeerFlap}}},
-			want: "fault schedules require tier",
-		},
-		{
-			label: "unknown fault kind",
-			bundle: scenario.Bundle{Name: "x", Tier: scenario.TierAdversarial,
-				Workload: scenario.WorkloadSpec{Suites: []string{"named"}},
-				Faults:   []scenario.Fault{{Kind: "power-loss"}}},
-			want: `unknown fault kind "power-loss"`,
-		},
-		{
-			label: "unknown corruption mode",
-			bundle: scenario.Bundle{Name: "x", Tier: scenario.TierAdversarial,
-				Workload: scenario.WorkloadSpec{Suites: []string{"named"}},
-				Faults:   []scenario.Fault{{Kind: scenario.FaultStoreCorruption, Mode: "shred"}}},
-			want: `unknown mode "shred"`,
-		},
-		{
 			label: "negative maxMeshCycles",
-			bundle: scenario.Bundle{Name: "x", Tier: scenario.TierStandard,
+			bundle: scenario.Bundle{Name: "x",
 				Workload:      scenario.WorkloadSpec{Suites: []string{"named"}},
 				MaxMeshCycles: -1},
 			want: "maxMeshCycles must be >= 0",
@@ -198,12 +171,15 @@ func TestValidationErrors(t *testing.T) {
 
 // TestParseBundleRejectsUnknownFields: typos in user scenario files must fail
 // loudly instead of silently resolving a different scenario. So must the
-// removed differential-oracle tier's "oracle" key: a bundle written for it
-// would otherwise run without the tier it asks for.
+// keys of removed features — the differential-oracle tier's "oracle", the
+// fault schedule's "faults" and the "tier" that gated it: a bundle written
+// for them would otherwise run as a plain sweep without what it asks for.
 func TestParseBundleRejectsUnknownFields(t *testing.T) {
 	for _, tc := range []struct{ bundle, field string }{
-		{`{"name":"x","tier":"standard","workloads":{}}`, "workloads"},
-		{`{"name":"x","tier":"adversarial","workload":{"suites":["named"]},"oracle":{"seed":9,"count":16}}`, "oracle"},
+		{`{"name":"x","workloads":{}}`, "workloads"},
+		{`{"name":"x","workload":{"suites":["named"]},"oracle":{"seed":9,"count":16}}`, "oracle"},
+		{`{"name":"x","workload":{"suites":["named"]},"faults":[{"kind":"peer-flap"}]}`, "faults"},
+		{`{"name":"x","tier":"standard","workload":{"suites":["named"]}}`, "tier"},
 	} {
 		_, err := scenario.ParseBundle([]byte(tc.bundle))
 		if err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.field+`"`) {
@@ -222,10 +198,9 @@ func TestLoadFile(t *testing.T) {
 	good := filepath.Join(dir, "mine.json")
 	if err := os.WriteFile(good, []byte(`{
 		"name": "mine",
-		"tier": "adversarial",
 		"workload": {"suites": ["crypto.signverify"]},
 		"configs": ["Compact2", "Hetero2"],
-		"faults": [{"kind": "peer-flap"}, {"kind": "deadline-pressure", "maxCycles": 900}]
+		"maxMeshCycles": 900
 	}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -234,19 +209,19 @@ func TestLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadFile: %v", err)
 	}
-	if b.Name != "mine" || len(b.Faults) != 2 {
+	if b.Name != "mine" || b.MaxMeshCycles != 900 {
 		t.Fatalf("loaded bundle = %+v", b)
 	}
 	res, err := reg.Resolve("mine")
 	if err != nil {
 		t.Fatalf("resolve loaded scenario: %v", err)
 	}
-	if len(res.Configs) != 2 || res.Configs[0].Name != "Compact2" {
-		t.Fatalf("resolved configs = %+v", res.Configs)
+	if len(res.Configs) != 2 || res.Configs[0].Name != "Compact2" || res.MaxMeshCycles != 900 {
+		t.Fatalf("resolved configs = %+v, maxMeshCycles %d", res.Configs, res.MaxMeshCycles)
 	}
 
 	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"name":"bad","tier":"standard","faults":[{"kind":"peer-flap"}],"workload":{"suites":["named"]}}`), 0o644); err != nil {
+	if err := os.WriteFile(bad, []byte(`{"name":"bad","workload":{"suites":["scimark.bogus"]}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var ve *scenario.ValidationError

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"javaflow/internal/admit"
+	"javaflow/internal/classfile"
+	"javaflow/internal/sim"
 )
 
 // admitServer is testServer with a bounded admission controller
@@ -84,11 +86,27 @@ func TestHTTPOverloadTyped429(t *testing.T) {
 	}
 }
 
+// heldRunner parks every run job until release is closed, so a flood's
+// admitted requests stay inside the run lane until the test lets them go.
+type heldRunner struct {
+	BatchRunner
+	release <-chan struct{}
+}
+
+func (h heldRunner) RunMethodCycles(ctx context.Context, cfg sim.Config, m *classfile.Method, maxCycles int) (sim.MethodRun, error) {
+	<-h.release
+	return h.BatchRunner.RunMethodCycles(ctx, cfg, m, maxCycles)
+}
+
 func TestHTTPFloodShedsAndStaysByteIdentical(t *testing.T) {
 	// Flood at several times the run-lane capacity: shed requests get
 	// typed 429s, zero requests get 5xx, and every admitted result is
-	// byte-identical to the serial local path for the same job.
-	url, svc := admitServer(t, 2, admit.Options{RunCap: 2})
+	// byte-identical to the serial local path for the same job. Admitted
+	// runs are parked inside the lane until every other request has been
+	// answered, so the lane is full by construction and the split is exact
+	// on any machine: cap 200s and flood-cap 429s.
+	const capN, flood = 2, 16
+	url, svc := admitServer(t, 2, admit.Options{RunCap: capN})
 	sig := svc.Methods()[0].Signature()
 
 	want, err := svc.RunLocal(context.Background(), "Compact2", sig, 0)
@@ -97,25 +115,51 @@ func TestHTTPFloodShedsAndStaysByteIdentical(t *testing.T) {
 	}
 	wantJSON, _ := json.Marshal(want)
 
-	const flood = 16
+	release := make(chan struct{})
+	svc.SetBatchRunner(heldRunner{BatchRunner: svc.Scheduler(), release: release})
+
 	type outcome struct {
 		status int
 		body   []byte
 		ra     string
 	}
+	reqBody, _ := json.Marshal(RunRequest{Config: "Compact2", Method: sig})
 	results := make([]outcome, flood)
+	answered := make(chan struct{}, flood)
 	var wg sync.WaitGroup
 	for i := 0; i < flood; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, body := postJSON(t, url+"/v1/run", RunRequest{Config: "Compact2", Method: sig})
+			defer func() { answered <- struct{}{} }()
+			resp, err := http.Post(url+"/v1/run", "application/json", bytes.NewReader(reqBody))
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Errorf("request %d: read: %v", i, err)
+				return
+			}
 			results[i] = outcome{resp.StatusCode, body, resp.Header.Get("Retry-After")}
 		}(i)
 	}
+	// Release the parked runs once everything beyond the lane has been
+	// answered. The timeout only keeps a gate that admitted more than cap
+	// from hanging the test; the counts below then fail it.
+	for n, giveUp := 0, time.After(10*time.Second); n < flood-capN; n++ {
+		select {
+		case <-answered:
+		case <-giveUp:
+			n = flood
+		}
+	}
+	close(release)
 	wg.Wait()
 
-	var ok int
+	var ok, shed int
 	for i, r := range results {
 		switch r.status {
 		case http.StatusOK:
@@ -129,6 +173,11 @@ func TestHTTPFloodShedsAndStaysByteIdentical(t *testing.T) {
 				t.Fatalf("admitted result %d diverged from serial path:\n got %s\nwant %s", i, gotJSON, wantJSON)
 			}
 		case http.StatusTooManyRequests:
+			shed++
+			var ep ErrorPayload
+			if err := json.Unmarshal(r.body, &ep); err != nil || ep.Kind != ErrKindOverloaded {
+				t.Fatalf("rejection %d body %s, want kind %q", i, r.body, ErrKindOverloaded)
+			}
 			if secs, err := strconv.Atoi(r.ra); err != nil || secs < 1 {
 				t.Fatalf("rejection %d Retry-After = %q, want positive seconds", i, r.ra)
 			}
@@ -136,8 +185,9 @@ func TestHTTPFloodShedsAndStaysByteIdentical(t *testing.T) {
 			t.Fatalf("request %d: status %d (flood must produce only 200s and 429s): %s", i, r.status, r.body)
 		}
 	}
-	if ok == 0 {
-		t.Fatal("flood starved every request; admitted work must still complete")
+	if ok != capN || shed != flood-capN {
+		t.Fatalf("flood of %d at cap %d: %d admitted, %d shed; want exactly %d and %d",
+			flood, capN, ok, shed, capN, flood-capN)
 	}
 	// Recovery: depth back to zero and a fresh request admitted.
 	if got := svc.Admission().Depth(admit.ClassRun); got != 0 {

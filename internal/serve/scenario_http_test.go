@@ -43,19 +43,22 @@ func TestHTTPScenarioList(t *testing.T) {
 		}
 		byName[info.Name] = info
 	}
-	if cf := byName["chaos-fleet"]; cf.Tier != scenario.TierAdversarial || len(cf.Faults) != 5 {
-		t.Fatalf("chaos-fleet info = %+v, want adversarial with 5 faults", cf)
-	}
-	// The differential-oracle tier and its row field are gone.
+	// A scenario is only a sweep: the tier, fault-schedule and
+	// differential-oracle row fields are gone, and so are the catalog
+	// entries that used them.
 	var rows []map[string]json.RawMessage
 	getJSON(t, ts.URL+"/v1/scenarios", &rows)
 	for _, row := range rows {
-		if _, ok := row["oracle"]; ok {
-			t.Fatalf("scenario row %s still carries oracle", row["name"])
+		for _, key := range []string{"tier", "faults", "oracle"} {
+			if _, ok := row[key]; ok {
+				t.Fatalf("scenario row %s still carries %q", row["name"], key)
+			}
 		}
 	}
-	if _, ok := byName["adversarial-oracle"]; ok {
-		t.Fatal("adversarial-oracle is still in the catalog")
+	for _, gone := range []string{"adversarial-oracle", "overload", "chaos-fleet"} {
+		if _, ok := byName[gone]; ok {
+			t.Fatalf("%s is still in the catalog", gone)
+		}
 	}
 
 	// Describe round-trips the full bundle.

@@ -539,13 +539,11 @@ func (s *Service) MethodInfos() []MethodInfo {
 // ScenarioInfo is the GET /v1/scenarios row: enough to pick a scenario
 // without fetching the full bundle.
 type ScenarioInfo struct {
-	Name        string               `json:"name"`
-	Description string               `json:"description,omitempty"`
-	Tier        scenario.Tier        `json:"tier"`
-	Suites      []string             `json:"suites,omitempty"`
-	Generated   bool                 `json:"generated"`
-	Configs     []string             `json:"configs,omitempty"` // empty = all
-	Faults      []scenario.FaultKind `json:"faults,omitempty"`
+	Name        string   `json:"name"`
+	Description string   `json:"description,omitempty"`
+	Suites      []string `json:"suites,omitempty"`
+	Generated   bool     `json:"generated"`
+	Configs     []string `json:"configs,omitempty"` // empty = all
 }
 
 // ScenarioInfos lists the registered scenarios in catalog order (empty
@@ -560,18 +558,13 @@ func (s *Service) ScenarioInfos() []ScenarioInfo {
 		if err != nil {
 			continue
 		}
-		info := ScenarioInfo{
+		out = append(out, ScenarioInfo{
 			Name:        b.Name,
 			Description: b.Description,
-			Tier:        b.Tier,
 			Suites:      b.Workload.Suites,
 			Generated:   b.Workload.Generated != nil,
 			Configs:     b.Configs,
-		}
-		for _, f := range b.Faults {
-			info.Faults = append(info.Faults, f.Kind)
-		}
-		out = append(out, info)
+		})
 	}
 	return out
 }
