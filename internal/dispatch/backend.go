@@ -56,40 +56,48 @@ func NewRemote(baseURL string, client *http.Client) *Remote {
 // Name returns the peer's base URL.
 func (r *Remote) Name() string { return r.base }
 
-// Run posts the job to the peer and decodes the result. Non-200 responses
-// become errors; a 422 rejection is rehydrated into the same typed
-// *fabric.LoadError a local run would return, so skip accounting is
-// identical on both paths.
-func (r *Remote) Run(ctx context.Context, job serve.Job, maxCycles int) (sim.MethodRun, error) {
-	body, err := json.Marshal(serve.RunRequest{
-		Config:        job.Config.Name,
-		Method:        job.Method.Signature(),
-		MaxMeshCycles: maxCycles,
-	})
-	if err != nil {
-		return sim.MethodRun{}, fmt.Errorf("dispatch: encoding request: %w", err)
-	}
+// RunBody posts the job to the peer's POST /v1/run and returns the 200
+// body once serve.ReadRunBody has checked its shape: the bytes the
+// single-job path relays, and the one request path Run decodes from.
+// Non-200 responses become errors, as does a body that fails the check; a
+// 422 rejection is rehydrated into the same typed *fabric.LoadError a
+// local run would return, so skip accounting is identical on both paths.
+func (r *Remote) RunBody(ctx context.Context, job serve.Job, maxCycles int) ([]byte, error) {
+	req := serve.RunRequest{Config: job.Config.Name, Method: job.Method.Signature(), MaxMeshCycles: maxCycles}
 	// One hop only: the receiving node executes locally even if it is
 	// itself a dispatch front (or this very process — a self-peer must
 	// not recurse).
-	resp, err := peer.Do(ctx, r.client, http.MethodPost, r.base+"/v1/run", body, serve.DispatchedHeader, "1")
+	resp, err := peer.Do(ctx, r.client, http.MethodPost, r.base+"/v1/run",
+		serve.AppendRunRequest(make([]byte, 0, 128), req), serve.DispatchedHeader, "1")
 	if err != nil {
 		var se *peer.StatusError
 		var ep serve.ErrorPayload
 		if errors.As(err, &se) && json.Unmarshal(se.Body, &ep) == nil && ep.Kind == serve.ErrKindRejected {
-			return sim.MethodRun{}, ep.Err()
+			return nil, ep.Err()
 		}
-		return sim.MethodRun{}, fmt.Errorf("dispatch: %w", err)
+		return nil, fmt.Errorf("dispatch: %w", err)
 	}
 	defer resp.Body.Close()
+	body, err := serve.ReadRunBody(resp, req.Config, req.Method)
+	if err != nil {
+		return nil, fmt.Errorf("dispatch: %s: %w", r.base, err)
+	}
+	return body, nil
+}
 
+// Run posts the job and decodes the peer's body into the MethodRun a batch
+// merges. RunPayload carries both full Result structs; reassembling them
+// is lossless (all fields are ints, bools and strings), so a dispatched
+// run is byte-identical to a local one.
+func (r *Remote) Run(ctx context.Context, job serve.Job, maxCycles int) (sim.MethodRun, error) {
+	body, err := r.RunBody(ctx, job, maxCycles)
+	if err != nil {
+		return sim.MethodRun{}, err
+	}
 	var payload serve.RunPayload
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
+	if err := json.Unmarshal(body, &payload); err != nil {
 		return sim.MethodRun{}, fmt.Errorf("dispatch: %s: decoding response: %w", r.base, err)
 	}
-	// RunPayload carries both full Result structs; reassembling them is
-	// lossless (all fields are ints, bools and strings), so a dispatched
-	// run is byte-identical to a local one.
 	return sim.MethodRun{Signature: payload.Signature, BP1: payload.BP1, BP2: payload.BP2}, nil
 }
 

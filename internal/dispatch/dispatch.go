@@ -161,7 +161,10 @@ type Dispatcher struct {
 	suspensions    atomic.Int64
 }
 
-var _ serve.BatchRunner = (*Dispatcher)(nil)
+var (
+	_ serve.BatchRunner = (*Dispatcher)(nil)
+	_ serve.Relayer     = (*Dispatcher)(nil)
+)
 
 // New builds a dispatcher over opts.Peers. Peer URLs are validated here;
 // reachability is not — unreachable peers are discovered (and routed
@@ -347,22 +350,27 @@ func outcomeOf(ctx context.Context, err error) string {
 }
 
 // attempt runs job on backend i under its inflight bound and updates that
-// backend's health accounting. The attempt span and histogram cover the
-// backend call only — inflight queueing is excluded so the numbers read
-// as backend latency, not dispatcher congestion.
-func (d *Dispatcher) attempt(ctx context.Context, i int, job serve.Job, maxCycles int) (sim.MethodRun, error) {
+// backend's health accounting. With relay set a Remote answers with the
+// peer's checked 200 body instead of a decoded run. The attempt span and
+// histogram cover the backend call only — inflight queueing is excluded so
+// the numbers read as backend latency, not dispatcher congestion.
+func (d *Dispatcher) attempt(ctx context.Context, i int, job serve.Job, maxCycles int, relay bool) (body []byte, run sim.MethodRun, err error) {
 	bs := d.backends[i]
 	select {
 	case bs.sem <- struct{}{}:
 	case <-ctx.Done():
-		return sim.MethodRun{}, ctx.Err()
+		return nil, run, ctx.Err()
 	}
 	defer func() { <-bs.sem }()
 
 	ctx, span := d.tracer.StartSpan(ctx, "dispatch.attempt")
 	span.SetAttr("backend", bs.b.Name())
 	start := time.Now()
-	run, err := bs.b.Run(ctx, job, maxCycles)
+	if r, ok := bs.b.(*Remote); ok && relay {
+		body, err = r.RunBody(ctx, job, maxCycles)
+	} else {
+		run, err = bs.b.Run(ctx, job, maxCycles)
+	}
 	outcome := outcomeOf(ctx, err)
 	d.attemptHist.With(bs.b.Name(), outcome).Record(time.Since(start))
 	span.SetAttr("outcome", outcome)
@@ -377,7 +385,7 @@ func (d *Dispatcher) attempt(ctx context.Context, i int, job serve.Job, maxCycle
 		// Push the next probe out on the jittered schedule; while the
 		// streak continues each failed probe lands further apart.
 		bs.nextProbe.Store(d.now().UnixNano() + int64(bs.probeBackoff.Next()))
-		return run, err
+		return nil, run, err
 	}
 	span.End(nil)
 	// Success — including a typed rejection, which proves the backend is
@@ -397,7 +405,7 @@ func (d *Dispatcher) attempt(ctx context.Context, i int, job serve.Job, maxCycle
 			d.onRecovery(bs.b.Name())
 		}
 	}
-	return run, err
+	return body, run, err
 }
 
 // runLocal executes job on the in-process scheduler under its own inflight
@@ -419,14 +427,15 @@ func (d *Dispatcher) runLocal(ctx context.Context, job serve.Job, maxCycles int)
 // runJob is the per-job routing policy: ring owner, then — after a
 // transient failure — a warm local serve if the local store already
 // holds the key, one retry on a replication-synced peer (falling back to
-// the next node clockwise), then the local scheduler.
-func (d *Dispatcher) runJob(ctx context.Context, job serve.Job, maxCycles int) (run sim.MethodRun, err error) {
+// the next node clockwise), then the local scheduler. With relay set, a
+// job a Remote answered comes back as the peer's body (attempt).
+func (d *Dispatcher) runJob(ctx context.Context, job serve.Job, maxCycles int, relay bool) (body []byte, run sim.MethodRun, err error) {
 	sig := job.Method.Signature()
 	first := d.route(sig, -1)
 	if first >= 0 {
-		run, err = d.attempt(ctx, first, job, maxCycles)
+		body, run, err = d.attempt(ctx, first, job, maxCycles, relay)
 		if err == nil || !transient(ctx, err) {
-			return run, err
+			return body, run, err
 		}
 		d.retries.Add(1)
 		d.backends[first].retriedAway.Add(1)
@@ -435,7 +444,8 @@ func (d *Dispatcher) runJob(ctx context.Context, job serve.Job, maxCycles int) (
 		// served from the local store — byte-identical, no engine run.
 		if st := d.local.Store(); st != nil && st.HasRun(store.RunKeyFor(job.Config, job.Method, maxCycles)) {
 			d.warmLocalHits.Add(1)
-			return d.runLocal(ctx, job, maxCycles)
+			run, err = d.runLocal(ctx, job, maxCycles)
+			return nil, run, err
 		}
 		// The network retry spends from the failed backend's token bucket:
 		// with the budget exhausted the job goes straight to the local
@@ -446,9 +456,9 @@ func (d *Dispatcher) runJob(ctx context.Context, job serve.Job, maxCycles int) (
 			d.journal.Emit("dispatch", "retry_denied", obs.SevWarn, traceIDFrom(ctx),
 				"backend", d.backends[first].b.Name())
 		} else if second := d.routeRetry(sig, first); second >= 0 {
-			run, err = d.attempt(ctx, second, job, maxCycles)
+			body, run, err = d.attempt(ctx, second, job, maxCycles, relay)
 			if err == nil || !transient(ctx, err) {
-				return run, err
+				return body, run, err
 			}
 		}
 	}
@@ -458,7 +468,8 @@ func (d *Dispatcher) runJob(ctx context.Context, job serve.Job, maxCycles int) (
 		// everything locally by construction.
 		d.journal.Emit("dispatch", "local_fallback", obs.SevInfo, traceIDFrom(ctx), "sig", sig)
 	}
-	return d.runLocal(ctx, job, maxCycles)
+	run, err = d.runLocal(ctx, job, maxCycles)
+	return nil, run, err
 }
 
 // traceIDFrom extracts the active trace ID for journal events ("" when
@@ -509,6 +520,17 @@ func (d *Dispatcher) RunMethodCycles(ctx context.Context, cfg sim.Config, m *cla
 	return r.Run, r.Err
 }
 
+// RelayRun implements serve.Relayer: it routes one job as RunMethodCycles
+// does, but a job a Remote answered comes back as that peer's 200 body —
+// checked for shape, never decoded — for the /v1/run handler to write as it
+// is. A job that ended on the local scheduler comes back as a run.
+func (d *Dispatcher) RelayRun(ctx context.Context, cfg sim.Config, m *classfile.Method, maxCycles int) ([]byte, sim.MethodRun, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, sim.MethodRun{}, err
+	}
+	return d.runJob(ctx, serve.Job{Config: cfg, Method: m}, d.maxCyclesOrDefault(maxCycles), true)
+}
+
 // RunBatchCycles dispatches jobs across the backends and returns one
 // result per job in submission order, byte-identical to running the same
 // batch on the local scheduler alone.
@@ -533,7 +555,8 @@ func (d *Dispatcher) workers() int {
 func (d *Dispatcher) RunBatchStream(ctx context.Context, jobs []serve.Job, maxCycles int, emit func(i int, r serve.JobResult)) []serve.JobResult {
 	maxCycles = d.maxCyclesOrDefault(maxCycles)
 	return serve.FanOut(ctx, jobs, d.workers(), emit, func(j serve.Job) (sim.MethodRun, error) {
-		return d.runJob(ctx, j, maxCycles)
+		_, run, err := d.runJob(ctx, j, maxCycles, false)
+		return run, err
 	})
 }
 

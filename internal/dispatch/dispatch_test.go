@@ -1,9 +1,11 @@
 package dispatch
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -362,6 +364,18 @@ func TestDispatchRejectionsAreNotRetried(t *testing.T) {
 	}
 	if st.Backends[0].Jobs != 1 || st.Backends[0].Errors != 0 {
 		t.Fatalf("rejection miscounted: %+v", st.Backends[0])
+	}
+
+	// The single-job path: POST /v1/run through a front answers with the
+	// backend's own 422 envelope, byte for byte, and still never retries.
+	code, got := postRun(newFront(d, []*classfile.Method{rejected}), cfg.Name, rejected.Signature())
+	directCode, direct := postRunURL(t, ts.URL, cfg.Name, rejected.Signature())
+	if code != http.StatusUnprocessableEntity || code != directCode || !bytes.Equal(got, direct) {
+		t.Fatalf("front answered %d %q, backend %d %q", code, got, directCode, direct)
+	}
+	st = d.Stats()
+	if st.Retries != 0 || st.LocalFallbacks != 0 || st.Backends[0].Jobs != 2 || st.Backends[0].Errors != 0 {
+		t.Fatalf("single-job rejection retried or miscounted: %+v", st)
 	}
 }
 

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -110,26 +112,22 @@ func NewHandler(svc *Service) http.Handler {
 	metrics := svc.Scheduler().Metrics()
 
 	mux.HandleFunc("POST /v1/run", guard(svc, admit.ClassRun, func(w http.ResponseWriter, r *http.Request) {
-		var req RunRequest
-		if !decodeJSON(w, r, &req) {
+		req, ok := readRunRequest(w, r)
+		if !ok {
 			return
 		}
-		run := svc.Run
-		if r.Header.Get(DispatchedHeader) != "" {
-			run = svc.RunLocal
-		}
-		payload, err := run(r.Context(), req.Config, req.Method, req.MaxMeshCycles)
+		body, err := svc.runBody(r.Context(), req, r.Header.Get(DispatchedHeader) != "")
 		if err != nil {
 			writeError(w, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(appendRunPayload(make([]byte, 0, 1024), payload)) // the first Write sends the 200
+		_, _ = w.Write(body) // the first Write sends the 200
 	}))
 
 	mux.HandleFunc("POST /v1/batch", guard(svc, admit.ClassBatch, func(w http.ResponseWriter, r *http.Request) {
 		var req BatchRequest
-		if !decodeJSON(w, r, &req) {
+		if !decodeJSON(w, r.Body, &req) {
 			return
 		}
 		if r.URL.Query().Get("stream") == "ndjson" {
@@ -255,7 +253,7 @@ func NewHandler(svc *Service) http.Handler {
 			return
 		}
 		var n replicate.Notification
-		if !decodeJSON(w, r, &n) {
+		if !decodeJSON(w, r.Body, &n) {
 			return
 		}
 		out, err := rp.HandleNotify(r.Context(), n)
@@ -554,9 +552,38 @@ func traceIDParam(r *http.Request) (string, error) {
 	return id, nil
 }
 
-// decodeJSON parses the body into v, replying 400 on malformed input.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// maxRunRequestRead bounds the POST /v1/run bodies readRunRequest reads
+// itself; a canonical one is under 200 bytes.
+const maxRunRequestRead = 512
+
+// readRunRequest reads a POST /v1/run body. One of known length up to 512
+// bytes in a canonical form (parseRunRequest) is decoded without
+// reflection. Any other body goes to decodeJSON over the same bytes — those
+// already read, then the rest — so what is accepted, and every 400 answered,
+// is decodeJSON's.
+func readRunRequest(w http.ResponseWriter, r *http.Request) (RunRequest, bool) {
+	body := r.Body
+	if n := r.ContentLength; n >= 0 && n <= maxRunRequestRead {
+		buf := make([]byte, n)
+		k, err := io.ReadFull(r.Body, buf)
+		if err == nil {
+			if req, ok := parseRunRequest(buf); ok {
+				return req, true
+			}
+		}
+		body = struct {
+			io.Reader
+			io.Closer
+		}{io.MultiReader(bytes.NewReader(buf[:k]), r.Body), r.Body}
+	}
+	var req RunRequest
+	ok := decodeJSON(w, body, &req)
+	return req, ok
+}
+
+// decodeJSON parses a request body into v, replying 400 on malformed input.
+func decodeJSON(w http.ResponseWriter, body io.ReadCloser, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		writeError(w, badRequestf("bad request body: %v", err))

@@ -111,15 +111,17 @@ func TestRunPayloadJSONMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// edgeStrings are the string escaping cases the corpus does not contain.
+var edgeStrings = []string{
+	"", "plain/Class.method/2", "a/B.<init>/0", "x>y", "a&b", `say "hi"`, `back\slash`,
+	"ctl\x01\n\t\r", "del\x7f", "naïve/é.ü/1", "日本語", "\u2028\u2029", "\xff\xfe invalid", "half\xc3",
+}
+
 // TestRunPayloadJSONEdgeCases pins the string escaping and float format
 // cases the corpus does not contain.
 func TestRunPayloadJSONEdgeCases(t *testing.T) {
-	strs := []string{
-		"", "plain/Class.method/2", "a/B.<init>/0", "x>y", "a&b", `say "hi"`, `back\slash`,
-		"ctl\x01\n\t\r", "del\x7f", "naïve/é.ü/1", "日本語", "\u2028\u2029", "\xff\xfe invalid", "half\xc3",
-	}
 	floats := []float64{0, 1e-7, 1e21, 1.0 / 3, 1e-6, 9.99e-7, 1e20, 123456789.125, 1e-100, 1e300, math.Copysign(0, -1), -2.5, math.MaxFloat64, math.SmallestNonzeroFloat64}
-	for _, s := range strs {
+	for _, s := range edgeStrings {
 		for _, f := range floats {
 			p := RunPayload{
 				Signature: s, Config: s, MeanIPC: f,
@@ -160,6 +162,74 @@ func FuzzRunPayloadJSON(f *testing.F) {
 		}
 		if utf8.ValidString(sig) && utf8.ValidString(cfg) && back != p {
 			t.Fatalf("round trip:\n got %+v\nwant %+v", back, p)
+		}
+	})
+}
+
+// TestAppendRunRequestMatchesMarshal: the body a dispatch front sends a
+// peer is json.Marshal's, for every corpus job and for the strings and
+// bounds the corpus does not contain; and /v1/run reads every corpus job's
+// body without reflection.
+func TestAppendRunRequestMatchesMarshal(t *testing.T) {
+	for _, cfg := range sim.Configurations() {
+		for _, m := range workload.Corpus(2014, 40) {
+			for _, n := range []int{0, testMaxCycles, sim.DefaultMaxMeshCycles} {
+				req := RunRequest{Config: cfg.Name, Method: m.Signature(), MaxMeshCycles: n}
+				body := AppendRunRequest(nil, req)
+				if want, _ := json.Marshal(req); !bytes.Equal(body, want) {
+					t.Fatalf("%+v:\n got %s\nwant %s", req, body, want)
+				}
+				if got, ok := parseRunRequest(body); !ok || got != req {
+					t.Fatalf("%s: parsed %+v (ok %v)", body, got, ok)
+				}
+			}
+		}
+	}
+	for _, s := range edgeStrings {
+		for _, n := range []int{0, 1, -1, math.MaxInt64, math.MinInt64} {
+			req := RunRequest{Config: s, Method: s, MaxMeshCycles: n}
+			if got, want := AppendRunRequest([]byte("prefix"), req), append([]byte("prefix"), mustMarshal(t, req)...); !bytes.Equal(got, want) {
+				t.Errorf("%q / %d:\n got %q\nwant %q", s, n, got, want)
+			}
+		}
+	}
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// FuzzRunRequestDecode holds readRunRequest to decodeJSON on any body: the
+// same accept or reject, the same RunRequest, and the same status and
+// error body. A body the reflection-free parser takes is one encoding/json
+// decodes to the same value.
+func FuzzRunRequestDecode(f *testing.F) {
+	f.Add([]byte(`{"config":"Compact2","method":"scimark/fft/FFT.bitreverse/1"}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		read := func(decode func(http.ResponseWriter, *http.Request) (RunRequest, bool)) (RunRequest, bool, *httptest.ResponseRecorder) {
+			w := httptest.NewRecorder()
+			req, ok := decode(w, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+			return req, ok, w
+		}
+		got, gotOK, gw := read(readRunRequest)
+		want, wantOK, ww := read(func(w http.ResponseWriter, r *http.Request) (RunRequest, bool) {
+			var req RunRequest
+			ok := decodeJSON(w, r.Body, &req)
+			return req, ok
+		})
+		if gotOK != wantOK || got != want {
+			t.Fatalf("%q: readRunRequest %+v (ok %v), decodeJSON %+v (ok %v)", body, got, gotOK, want, wantOK)
+		}
+		if gw.Code != ww.Code || !bytes.Equal(gw.Body.Bytes(), ww.Body.Bytes()) {
+			t.Fatalf("%q: answered %d %q, decodeJSON %d %q", body, gw.Code, gw.Body.Bytes(), ww.Code, ww.Body.Bytes())
+		}
+		if req, ok := parseRunRequest(body); ok && (!wantOK || req != want) {
+			t.Fatalf("%q: parsed %+v, encoding/json %+v (ok %v)", body, req, want, wantOK)
 		}
 	})
 }

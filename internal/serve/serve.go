@@ -220,36 +220,66 @@ func payloadFor(cfgName string, run sim.MethodRun) RunPayload {
 	}
 }
 
-// Run executes one (method, config) pair; maxCycles 0 keeps the scheduler
-// default (DefaultMaxMeshCycles-derived) per-job bound. The job flows
-// through the installed batch runner, so on a dispatch front even single
-// runs land on the backend that owns the method's cache affinity.
-func (s *Service) Run(ctx context.Context, configName, signature string, maxCycles int) (RunPayload, error) {
-	return s.runOn(ctx, s.runner, configName, signature, maxCycles)
+// A Relayer is a BatchRunner whose single-job path can answer with the
+// POST /v1/run 200 body the node that ran the job rendered
+// (internal/dispatch.Dispatcher, when a remote backend ran it). By the
+// byte-identity invariant those bytes are this node's answer too, so the
+// handler writes them as they are. A nil body with a nil error means the
+// job ran in this process; run is then the result to render.
+type Relayer interface {
+	RelayRun(ctx context.Context, cfg sim.Config, m *classfile.Method, maxCycles int) (body []byte, run sim.MethodRun, err error)
 }
 
-// RunLocal is Run pinned to the in-process scheduler, bypassing any
-// installed dispatch runner. The HTTP layer routes requests carrying
-// DispatchedHeader here: a job another front already routed must execute
-// on this node, not ring-hop again.
+// runBody executes one POST /v1/run request and returns its 200 body;
+// MaxMeshCycles 0 keeps the scheduler default. The job flows through the
+// installed batch runner, so on a dispatch front even single runs land on
+// the backend that owns the method's cache affinity — unless local pins it
+// to the in-process scheduler, as for a request another front already
+// routed (DispatchedHeader), which must not ring-hop again.
+func (s *Service) runBody(ctx context.Context, req RunRequest, local bool) ([]byte, error) {
+	cfg, m, err := s.job(req.Config, req.Method)
+	if err != nil {
+		return nil, err
+	}
+	runner := s.runner
+	if local {
+		runner = s.sched
+	}
+	var run sim.MethodRun
+	if rl, ok := runner.(Relayer); ok {
+		var body []byte
+		if body, run, err = rl.RelayRun(ctx, cfg, m, req.MaxMeshCycles); body != nil || err != nil {
+			return body, err
+		}
+	} else if run, err = runner.RunMethodCycles(ctx, cfg, m, req.MaxMeshCycles); err != nil {
+		return nil, err
+	}
+	return appendRunPayload(make([]byte, 0, 1024), payloadFor(cfg.Name, run)), nil
+}
+
+// RunLocal executes one (method, config) pair on the in-process scheduler,
+// bypassing any installed dispatch runner; maxCycles 0 keeps the scheduler
+// default.
 func (s *Service) RunLocal(ctx context.Context, configName, signature string, maxCycles int) (RunPayload, error) {
-	return s.runOn(ctx, s.sched, configName, signature, maxCycles)
-}
-
-func (s *Service) runOn(ctx context.Context, r BatchRunner, configName, signature string, maxCycles int) (RunPayload, error) {
-	cfg, err := s.Config(configName)
+	cfg, m, err := s.job(configName, signature)
 	if err != nil {
 		return RunPayload{}, err
 	}
-	m, err := s.Method(signature)
-	if err != nil {
-		return RunPayload{}, err
-	}
-	run, err := r.RunMethodCycles(ctx, cfg, m, maxCycles)
+	run, err := s.sched.RunMethodCycles(ctx, cfg, m, maxCycles)
 	if err != nil {
 		return RunPayload{}, err
 	}
 	return payloadFor(cfg.Name, run), nil
+}
+
+// job resolves a configuration name and a method signature.
+func (s *Service) job(configName, signature string) (sim.Config, *classfile.Method, error) {
+	cfg, err := s.Config(configName)
+	if err != nil {
+		return sim.Config{}, nil, err
+	}
+	m, err := s.Method(signature)
+	return cfg, m, err
 }
 
 // BatchRequest is the POST /v1/batch body: a population sweep over the
