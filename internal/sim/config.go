@@ -18,12 +18,15 @@
 // The engine does not simulate what cannot change the answer.
 // Runner.RunResolved runs a method once when no node ever asks the branch
 // predictor a forward question (BP2's Result is BP1's), and the serial
-// network delivers a token at the next node that observes it — REGISTER r
-// at nodes accessing local r, MEMORY at ordered-storage nodes, everything
-// at control/return nodes and the last node, HEAD and TAIL everywhere —
-// at the clock hop-by-hop transport would have reached it. Same-clock
-// processing order, the rearmost-TAIL watermark and the event count are
-// kept exact by the three rules in engine_event.go's header. The counters
+// network delivers a token at the next node where it can act — REGISTER r
+// at nodes accessing local r, MEMORY at ordered-storage nodes, HEAD at
+// nodes it alone keeps from firing, TAIL at nodes that had not fired when
+// it left or where it would wait behind a lagging token, everything at
+// control/return nodes and the last node — at the clock hop-by-hop
+// transport would have reached it. Same-clock processing order, the
+// rearmost-TAIL watermark, the event count and the nodes HEAD and TAIL
+// pass virtually are kept exact by the five rules in engine_event.go's
+// header. The counters
 // reflect the split: EngineStats.Events is what the machine simulated (the
 // oracle counts the same number), Delivered what the loop had to
 // dequeue for it, EngineTotals.PolicyRunsShared the runs not needed.

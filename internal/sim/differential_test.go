@@ -59,7 +59,10 @@ func (v diffVariant) ref(cfg Config, res *fabric.Resolution, p BranchPolicy, cap
 // is still in flight was sent from the jump or beyond it. (A control node
 // observes everything, so a message from before the jump is delivered at or
 // before it, where the transport gate waits for it; the reset span is
-// therefore never crossed virtually, and no wake entry is pending.)
+// therefore never crossed virtually, and no wake entry is pending. Nor is a
+// HEAD notice, an entry with from == to == k: k lies in the span HEAD has
+// passed, its clock is no later than HEAD's arrival at the jump, and the
+// jump needs HEAD to fire — so the reset never has to orphan one.)
 func newDiffEngine(t *testing.T, cfg Config, res *fabric.Resolution, p BranchPolicy, v diffVariant, cap int) *Engine {
 	eng := NewEngine(cfg, res, p)
 	v.arm(eng, cap)
@@ -264,6 +267,17 @@ func fuzzCell(t *testing.T, seed int64, pick uint16, cfg, variant uint8, policy 
 // on any method the generator can grow is a failure.
 func FuzzEventVsReference(f *testing.F) {
 	f.Add(int64(9), uint16(0), uint8(0), uint8(0), false)
+	// One seed per configuration (Baseline, Compact10, Compact4, Compact2,
+	// Sparse2, Hetero2), together spanning every variant: plain, folded,
+	// both quiesce schedules, folded-quiesce, and capped runs with folding
+	// off and on.
+	f.Add(int64(1000), uint16(3), uint8(0), uint8(4), true)
+	f.Add(int64(1007), uint16(5), uint8(1), uint8(1), false)
+	f.Add(int64(1013), uint16(8), uint8(2), uint8(200), true)
+	f.Add(int64(1021), uint16(1), uint8(3), uint8(203), false)
+	f.Add(int64(1029), uint16(10), uint8(4), uint8(2), false)
+	f.Add(int64(1036), uint16(6), uint8(5), uint8(3), true)
+	f.Add(int64(1039), uint16(11), uint8(5), uint8(161), true)
 	f.Fuzz(fuzzCell)
 }
 

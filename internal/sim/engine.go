@@ -2,8 +2,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -37,6 +35,7 @@ const (
 	// tokWake is not a token: a serial-queue entry of this kind only makes
 	// the loop visit a clock (see Engine.parkTail).
 	tokWake
+	numKinds // sizes the per-kind counters
 )
 
 func (k tokenKind) String() string {
@@ -64,7 +63,8 @@ type token struct {
 // order from `from` and is delivered at `to`, the first node past `from`
 // that observes it; the nodes in between see it only virtually
 // (engine_event.go, "Express delivery"). Branch-addressed and one-hop sends
-// have from == to-1.
+// have from == to-1. An entry with from == to is zero-hop and carries no
+// token: a wake (tokWake) or a HEAD notice (tokHead, Engine.checkFire).
 type serialMsg struct {
 	tok  token
 	to   int // destination instruction index
@@ -189,22 +189,21 @@ func decodeMeta(code []bytecode.Instruction) []nodeMeta {
 	return meta
 }
 
-// observes reports whether a node can do anything with tok other than pass
-// it one hop on — the test express delivery rests on (tokenArrives is the
-// rule set it summarises): HEAD arms and TAIL parks at every node, a
-// control or return node buffers or routes whatever reaches it, MEMORY
-// matters to ordered-storage nodes and REGISTER r to the nodes accessing
-// local r.
+// observes reports whether a node can do anything with a MEMORY or
+// REGISTER token other than pass it one hop on — the test their express
+// delivery rests on (tokenArrives is the rule set it summarises): a control
+// or return node buffers or routes whatever reaches it, MEMORY matters to
+// ordered-storage nodes and REGISTER r to the nodes accessing local r.
+// HEAD and TAIL stop where the run's state says they can act
+// (Engine.headStop, Engine.tailStop).
 func (mt *nodeMeta) observes(tok token) bool {
 	switch {
 	case mt.flags&metaControl != 0:
 		return true
 	case tok.kind == tokMemory:
 		return mt.flags&metaOrderedStorage != 0
-	case tok.kind == tokRegister:
-		return int(mt.localReg) == tok.reg
 	}
-	return true
+	return int(mt.localReg) == tok.reg
 }
 
 // nodePhase tracks an Instruction Data Unit's execution lifecycle.
@@ -219,8 +218,13 @@ const (
 
 // nodeState is the per-instruction Instruction Data Unit state (Figure 13).
 type nodeState struct {
-	phase        nodePhase
-	headSeen     bool
+	phase nodePhase
+	// headAt is the serial clock at which HEAD reached this node, or will
+	// reach it virtually when an express HEAD passes it by (0: not yet
+	// sent past it); HEAD has been seen once serialNow >= headAt.
+	// headNotice records that a zero-hop HEAD notice is queued for headAt.
+	headAt       int
+	headNotice   bool
 	popsReceived int
 	memSeen      bool
 	regSeen      bool // matching REGISTER_TOKEN held (local read/inc)
@@ -281,7 +285,7 @@ func (r Result) Parallelism() float64 {
 //
 // Run drives the token rules below with an event-driven loop
 // (engine_event.go): arrival-bucketed queues, express token delivery past
-// nodes that ignore the token, an incremental rearmost-TAIL watermark,
+// nodes where the token cannot act, an incremental rearmost-TAIL watermark,
 // counter-based phase tracking and cycle skipping. The Section 6.3 rules
 // as stated — clock by clock, hop by hop — live in a test-side
 // transcription (refEngine, reference_test.go) that shares no code with
@@ -367,6 +371,8 @@ type Engine struct {
 	// accounting and in-flight detection without a node sweep.
 	executingCount int
 	serviceCount   int
+	// dequeued counts serial entries taken per token kind (EngineStats.Serial).
+	dequeued [numKinds]uint64
 	// Precomputed per-placement distances: nextD[i] is the serial hop to
 	// i+1 and pre[i] the hops' running sum from node 0 (the linear serial
 	// distance i→j is pre[j]-pre[i]), branchD[i] the serial distance to
@@ -473,10 +479,6 @@ func (e *Engine) SetPreempt(ctx context.Context) { e.preemptCtx = ctx }
 // folding enhancement eliminates.
 func (e *Engine) foldable(i int) bool {
 	return e.foldTransfers && e.meta[i].flags&metaFoldKind != 0
-}
-
-func (e *Engine) code(i int) bytecode.Instruction {
-	return e.placement.Method.Code[i]
 }
 
 // ---- queue and bookkeeping primitives ----
@@ -597,8 +599,8 @@ func (e *Engine) fillCoverage(res *Result) {
 }
 
 // tokenArrives applies the Section 6.3 per-group token rules at node i.
-// The loop calls it only where nodeMeta.observes says the node may act on
-// the token: a rule that makes a node look at a token it used to pass on
+// The loop calls it only where the token's express scan in forwardToken
+// stops: a rule that makes a node look at a token it used to pass on
 // belongs in both.
 func (e *Engine) tokenArrives(tok token, i int) {
 	n := &e.nodes[i]
@@ -627,7 +629,7 @@ func (e *Engine) tokenArrives(tok token, i int) {
 			return
 		}
 		if tok.kind == tokHead {
-			n.headSeen = true
+			n.headAt = e.serialNow
 		}
 		e.holdToken(i, tok)
 		e.checkFire(i)
@@ -636,7 +638,7 @@ func (e *Engine) tokenArrives(tok token, i int) {
 
 	switch tok.kind {
 	case tokHead:
-		n.headSeen = true
+		n.headAt = e.serialNow
 		e.forwardToken(tok, i, 0)
 		e.checkFire(i)
 
@@ -736,18 +738,63 @@ func (e *Engine) removeTail(i int) {
 
 // forwardToken sends tok from node i down the linear order, `stagger`
 // clocks behind the head of its bundle. The model moves it one serial hop
-// per physical node; it is delivered at the first node past i that
-// observes it, or at the last node (where an unobserved token falls off
-// the method end), after the same total delay.
+// per physical node; it is delivered at the first node past i where it can
+// act (observes, headStop, tailStop), or at the last node (where an
+// unobserved token falls off the method end), after the same total delay.
+// A HEAD stamps every node it skips with the clock it virtually passes it.
 func (e *Engine) forwardToken(tok token, i, stagger int) {
 	to := i + 1
-	if to >= len(e.nodes) {
+	last := len(e.nodes) - 1
+	if to > last {
 		return // fell off the method end (only returns should consume TAIL)
 	}
-	for to < len(e.nodes)-1 && !e.meta[to].observes(tok) {
-		to++
+	switch tok.kind {
+	case tokHead:
+		at := e.serialNow + stagger - int(e.pre[i])
+		for ; to < last && !e.headStop(to); to++ {
+			e.nodes[to].headAt = at + int(e.pre[to])
+		}
+	case tokTail:
+		to = e.tailStop(i)
+	default:
+		for to < last && !e.meta[to].observes(tok) {
+			to++
+		}
 	}
 	e.pushSerial(tok, i, to, int(e.pre[to]-e.pre[i]), stagger)
+}
+
+// headStop reports whether a HEAD passing node k must be delivered there
+// (rule 4 in engine_event.go's header): k buffers or routes it, or HEAD is
+// all k still waits for to fire.
+func (e *Engine) headStop(k int) bool {
+	return e.meta[k].flags&metaControl != 0 ||
+		(e.nodes[k].phase == phaseReady && e.readyButHead(k))
+}
+
+// tailStop is where a TAIL released at node i is delivered (rule 5 in
+// engine_event.go's header): the first node past i that is a control or
+// return node, had not fired at release time, or is the last node — or,
+// sooner, the node where hop by hop it would catch up with an in-flight
+// message lagging it: m.from+1 for any m whose clock at every node it
+// shares with the TAIL is later than the TAIL's.
+func (e *Engine) tailStop(i int) int {
+	stop := len(e.nodes) - 1
+	lag := e.serialNow - int(e.pre[i])
+	for _, b := range e.serialEv.pending() {
+		for k := range b.items {
+			m := &b.items[k]
+			if m.from < m.to && m.to > i && b.t-int(e.pre[m.to]) > lag {
+				stop = min(stop, max(m.from, i)+1)
+			}
+		}
+	}
+	for to := i + 1; to < stop; to++ {
+		if e.meta[to].flags&metaControl != 0 || e.nodes[to].phase != phaseFired {
+			return to
+		}
+	}
+	return stop
 }
 
 // forwardTokenTo schedules tok from the branch at `from` to its target
@@ -767,31 +814,41 @@ func (e *Engine) meshDeliver(msg meshMsg) {
 	e.checkFire(msg.to)
 }
 
+// readyButHead reports whether node i meets every firing condition of its
+// group except HEAD's.
+func (e *Engine) readyButHead(i int) bool {
+	n := &e.nodes[i]
+	mt := &e.meta[i]
+	switch mt.group {
+	case bytecode.GroupLocalRead, bytecode.GroupLocalInc:
+		return n.regSeen
+	case bytecode.GroupMemRead, bytecode.GroupMemWrite:
+		return n.memSeen && n.popsReceived >= int(mt.pop)
+	case bytecode.GroupReturn:
+		return n.popsReceived >= int(mt.pop) && e.holdsTail(i)
+	}
+	return n.popsReceived >= int(mt.pop)
+}
+
 // checkFire applies the firing rules and begins execution when satisfied.
+// A node that is ready but for a HEAD still virtually on its way queues a
+// zero-hop HEAD notice at the clock HEAD reaches it, sorted as that
+// arrival would be (rule 4 in engine_event.go's header).
 func (e *Engine) checkFire(i int) {
 	n := &e.nodes[i]
-	if n.phase != phaseReady {
+	if n.phase != phaseReady || !e.readyButHead(i) {
+		return
+	}
+	if n.headAt == 0 || n.headAt > e.serialNow {
+		if n.headAt != 0 && !n.headNotice {
+			n.headNotice = true
+			e.serialEv.push(n.headAt, serialMsg{tok: token{kind: tokHead}, to: i, from: i})
+		}
 		return
 	}
 	mt := &e.meta[i]
 
-	switch mt.group {
-	case bytecode.GroupLocalRead, bytecode.GroupLocalInc:
-		if !n.headSeen || !n.regSeen {
-			return
-		}
-	case bytecode.GroupMemRead, bytecode.GroupMemWrite:
-		if !n.headSeen || !n.memSeen || n.popsReceived < int(mt.pop) {
-			return
-		}
-	case bytecode.GroupReturn:
-		if !n.headSeen || n.popsReceived < int(mt.pop) || !e.holdsTail(i) {
-			return
-		}
-	case bytecode.GroupControl:
-		if !n.headSeen || n.popsReceived < int(mt.pop) {
-			return
-		}
+	if mt.group == bytecode.GroupControl {
 		// Decide direction now; a backward-taken jump additionally
 		// needs TAIL before the bundle moves (handled at completion).
 		taken := false
@@ -804,10 +861,6 @@ func (e *Engine) checkFire(i int) {
 			taken = e.predictor.Backward(i)
 		}
 		n.decisionTaken = taken
-	default:
-		if !n.headSeen || n.popsReceived < int(mt.pop) {
-			return
-		}
 	}
 
 	e.setPhase(i, phaseExecuting)
@@ -1038,19 +1091,4 @@ func (e *Engine) maybeCompleteBackward(i int) {
 		e.pushSerial(t, target-1, target, dist, stagger)
 		stagger++
 	}
-}
-
-// DebugState renders node phases and pending queues for stall diagnosis.
-func (e *Engine) DebugState() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "serial=%d mesh=%d\n", e.serialEv.n, e.meshEv.n)
-	for i := range e.nodes {
-		n := &e.nodes[i]
-		if n.phase == phaseReady && len(n.held) == 0 && !n.headSeen && n.popsReceived == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "node %3d %-24s phase=%d head=%v pops=%d mem=%v reg=%v held=%d dec=%v\n",
-			i, e.code(i).String(), n.phase, n.headSeen, n.popsReceived, n.memSeen, n.regSeen, len(n.held), n.decisionTaken)
-	}
-	return b.String()
 }

@@ -31,16 +31,19 @@ import (
 //     preemptEvery boundary.
 //
 // Express delivery. Most serial arrivals change nothing: a REGISTER or
-// MEMORY token reaches a node that never looks at it and is sent one hop
-// on. A linear send therefore goes straight to the token's next observer
-// (nodeMeta.observes; the last node observes everything, HEAD and TAIL are
-// observed everywhere, branch-addressed sends are delivered at their
-// target as before), found by a forward scan and delayed by the sum of the
-// hops it skips, so it arrives at the clock it always did and the serial
-// queue is non-empty over exactly the same clocks — serialNow, the
-// dead-time skip and stall detection cannot tell. Three things in the
-// machine read where a token is rather than where it is going, and each
-// has a rule (the differential suite fails when any one is removed):
+// MEMORY token reaches a node that never looks at it, a HEAD only arms a
+// node that still waits for something else, a TAIL parks at a node that
+// has already fired and leaves at the same clock — each is sent one hop
+// on. A linear send therefore goes straight to the first node where the
+// token can act (nodeMeta.observes for MEMORY and REGISTER, rules 4 and 5
+// below for HEAD and TAIL; the last node stops everything, and
+// branch-addressed sends are delivered at their target as before), found
+// by a forward scan and delayed by the sum of the hops it skips, so it
+// arrives at the clock it always did and the serial queue is non-empty
+// over exactly the same clocks — serialNow, the dead-time skip and stall
+// detection cannot tell. Things in the machine that read where a token is
+// rather than where it is going each have a rule (the differential suite
+// fails when any one is removed):
 //
 //  1. Same-clock order. Hop by hop, a clock's arrivals are processed
 //     sorted by (destination, kind) and, within a tie, in the order of
@@ -70,6 +73,30 @@ import (
 //     cancelled, the skipped hops whose virtual arrival clock is not after
 //     serialNow. The oracle counts the same events one by one
 //     (TestEventsAtEveryCap stops both at every cycle).
+//  4. HEAD. Hop by hop, HEAD arriving at a non-control node marks it
+//     seen, moves on, and fires the node if HEAD was all it lacked. So a
+//     HEAD from node i is delivered at the first node that is control,
+//     the last node, or ready but for HEAD (headStop), and stamps every
+//     node it skips with the clock it virtually passes it (nodeState.
+//     headAt); checkFire counts HEAD as seen once serialNow >= headAt. A
+//     skipped node that becomes ready but for HEAD before that clock
+//     queues one zero-hop HEAD notice at it (from == to), sorted as HEAD's
+//     arrival there would be; the notice fires the node at the hop-by-hop
+//     clock and place. A notice holds no token: it is not in liveAt,
+//     accounts no event, and parkTail, finishStats and rule 5's lag scan
+//     skip it. None can be pending at a backward transport (see
+//     newDiffEngine), so the span reset has nothing to orphan.
+//  5. TAIL. Hop by hop, a TAIL released at node i parks at every node
+//     that has already fired and leaves again at the same clock, as long
+//     as it stays rearmost. Every node the TAIL has walked past has fired,
+//     so nothing new is sent from behind it while it travels, and a message
+//     m in flight is behind it at every node both pass exactly when m
+//     lags it: arrive_m − pre[m.to] > serialNow − pre[i]. So the TAIL is
+//     delivered at the first node past i that is control or return, had
+//     not fired at release time, is the last node, or is m.from+1 for a
+//     lagging m whose path reaches past i (tailStop) — the node where it
+//     would first wait behind m. That last stop is rule 2's tailHold
+//     extended to the nodes the TAIL skips.
 //
 // Every Result field is computed exactly as the oracle computes it; the
 // differential tests assert byte-identical MethodRun encodings, which is
@@ -89,9 +116,22 @@ type EngineStats struct {
 	// Delivered counts the serial, mesh and completion queue entries this
 	// loop actually dequeued to simulate Events.
 	Delivered uint64
+	// Serial splits Delivered's serial queue entries by what they carry.
+	Serial SerialDequeues
 	// CyclesSkipped counts mesh cycles fast-forwarded without per-cycle
 	// work (eventless windows and quiesce stalls).
 	CyclesSkipped uint64
+}
+
+// SerialDequeues counts serial queue entries by token kind. HEAD counts
+// HEAD notices too; Wake counts the entries that only make the loop visit
+// a clock.
+type SerialDequeues struct {
+	Head     uint64 `json:"head"`
+	Memory   uint64 `json:"memory"`
+	Register uint64 `json:"register"`
+	Tail     uint64 `json:"tail"`
+	Wake     uint64 `json:"wake"`
 }
 
 // Stats returns the run's activity counters.
@@ -107,6 +147,7 @@ var engineTotals struct {
 	skipped   atomic.Uint64
 	delivered atomic.Uint64
 	shared    atomic.Uint64
+	serial    [numKinds]atomic.Uint64
 }
 
 // EngineTotals is the process-wide engine activity snapshot.
@@ -117,6 +158,8 @@ type EngineTotals struct {
 	CyclesSkipped       uint64 `json:"cyclesSkipped"`
 	// Delivered is the queue entries dequeued to simulate Events.
 	Delivered uint64 `json:"delivered"`
+	// Serial splits Delivered's serial queue entries by token kind.
+	Serial SerialDequeues `json:"serialDequeued"`
 	// PolicyRunsShared counts BP2 results copied from BP1's run because
 	// the method never consults the branch policy; their simulated
 	// counters are in the totals above, their engine run is not.
@@ -125,6 +168,10 @@ type EngineTotals struct {
 
 // TotalEngineStats snapshots the process-wide engine counters.
 func TotalEngineStats() EngineTotals {
+	var serial [numKinds]uint64
+	for k := range serial {
+		serial[k] = engineTotals.serial[k].Load()
+	}
 	return EngineTotals{
 		Runs:                engineTotals.runs.Load(),
 		SimulatedMeshCycles: engineTotals.cycles.Load(),
@@ -132,7 +179,13 @@ func TotalEngineStats() EngineTotals {
 		CyclesSkipped:       engineTotals.skipped.Load(),
 		Delivered:           engineTotals.delivered.Load(),
 		PolicyRunsShared:    engineTotals.shared.Load(),
+		Serial:              byKind(&serial),
 	}
+}
+
+// byKind names per-kind serial counters.
+func byKind(d *[numKinds]uint64) SerialDequeues {
+	return SerialDequeues{Head: d[tokHead], Memory: d[tokMemory], Register: d[tokRegister], Tail: d[tokTail], Wake: d[tokWake]}
 }
 
 // finishStats closes out the run's accounting and folds it into the
@@ -150,8 +203,12 @@ func (e *Engine) finishStats(cycles int) {
 		}
 	}
 	e.stats.MeshCycles = uint64(cycles)
+	e.stats.Serial = byKind(&e.dequeued)
 	engineTotals.runs.Add(1)
 	engineTotals.delivered.Add(e.stats.Delivered)
+	for k, v := range e.dequeued {
+		engineTotals.serial[k].Add(v)
+	}
 	e.foldSimulated()
 }
 
@@ -242,29 +299,35 @@ func (e *Engine) parkTail(p int) {
 // already equal its time) and processes its arrivals in the hop-by-hop
 // order: all same-clock messages leave the in-flight index first, then
 // arrive sorted by (destination, kind, ord). Each accounts the arrivals it
-// stands for — to-from of them, none for a wake entry.
+// stands for — to-from of them, none for a zero-hop entry. A HEAD notice
+// stands for HEAD's virtual arrival at its node, which can only complete
+// that node's firing rule.
 func (e *Engine) deliverSerialBucket() {
 	_, msgs := e.serialEv.takeMin()
 	hops := 0
 	for i := range msgs {
 		msg := &msgs[i]
-		if msg.tok.kind < tokTail {
+		if msg.tok.kind < tokTail && msg.from != msg.to {
 			e.liveAt[msg.to]--
 			if msg.to <= e.tailPos {
 				e.liveBehind--
 			}
 		}
 		hops += msg.to - msg.from
+		e.dequeued[msg.tok.kind]++
 	}
 	sortSerialArrivals(msgs)
 	e.stats.Events += uint64(hops)
 	e.stats.Delivered += uint64(len(msgs))
 	for i := range msgs {
-		if msgs[i].tok.kind == tokWake {
-			continue
+		msg := &msgs[i]
+		e.arrival = msg
+		switch {
+		case msg.from != msg.to:
+			e.tokenArrives(msg.tok, msg.to)
+		case msg.tok.kind == tokHead:
+			e.checkFire(msg.to)
 		}
-		e.arrival = &msgs[i]
-		e.tokenArrives(msgs[i].tok, msgs[i].to)
 	}
 	e.arrival = nil
 	e.serialEv.recycle(msgs)

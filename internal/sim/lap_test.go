@@ -16,6 +16,8 @@ import (
 // (events, mesh cycles) are what the oracle (refEngine) counts and must
 // never move, while the work actually done (engine runs, queue entries
 // dequeued) must stay where policy sharing and express delivery put it.
+// Hop by hop, HEAD and TAIL were 579 k of the lap's serial entries; express
+// HEAD and TAIL (rules 4 and 5 in engine_event.go) leave 185 k.
 func TestBenchLapCounters(t *testing.T) {
 	methods := workload.Corpus(2014, 1580)[:800]
 	runner := &Runner{MaxMeshCycles: 400_000}
@@ -55,11 +57,21 @@ func TestBenchLapCounters(t *testing.T) {
 		t.Errorf("%d shared policy runs, want 3774", got)
 	}
 	events, delivered := after.Events-before.Events, after.Delivered-before.Delivered
-	if float64(delivered) > 0.35*float64(events) {
-		t.Errorf("%d queue entries dequeued for %d simulated events (%.3f), want <= 0.35: express delivery stopped eliding",
+	if delivered != 1_117_623 {
+		t.Errorf("%d queue entries dequeued, want 1117623", delivered)
+	}
+	if float64(delivered) > 0.21*float64(events) {
+		t.Errorf("%d queue entries dequeued for %d simulated events (%.3f), want <= 0.21: express delivery stopped eliding",
 			delivered, events, float64(delivered)/float64(events))
 	}
-	t.Logf("%d jobs, %d runs, %d events, %d delivered", jobs, after.Runs-before.Runs, events, delivered)
+	if mem, reg := after.Serial.Memory-before.Serial.Memory, after.Serial.Register-before.Serial.Register; mem != 54_234 || reg != 366_882 {
+		t.Errorf("%d MEMORY and %d REGISTER entries dequeued, want 54234 and 366882", mem, reg)
+	}
+	headTail := after.Serial.Head - before.Serial.Head + after.Serial.Tail - before.Serial.Tail
+	if headTail > 190_000 {
+		t.Errorf("%d HEAD and TAIL entries dequeued, want <= 190000: HEAD or TAIL is walking hop by hop again", headTail)
+	}
+	t.Logf("%d jobs, %d runs, %d events, %d delivered (%d HEAD and TAIL)", jobs, after.Runs-before.Runs, events, delivered, headTail)
 }
 
 // TestRunResolvedMatchesReference: the job-level path — one engine run

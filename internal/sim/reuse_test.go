@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -84,6 +85,7 @@ type runState struct {
 	serialQueued, meshQueued, doneQueued      int
 	finished, arriving                        bool
 	stats                                     EngineStats
+	dequeued                                  [numKinds]uint64
 }
 
 func stateOf(e *Engine) runState {
@@ -93,7 +95,22 @@ func stateOf(e *Engine) runState {
 		seq: e.seq, executingCount: e.executingCount, serviceCount: e.serviceCount,
 		serialQueued: e.serialEv.n, meshQueued: e.meshEv.n, doneQueued: e.doneEv.n,
 		finished: e.finished, arriving: e.arrival != nil,
-		stats: e.stats,
+		stats: e.stats, dequeued: e.dequeued,
+	}
+}
+
+// zeroNodes fails unless every node of a Reset engine is a zero nodeState
+// apart from its held buffer's capacity: a stale HEAD clock would let a
+// node fire on the previous run's HEAD, a stale notice flag would keep it
+// from queueing its notice.
+func zeroNodes(t *testing.T, e *Engine) {
+	t.Helper()
+	for i, n := range e.nodes {
+		z := n
+		z.held = nil
+		if len(n.held) != 0 || !reflect.DeepEqual(z, nodeState{}) {
+			t.Fatalf("node %d after Reset: %+v", i, n)
+		}
 	}
 }
 
@@ -129,6 +146,7 @@ func TestDirtyEngineReuse(t *testing.T) {
 	// identical outcomes.
 	run := func(c reuseCell) (Result, error) {
 		eng.Reset(c.cfg, c.res, c.policy)
+		zeroNodes(t, eng)
 		c.arm(eng)
 		fresh := NewEngine(c.cfg, c.res, c.policy)
 		c.arm(fresh)
