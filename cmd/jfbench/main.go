@@ -12,8 +12,7 @@
 //	                             # compute only what nobody has
 //	jfbench -fleet http://10.0.0.7:8077 # render the fleet-health table
 //	jfbench -scenarios           # list the scenario catalog
-//	jfbench -scenario crypto            # run one scenario bundle
-//	jfbench -scenario-file my.json      # run a user scenario (JSON)
+//	jfbench -scenario crypto            # run one scenario preset
 //
 // The population defaults mirror the dissertation: ~1,600 methods, two
 // branch-policy executions each, six machine configurations. With
@@ -24,7 +23,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -57,8 +55,7 @@ func main() {
 		stDir     = flag.String("store-dir", "", "persistent result store directory (empty = recompute everything)")
 		peers     = flag.String("peers", "", "comma-separated jfserved base URLs to dispatch sweeps across (must serve the same -gen/-seed corpus)")
 		pull      = flag.Bool("pull", false, "pull the -peers' warm results into -store-dir (one anti-entropy round), then sweep locally over the warmed store instead of dispatching; the exit report splits pulled vs computed")
-		scenName  = flag.String("scenario", "", "run one scenario bundle from the registry (see -scenarios)")
-		scenFile  = flag.String("scenario-file", "", "load, validate and run a user scenario bundle from a JSON file")
+		scenName  = flag.String("scenario", "", "run one scenario preset from the catalog (see -scenarios)")
 		scenList  = flag.Bool("scenarios", false, "list the scenario catalog and exit")
 		fleetURL  = flag.String("fleet", "", "fetch <base URL>/v1/fleet from a running jfserved and render the aggregated fleet-health table, then exit")
 	)
@@ -134,20 +131,9 @@ func main() {
 		}
 	}
 
-	// The scenario registry resolves catalog entries against the same
-	// -seed/-gen/-maxcycles the legacy sweeps use, so the two paths sweep
-	// identical populations.
-	reg := scenario.NewRegistry(scenario.Defaults{
-		Seed: *seed, GenCount: *gen, MaxMeshCycles: *cycles,
-	})
-
 	if *scenList {
-		for _, name := range reg.Names() {
-			b, err := reg.Get(name)
-			if err != nil {
-				fail(1, "jfbench: %v\n", err)
-			}
-			fmt.Printf("%-20s %s\n", b.Name, b.Description)
+		for _, p := range scenario.Catalog() {
+			fmt.Printf("%-20s %s\n", p.Name, p.Description)
 		}
 		if err := ctx.Close(); err != nil {
 			fail(1, "jfbench: closing store: %v\n", err)
@@ -155,29 +141,12 @@ func main() {
 		return
 	}
 
-	if *scenName != "" || *scenFile != "" {
-		if *scenName != "" && *scenFile != "" {
-			fail(2, "jfbench: -scenario and -scenario-file are mutually exclusive\n")
-		}
-		var bundle *scenario.Bundle
-		var err error
-		if *scenFile != "" {
-			bundle, err = reg.LoadFile(*scenFile)
-		} else {
-			bundle, err = reg.Get(*scenName)
-		}
+	if *scenName != "" {
+		preset, err := scenario.Lookup(*scenName)
 		if err != nil {
-			var nf *scenario.NotFoundError
-			if errors.As(err, &nf) {
-				fail(2, "jfbench: %v (use -scenarios to list the catalog)\n", err)
-			}
-			fail(2, "jfbench: %v\n", err)
+			fail(2, "jfbench: %v (use -scenarios to list the catalog)\n", err)
 		}
-		resolved, err := bundle.Resolve(reg.Defaults())
-		if err != nil {
-			fail(2, "jfbench: %v\n", err)
-		}
-		report, err := ctx.RunScenario(resolved)
+		report, err := ctx.RunScenario(preset)
 		if err != nil {
 			fail(1, "jfbench: %v\n", err)
 		}

@@ -162,12 +162,9 @@ func main() {
 		Registry:     sched.Metrics().Registry(),
 		Journal:      sched.Metrics().Journal(),
 	}))
-	// Scenario catalog entries resolve against this node's own corpus
-	// parameters, so scenario-keyed batches sweep exactly the methods the
-	// daemon serves.
-	svc.SetScenarios(scenario.NewRegistry(scenario.Defaults{
-		Seed: *seed, GenCount: *gen, MaxMeshCycles: *cycles,
-	}))
+	// A scenario-keyed batch sweeps the preset's selection of the methods
+	// this node serves.
+	svc.SetScenarios(scenario.Catalog())
 
 	logf := func(format string, args ...any) {
 		fmt.Printf("jfserved: "+format+"\n", args...)

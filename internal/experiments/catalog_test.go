@@ -8,25 +8,20 @@ import (
 )
 
 // TestChapter7DigestsMatchSimResults is the catalog-equivalence contract:
-// the "chapter7" scenario bundle, run through RunScenario, sweeps exactly
+// the "chapter7" scenario preset, run through RunScenario, sweeps exactly
 // what the hard-coded table path (SimResults) sweeps — per configuration,
 // the same method, skip and timeout counts and a byte-identical digest
 // over every MethodRun. Each side runs on its own Context, so nothing is
 // shared between them but the code.
 func TestChapter7DigestsMatchSimResults(t *testing.T) {
 	const gen = 60
-	reg := scenario.NewRegistry(scenario.Defaults{Seed: 2014, GenCount: gen, MaxMeshCycles: 400_000})
-	b, err := reg.Get("chapter7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := b.Resolve(reg.Defaults())
+	p, err := scenario.Lookup("chapter7")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := NewContext()
 	sc.GenCount = gen
-	rep, err := sc.RunScenario(res)
+	rep, err := sc.RunScenario(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,7 @@ import (
 	"javaflow/internal/dataflow"
 	"javaflow/internal/dispatch"
 	"javaflow/internal/jvm"
+	"javaflow/internal/scenario"
 	"javaflow/internal/serve"
 	"javaflow/internal/sim"
 	"javaflow/internal/store"
@@ -228,22 +229,53 @@ func (c *Context) SimResults(cfg sim.Config) (*sim.ConfigResults, error) {
 	if r, ok := c.simResult[cfg.Name]; ok {
 		return r, nil
 	}
-	runner, err := c.BatchRunner()
-	if err != nil {
-		return nil, err
-	}
-	methods := c.Corpus()
-	jobs := make([]serve.Job, len(methods))
-	for i, m := range methods {
-		jobs[i] = serve.Job{Config: cfg, Method: m}
-	}
-	results := runner.RunBatchCycles(context.Background(), jobs, c.MaxMeshCycles)
-	cr, err := serve.CollectRuns(cfg, results)
+	cr, err := c.sweep(cfg, c.Corpus())
 	if err != nil {
 		return nil, err
 	}
 	c.simResult[cfg.Name] = cr
 	return cr, nil
+}
+
+// RunScenario sweeps a preset's selection of the corpus across every
+// configuration — through sweep, the loop SimResults uses, so "chapter7"
+// stays byte-identical to the table path — and reports each
+// configuration as a digest over its MethodRun encodings.
+func (c *Context) RunScenario(p *scenario.Preset) (*scenario.Report, error) {
+	methods, err := p.Select(c.Corpus())
+	if err != nil {
+		return nil, err
+	}
+	rep := &scenario.Report{Scenario: p.Name}
+	for _, cfg := range sim.Configurations() {
+		cr, err := c.sweep(cfg, methods)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: scenario %s on %s: %w", p.Name, cfg.Name, err)
+		}
+		digest, err := scenario.DigestRuns(cr.Runs)
+		if err != nil {
+			return nil, err
+		}
+		rep.Configs = append(rep.Configs, scenario.ConfigDigest{
+			Config: cfg.Name, Methods: len(cr.Runs),
+			Skipped: cr.Skipped, TimedOut: cr.TimedOut, Digest: digest,
+		})
+	}
+	return rep, nil
+}
+
+// sweep runs methods on one configuration through the context's
+// BatchRunner and collects the runs in method order.
+func (c *Context) sweep(cfg sim.Config, methods []*classfile.Method) (*sim.ConfigResults, error) {
+	runner, err := c.BatchRunner()
+	if err != nil {
+		return nil, err
+	}
+	jobs := make([]serve.Job, len(methods))
+	for i, m := range methods {
+		jobs[i] = serve.Job{Config: cfg, Method: m}
+	}
+	return serve.CollectRuns(cfg, runner.RunBatchCycles(context.Background(), jobs, c.MaxMeshCycles))
 }
 
 // Baseline returns the Baseline configuration's results.

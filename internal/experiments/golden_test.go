@@ -53,13 +53,8 @@ func renderGoldens(t *testing.T, workers int) map[string][]byte {
 	out["ablations.golden"] = abl.Bytes()
 
 	var presets bytes.Buffer
-	reg := scenario.NewRegistry(scenario.Defaults{Seed: c.Seed, GenCount: c.GenCount, MaxMeshCycles: c.MaxMeshCycles})
-	for _, name := range reg.Names() {
-		res, err := reg.Resolve(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := c.RunScenario(res)
+	for i := range scenario.Catalog() {
+		rep, err := c.RunScenario(&scenario.Catalog()[i])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,11 +15,11 @@ import (
 // which is what the catalog-equivalence test
 // (experiments.TestChapter7DigestsMatchSimResults) compares.
 type ConfigDigest struct {
-	Config   string `json:"config"`
-	Methods  int    `json:"methods"`
-	Skipped  int    `json:"skipped"`
-	TimedOut int    `json:"timedOut"`
-	Digest   string `json:"digest"`
+	Config   string
+	Methods  int
+	Skipped  int
+	TimedOut int
+	Digest   string
 }
 
 // DigestRuns hashes the concatenated binary encodings of runs in order.
@@ -43,8 +43,8 @@ func (cd ConfigDigest) DigestLine() string {
 
 // Report is the outcome of one scenario sweep: one digest per configuration.
 type Report struct {
-	Scenario string         `json:"scenario"`
-	Configs  []ConfigDigest `json:"configs,omitempty"`
+	Scenario string
+	Configs  []ConfigDigest
 }
 
 // Render formats the report for terminals (jfbench output).

@@ -155,12 +155,12 @@ func NewHandler(svc *Service) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/scenarios/{name}", func(w http.ResponseWriter, r *http.Request) {
-		b, err := svc.Scenario(r.PathValue("name"))
+		info, err := svc.ScenarioInfo(r.PathValue("name"))
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, b)
+		writeJSON(w, http.StatusOK, info)
 	})
 
 	mux.HandleFunc("GET /v1/store", func(w http.ResponseWriter, r *http.Request) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"javaflow/internal/scenario"
@@ -12,34 +13,32 @@ import (
 	"javaflow/internal/workload"
 )
 
-// scenarioServer serves the full named corpus with a scenario registry
-// attached, so catalog suite bundles resolve inside the node's population.
-func scenarioServer(t *testing.T) (*httptest.Server, *scenario.Registry) {
+// scenarioServer serves the full named corpus with the scenario presets
+// attached, so the catalog's suite presets select inside the node's
+// population.
+func scenarioServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	sched := NewScheduler(SchedulerOptions{Workers: 4, MaxMeshCycles: testMaxCycles})
 	svc := NewService(sched, sim.Configurations(), workload.NamedMethods())
-	reg := scenario.NewRegistry(scenario.Defaults{
-		Seed: 2014, GenCount: 24, MaxMeshCycles: testMaxCycles,
-	})
-	svc.SetScenarios(reg)
+	svc.SetScenarios(scenario.Catalog())
 	ts := httptest.NewServer(NewHandler(svc))
 	t.Cleanup(ts.Close)
-	return ts, reg
+	return ts
 }
 
 func TestHTTPScenarioList(t *testing.T) {
-	ts, reg := scenarioServer(t)
+	ts := scenarioServer(t)
 
 	var infos []ScenarioInfo
 	getJSON(t, ts.URL+"/v1/scenarios", &infos)
-	names := reg.Names()
-	if len(infos) != len(names) {
-		t.Fatalf("got %d scenarios, registry has %d", len(infos), len(names))
+	catalog := scenario.Catalog()
+	if len(infos) != len(catalog) {
+		t.Fatalf("got %d scenarios, catalog has %d", len(infos), len(catalog))
 	}
 	byName := make(map[string]ScenarioInfo, len(infos))
 	for i, info := range infos {
-		if info.Name != names[i] {
-			t.Fatalf("scenario %d = %q, want catalog order %q", i, info.Name, names[i])
+		if info.Name != catalog[i].Name {
+			t.Fatalf("scenario %d = %q, want catalog order %q", i, info.Name, catalog[i].Name)
 		}
 		byName[info.Name] = info
 	}
@@ -61,11 +60,11 @@ func TestHTTPScenarioList(t *testing.T) {
 		}
 	}
 
-	// Describe round-trips the full bundle.
-	var b scenario.Bundle
-	getJSON(t, ts.URL+"/v1/scenarios/crypto", &b)
-	if b.Name != "crypto" || len(b.Workload.Suites) != 1 {
-		t.Fatalf("described bundle = %+v", b)
+	// Describe returns the list's row for the name.
+	var info ScenarioInfo
+	getJSON(t, ts.URL+"/v1/scenarios/crypto", &info)
+	if !reflect.DeepEqual(info, byName["crypto"]) {
+		t.Fatalf("described scenario = %+v, want the list row %+v", info, byName["crypto"])
 	}
 
 	// Unknown names 404 with the machine-readable kind.
@@ -83,7 +82,7 @@ func TestHTTPScenarioList(t *testing.T) {
 	}
 }
 
-// TestHTTPScenarioListWithoutRegistry: a daemon started without a registry
+// TestHTTPScenarioListWithoutRegistry: a service with no presets attached
 // reports an empty catalog, not an error.
 func TestHTTPScenarioListWithoutRegistry(t *testing.T) {
 	ts, _ := testServer(t, 2)
@@ -101,17 +100,21 @@ func TestHTTPScenarioListWithoutRegistry(t *testing.T) {
 // TestHTTPScenarioKeyedBatch: a {"scenario": name} batch must be
 // byte-identical to the explicit configs+methods request it resolves to.
 func TestHTTPScenarioKeyedBatch(t *testing.T) {
-	ts, reg := scenarioServer(t)
+	ts := scenarioServer(t)
 
-	resolved, err := reg.Resolve("crypto")
+	p, err := scenario.Lookup("crypto")
+	if err != nil {
+		t.Fatal(err)
+	}
+	methods, err := p.Select(workload.NamedMethods())
 	if err != nil {
 		t.Fatal(err)
 	}
 	explicit := BatchRequest{MaxMeshCycles: testMaxCycles, SummaryOnly: true}
-	for _, cfg := range resolved.Configs {
+	for _, cfg := range sim.Configurations() {
 		explicit.Configs = append(explicit.Configs, cfg.Name)
 	}
-	for _, m := range resolved.Methods {
+	for _, m := range methods {
 		explicit.Methods = append(explicit.Methods, m.Signature())
 	}
 
@@ -129,11 +132,9 @@ func TestHTTPScenarioKeyedBatch(t *testing.T) {
 }
 
 // TestHTTPScenarioBatchErrors pins the error contract of scenario-keyed
-// submission: combining forms is a 400, unknown scenarios 404, and a
-// scenario whose population this node does not serve is a 400 the client
-// can act on.
+// submission: combining forms is a 400 and unknown scenarios 404.
 func TestHTTPScenarioBatchErrors(t *testing.T) {
-	ts, _ := scenarioServer(t)
+	ts := scenarioServer(t)
 
 	resp, body := postJSON(t, ts.URL+"/v1/batch", BatchRequest{
 		Scenario: "crypto", Configs: []string{"Baseline"},
@@ -145,16 +146,5 @@ func TestHTTPScenarioBatchErrors(t *testing.T) {
 	resp, _ = postJSON(t, ts.URL+"/v1/batch", BatchRequest{Scenario: "no-such"})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown scenario: status %d, want 404", resp.StatusCode)
-	}
-
-	// chapter7 includes the generated corpus; this node serves only the
-	// named methods, so the scenario is out of population.
-	resp, body = postJSON(t, ts.URL+"/v1/batch", BatchRequest{Scenario: "chapter7"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("out-of-corpus scenario: status %d: %s, want 400", resp.StatusCode, body)
-	}
-	var ep ErrorPayload
-	if err := json.Unmarshal(body, &ep); err != nil || ep.Error == "" {
-		t.Fatalf("out-of-corpus error payload = %s (%v)", body, err)
 	}
 }

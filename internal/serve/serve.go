@@ -75,7 +75,7 @@ type Service struct {
 	replicator   *replicate.Replicator
 	admission    *admit.Controller
 	fleet        *Fleet
-	scenarios    *scenario.Registry
+	scenarios    []scenario.Preset
 	configs      []sim.Config
 	configByName map[string]sim.Config
 	methods      []*classfile.Method
@@ -156,25 +156,19 @@ func (s *Service) SetFleet(f *Fleet) { s.fleet = f }
 // Fleet returns the attached fleet peer set (nil when single-node).
 func (s *Service) Fleet() *Fleet { return s.fleet }
 
-// SetScenarios attaches the scenario registry, enabling GET /v1/scenarios
+// SetScenarios attaches the scenario presets, enabling GET /v1/scenarios
 // and scenario-keyed batch submission. Call before serving traffic.
-func (s *Service) SetScenarios(r *scenario.Registry) { s.scenarios = r }
+func (s *Service) SetScenarios(presets []scenario.Preset) { s.scenarios = presets }
 
-// Scenarios returns the attached scenario registry (nil when the daemon was
-// started without one).
-func (s *Service) Scenarios() *scenario.Registry { return s.scenarios }
-
-// Scenario resolves one bundle by name, mapping registry misses (and a
-// missing registry) to the HTTP layer's 404 shape.
-func (s *Service) Scenario(name string) (*scenario.Bundle, error) {
-	if s.scenarios == nil {
-		return nil, &NotFoundError{Kind: "scenario", Name: name}
+// preset returns the attached preset called name, or the HTTP layer's 404
+// shape.
+func (s *Service) preset(name string) (*scenario.Preset, error) {
+	for i := range s.scenarios {
+		if s.scenarios[i].Name == name {
+			return &s.scenarios[i], nil
+		}
 	}
-	b, err := s.scenarios.Get(name)
-	if err != nil {
-		return nil, &NotFoundError{Kind: "scenario", Name: name}
-	}
-	return b, nil
+	return nil, &NotFoundError{Kind: "scenario", Name: name}
 }
 
 // Configs lists the registered configurations in registry order.
@@ -288,56 +282,16 @@ func (s *Service) job(configName, signature string) (sim.Config, *classfile.Meth
 type BatchRequest struct {
 	Configs []string `json:"configs"`
 	Methods []string `json:"methods"`
-	// Scenario keys the sweep by a registered scenario bundle instead of
-	// explicit config/method lists (which must then be empty): the bundle's
-	// resolved workload and configurations become the sweep.
+	// Scenario keys the sweep by a scenario preset instead of explicit
+	// config/method lists (which must then be empty): the preset's
+	// selection of this node's methods, on every configuration, becomes
+	// the sweep.
 	Scenario string `json:"scenario,omitempty"`
-	// MaxMeshCycles bounds each execution (0 = scheduler default, or the
-	// scenario's resolved bound when Scenario is set).
+	// MaxMeshCycles bounds each execution (0 = scheduler default).
 	MaxMeshCycles int `json:"maxMeshCycles"`
 	// SummaryOnly drops the per-run payloads from the response, keeping
 	// only the aggregate rows (full sweeps are ~19k runs).
 	SummaryOnly bool `json:"summaryOnly"`
-}
-
-// resolveScenario rewrites a scenario-keyed request into the explicit form:
-// the bundle's configurations and method signatures, resolved against this
-// node's registry. Methods outside the node's corpus are an error — the
-// caller's scenario assumes a population this daemon does not serve.
-func (s *Service) resolveScenario(req BatchRequest) (BatchRequest, error) {
-	if req.Scenario == "" {
-		return req, nil
-	}
-	if len(req.Configs) > 0 || len(req.Methods) > 0 {
-		return req, &BadRequestError{Msg: fmt.Sprintf(
-			"serve: batch request cannot combine scenario %q with explicit configs or methods", req.Scenario)}
-	}
-	if s.scenarios == nil {
-		return req, &NotFoundError{Kind: "scenario", Name: req.Scenario}
-	}
-	resolved, err := s.scenarios.Resolve(req.Scenario)
-	if err != nil {
-		var nf *scenario.NotFoundError
-		if errors.As(err, &nf) {
-			return req, &NotFoundError{Kind: "scenario", Name: nf.Name}
-		}
-		return req, err
-	}
-	for _, cfg := range resolved.Configs {
-		req.Configs = append(req.Configs, cfg.Name)
-	}
-	for _, m := range resolved.Methods {
-		sig := m.Signature()
-		if _, ok := s.methodBySig[sig]; !ok {
-			return req, &BadRequestError{Msg: fmt.Sprintf(
-				"serve: scenario %q method %s is not in this node's corpus (check -seed/-gen)", req.Scenario, sig)}
-		}
-		req.Methods = append(req.Methods, sig)
-	}
-	if req.MaxMeshCycles == 0 {
-		req.MaxMeshCycles = resolved.MaxMeshCycles
-	}
-	return req, nil
 }
 
 // ConfigSummary aggregates one configuration's sweep the way the
@@ -366,11 +320,28 @@ type BatchResponse struct {
 // list (config-major, methods in registry order) shared by the buffered
 // and streaming batch paths.
 func (s *Service) sweepJobs(req BatchRequest) ([]sim.Config, []*classfile.Method, []Job, error) {
+	var preset *scenario.Preset
+	if req.Scenario != "" {
+		if len(req.Configs) > 0 || len(req.Methods) > 0 {
+			return nil, nil, nil, &BadRequestError{Msg: fmt.Sprintf(
+				"serve: batch request cannot combine scenario %q with explicit configs or methods", req.Scenario)}
+		}
+		p, err := s.preset(req.Scenario)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		preset = p
+	}
 	configs, err := s.pickConfigs(req.Configs)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	methods, err := s.pickMethods(req.Methods)
+	var methods []*classfile.Method
+	if preset != nil {
+		methods, err = preset.Select(s.methods)
+	} else {
+		methods, err = s.pickMethods(req.Methods)
+	}
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -389,10 +360,6 @@ func (s *Service) sweepJobs(req BatchRequest) ([]sim.Config, []*classfile.Method
 // configuration — whether the jobs ran locally or were dispatched across
 // remote backends.
 func (s *Service) Batch(ctx context.Context, req BatchRequest) (BatchResponse, error) {
-	req, err := s.resolveScenario(req)
-	if err != nil {
-		return BatchResponse{}, err
-	}
 	configs, methods, jobs, err := s.sweepJobs(req)
 	if err != nil {
 		return BatchResponse{}, err
@@ -445,10 +412,6 @@ type StreamEvent struct {
 // streaming changes delivery, never content. An emit error (a client that
 // went away) aborts the stream.
 func (s *Service) BatchStream(ctx context.Context, req BatchRequest, emit func(StreamEvent) error) error {
-	req, err := s.resolveScenario(req)
-	if err != nil {
-		return err
-	}
 	configs, methods, jobs, err := s.sweepJobs(req)
 	if err != nil {
 		return err
@@ -566,37 +529,37 @@ func (s *Service) MethodInfos() []MethodInfo {
 	return out
 }
 
-// ScenarioInfo is the GET /v1/scenarios row: enough to pick a scenario
-// without fetching the full bundle.
+// ScenarioInfo is the GET /v1/scenarios row and the GET
+// /v1/scenarios/{name} body.
 type ScenarioInfo struct {
 	Name        string   `json:"name"`
 	Description string   `json:"description,omitempty"`
 	Suites      []string `json:"suites,omitempty"`
 	Generated   bool     `json:"generated"`
-	Configs     []string `json:"configs,omitempty"` // empty = all
 }
 
-// ScenarioInfos lists the registered scenarios in catalog order (empty
-// when no registry is attached).
+func scenarioInfo(p *scenario.Preset) ScenarioInfo {
+	return ScenarioInfo{Name: p.Name, Description: p.Description, Suites: p.Suites, Generated: p.Generated}
+}
+
+// ScenarioInfos lists the attached presets in catalog order (empty when
+// none are attached).
 func (s *Service) ScenarioInfos() []ScenarioInfo {
-	out := []ScenarioInfo{}
-	if s.scenarios == nil {
-		return out
-	}
-	for _, name := range s.scenarios.Names() {
-		b, err := s.scenarios.Get(name)
-		if err != nil {
-			continue
-		}
-		out = append(out, ScenarioInfo{
-			Name:        b.Name,
-			Description: b.Description,
-			Suites:      b.Workload.Suites,
-			Generated:   b.Workload.Generated != nil,
-			Configs:     b.Configs,
-		})
+	out := make([]ScenarioInfo, 0, len(s.scenarios))
+	for i := range s.scenarios {
+		out = append(out, scenarioInfo(&s.scenarios[i]))
 	}
 	return out
+}
+
+// ScenarioInfo describes one attached preset, or returns the HTTP layer's
+// 404 shape.
+func (s *Service) ScenarioInfo(name string) (ScenarioInfo, error) {
+	p, err := s.preset(name)
+	if err != nil {
+		return ScenarioInfo{}, err
+	}
+	return scenarioInfo(p), nil
 }
 
 // ConfigInfo is the GET /v1/configs row.
