@@ -21,19 +21,10 @@ import (
 	"javaflow/internal/sim"
 )
 
-// DeploymentProvider supplies verified, loaded, address-resolved methods —
-// the seam through which a shared deployment cache (internal/serve) backs a
-// machine, so repeated deployments of the same method skip the Figure 20 +
-// Figure 22 pipeline.
-type DeploymentProvider interface {
-	ResolveMethod(cfg sim.Config, m *classfile.Method) (*fabric.Resolution, error)
-}
-
 // Machine is one configured JavaFlow machine instance.
 type Machine struct {
-	cfg      sim.Config
-	loader   *fabric.Loader
-	provider DeploymentProvider
+	cfg    sim.Config
+	loader *fabric.Loader
 }
 
 // NewMachine builds a machine for the given configuration.
@@ -43,11 +34,6 @@ func NewMachine(cfg sim.Config) *Machine {
 		loader: &fabric.Loader{Fabric: cfg.Fabric},
 	}
 }
-
-// SetProvider routes this machine's deployments through a shared provider
-// (typically a serve.DeploymentCache). A nil provider restores the direct
-// per-call pipeline.
-func (m *Machine) SetProvider(p DeploymentProvider) { m.provider = p }
 
 // Config returns the machine's configuration.
 func (m *Machine) Config() sim.Config { return m.cfg }
@@ -61,16 +47,9 @@ type Deployment struct {
 }
 
 // Deploy verifies, loads and resolves a method (the Figure 20 + Figure 22
-// pipeline), consulting the machine's deployment provider when one is set.
-// Methods containing GPP-only instructions return a *fabric.LoadError.
+// pipeline). Methods containing GPP-only instructions return a
+// *fabric.LoadError.
 func (m *Machine) Deploy(method *classfile.Method) (*Deployment, error) {
-	if m.provider != nil {
-		resolution, err := m.provider.ResolveMethod(m.cfg, method)
-		if err != nil {
-			return nil, err
-		}
-		return &Deployment{Machine: m, Placement: resolution.Placement, Resolution: resolution}, nil
-	}
 	placement, err := m.loader.Load(method)
 	if err != nil {
 		return nil, err

@@ -6,14 +6,9 @@ import (
 	"sync/atomic"
 
 	"javaflow/internal/classfile"
-	"javaflow/internal/core"
 	"javaflow/internal/fabric"
 	"javaflow/internal/sim"
 )
-
-// A DeploymentCache backs both deployment seams: core.Machine.SetProvider
-// and sim.Runner.Resolve.
-var _ core.DeploymentProvider = (*DeploymentCache)(nil)
 
 // cacheShards fixes the shard count; keys are spread by FNV-1a so
 // concurrent sweeps over disjoint methods rarely contend on one lock.
@@ -133,8 +128,7 @@ func sameFabric(a, b *fabric.Fabric) bool {
 }
 
 // ResolveMethod returns the deployment of m under cfg, computing and
-// memoizing it on first use. It implements core.DeploymentProvider and
-// plugs directly into sim.Runner.Resolve.
+// memoizing it on first use. It plugs directly into sim.Runner.Resolve.
 func (c *DeploymentCache) ResolveMethod(cfg sim.Config, m *classfile.Method) (*fabric.Resolution, error) {
 	key := cacheKey{Signature: m.Signature(), Geometry: cfg.Fabric.GeometryKey()}
 	shard := c.shardFor(key)

@@ -3,11 +3,9 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"javaflow/internal/classfile"
-	"javaflow/internal/core"
 	"javaflow/internal/fabric"
 	"javaflow/internal/sim"
 	"javaflow/internal/workload"
@@ -215,53 +213,5 @@ func TestCacheFabricMismatchGuard(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Hits != 1 {
 		t.Fatalf("structural re-check should hit once: %+v", st)
-	}
-}
-
-// TestCacheBacksCoreMachine exercises the core.DeploymentProvider seam: a
-// Machine routed through the cache deploys identically to a direct one and
-// repeated deployments hit instead of re-running the pipeline.
-func TestCacheBacksCoreMachine(t *testing.T) {
-	cache := NewDeploymentCache(64)
-	cfg := testConfig(t, "Compact2")
-	m := hostableMethods(t, 1)[0]
-
-	direct := core.NewMachine(cfg)
-	want, err := direct.Deploy(m)
-	if err != nil {
-		t.Fatalf("direct deploy: %v", err)
-	}
-
-	cached := core.NewMachine(cfg)
-	cached.SetProvider(cache)
-	var prev *core.Deployment
-	for i := 0; i < 3; i++ {
-		d, err := cached.Deploy(m)
-		if err != nil {
-			t.Fatalf("cached deploy %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(d.Resolution.Targets, want.Resolution.Targets) ||
-			!reflect.DeepEqual(d.Placement.NodeOf, want.Placement.NodeOf) {
-			t.Fatalf("cached deployment differs from direct deployment")
-		}
-		if prev != nil && d.Resolution != prev.Resolution {
-			t.Fatalf("repeat deploy did not reuse the cached resolution")
-		}
-		prev = d
-	}
-	if st := cache.Stats(); st.Misses != 1 || st.Hits != 2 {
-		t.Fatalf("cache stats = %+v, want 1 miss / 2 hits", st)
-	}
-
-	run, err := prev.ExecuteBoth()
-	if err != nil {
-		t.Fatalf("execute: %v", err)
-	}
-	wantRun, err := want.ExecuteBoth()
-	if err != nil {
-		t.Fatalf("execute direct: %v", err)
-	}
-	if run != wantRun {
-		t.Fatalf("execution through cached deployment differs:\n got %+v\nwant %+v", run, wantRun)
 	}
 }
