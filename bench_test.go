@@ -1,11 +1,7 @@
-// Benchmarks regenerating every table and figure of the dissertation's
-// evaluation, one bench per table. Run a single table with e.g.
-//
-//	go test -bench 'BenchmarkTable22$' -benchtime 1x
-//
-// Each iteration rebuilds the table from scratch on a reduced population
-// (the full population is the jfbench default); results print via -v or the
-// jfbench command.
+// Benchmarks of the figures' pipelines (load, resolve, simulate), the
+// substrates, an ablation sweep, and the serving stack's cache, store and
+// warm-run paths. The tables themselves are pinned byte for byte by
+// internal/experiments TestGoldenOutput and regenerated by cmd/jfbench.
 package javaflow_test
 
 import (
@@ -14,7 +10,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 
 	"javaflow"
@@ -25,70 +20,6 @@ import (
 	"javaflow/internal/store"
 	"javaflow/internal/workload"
 )
-
-// benchContext caches one shared experiment context across benches so that
-// `go test -bench .` does not recompute the simulation sweep 28 times.
-var (
-	benchOnce sync.Once
-	benchCtx  *experiments.Context
-)
-
-func sharedContext() *experiments.Context {
-	benchOnce.Do(func() {
-		benchCtx = experiments.NewContext()
-		benchCtx.Scale = 1
-		benchCtx.GenCount = 300
-		benchCtx.MaxMeshCycles = 300_000
-	})
-	return benchCtx
-}
-
-func benchTable(b *testing.B, n int) {
-	b.Helper()
-	ctx := sharedContext()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl, err := ctx.TableByNumber(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tbl.Rows) == 0 {
-			b.Fatalf("table %d empty", n)
-		}
-		if i == 0 && testing.Verbose() {
-			b.Log("\n" + tbl.String())
-		}
-	}
-}
-
-func BenchmarkTable01(b *testing.B) { benchTable(b, 1) }
-func BenchmarkTable02(b *testing.B) { benchTable(b, 2) }
-func BenchmarkTable03(b *testing.B) { benchTable(b, 3) }
-func BenchmarkTable04(b *testing.B) { benchTable(b, 4) }
-func BenchmarkTable05(b *testing.B) { benchTable(b, 5) }
-func BenchmarkTable06(b *testing.B) { benchTable(b, 6) }
-func BenchmarkTable07(b *testing.B) { benchTable(b, 7) }
-func BenchmarkTable08(b *testing.B) { benchTable(b, 8) }
-func BenchmarkTable09(b *testing.B) { benchTable(b, 9) }
-func BenchmarkTable10(b *testing.B) { benchTable(b, 10) }
-func BenchmarkTable11(b *testing.B) { benchTable(b, 11) }
-func BenchmarkTable12(b *testing.B) { benchTable(b, 12) }
-func BenchmarkTable13(b *testing.B) { benchTable(b, 13) }
-func BenchmarkTable14(b *testing.B) { benchTable(b, 14) }
-func BenchmarkTable15(b *testing.B) { benchTable(b, 15) }
-func BenchmarkTable16(b *testing.B) { benchTable(b, 16) }
-func BenchmarkTable17(b *testing.B) { benchTable(b, 17) }
-func BenchmarkTable18(b *testing.B) { benchTable(b, 18) }
-func BenchmarkTable19(b *testing.B) { benchTable(b, 19) }
-func BenchmarkTable20(b *testing.B) { benchTable(b, 20) }
-func BenchmarkTable21(b *testing.B) { benchTable(b, 21) }
-func BenchmarkTable22(b *testing.B) { benchTable(b, 22) }
-func BenchmarkTable23(b *testing.B) { benchTable(b, 23) }
-func BenchmarkTable24(b *testing.B) { benchTable(b, 24) }
-func BenchmarkTable25(b *testing.B) { benchTable(b, 25) }
-func BenchmarkTable26(b *testing.B) { benchTable(b, 26) }
-func BenchmarkTable27(b *testing.B) { benchTable(b, 27) }
-func BenchmarkTable28(b *testing.B) { benchTable(b, 28) }
 
 // ---- Figure demonstrations ----
 
@@ -207,8 +138,8 @@ func heteroConfig(b *testing.B) sim.Config {
 // BenchmarkAblationSerialRatio measures the serial-clock design-space sweep
 // (the fine-grained Compact10/4/2 ladder).
 func BenchmarkAblationSerialRatio(b *testing.B) {
-	ctx := sharedContext()
-	b.ResetTimer()
+	ctx := experiments.NewContext()
+	ctx.MaxMeshCycles = 300_000
 	for i := 0; i < b.N; i++ {
 		tbl, err := ctx.AblationSerialRatio()
 		if err != nil {

@@ -104,12 +104,10 @@ func (a *Assembler) Local(base Opcode, n int) *Assembler {
 // ILoad … AStore are convenience wrappers over Local.
 func (a *Assembler) ILoad(n int) *Assembler  { return a.Local(Iload, n) }
 func (a *Assembler) LLoad(n int) *Assembler  { return a.Local(Lload, n) }
-func (a *Assembler) FLoad(n int) *Assembler  { return a.Local(Fload, n) }
 func (a *Assembler) DLoad(n int) *Assembler  { return a.Local(Dload, n) }
 func (a *Assembler) ALoad(n int) *Assembler  { return a.Local(Aload, n) }
 func (a *Assembler) IStore(n int) *Assembler { return a.Local(Istore, n) }
 func (a *Assembler) LStore(n int) *Assembler { return a.Local(Lstore, n) }
-func (a *Assembler) FStore(n int) *Assembler { return a.Local(Fstore, n) }
 func (a *Assembler) DStore(n int) *Assembler { return a.Local(Dstore, n) }
 func (a *Assembler) AStore(n int) *Assembler { return a.Local(Astore, n) }
 

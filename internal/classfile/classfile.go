@@ -123,11 +123,6 @@ func (p *ConstantPool) AddLong(v int64) int {
 	return p.add(Constant{Kind: ConstLong, I: v})
 }
 
-// AddFloat adds a float constant.
-func (p *ConstantPool) AddFloat(v float64) int {
-	return p.add(Constant{Kind: ConstFloat, F: v})
-}
-
 // AddDouble adds a double constant (loaded with ldc2_w).
 func (p *ConstantPool) AddDouble(v float64) int {
 	return p.add(Constant{Kind: ConstDouble, F: v})

@@ -423,8 +423,8 @@ func (c *Context) Table28() (*report.Table, error) {
 		"Table 28: Figure of Merit on Top SpecJvm98-analog Methods (reproduction)")
 }
 
-// Tables runs every table in order.
-func (c *Context) Tables() ([]*report.Table, error) {
+// TableByNumber dispatches 1..28.
+func (c *Context) TableByNumber(n int) (*report.Table, error) {
 	funcs := []func() (*report.Table, error){
 		c.Table01, c.Table02, c.Table03, c.Table04, c.Table05, c.Table06,
 		c.Table07, c.Table08, c.Table09, c.Table10, c.Table11, c.Table12,
@@ -432,31 +432,8 @@ func (c *Context) Tables() ([]*report.Table, error) {
 		c.Table19, c.Table20, c.Table21, c.Table22, c.Table23, c.Table24,
 		c.Table25, c.Table26, c.Table27, c.Table28,
 	}
-	out := make([]*report.Table, 0, len(funcs))
-	for i, f := range funcs {
-		t, err := f()
-		if err != nil {
-			return nil, fmt.Errorf("table %d: %w", i+1, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-// TableByNumber dispatches 1..28.
-func (c *Context) TableByNumber(n int) (*report.Table, error) {
-	funcs := map[int]func() (*report.Table, error){
-		1: c.Table01, 2: c.Table02, 3: c.Table03, 4: c.Table04,
-		5: c.Table05, 6: c.Table06, 7: c.Table07, 8: c.Table08,
-		9: c.Table09, 10: c.Table10, 11: c.Table11, 12: c.Table12,
-		13: c.Table13, 14: c.Table14, 15: c.Table15, 16: c.Table16,
-		17: c.Table17, 18: c.Table18, 19: c.Table19, 20: c.Table20,
-		21: c.Table21, 22: c.Table22, 23: c.Table23, 24: c.Table24,
-		25: c.Table25, 26: c.Table26, 27: c.Table27, 28: c.Table28,
-	}
-	f, ok := funcs[n]
-	if !ok {
+	if n < 1 || n > len(funcs) {
 		return nil, fmt.Errorf("experiments: no table %d (valid: 1-28)", n)
 	}
-	return f()
+	return funcs[n-1]()
 }

@@ -8,39 +8,6 @@ import (
 	"javaflow/internal/classfile"
 )
 
-// Command is the network command vocabulary (Figure 14). The deterministic
-// simulator and the concurrent runtime share these values.
-type Command uint8
-
-const (
-	CmdLoadInstruction Command = iota
-	CmdUnloadInstruction
-	CmdSendAddressesDown
-	CmdSendNeedsUp
-	CmdHeadToken
-	CmdMemoryToken
-	CmdRegisterToken
-	CmdTailToken
-	CmdExceptionToken
-	CmdQuiesce
-	CmdResetAddress
-	CmdSubsequentMessage
-)
-
-var commandNames = [...]string{
-	"LOAD_INSTRUCTION", "UNLOAD_INSTRUCTION", "SEND_ADDRESSES_DOWN",
-	"SEND_NEEDS_UP", "HEAD_TOKEN", "MEMORY_TOKEN", "REGISTER_TOKEN",
-	"TAIL_TOKEN", "EXCEPTION_TOKEN", "QUIESCE", "RESET_ADDRESS",
-	"SUBSEQUENT_MESSAGE",
-}
-
-func (c Command) String() string {
-	if int(c) < len(commandNames) {
-		return commandNames[c]
-	}
-	return fmt.Sprintf("CMD(%d)", uint8(c))
-}
-
 // LoadError reports a method the fabric cannot host.
 type LoadError struct {
 	Method string

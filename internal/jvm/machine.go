@@ -234,15 +234,3 @@ func (vm *Machine) SetField(obj Value, slot int, v Value) error {
 	o.Fields[slot] = v
 	return nil
 }
-
-// GetField reads an instance field slot directly (driver convenience).
-func (vm *Machine) GetField(obj Value, slot int) (Value, error) {
-	o, err := vm.Heap.Get(obj)
-	if err != nil {
-		return Value{}, err
-	}
-	if slot < 0 || slot >= len(o.Fields) {
-		return Value{}, fmt.Errorf("jvm: field slot %d out of range (%d)", slot, len(o.Fields))
-	}
-	return o.Fields[slot], nil
-}

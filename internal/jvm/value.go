@@ -76,9 +76,6 @@ var Null = Value{K: KindRef, I: 0}
 // IsNull reports whether v is the null reference.
 func (v Value) IsNull() bool { return v.K == KindRef && v.I == 0 }
 
-// AsBool interprets an int value as a branch condition.
-func (v Value) AsBool() bool { return v.I != 0 }
-
 func (v Value) String() string {
 	switch v.K {
 	case KindFloat, KindDouble:

@@ -92,8 +92,5 @@ func (t *Table) String() string {
 // Pct formats a fraction as a percentage string.
 func Pct(f float64) string { return fmt.Sprintf("%.0f%%", f*100) }
 
-// Pct1 formats a fraction as a percentage with one decimal.
-func Pct1(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
-
 // Sci formats large counts in engineering style (the paper's 2.82E+11).
 func Sci(v float64) string { return fmt.Sprintf("%.2e", v) }

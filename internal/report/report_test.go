@@ -47,9 +47,6 @@ func TestFormatters(t *testing.T) {
 	if got := Pct(0.4); got != "40%" {
 		t.Errorf("Pct = %q", got)
 	}
-	if got := Pct1(0.123); got != "12.3%" {
-		t.Errorf("Pct1 = %q", got)
-	}
 	if got := Sci(2.82e11); got != "2.82e+11" {
 		t.Errorf("Sci = %q", got)
 	}

@@ -16,18 +16,6 @@ func AllSuites() []*Suite {
 	return out
 }
 
-// SuitesByEra partitions AllSuites by benchmark era.
-func SuitesByEra() (jvm2008, jvm98 []*Suite) {
-	for _, s := range AllSuites() {
-		if s.Era == "SpecJvm98" {
-			jvm98 = append(jvm98, s)
-		} else {
-			jvm2008 = append(jvm2008, s)
-		}
-	}
-	return jvm2008, jvm98
-}
-
 // Corpus assembles the full simulation population the Chapter-7 sweeps
 // study: every named SPEC-analog method followed by the seeded generated
 // corpus, methods within each generated class in generation order (Generate

@@ -11,7 +11,8 @@
 //   - Deploying and simulating them on the fabric: Machine, Deployment,
 //     Configurations, Result.
 //   - Analyzing them: Analyze (static dataflow), Profile (dynamic mix).
-//   - Reproducing the paper: Experiments (Tables 1–28).
+//
+// The paper's tables are regenerated by cmd/jfbench.
 //
 // Quickstart:
 //
@@ -32,7 +33,6 @@ import (
 	"javaflow/internal/classfile"
 	"javaflow/internal/core"
 	"javaflow/internal/dataflow"
-	"javaflow/internal/experiments"
 	"javaflow/internal/fabric"
 	"javaflow/internal/jvm"
 	"javaflow/internal/sim"
@@ -56,20 +56,12 @@ func NewAssembler() *Assembler { return bytecode.NewAssembler() }
 // Commonly used opcodes, re-exported for example code. The full set lives
 // in internal/bytecode.
 const (
-	OpIadd        = bytecode.Iadd
-	OpIsub        = bytecode.Isub
-	OpImul        = bytecode.Imul
-	OpDadd        = bytecode.Dadd
-	OpDmul        = bytecode.Dmul
-	OpIreturn     = bytecode.Ireturn
-	OpDreturn     = bytecode.Dreturn
-	OpReturn      = bytecode.Return
-	OpGoto        = bytecode.Goto
-	OpIfIcmplt    = bytecode.IfIcmplt
-	OpIfIcmpge    = bytecode.IfIcmpge
-	OpIaload      = bytecode.Iaload
-	OpIastore     = bytecode.Iastore
-	OpArraylength = bytecode.Arraylength
+	OpIadd     = bytecode.Iadd
+	OpImul     = bytecode.Imul
+	OpIreturn  = bytecode.Ireturn
+	OpReturn   = bytecode.Return
+	OpGoto     = bytecode.Goto
+	OpIfIcmpge = bytecode.IfIcmpge
 )
 
 // Method is a verified Java method.
@@ -209,12 +201,3 @@ func NamedMethods() []*Method { return workload.NamedMethods() }
 func GenerateMethods(seed int64, count int) []*Class {
 	return workload.Generate(workload.GenConfig{Seed: seed, Count: count})
 }
-
-// ---- Reproducing the paper ----
-
-// Experiments is the table-regeneration context (Tables 1–28).
-type Experiments = experiments.Context
-
-// NewExperiments returns a context with the reproduction's default
-// population sizes.
-func NewExperiments() *Experiments { return experiments.NewContext() }
