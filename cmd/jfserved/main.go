@@ -18,12 +18,12 @@
 //
 // With -replicate-interval every peer's segment log is pulled into the
 // local store periodically, so each node ends up serving every warm
-// result the fleet has computed — no shared filesystem needed. Unless
-// -gossip-disable is set, replication also pushes: a node that commits or
-// ingests new results notifies every peer of the segment positions that
-// peer has not acknowledged yet (POST /v1/replicate/notify), so warm
-// convergence is sub-second and the periodic pull is just the repair
-// path — it can be set very long.
+// result the fleet has computed — no shared filesystem needed.
+// Replication also pushes: a node that commits or ingests new results
+// notifies every peer of the segment positions that peer has not
+// acknowledged yet (POST /v1/replicate/notify), so warm convergence is
+// sub-second and the periodic pull is just the repair path — it can be
+// set very long.
 //
 // Endpoints:
 //
@@ -90,7 +90,6 @@ func main() {
 		compact  = flag.Float64("compact-threshold", 0, "auto-compact the store when its garbage ratio reaches this fraction (0 = disabled; sole-writer stores only)")
 		compactI = flag.Duration("compact-interval", serve.DefaultCompactEvery, "how often the auto-compactor checks the garbage ratio")
 		replInt  = flag.Duration("replicate-interval", 0, "pull new store segments from -peers this often (anti-entropy replication; 0 = disabled; requires -peers and -store-dir)")
-		gossipD  = flag.Bool("gossip-disable", false, "disable push/gossip notifications, leaving pull-only anti-entropy")
 		advert   = flag.String("advertise", "", "base URL peers reach this node at, stamped on gossip notifications (default derived from -addr)")
 		debugA   = flag.String("debug-addr", "", "optional second listen address serving net/http/pprof (e.g. 127.0.0.1:6060; empty = disabled)")
 		runCap   = flag.Int("run-cap", 0, "max in-flight /v1/run requests before typed 429 shedding (0 = 256)")
@@ -179,29 +178,25 @@ func main() {
 		if len(peerList) == 0 {
 			fatal("jfserved: -replicate-interval requires -peers\n")
 		}
-		ropts := replicate.Options{
-			Store:    st,
-			Peers:    peerList,
-			Interval: *replInt,
-			Logf:     logf,
-			Tracer:   sched.Metrics().Tracer(),
-			Registry: sched.Metrics().Registry(),
-			Journal:  sched.Metrics().Journal(),
+		advertise := advertiseURL(*advert, *addr)
+		if advertise == "" {
+			fatal("jfserved: cannot derive a gossip advertise URL from -addr %q; pass -advertise\n", *addr)
 		}
-		gossipNote := ", gossip off"
-		if !*gossipD {
-			ropts.Advertise = advertiseURL(*advert, *addr)
-			if ropts.Advertise == "" {
-				fatal("jfserved: cannot derive a gossip advertise URL from -addr %q; pass -advertise or -gossip-disable\n", *addr)
-			}
-			gossipNote = fmt.Sprintf(", gossiping as %s", ropts.Advertise)
-		}
-		rep, err = replicate.New(ropts)
+		rep, err = replicate.New(replicate.Options{
+			Store:     st,
+			Peers:     peerList,
+			Interval:  *replInt,
+			Advertise: advertise,
+			Logf:      logf,
+			Tracer:    sched.Metrics().Tracer(),
+			Registry:  sched.Metrics().Registry(),
+			Journal:   sched.Metrics().Journal(),
+		})
 		if err != nil {
 			fatal("jfserved: %v\n", err)
 		}
 		svc.SetReplicator(rep)
-		replicateNote = fmt.Sprintf("replicating from %d peers every %v%s", len(peerList), *replInt, gossipNote)
+		replicateNote = fmt.Sprintf("replicating from %d peers every %v, gossiping as %s", len(peerList), *replInt, advertise)
 	}
 
 	dispatchNote := "single-node"
@@ -220,7 +215,7 @@ func main() {
 			opts.SyncedPeers = rep.SyncedPeers
 			// A backend a probe sees return is pushed every segment
 			// position it has not acknowledged, so it serves what it
-			// missed warm (a no-op under -gossip-disable).
+			// missed warm.
 			opts.OnRecovery = rep.PushTo
 		}
 		d, err := dispatch.New(opts)

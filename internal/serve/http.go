@@ -244,12 +244,12 @@ func NewHandler(svc *Service) http.Handler {
 	// the sender counts those positions as acknowledged. It never forwards
 	// the notification: records reach further nodes because they land in
 	// this node's own log, which it pushes in turn. 404 without a
-	// gossip-enabled replicator, so senders account a pull-only peer as a
-	// failed send and the fleet still converges through their pull loops.
+	// gossip-enabled replicator, so senders account a node that does not
+	// replicate as a failed send.
 	mux.HandleFunc("POST /v1/replicate/notify", guard(svc, admit.ClassReplicate, func(w http.ResponseWriter, r *http.Request) {
 		rp := svc.Replicator()
 		if rp == nil || !rp.GossipEnabled() {
-			writeError(w, &NotFoundError{Msg: "serve: gossip not enabled on this node (start with -peers, -replicate-interval and no -gossip-disable)"})
+			writeError(w, &NotFoundError{Msg: "serve: gossip not enabled on this node (start with -peers and -replicate-interval)"})
 			return
 		}
 		var n replicate.Notification
