@@ -5,11 +5,13 @@
 // Chapter 7 performance studies. cmd/jfbench and the repository's
 // bench_test.go both drive this package.
 //
-// The load-bearing invariant: every sweep routes through the same
-// serve.Scheduler/collect path the daemon uses — never a private engine
-// loop — so scenario-keyed, dispatched, replicated and legacy sweeps all
-// produce byte-identical digests (TestChapter7DigestsMatchSimResults
-// compares them).
+// The load-bearing invariant: the tables and the scenario presets share one
+// sweep loop over the same serve.Scheduler/collect path the daemon uses —
+// never a private engine loop — so scenario-keyed, dispatched, replicated
+// and table sweeps all produce byte-identical digests
+// (TestChapter7DigestsMatchSimResults compares them), and the rendered
+// output at jfbench defaults is pinned byte for byte in testdata
+// (TestGoldenOutput).
 package experiments
 
 import (

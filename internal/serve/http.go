@@ -85,7 +85,7 @@ func (p ErrorPayload) Err() error {
 //	GET  /v1/configs                 — configuration registry
 //	GET  /v1/methods                 — method registry
 //	GET  /v1/scenarios               — scenario catalog (list)
-//	GET  /v1/scenarios/{name}        — one scenario bundle (describe)
+//	GET  /v1/scenarios/{name}        — one scenario (the list row)
 //	GET  /v1/store                   — persistent-store admin report (+ replication)
 //	POST /v1/store/compact           — fold the store's segments into one
 //	GET  /v1/replicate/segments      — segment manifest for peer pullers
