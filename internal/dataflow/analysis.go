@@ -82,11 +82,6 @@ type Analysis struct {
 // producerSet is a small sorted set of instruction indices.
 type producerSet []int
 
-func (s producerSet) has(v int) bool {
-	i := sort.SearchInts(s, v)
-	return i < len(s) && s[i] == v
-}
-
 func (s producerSet) add(v int) (producerSet, bool) {
 	i := sort.SearchInts(s, v)
 	if i < len(s) && s[i] == v {

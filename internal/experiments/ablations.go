@@ -4,16 +4,11 @@ import (
 	"context"
 	"fmt"
 
-	"javaflow/internal/classfile"
 	"javaflow/internal/fabric"
 	"javaflow/internal/report"
 	"javaflow/internal/sim"
 	"javaflow/internal/workload"
 )
-
-// namedMethods is the hot-method corpus the sweeps run (small enough to
-// sweep many configurations quickly).
-func namedMethods() []*classfile.Method { return workload.NamedMethods() }
 
 // Ablations explore the design-space questions the dissertation's
 // Enhancement section raises (Section 6.4): how sensitive is the result to
@@ -31,7 +26,7 @@ func (c *Context) AblationSerialRatio() (*report.Table, error) {
 	var base float64
 	for _, r := range ratios {
 		cfg := sim.Config{Name: fmt.Sprintf("serial=%d", r), Fabric: f, SerialPerMesh: r}
-		cr, err := c.Scheduler().RunAll(context.Background(), cfg, namedMethods())
+		cr, err := c.Scheduler().RunAll(context.Background(), cfg, workload.NamedMethods())
 		if err != nil {
 			return nil, err
 		}
@@ -62,7 +57,7 @@ func (c *Context) AblationMeshWidth() (*report.Table, error) {
 			Fabric:        fabric.NewFabric(w, fabric.PatternCompact),
 			SerialPerMesh: 2,
 		}
-		cr, err := c.Scheduler().RunAll(context.Background(), cfg, namedMethods())
+		cr, err := c.Scheduler().RunAll(context.Background(), cfg, workload.NamedMethods())
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +99,7 @@ func (c *Context) AblationHeteroPattern() (*report.Table, error) {
 			Fabric:        fabric.NewFabric(10, pat.p),
 			SerialPerMesh: 2,
 		}
-		cr, err := c.Scheduler().RunAll(context.Background(), cfg, namedMethods())
+		cr, err := c.Scheduler().RunAll(context.Background(), cfg, workload.NamedMethods())
 		if err != nil {
 			return nil, err
 		}
@@ -137,15 +132,10 @@ func (c *Context) Ablations() ([]*report.Table, error) {
 func (c *Context) AblationFolding() (*report.Table, error) {
 	t := report.New("Ablation A4: folding enhancement (Hetero2, named methods)",
 		"Mode", "Total mesh cycles", "Cycles ratio")
-	var hetero sim.Config
-	for _, cfg := range sim.Configurations() {
-		if cfg.Name == "Hetero2" {
-			hetero = cfg
-		}
-	}
+	hetero := configNamed("Hetero2")
 	loader := &fabric.Loader{Fabric: hetero.Fabric}
 	var plainCycles, foldCycles int
-	for _, m := range namedMethods() {
+	for _, m := range workload.NamedMethods() {
 		p, err := loader.Load(m)
 		if err != nil {
 			continue

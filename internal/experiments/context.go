@@ -282,10 +282,15 @@ func (c *Context) sweep(cfg sim.Config, methods []*classfile.Method) (*sim.Confi
 
 // Baseline returns the Baseline configuration's results.
 func (c *Context) Baseline() (*sim.ConfigResults, error) {
+	return c.SimResults(configNamed("Baseline"))
+}
+
+// configNamed returns the Table 15 configuration called name.
+func configNamed(name string) sim.Config {
 	for _, cfg := range sim.Configurations() {
-		if cfg.Name == "Baseline" {
-			return c.SimResults(cfg)
+		if cfg.Name == name {
+			return cfg
 		}
 	}
-	return nil, fmt.Errorf("experiments: no baseline configuration")
+	panic("experiments: no configuration " + name)
 }

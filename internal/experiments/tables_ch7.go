@@ -10,8 +10,6 @@ import (
 	"javaflow/internal/stats"
 )
 
-const summaryHeader = "Mean/StdDev/Median/Max/Min"
-
 func (c *Context) filter1Rows() ([]dataflow.MethodRow, error) {
 	rows, err := c.Rows()
 	if err != nil {
@@ -188,13 +186,7 @@ func (c *Context) Table19() (*report.Table, error) {
 
 // Table20 reproduces "Heterogeneous Addressing Detail – Filter 1".
 func (c *Context) Table20() (*report.Table, error) {
-	var cfg sim.Config
-	for _, cc := range sim.Configurations() {
-		if cc.Name == "Hetero2" {
-			cfg = cc
-		}
-	}
-	cr, err := c.SimResults(cfg)
+	cr, err := c.SimResults(configNamed("Hetero2"))
 	if err != nil {
 		return nil, err
 	}
@@ -252,13 +244,7 @@ func (c *Context) Table23() (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hetero sim.Config
-	for _, cfg := range sim.Configurations() {
-		if cfg.Name == "Hetero2" {
-			hetero = cfg
-		}
-	}
-	cr, err := c.SimResults(hetero)
+	cr, err := c.SimResults(configNamed("Hetero2"))
 	if err != nil {
 		return nil, err
 	}

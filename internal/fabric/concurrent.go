@@ -48,16 +48,6 @@ const (
 	msgNeed
 )
 
-// concNode is the per-node goroutine state.
-type concNode struct {
-	idx        int
-	kind       NodeKind
-	down       chan message // from node idx-1
-	up         chan message // from node idx+1
-	instr      int          // hosted instruction index, -1 if free
-	capturedBy int32
-}
-
 // LoadAndResolve executes the distributed protocol and returns the
 // placement plus per-producer targets. Results are validated to match the
 // deterministic resolver by the test suite.
