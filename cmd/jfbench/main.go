@@ -131,6 +131,18 @@ func main() {
 		}
 	}
 
+	// finish prints the invocation's stderr reports (silent for what did
+	// not happen) and closes the store.
+	finish := func() {
+		reportStore(ctx)
+		reportDispatch(ctx)
+		reportTraces(ctx)
+		reportEngine(start)
+		if err := ctx.Close(); err != nil {
+			fail(1, "jfbench: closing store: %v\n", err)
+		}
+	}
+
 	if *scenList {
 		for _, p := range scenario.Catalog() {
 			fmt.Printf("%-20s %s\n", p.Name, p.Description)
@@ -151,13 +163,7 @@ func main() {
 			fail(1, "jfbench: %v\n", err)
 		}
 		fmt.Print(report.Render())
-		reportStore(ctx)
-		reportDispatch(ctx)
-		reportTraces(ctx)
-		reportEngine(start)
-		if err := ctx.Close(); err != nil {
-			fail(1, "jfbench: closing store: %v\n", err)
-		}
+		finish()
 		return
 	}
 
@@ -170,13 +176,7 @@ func main() {
 			fmt.Println(t)
 		}
 		if !*all && *table == "" {
-			reportStore(ctx)
-			reportDispatch(ctx)
-			reportTraces(ctx)
-			reportEngine(start)
-			if err := ctx.Close(); err != nil {
-				fail(1, "jfbench: closing store: %v\n", err)
-			}
+			finish()
 			return
 		}
 	}
@@ -208,15 +208,7 @@ func main() {
 		}
 		fmt.Println(t)
 	}
-
-	reportStore(ctx)
-	reportDispatch(ctx)
-	reportTraces(ctx)
-	reportEngine(start)
-	if err := ctx.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "jfbench: closing store: %v\n", err)
-		os.Exit(1)
-	}
+	finish()
 }
 
 // reportEngine prints the event-driven engine core's throughput for the
