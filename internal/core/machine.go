@@ -50,21 +50,16 @@ type Deployment struct {
 // pipeline). Methods containing GPP-only instructions return a
 // *fabric.LoadError.
 func (m *Machine) Deploy(method *classfile.Method) (*Deployment, error) {
-	placement, err := m.loader.Load(method)
-	if err != nil {
-		return nil, err
-	}
-	resolution, err := fabric.Resolve(placement)
-	if err != nil {
-		return nil, err
-	}
-	return &Deployment{Machine: m, Placement: placement, Resolution: resolution}, nil
+	return m.deploy(m.loader, method)
 }
 
 // DeployTraced is Deploy with the load walk recorded for demonstration.
 func (m *Machine) DeployTraced(method *classfile.Method) (*Deployment, error) {
-	traced := &fabric.Loader{Fabric: m.cfg.Fabric, Trace: true}
-	placement, err := traced.Load(method)
+	return m.deploy(&fabric.Loader{Fabric: m.cfg.Fabric, Trace: true}, method)
+}
+
+func (m *Machine) deploy(loader *fabric.Loader, method *classfile.Method) (*Deployment, error) {
+	placement, err := loader.Load(method)
 	if err != nil {
 		return nil, err
 	}
