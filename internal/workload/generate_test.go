@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sort"
 	"testing"
 
 	"javaflow/internal/bytecode"
@@ -66,7 +67,7 @@ func TestCorpusDeterministicAcrossCalls(t *testing.T) {
 	for _, c := range Generate(GenConfig{Seed: 2014, Count: 120}) {
 		names := c.MethodNames()
 		sorted := append([]string(nil), names...)
-		sortStrings(sorted)
+		sort.Strings(sorted)
 		for i := range names {
 			if names[i] != sorted[i] {
 				t.Fatalf("class %s insertion order is not lexical at %d: %s", c.Name, i, names[i])

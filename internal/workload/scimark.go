@@ -761,10 +761,3 @@ func SciMarkSuites() []*Suite {
 
 	return []*Suite{fft, lu, sor, sparse, mc}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

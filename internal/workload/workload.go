@@ -18,6 +18,7 @@ package workload
 
 import (
 	"fmt"
+	"sort"
 
 	"javaflow/internal/bytecode"
 	"javaflow/internal/classfile"
@@ -103,18 +104,10 @@ func (s *Suite) AllMethods() []*classfile.Method {
 		for n := range c.Methods {
 			names = append(names, n)
 		}
-		sortStrings(names)
+		sort.Strings(names)
 		for _, n := range names {
 			out = append(out, c.Methods[n])
 		}
 	}
 	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j-1] > s[j]; j-- {
-			s[j-1], s[j] = s[j], s[j-1]
-		}
-	}
 }
