@@ -61,7 +61,8 @@ var catalog = []Preset{
 	},
 }
 
-// Catalog returns the presets in catalog order.
+// Catalog returns the presets in catalog order. Callers must not modify
+// them.
 func Catalog() []Preset { return catalog }
 
 // NotFoundError reports an unknown scenario name.

@@ -155,12 +155,12 @@ func NewHandler(svc *Service) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/scenarios/{name}", func(w http.ResponseWriter, r *http.Request) {
-		info, err := svc.ScenarioInfo(r.PathValue("name"))
+		p, err := svc.preset(r.PathValue("name"))
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, info)
+		writeJSON(w, http.StatusOK, scenarioInfo(p))
 	})
 
 	mux.HandleFunc("GET /v1/store", func(w http.ResponseWriter, r *http.Request) {

@@ -552,16 +552,6 @@ func (s *Service) ScenarioInfos() []ScenarioInfo {
 	return out
 }
 
-// ScenarioInfo describes one attached preset, or returns the HTTP layer's
-// 404 shape.
-func (s *Service) ScenarioInfo(name string) (ScenarioInfo, error) {
-	p, err := s.preset(name)
-	if err != nil {
-		return ScenarioInfo{}, err
-	}
-	return scenarioInfo(p), nil
-}
-
 // ConfigInfo is the GET /v1/configs row.
 type ConfigInfo struct {
 	Name          string `json:"name"`
