@@ -7,11 +7,10 @@
 //
 // The load-bearing invariant: the tables and the scenario presets share one
 // sweep loop over the same serve.Scheduler/collect path the daemon uses —
-// never a private engine loop — so scenario-keyed, dispatched, replicated
-// and table sweeps all produce byte-identical digests
-// (TestChapter7DigestsMatchSimResults compares them), and the rendered
-// output at jfbench defaults is pinned byte for byte in testdata
-// (TestGoldenOutput).
+// never a private engine loop — so scenario-keyed and table sweeps produce
+// byte-identical digests (TestChapter7DigestsMatchSimResults compares
+// them), and the rendered output at jfbench defaults is pinned byte for
+// byte in testdata (TestGoldenOutput).
 package experiments
 
 import (
@@ -21,12 +20,10 @@ import (
 
 	"javaflow/internal/classfile"
 	"javaflow/internal/dataflow"
-	"javaflow/internal/dispatch"
 	"javaflow/internal/jvm"
 	"javaflow/internal/scenario"
 	"javaflow/internal/serve"
 	"javaflow/internal/sim"
-	"javaflow/internal/store"
 	"javaflow/internal/workload"
 )
 
@@ -43,15 +40,8 @@ type Context struct {
 	// Workers sizes the simulation worker pool the sweeps fan out over
 	// (0 = GOMAXPROCS, 1 = serial).
 	Workers int
-	// Peers lists remote jfserved base URLs to shard sweeps across
-	// (consistent-hash dispatch); empty runs everything in process. The
-	// peers must serve the same corpus (same -gen/-seed) and
-	// configurations. Set before the first sweep.
-	Peers []string
 
 	sched     *serve.Scheduler
-	runner    serve.BatchRunner
-	store     *store.Store
 	suites    []*workload.Suite
 	profiles  map[string]*jvm.Profile // suite name -> dynamic profile
 	corpus    []*classfile.Method
@@ -76,81 +66,15 @@ func NewContext() *Context {
 // Scheduler returns the context's simulation scheduler (built on first
 // use): a bounded worker pool over a deployment cache shared by every
 // sweep, so each (method, configuration) deployment happens once across
-// all tables and ablations. If OpenStore was called first, the scheduler
-// additionally reads prior MethodRuns through the persistent store.
+// all tables and ablations.
 func (c *Context) Scheduler() *serve.Scheduler {
 	if c.sched == nil {
 		c.sched = serve.NewScheduler(serve.SchedulerOptions{
 			Workers:       c.Workers,
 			MaxMeshCycles: c.MaxMeshCycles,
-			Store:         c.store,
 		})
 	}
 	return c.sched
-}
-
-// BatchRunner returns the executor sweeps fan out over (built on first
-// use): the local scheduler, or — when Peers is set — a consistent-hash
-// dispatcher fronting the remote instances with the scheduler as
-// fallback.
-func (c *Context) BatchRunner() (serve.BatchRunner, error) {
-	if c.runner != nil {
-		return c.runner, nil
-	}
-	if len(c.Peers) == 0 {
-		c.runner = c.Scheduler()
-		return c.runner, nil
-	}
-	d, err := dispatch.New(dispatch.Options{
-		Peers:    c.Peers,
-		Local:    c.Scheduler(),
-		Tracer:   c.Scheduler().Metrics().Tracer(),
-		Registry: c.Scheduler().Metrics().Registry(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.runner = d
-	return c.runner, nil
-}
-
-// DispatchStats returns the dispatcher's routing stats, or nil when sweeps
-// run purely in process.
-func (c *Context) DispatchStats() *dispatch.Stats {
-	if d, ok := c.runner.(*dispatch.Dispatcher); ok {
-		s := d.Stats()
-		return &s
-	}
-	return nil
-}
-
-// OpenStore attaches a persistent result store rooted at dir, so sweeps
-// reuse MethodRuns computed by earlier jfbench or jfserved processes.
-// Must be called before the first sweep (i.e. before Scheduler is built).
-func (c *Context) OpenStore(dir string) error {
-	if c.sched != nil {
-		return fmt.Errorf("experiments: OpenStore called after the scheduler was built")
-	}
-	st, err := store.Open(dir, store.Options{})
-	if err != nil {
-		return err
-	}
-	c.store = st
-	return nil
-}
-
-// Store returns the attached persistent store (nil without OpenStore).
-func (c *Context) Store() *store.Store { return c.store }
-
-// Close flushes and closes the persistent store, if one is attached. The
-// context remains usable for in-memory work.
-func (c *Context) Close() error {
-	if c.store == nil {
-		return nil
-	}
-	err := c.store.Close()
-	c.store = nil
-	return err
 }
 
 // Suites returns the benchmark roster.
@@ -266,18 +190,14 @@ func (c *Context) RunScenario(p *scenario.Preset) (*scenario.Report, error) {
 	return rep, nil
 }
 
-// sweep runs methods on one configuration through the context's
-// BatchRunner and collects the runs in method order.
+// sweep runs methods on one configuration through the context's scheduler
+// and collects the runs in method order.
 func (c *Context) sweep(cfg sim.Config, methods []*classfile.Method) (*sim.ConfigResults, error) {
-	runner, err := c.BatchRunner()
-	if err != nil {
-		return nil, err
-	}
 	jobs := make([]serve.Job, len(methods))
 	for i, m := range methods {
 		jobs[i] = serve.Job{Config: cfg, Method: m}
 	}
-	return serve.CollectRuns(cfg, runner.RunBatchCycles(context.Background(), jobs, c.MaxMeshCycles))
+	return serve.CollectRuns(cfg, c.Scheduler().RunBatchCycles(context.Background(), jobs, c.MaxMeshCycles))
 }
 
 // Baseline returns the Baseline configuration's results.

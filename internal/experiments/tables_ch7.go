@@ -409,7 +409,19 @@ func (c *Context) Table28() (*report.Table, error) {
 		"Table 28: Figure of Merit on Top SpecJvm98-analog Methods (reproduction)")
 }
 
-// TableByNumber dispatches 1..28.
+// Tables is the number of the dissertation's evaluation tables.
+const Tables = 28
+
+// CheckTable reports whether TableByNumber knows table n, without
+// computing anything.
+func CheckTable(n int) error {
+	if n < 1 || n > Tables {
+		return fmt.Errorf("experiments: no table %d (valid: 1-%d)", n, Tables)
+	}
+	return nil
+}
+
+// TableByNumber dispatches 1..Tables.
 func (c *Context) TableByNumber(n int) (*report.Table, error) {
 	funcs := []func() (*report.Table, error){
 		c.Table01, c.Table02, c.Table03, c.Table04, c.Table05, c.Table06,
@@ -418,8 +430,8 @@ func (c *Context) TableByNumber(n int) (*report.Table, error) {
 		c.Table19, c.Table20, c.Table21, c.Table22, c.Table23, c.Table24,
 		c.Table25, c.Table26, c.Table27, c.Table28,
 	}
-	if n < 1 || n > len(funcs) {
-		return nil, fmt.Errorf("experiments: no table %d (valid: 1-28)", n)
+	if err := CheckTable(n); err != nil {
+		return nil, err
 	}
 	return funcs[n-1]()
 }
