@@ -84,7 +84,9 @@ type Options struct {
 	// installs a store append hook: every committed or ingested payload
 	// record wakes the notifier, which sends every peer the (segment seq,
 	// size, CRC) positions that peer has not acknowledged; the periodic
-	// pull loop remains the repair path for anything a push missed.
+	// pull loop remains the repair path for anything a push missed. Left
+	// empty, the replicator is pull-only; bench/trace.go builds one that
+	// way to time replicate.sync_records_per_s.
 	Advertise string
 
 	// Tracer records pull and gossip spans; pass the serving node's
