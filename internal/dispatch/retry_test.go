@@ -259,17 +259,17 @@ func TestRemoteTimeoutOnStalledPeer(t *testing.T) {
 // a client gets transport bounds — the regression was a default transport
 // with no dial or header timeout.
 func TestDispatcherDefaultClientHasTimeouts(t *testing.T) {
-	if tr, ok := NewRemote("http://127.0.0.1:1", nil).client.Transport.(*http.Transport); !ok {
-		t.Fatal("default remote client transport is not *http.Transport")
-	} else {
-		if tr.ResponseHeaderTimeout != remoteHeaderTimeout {
-			t.Fatalf("default remote client ResponseHeaderTimeout = %v, want %v", tr.ResponseHeaderTimeout, remoteHeaderTimeout)
-		}
-		if tr.MaxIdleConnsPerHost != defaultInflight {
-			t.Fatalf("default remote client keeps %d idle conns per host, want the inflight bound %d", tr.MaxIdleConnsPerHost, defaultInflight)
-		}
-		if tr.DialContext == nil {
-			t.Fatal("default remote client has no bounded dialer")
-		}
+	lim, ok := peer.LimitsOf(NewRemote("http://127.0.0.1:1", nil).client)
+	if !ok {
+		t.Fatal("default remote client is not the peer transport")
+	}
+	if lim.Header != remoteHeaderTimeout {
+		t.Fatalf("default remote client header timeout = %v, want %v", lim.Header, remoteHeaderTimeout)
+	}
+	if lim.IdlePerHost != defaultInflight {
+		t.Fatalf("default remote client keeps %d idle conns per host, want the inflight bound %d", lim.IdlePerHost, defaultInflight)
+	}
+	if lim.Dial <= 0 {
+		t.Fatal("default remote client has no dial bound")
 	}
 }

@@ -13,13 +13,14 @@ import (
 
 // TestOneClient is the package's invariant as a test: outside
 // internal/peer, no non-test Go file of the module (bench/ is its own
-// module and a load generator, not a node) builds an http.Client or
-// stamps trace/deadline headers itself. A fifth hand-assembled peer
-// client — or a hop that forgets the headers — fails here, not in review.
+// module and a load generator, not a node) builds an http.Client or an
+// http.Transport or stamps trace/deadline headers itself. A fifth
+// hand-assembled peer client — or a hop that forgets the headers — fails
+// here, not in review.
 func TestOneClient(t *testing.T) {
 	const root = "../.."
 	banned := map[string][]string{ // import path -> selectors that must not be used
-		"net/http":                {"Client{"},
+		"net/http":                {"Client{", "Transport{"},
 		"javaflow/internal/obs":   {"Inject("},
 		"javaflow/internal/admit": {"Inject("},
 	}

@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"strings"
@@ -35,7 +34,8 @@ func Normalize(s string) string { return strings.TrimRight(strings.TrimSpace(s),
 
 // ParseList turns raw peer entries (a split -peers flag, an Options.Peers
 // slice) into normalised base URLs: empty entries are dropped, the rest
-// need a scheme and a host, and two entries naming one node are an error.
+// need the http scheme (the only one the transport speaks) and a host, and
+// two entries naming one node are an error.
 func ParseList(entries []string) ([]string, error) {
 	var out []string
 	seen := make(map[string]bool, len(entries))
@@ -44,8 +44,8 @@ func ParseList(entries []string) ([]string, error) {
 		if p == "" {
 			continue
 		}
-		if u, err := url.Parse(p); err != nil || u.Scheme == "" || u.Host == "" {
-			return nil, fmt.Errorf("bad peer URL %q (want scheme://host[:port])", e)
+		if u, err := url.Parse(p); err != nil || u.Scheme != "http" || u.Host == "" {
+			return nil, fmt.Errorf("bad peer URL %q (want http://host[:port])", e)
 		}
 		if seen[p] {
 			return nil, fmt.Errorf("duplicate peer %q", p)
@@ -56,18 +56,29 @@ func ParseList(entries []string) ([]string, error) {
 	return out, nil
 }
 
-// NewClient builds the peer transport. No overall request timeout — a
-// cold job computes for minutes, so lifetimes come from contexts — but
-// dial and time-to-first-header are bounded, so a dead or wedged peer
-// fails the attempt instead of pinning it. idlePerHost sizes the
-// keep-alive pool to the caller's concurrency against one peer.
+// NewClient builds the peer client over this package's transport. No
+// overall request timeout — a cold job computes for minutes, so lifetimes
+// come from contexts — but dial and time-to-first-header are bounded, so a
+// dead or wedged peer fails the attempt instead of pinning it. idlePerHost
+// sizes the keep-alive pool to the caller's concurrency against one peer.
 func NewClient(idlePerHost int, headerTimeout time.Duration) *http.Client {
-	return &http.Client{Transport: &http.Transport{
-		DialContext:           (&net.Dialer{Timeout: dialTimeout}).DialContext,
-		ResponseHeaderTimeout: headerTimeout,
-		MaxIdleConnsPerHost:   idlePerHost,
-		IdleConnTimeout:       90 * time.Second,
-	}}
+	return &http.Client{Transport: newTransport(idlePerHost, headerTimeout)}
+}
+
+// Limits are the bounds of a client NewClient built.
+type Limits struct {
+	Dial        time.Duration // connect
+	Header      time.Duration // from the request's last byte to the response head; 0 is unbounded
+	IdlePerHost int           // pooled keep-alive connections per peer
+}
+
+// LimitsOf reports c's bounds; ok is false when c was not built by NewClient.
+func LimitsOf(c *http.Client) (l Limits, ok bool) {
+	t, ok := c.Transport.(*transport)
+	if !ok {
+		return Limits{}, false
+	}
+	return Limits{Dial: t.dialer.Timeout, Header: t.headerTimeout, IdlePerHost: t.idlePerHost}, true
 }
 
 // StatusError is a peer's non-200 answer. Body keeps what the peer sent so
@@ -121,9 +132,13 @@ func GetJSON(ctx context.Context, c *http.Client, url string, v any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxJSONBody)).Decode(v); err != nil {
+	body := io.LimitReader(resp.Body, maxJSONBody)
+	if err := json.NewDecoder(body).Decode(v); err != nil {
 		return fmt.Errorf("decoding %s: %w", url, err)
 	}
+	// Read to the end — a chunked body's last chunk, writeJSON's newline —
+	// so the connection goes back to the pool.
+	_, _ = io.Copy(io.Discard, body)
 	return nil
 }
 

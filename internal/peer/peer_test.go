@@ -28,6 +28,8 @@ func TestParseList(t *testing.T) {
 		{name: "missing scheme", in: []string{"a:1"}, wantErr: `bad peer URL "a:1"`},
 		{name: "missing host", in: []string{"http://"}, wantErr: "bad peer URL"},
 		{name: "bare word", in: []string{"backend"}, wantErr: "bad peer URL"},
+		{name: "https", in: []string{"https://a:1"}, wantErr: `bad peer URL "https://a:1" (want http://host[:port])`},
+		{name: "ftp", in: []string{"ftp://a:1"}, wantErr: `bad peer URL "ftp://a:1"`},
 		{name: "duplicate", in: []string{"http://a:1", "http://a:1"}, wantErr: `duplicate peer "http://a:1"`},
 		{name: "duplicate after normalisation", in: []string{"http://a:1", " http://a:1/ "}, wantErr: `duplicate peer "http://a:1"`},
 	} {

@@ -26,15 +26,15 @@ func TestDefaultClientHasTransportTimeouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, ok := r.client.Transport.(*http.Transport)
+	lim, ok := peer.LimitsOf(r.client)
 	if !ok {
-		t.Fatal("default client transport is not *http.Transport")
+		t.Fatal("default client is not the peer transport")
 	}
-	if tr.ResponseHeaderTimeout != pullHeaderTimeout {
-		t.Fatalf("default client ResponseHeaderTimeout = %v, want %v", tr.ResponseHeaderTimeout, pullHeaderTimeout)
+	if lim.Header != pullHeaderTimeout {
+		t.Fatalf("default client header timeout = %v, want %v", lim.Header, pullHeaderTimeout)
 	}
-	if tr.DialContext == nil {
-		t.Fatal("default client has no bounded dialer")
+	if lim.Dial <= 0 {
+		t.Fatal("default client has no dial bound")
 	}
 }
 
