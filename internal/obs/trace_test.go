@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -15,6 +16,20 @@ func TestTraceHeaderRoundTrip(t *testing.T) {
 	got, ok := ParseTrace(tc.Header())
 	if !ok || got != tc {
 		t.Fatalf("ParseTrace(%q) = %+v, %v; want %+v", tc.Header(), got, ok, tc)
+	}
+}
+
+// TestFormatIDMatchesSprintf: IDs render as fmt's %016x did, so every
+// ID is 16 lower-case hex digits that ParseTrace accepts.
+func TestFormatIDMatchesSprintf(t *testing.T) {
+	for _, v := range []uint64{0, 1, 0xa, 0xdeadbeef, 0x0123456789abcdef, 0xfedcba9876543210, 1 << 63, ^uint64(0)} {
+		if got, want := formatID(v), fmt.Sprintf("%016x", v); got != want {
+			t.Errorf("formatID(%#x) = %q, want %q", v, got, want)
+		}
+	}
+	id := NewID()
+	if _, ok := ParseTrace(id + "-" + id + "-0"); !ok {
+		t.Errorf("NewID() = %q does not parse as a trace ID", id)
 	}
 }
 

@@ -121,7 +121,11 @@ func NewHandler(svc *Service) http.Handler {
 			writeError(w, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
+		// An explicit length: net/http would send a body over 2 KiB
+		// chunked, and ReadRunBody, relaying it, requires Content-Length.
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(body)))
 		_, _ = w.Write(body) // the first Write sends the 200
 	}))
 
