@@ -231,6 +231,7 @@ func TestRelayLongDocument(t *testing.T) {
 	if st.Backends[0].Errors != 0 || st.Backends[0].Jobs != 1 || st.Retries != 0 || st.LocalFallbacks != 0 {
 		t.Fatalf("the long document did not relay cleanly: %+v", st)
 	}
+	t.Logf("relayed a %d-byte document", len(got))
 }
 
 // TestDispatchedRunAllocations gates what one dispatched POST /v1/run

@@ -2,9 +2,11 @@
 // node. Every node-to-node request — a dispatched /v1/run, a replication
 // pull, a gossip notification, a fleet scrape — is built by Do, so it
 // always carries the caller's trace one hop deeper and its deadline, and
-// fails with a typed *StatusError on a non-200. Peer identity is decided
-// here too (ParseList, Normalize), so backend names, cursor keys and
-// notification origins agree on spelling. TestOneClient keeps both true.
+// fails with a typed *StatusError on a non-200, and goes over this
+// package's own HTTP/1.1 transport (transport.go). Peer identity is
+// decided here too (ParseList, Normalize), so backend names, cursor keys
+// and notification origins agree on spelling. TestOneClient keeps both
+// true.
 package peer
 
 import (

@@ -22,8 +22,8 @@ const (
 // per-host pool of keep-alive connections, with the request written in one
 // flush and the response head read on the caller's goroutine. net/http's
 // Transport hands each request to a writeLoop and a readLoop goroutine and
-// selects on them; on the dispatch hop that machinery cost about 40 % of a
-// front's CPU (docs/performance.md, "PR 37").
+// selects on them; on the dispatch hop that machinery cost over a third of a
+// front's CPU (docs/performance.md has the profiles).
 //
 // Lifetimes: the dial is bounded by dialer.Timeout, the wait for the
 // response head by headerTimeout, and everything — body included — by the

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -120,9 +121,21 @@ func TestTransportRedialsConnClosedByPeer(t *testing.T) {
 	}
 }
 
+// TestTransportPartlyReadBodyIsNotReused: a body closed before its end
+// closes the connection, even when no unread byte had arrived yet.
 func TestTransportPartlyReadBodyIsNotReused(t *testing.T) {
 	big := strings.Repeat("x", 64<<10)
+	closed := make(chan struct{})
+	var calls atomic.Int32
 	ts, dials := countingServer(t, func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 { // ten bytes, and the rest only after the client closed the body
+			w.Header().Set("Content-Length", strconv.Itoa(len(big)))
+			_, _ = io.WriteString(w, big[:10])
+			w.(http.Flusher).Flush()
+			<-closed
+			_, _ = io.WriteString(w, big[10:])
+			return
+		}
 		_, _ = io.WriteString(w, big)
 	})
 	c := NewClient(2, 5*time.Second)
@@ -134,6 +147,7 @@ func TestTransportPartlyReadBodyIsNotReused(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	close(closed)
 	if _, err := resp.Body.Read(make([]byte, 1)); err == nil {
 		t.Fatal("Read after Close succeeded")
 	}
@@ -153,7 +167,8 @@ func TestTransportPartlyReadBodyIsNotReused(t *testing.T) {
 
 // TestTransportChunkedGetJSONReusesConn: /metrics and /debug/traces answer
 // over 2 KiB, which net/http sends chunked. GetJSON decodes such a body and
-// reads it to the end, so its connection is reused.
+// reads it to the end — past the value, here padded with whitespace the
+// decoder does not need — so its connection is reused.
 func TestTransportChunkedGetJSONReusesConn(t *testing.T) {
 	type doc struct{ Names []string }
 	want := doc{Names: make([]string, 300)}
@@ -162,6 +177,7 @@ func TestTransportChunkedGetJSONReusesConn(t *testing.T) {
 	}
 	ts, dials := countingServer(t, func(w http.ResponseWriter, r *http.Request) {
 		_ = json.NewEncoder(w).Encode(want)
+		_, _ = io.WriteString(w, strings.Repeat(" ", 8<<10))
 	})
 	c := NewClient(2, 5*time.Second)
 	resp, err := Do(context.Background(), c, http.MethodGet, ts.URL, nil)
