@@ -323,10 +323,13 @@ func transient(ctx context.Context, err error) bool {
 		return false
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		// Terminal only when the caller itself gave up: net/http's
-		// transport timeouts (e.g. awaiting response headers) also match
-		// context.DeadlineExceeded, and those are the peer's failure —
-		// with a live caller context the job must be retried elsewhere.
+		// Terminal only when the caller itself gave up. The default
+		// client's header timeout is a net timeout and stays transient
+		// through the final return, but Options.Client may be any
+		// *http.Client: net/http's Transport (ResponseHeaderTimeout) and
+		// Client.Timeout return errors that match context.DeadlineExceeded,
+		// and those are the peer's failure — with a live caller context
+		// the job must be retried elsewhere.
 		return ctx.Err() == nil
 	}
 	return true

@@ -240,9 +240,12 @@ func TestRelayLongDocument(t *testing.T) {
 // reused (go1.24, linux/amd64): 188–189 when the front decoded the backend's
 // body and rendered it again and both ends read and wrote the request with
 // encoding/json, 153–154 with the relay and the reflection-free request
-// codec, 123–125 over internal/peer's own transport with span IDs minted
-// without fmt and Content-Length set on both 200s. The gate is the top of
-// that range.
+// codec, 122 over internal/peer's own transport with span IDs minted
+// without fmt and Content-Length set on both 200s. It read 123–125 while
+// the tracer re-sorted its slowest-span list with sort.Slice, which
+// allocates each time a span makes the list, and how often that happens
+// depends on timing. The gate leaves 3 for the backend's net/http server,
+// whose allocations may differ across Go releases.
 func TestDispatchedRunAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")

@@ -148,20 +148,25 @@ func (t *Tracer) record(sp Span) {
 		t.next = 0
 		t.filled = true
 	}
-	// Maintain the slowest list: insert if it has room or sp beats the
-	// current floor, then re-sort (N ≤ 32, negligible).
+	// Maintain the slowest list: sp takes the last place if the list has
+	// room or sp beats the current floor, then moves up to its rank.
 	if len(t.slowest) < slowestSpans {
 		t.slowest = append(t.slowest, sp)
-		sortSlowest(t.slowest)
+		raiseLast(t.slowest)
 	} else if sp.DurationNS > t.slowest[len(t.slowest)-1].DurationNS {
 		t.slowest[len(t.slowest)-1] = sp
-		sortSlowest(t.slowest)
+		raiseLast(t.slowest)
 	}
 	t.mu.Unlock()
 }
 
-func sortSlowest(spans []Span) {
-	sort.Slice(spans, func(i, j int) bool { return spans[i].DurationNS > spans[j].DurationNS })
+// raiseLast moves the last of spans, sorted slowest first but for that
+// one, up to its rank. Unlike sort.Slice it allocates nothing, so what a
+// request allocates does not depend on how often its span makes the list.
+func raiseLast(spans []Span) {
+	for i := len(spans) - 1; i > 0 && spans[i].DurationNS > spans[i-1].DurationNS; i-- {
+		spans[i], spans[i-1] = spans[i-1], spans[i]
+	}
 }
 
 // SpanCount reports the total number of spans ever finished.

@@ -14,9 +14,16 @@ import (
 )
 
 const (
-	idleTimeout = 90 * time.Second // how long a pooled connection may sit unused
-	connBufSize = 4 << 10          // per-connection read and write buffers, as net/http sizes them
+	idleTimeout  = 90 * time.Second // how long a pooled connection may sit unused
+	connBufSize  = 4 << 10          // per-connection read and write buffers, as net/http sizes them
+	maxHeadBytes = 10 << 20         // bytes read for a response head, net/http's default MaxResponseHeaderBytes
 )
+
+// errHeadTooLarge is what a response whose head outgrows maxHeadBytes
+// returns. http.ReadResponse itself reads a status or header line of any
+// length, so without the bound a peer could stream one until the header
+// timeout and the caller would buffer all of it.
+var errHeadTooLarge = fmt.Errorf("peer: response head over %d bytes", maxHeadBytes)
 
 // transport is the http.RoundTripper NewClient installs: HTTP/1.1 over a
 // per-host pool of keep-alive connections, with the request written in one
@@ -26,8 +33,9 @@ const (
 // front's CPU (docs/performance.md has the profiles).
 //
 // Lifetimes: the dial is bounded by dialer.Timeout, the wait for the
-// response head by headerTimeout, and everything — body included — by the
-// request's context, whose cancellation closes the connection. A
+// response head by headerTimeout and its size by maxHeadBytes, and
+// everything — body included — by the request's context, whose
+// cancellation closes the connection. A
 // connection goes back to the pool only once its body was read to the end
 // of a well-framed response that allows keep-alive.
 type transport struct {
@@ -44,6 +52,7 @@ type transport struct {
 type conn struct {
 	net.Conn
 	addr      string
+	head      headLimit // what br reads the connection through
 	br        *bufio.Reader
 	bw        *bufio.Writer
 	abort     func()      // closes the conn; made once, for context.AfterFunc
@@ -89,7 +98,8 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 				closeBody(req)
 				return nil, ctxErr(ctx, err)
 			}
-			c = &conn{Conn: nc, addr: addr, br: bufio.NewReaderSize(nc, connBufSize), bw: bufio.NewWriterSize(nc, connBufSize)}
+			c = &conn{Conn: nc, addr: addr, head: headLimit{Conn: nc, left: -1}, bw: bufio.NewWriterSize(nc, connBufSize)}
+			c.br = bufio.NewReaderSize(&c.head, connBufSize)
 			c.abort = func() { nc.Close() }
 		}
 		resp, early, err := t.exchange(ctx, c, req)
@@ -126,6 +136,7 @@ func (t *transport) exchange(ctx context.Context, c *conn, req *http.Request) (r
 		err = c.SetReadDeadline(time.Now().Add(t.headerTimeout))
 	}
 	if err == nil {
+		c.head.left = maxHeadBytes
 		_, err = c.br.Peek(1)
 	}
 	if err != nil {
@@ -142,6 +153,7 @@ func (t *transport) exchange(ctx context.Context, c *conn, req *http.Request) (r
 		c.Close()
 		return nil, false, headErr(t.headerTimeout, err)
 	}
+	c.head.left = -1
 	if t.headerTimeout > 0 {
 		_ = c.SetReadDeadline(time.Time{}) // fails only once c is closed, when the next read fails anyway
 	}
@@ -227,6 +239,30 @@ func (t *transport) expire(c *conn) {
 	if i >= 0 {
 		c.Close()
 	}
+}
+
+// headLimit reads a connection, failing with errHeadTooLarge once a
+// response head has taken maxHeadBytes. Like net/http's readLimit, the
+// count is of bytes read from the connection, so it includes what the
+// buffered reader fetched ahead of the head.
+type headLimit struct {
+	net.Conn
+	left int64 // bytes the head may still read; < 0 while no head is read
+}
+
+func (h *headLimit) Read(p []byte) (int, error) {
+	if h.left < 0 {
+		return h.Conn.Read(p)
+	}
+	if h.left == 0 {
+		return 0, errHeadTooLarge
+	}
+	if int64(len(p)) > h.left {
+		p = p[:h.left]
+	}
+	n, err := h.Conn.Read(p)
+	h.left -= int64(n)
+	return n, err
 }
 
 // errBodyClosed is what a body read after Close returns.

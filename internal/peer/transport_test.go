@@ -308,6 +308,53 @@ func TestTransportCancelReturnsPromptly(t *testing.T) {
 	}
 }
 
+// TestTransportCapsResponseHead: a peer that streams an endless status or
+// header line costs the caller an error once maxHeadBytes arrived, long
+// before the header timeout, instead of buffering all it sends.
+func TestTransportCapsResponseHead(t *testing.T) {
+	for _, tc := range []struct{ name, prefix string }{
+		{"status line", "HTTP/1.1 200 "},
+		{"header line", "HTTP/1.1 200 OK\r\nX-Endless: "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			var sent atomic.Int64
+			go func() {
+				nc, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer nc.Close()
+				if _, err := http.ReadRequest(bufio.NewReader(nc)); err != nil {
+					return
+				}
+				n, err := io.WriteString(nc, tc.prefix)
+				sent.Add(int64(n))
+				chunk := bytes.Repeat([]byte("a"), 32<<10)
+				for err == nil { // until the client closes the connection
+					n, err = nc.Write(chunk)
+					sent.Add(int64(n))
+				}
+			}()
+			start := time.Now()
+			_, err = Do(context.Background(), NewClient(1, time.Minute), http.MethodGet, "http://"+ln.Addr().String()+"/x", nil)
+			if !errors.Is(err, errHeadTooLarge) {
+				t.Fatalf("err = %v, want %v", err, errHeadTooLarge)
+			}
+			if d := time.Since(start); d > 10*time.Second {
+				t.Fatalf("the capped read took %v", d)
+			}
+			if n := sent.Load(); n < maxHeadBytes {
+				t.Fatalf("failed after the peer sent %d bytes, before the %d-byte cap", n, maxHeadBytes)
+			}
+		})
+	}
+}
+
 func TestTransportRejectsOtherSchemes(t *testing.T) {
 	_, err := Do(context.Background(), NewClient(1, time.Second), http.MethodGet, "https://127.0.0.1:1/x", nil)
 	if err == nil || !strings.Contains(err.Error(), `unsupported scheme "https"`) {
