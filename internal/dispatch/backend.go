@@ -100,15 +100,3 @@ func (r *Remote) Run(ctx context.Context, job serve.Job, maxCycles int) (sim.Met
 	}
 	return sim.MethodRun{Signature: payload.Signature, BP1: payload.BP1, BP2: payload.BP2}, nil
 }
-
-// Healthy reports whether the peer answers /healthz. Used for operator
-// feedback at startup, not for routing — routing health is learned from
-// job outcomes.
-func (r *Remote) Healthy(ctx context.Context) bool {
-	resp, err := peer.Do(ctx, r.client, http.MethodGet, r.base+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return true
-}

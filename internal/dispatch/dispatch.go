@@ -260,28 +260,6 @@ func (d *Dispatcher) register(reg *obs.Registry) {
 	}
 }
 
-// Backends lists the backend names in ring-slot order.
-func (d *Dispatcher) Backends() []string {
-	names := make([]string, len(d.backends))
-	for i, bs := range d.backends {
-		names[i] = bs.b.Name()
-	}
-	return names
-}
-
-// HealthyPeers probes each backend that supports a health check (Remote's
-// /healthz) and returns how many answered. Operator feedback at startup;
-// routing health is learned from job outcomes, not from this.
-func (d *Dispatcher) HealthyPeers(ctx context.Context) int {
-	up := 0
-	for _, bs := range d.backends {
-		if h, ok := bs.b.(interface{ Healthy(context.Context) bool }); ok && h.Healthy(ctx) {
-			up++
-		}
-	}
-	return up
-}
-
 // suspended reports whether routing should skip backend i, with the probe
 // escape hatch: once the backend's decorrelated-jitter backoff delay has
 // elapsed since its last failure, exactly one routing decision (the CAS

@@ -36,8 +36,6 @@ const DefaultCompactEvery = 30 * time.Second
 // pointing at this instance sees connection-refused (and reroutes) rather
 // than a dead TCP peer holding its jobs.
 type Daemon struct {
-	// Addr is the listen address (":8077", "127.0.0.1:0", ...).
-	Addr string
 	// Service is the registry + scheduler the HTTP API serves. Required.
 	Service *Service
 	// Store, when non-nil, is flushed and closed after the drain. The
@@ -73,24 +71,23 @@ func (d *Daemon) logf(format string, args ...any) {
 	}
 }
 
-// Run listens on d.Addr and serves until ctx is cancelled, then performs
-// the ordered shutdown above. ready (when non-nil) is called once with the
-// bound address before serving — tests listen on ":0" and learn the port
-// from it. The returned error is the first of: listen failure, serve
-// failure, drain overrun, store-flush failure; nil on a clean shutdown.
-func (d *Daemon) Run(ctx context.Context, ready func(addr net.Addr)) error {
-	srv := NewServer(d.Addr, d.Service)
+// Run serves ln until ctx is cancelled, then performs the ordered
+// shutdown above. The caller binds ln, so a daemon never fails to listen
+// and a caller on port 0 knows the port before Run starts. The returned
+// error is the first of: serve failure, drain overrun, store-flush
+// failure; nil on a clean shutdown.
+func (d *Daemon) Run(ctx context.Context, ln net.Listener) error {
+	// Batch sweeps can run minutes: the write timeout is generous rather
+	// than absent.
+	srv := &http.Server{
+		Handler:           NewHandler(d.Service),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		WriteTimeout:      30 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
 	stopCompactor := d.startCompactor()
 	stopReplicator := d.startReplicator()
-	ln, err := net.Listen("tcp", d.Addr)
-	if err != nil {
-		stopCompactor()
-		stopReplicator()
-		return errors.Join(err, d.closeStore())
-	}
-	if ready != nil {
-		ready(ln.Addr())
-	}
 	journal := d.Service.Scheduler().Metrics().Journal()
 	journal.Emit("serve", "start", obs.SevInfo, "", "addr", ln.Addr().String())
 
@@ -121,7 +118,7 @@ func (d *Daemon) Run(ctx context.Context, ready func(addr net.Addr)) error {
 	d.logf("shutting down: draining in-flight requests (up to %v)", drain)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
-	err = srv.Shutdown(shutdownCtx)
+	err := srv.Shutdown(shutdownCtx)
 	journal.Emit("serve", "stop", obs.SevInfo, "", "reason", "signal")
 	// The compactor and replicator must be idle before the store closes.
 	stopCompactor()

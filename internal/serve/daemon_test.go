@@ -29,19 +29,16 @@ func TestDaemonShutdownDrainsAndFlushes(t *testing.T) {
 	svc := NewService(sched, sim.Configurations(), methods)
 
 	daemon := &Daemon{
-		Addr:    "127.0.0.1:0",
 		Service: svc,
 		Store:   st,
 		Drain:   time.Minute,
 	}
 
+	ln := listenLoopback(t)
+	addr := ln.Addr().String()
 	ctx, cancel := context.WithCancel(context.Background())
-	addrCh := make(chan string, 1)
 	runErr := make(chan error, 1)
-	go func() {
-		runErr <- daemon.Run(ctx, func(a net.Addr) { addrCh <- a.String() })
-	}()
-	addr := <-addrCh
+	go func() { runErr <- daemon.Run(ctx, ln) }()
 
 	// Fire a sweep and wait until its jobs are actually executing.
 	body, _ := json.Marshal(BatchRequest{Configs: []string{"Compact2", "Hetero2"}})
@@ -92,6 +89,10 @@ func TestDaemonShutdownDrainsAndFlushes(t *testing.T) {
 
 	if err := <-runErr; err != nil {
 		t.Fatalf("daemon shutdown: %v", err)
+	}
+	// The daemon journals its life: one start, one stop.
+	if c := sched.Metrics().Journal().CountsByKind(); c["serve/start"] != 1 || c["serve/stop"] != 1 {
+		t.Fatalf("journal counts %v, want serve/start 1 and serve/stop 1", c)
 	}
 
 	// New connections are refused after Run returns.
@@ -146,7 +147,6 @@ func TestDaemonAutoCompacts(t *testing.T) {
 
 	sched := NewScheduler(SchedulerOptions{Workers: 1, MaxMeshCycles: testMaxCycles, Store: st})
 	daemon := &Daemon{
-		Addr:             "127.0.0.1:0",
 		Service:          NewService(sched, sim.Configurations(), methods),
 		Store:            st,
 		Drain:            time.Minute,
@@ -157,11 +157,7 @@ func TestDaemonAutoCompacts(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	runErr := make(chan error, 1)
-	addrCh := make(chan string, 1)
-	go func() {
-		runErr <- daemon.Run(ctx, func(a net.Addr) { addrCh <- a.String() })
-	}()
-	<-addrCh
+	go func() { runErr <- daemon.Run(ctx, listenLoopback(t)) }()
 
 	deadline := time.After(30 * time.Second)
 	for st.Stats().Compactions == 0 {
@@ -198,40 +194,13 @@ func TestDaemonAutoCompacts(t *testing.T) {
 	}
 }
 
-// TestDaemonListenFailureClosesStore: a daemon that cannot bind must still
-// flush and close its store before returning.
-func TestDaemonListenFailureClosesStore(t *testing.T) {
+// listenLoopback binds a loopback port for a daemon under test; Run owns
+// (and closes) it from then on.
+func listenLoopback(t *testing.T) net.Listener {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-
-	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	methods := hostableMethods(t, 1)
-	sched := NewScheduler(SchedulerOptions{Workers: 1, MaxMeshCycles: testMaxCycles, Store: st})
-	svc := NewService(sched, sim.Configurations(), methods)
-
-	// Seed one record so the flush is observable.
-	if _, err := sched.RunMethod(context.Background(), testConfig(t, "Compact2"), methods[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	daemon := &Daemon{Addr: ln.Addr().String(), Service: svc, Store: st}
-	if err := daemon.Run(context.Background(), nil); err == nil {
-		t.Fatal("expected a listen error on an occupied port")
-	}
-
-	st2, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if st2.Len() == 0 {
-		t.Fatal("store not flushed on listen failure")
-	}
+	return ln
 }

@@ -635,17 +635,3 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
 }
-
-// NewServer wraps the handler in an http.Server with sane timeouts for a
-// long-lived daemon (batch sweeps can run minutes; write timeout is
-// generous rather than absent).
-func NewServer(addr string, svc *Service) *http.Server {
-	return &http.Server{
-		Addr:              addr,
-		Handler:           NewHandler(svc),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       time.Minute,
-		WriteTimeout:      30 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-}

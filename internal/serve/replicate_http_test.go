@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -190,19 +189,14 @@ func TestDaemonRunsReplicatorLoop(t *testing.T) {
 	svc := NewService(sched, sim.Configurations(), methods)
 
 	d := &Daemon{
-		Addr:       "127.0.0.1:0",
 		Service:    svc,
 		Store:      dstStore,
 		Replicator: rep,
 		Drain:      5 * time.Second,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	ready := make(chan struct{})
 	errCh := make(chan error, 1)
-	go func() {
-		errCh <- d.Run(ctx, func(net.Addr) { close(ready) })
-	}()
-	<-ready
+	go func() { errCh <- d.Run(ctx, listenLoopback(t)) }()
 
 	key := store.RunKeyFor(testConfig(t, "Compact2"), methods[0], testMaxCycles)
 	deadline := time.Now().Add(10 * time.Second)
