@@ -324,3 +324,12 @@ func BenchmarkDeployPipeline(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkCorpus measures building the serving corpus every daemon holds
+// for its lifetime: the named methods plus 1580 generated ones.
+func BenchmarkCorpus(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		workload.Corpus(2014, 1580)
+	}
+}

@@ -14,16 +14,29 @@ import (
 type Assembler struct {
 	instrs []Instruction
 	labels map[string]int
-	fixups map[int]string // instruction index -> label
+	fixups []fixup
 	errs   []error
+}
+
+// fixup records that a branch target of instruction instr waits on label.
+// Arm -1 is the instruction's Target; arm i >= 0 is its Switch.Targets[i].
+type fixup struct {
+	instr, arm int
+	label      string
 }
 
 // NewAssembler returns an empty assembler.
 func NewAssembler() *Assembler {
-	return &Assembler{
-		labels: make(map[string]int),
-		fixups: make(map[int]string),
-	}
+	return &Assembler{labels: make(map[string]int)}
+}
+
+// Reset empties the assembler for the next method, keeping its buffers.
+// Slices returned by earlier Finish calls are unaffected.
+func (a *Assembler) Reset() {
+	a.instrs = a.instrs[:0]
+	clear(a.labels)
+	a.fixups = a.fixups[:0]
+	a.errs = nil
 }
 
 // Len returns the number of instructions emitted so far (the linear address
@@ -58,9 +71,8 @@ func (a *Assembler) Branch(op Opcode, label string) *Assembler {
 	if !info.Branch {
 		a.errs = append(a.errs, fmt.Errorf("%s is not a branch opcode", op))
 	}
-	in := Make(op)
-	a.fixups[len(a.instrs)] = label
-	a.instrs = append(a.instrs, in)
+	a.fixups = append(a.fixups, fixup{len(a.instrs), -1, label})
+	a.instrs = append(a.instrs, Make(op))
 	return a
 }
 
@@ -195,26 +207,14 @@ func (a *Assembler) Switch(arms map[int64]string, def string) *Assembler {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	in.SwitchKeys = keys
-	in.SwitchTargets = make([]int, len(keys))
+	in.Switch = &Switch{Keys: keys, Targets: make([]int, len(keys))}
 	idx := len(a.instrs)
 	for i, k := range keys {
-		a.fixups[encodeSwitchFixup(idx, i)] = arms[k]
+		a.fixups = append(a.fixups, fixup{idx, i, arms[k]})
 	}
-	a.fixups[encodeSwitchFixup(idx, -1)] = def
+	a.fixups = append(a.fixups, fixup{idx, -1, def})
 	a.instrs = append(a.instrs, in)
 	return a
-}
-
-// Switch fixups are keyed by a composite of instruction index and arm number
-// so they share the ordinary fixup table. Arm -1 is the default target.
-func encodeSwitchFixup(instr, arm int) int { return -((instr+1)*1000 + (arm + 1)) }
-func decodeSwitchFixup(key int) (instr, arm int, ok bool) {
-	if key >= 0 {
-		return 0, 0, false
-	}
-	k := -key
-	return k/1000 - 1, k%1000 - 1, true
 }
 
 // Finish resolves all labels and returns the instruction stream.
@@ -222,28 +222,35 @@ func (a *Assembler) Finish() ([]Instruction, error) {
 	if len(a.errs) > 0 {
 		return nil, a.errs[0]
 	}
-	for key, label := range a.fixups {
-		target, ok := a.labels[label]
+	for _, f := range a.fixups {
+		target, ok := a.labels[f.label]
 		if !ok {
-			return nil, fmt.Errorf("undefined label %q", label)
+			return nil, fmt.Errorf("undefined label %q", f.label)
 		}
-		if instr, arm, isSwitch := decodeSwitchFixup(key); isSwitch {
-			if arm < 0 {
-				a.instrs[instr].Target = target
-			} else {
-				a.instrs[instr].SwitchTargets[arm] = target
-			}
-			continue
+		if f.arm < 0 {
+			a.instrs[f.instr].Target = target
+		} else {
+			a.instrs[f.instr].Switch.Targets[f.arm] = target
 		}
-		a.instrs[key].Target = target
 	}
+	inRange := func(t int) bool { return t >= 0 && t <= len(a.instrs) }
 	for i, in := range a.instrs {
 		if in.Info().Branch && in.Target == NoTarget {
 			return nil, fmt.Errorf("instruction %d (%s) has unresolved target", i, in.Op)
 		}
-		if in.Target != NoTarget && (in.Target < 0 || in.Target > len(a.instrs)) {
+		if in.Target != NoTarget && !inRange(in.Target) {
 			return nil, fmt.Errorf("instruction %d (%s) targets out of range %d", i, in.Op, in.Target)
 		}
+		for arm, t := range in.SwitchTargets() {
+			if !inRange(t) {
+				return nil, fmt.Errorf("instruction %d (%s) arm %d targets out of range %d", i, in.Op, arm, t)
+			}
+		}
 	}
-	return a.instrs, nil
+	// An exact-length copy: the caller keeps it for the life of the method,
+	// and the assembler's own buffer grew by doubling and is reused after
+	// Reset.
+	code := make([]Instruction, len(a.instrs))
+	copy(code, a.instrs)
+	return code, nil
 }

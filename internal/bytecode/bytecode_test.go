@@ -342,11 +342,11 @@ func TestEncodeDecodeSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	sw := instrs[1]
-	if sw.Op != Lookupswitch || len(sw.SwitchKeys) != 3 {
+	if sw.Op != Lookupswitch || len(sw.SwitchKeys()) != 3 {
 		t.Fatalf("switch malformed: %+v", sw)
 	}
-	if sw.SwitchKeys[0] != -3 || sw.SwitchKeys[2] != 5 {
-		t.Errorf("switch keys not sorted: %v", sw.SwitchKeys)
+	if keys := sw.SwitchKeys(); keys[0] != -3 || keys[2] != 5 {
+		t.Errorf("switch keys not sorted: %v", keys)
 	}
 
 	code, err := Encode(instrs)
@@ -361,10 +361,46 @@ func TestEncodeDecodeSwitch(t *testing.T) {
 	if g.Target != sw.Target {
 		t.Errorf("default target = %d, want %d", g.Target, sw.Target)
 	}
-	for i := range sw.SwitchKeys {
-		if g.SwitchKeys[i] != sw.SwitchKeys[i] || g.SwitchTargets[i] != sw.SwitchTargets[i] {
+	for i := range sw.SwitchKeys() {
+		if g.Switch.Keys[i] != sw.Switch.Keys[i] || g.Switch.Targets[i] != sw.Switch.Targets[i] {
 			t.Errorf("arm %d: got (%d->%d), want (%d->%d)",
-				i, g.SwitchKeys[i], g.SwitchTargets[i], sw.SwitchKeys[i], sw.SwitchTargets[i])
+				i, g.Switch.Keys[i], g.Switch.Targets[i], sw.Switch.Keys[i], sw.Switch.Targets[i])
+		}
+	}
+}
+
+// TestAssemblerWideSwitch resolves a lookupswitch with 1000 arms. Its fixups
+// must stay apart from the next instruction's: arm 999 of the switch at
+// index 1 once shared a key with the default of index 2, so the arm kept
+// target 0 and the iconst_1 after the switch became a branch.
+func TestAssemblerWideSwitch(t *testing.T) {
+	const arms = 1000
+	a := NewAssembler()
+	labels := make(map[int64]string, arms)
+	for k := int64(0); k < arms; k++ {
+		labels[k] = fmt.Sprintf("arm%d", k)
+	}
+	a.ILoad(0).Switch(labels, "def")
+	for k := int64(0); k < arms; k++ {
+		a.Label(labels[k]).Op(Iconst1).Op(Ireturn)
+	}
+	a.Label("def").Op(Iconst0).Op(Ireturn)
+	code, err := a.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := code[1]
+	if sw.Target != 2+2*arms {
+		t.Errorf("default target = %d, want %d", sw.Target, 2+2*arms)
+	}
+	for i, target := range sw.SwitchTargets() {
+		if want := 2 + 2*i; target != want {
+			t.Errorf("arm %d targets %d, want %d", i, target, want)
+		}
+	}
+	for i, in := range code[2:] {
+		if in.Target != NoTarget {
+			t.Errorf("instruction %d (%s) got target %d, want none", i+2, in.Op, in.Target)
 		}
 	}
 }

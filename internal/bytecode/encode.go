@@ -59,7 +59,7 @@ func encodedLen(in Instruction) (int, error) {
 		// first pass by computing exactly in encodeOne. To keep offsets
 		// consistent we disallow padding by aligning: we instead always
 		// use 3 pad bytes' worth of space. See encodeOne.
-		return 1 + 3 + 4 + 4 + 8*len(in.SwitchKeys), nil
+		return 1 + 3 + 4 + 4 + 8*len(in.SwitchKeys()), nil
 	default:
 		return 0, fmt.Errorf("variable-length opcode %s not encodable", in.Op)
 	}
@@ -78,12 +78,13 @@ func encodeOne(in Instruction, offsets []int, idx int) ([]byte, error) {
 		var w [4]byte
 		binary.BigEndian.PutUint32(w[:], uint32(offsets[in.Target]-myOff))
 		buf = append(buf, w[:]...)
-		binary.BigEndian.PutUint32(w[:], uint32(len(in.SwitchKeys)))
+		keys, targets := in.SwitchKeys(), in.SwitchTargets()
+		binary.BigEndian.PutUint32(w[:], uint32(len(keys)))
 		buf = append(buf, w[:]...)
-		for i, k := range in.SwitchKeys {
+		for i, k := range keys {
 			binary.BigEndian.PutUint32(w[:], uint32(int32(k)))
 			buf = append(buf, w[:]...)
-			binary.BigEndian.PutUint32(w[:], uint32(offsets[in.SwitchTargets[i]]-myOff))
+			binary.BigEndian.PutUint32(w[:], uint32(offsets[targets[i]]-myOff))
 			buf = append(buf, w[:]...)
 		}
 		return buf, nil
@@ -138,7 +139,7 @@ func Decode(code []byte, resolver SignatureResolver) ([]Instruction, error) {
 	var instrs []Instruction
 	type patch struct {
 		instr  int
-		arm    int // -1: Target; >=0: SwitchTargets[arm]
+		arm    int // -1: Target; >=0: Switch.Targets[arm]
 		target int // byte offset
 	}
 	var patches []patch
@@ -186,14 +187,13 @@ func Decode(code []byte, resolver SignatureResolver) ([]Instruction, error) {
 			if n < 0 || n > 1<<16 {
 				return nil, fmt.Errorf("offset %d: implausible npairs %d", myOff, n)
 			}
-			in.SwitchKeys = make([]int64, n)
-			in.SwitchTargets = make([]int, n)
+			in.Switch = &Switch{Keys: make([]int64, n), Targets: make([]int, n)}
 			for i := 0; i < n; i++ {
 				k, err := readS32()
 				if err != nil {
 					return nil, err
 				}
-				in.SwitchKeys[i] = int64(k)
+				in.Switch.Keys[i] = int64(k)
 				t, err := readS32()
 				if err != nil {
 					return nil, err
@@ -283,7 +283,7 @@ func Decode(code []byte, resolver SignatureResolver) ([]Instruction, error) {
 		if p.arm < 0 {
 			instrs[p.instr].Target = ti
 		} else {
-			instrs[p.instr].SwitchTargets[p.arm] = ti
+			instrs[p.instr].Switch.Targets[p.arm] = ti
 		}
 	}
 	return instrs, nil

@@ -26,16 +26,42 @@ type Instruction struct {
 	// Target is the branch target as an instruction index, or NoTarget.
 	Target int
 
-	// SwitchTargets and SwitchKeys describe tableswitch/lookupswitch arms;
-	// Target holds the default target for those opcodes.
-	SwitchKeys    []int64
-	SwitchTargets []int
+	// Switch is the arm table of a tableswitch/lookupswitch, whose Target
+	// holds the default; nil for every other opcode. A pointer rather than
+	// two inline slices keeps Instruction at 56 bytes, and generated method
+	// bodies carry no switches at all.
+	Switch *Switch
 
 	// Pop and Push are the resolved stack effects. For most instructions
 	// they mirror the architected table; for invokes they are resolved
 	// from the call signature by the General Purpose Processor before the
 	// method is loaded into the fabric (Section 6.2).
 	Pop, Push int
+}
+
+// Switch is a switch instruction's arm table: key Keys[i] transfers
+// control to instruction Targets[i].
+type Switch struct {
+	Keys    []int64
+	Targets []int
+}
+
+// SwitchKeys returns the switch arm keys; nil when the instruction has no
+// arm table.
+func (in Instruction) SwitchKeys() []int64 {
+	if in.Switch == nil {
+		return nil
+	}
+	return in.Switch.Keys
+}
+
+// SwitchTargets returns the switch arm targets, parallel to SwitchKeys;
+// nil when the instruction has no arm table.
+func (in Instruction) SwitchTargets() []int {
+	if in.Switch == nil {
+		return nil
+	}
+	return in.Switch.Targets
 }
 
 // Make builds an instruction with architected pop/push counts resolved.

@@ -265,12 +265,13 @@ func (m *Method) Hash() uint64 {
 		writeInt(in.A)
 		writeInt(in.B)
 		writeInt(int64(in.Target))
-		writeInt(int64(len(in.SwitchKeys)))
-		for _, k := range in.SwitchKeys {
+		keys, targets := in.SwitchKeys(), in.SwitchTargets()
+		writeInt(int64(len(keys)))
+		for _, k := range keys {
 			writeInt(k)
 		}
-		writeInt(int64(len(in.SwitchTargets)))
-		for _, t := range in.SwitchTargets {
+		writeInt(int64(len(targets)))
+		for _, t := range targets {
 			writeInt(int64(t))
 		}
 		writeInt(int64(in.Pop))

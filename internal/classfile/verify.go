@@ -121,7 +121,7 @@ func Verify(m *Method) error {
 			if err := push(in.Target, after); err != nil {
 				return &VerifyError{m.Signature(), item.idx, err.Error()}
 			}
-			for _, t := range in.SwitchTargets {
+			for _, t := range in.SwitchTargets() {
 				if err := push(t, after); err != nil {
 					return &VerifyError{m.Signature(), item.idx, err.Error()}
 				}
@@ -202,7 +202,7 @@ func EntryDepths(m *Method) ([]int, error) {
 			visit(in.Target)
 		case in.Op == bytecode.Lookupswitch || in.Op == bytecode.Tableswitch:
 			visit(in.Target)
-			for _, t := range in.SwitchTargets {
+			for _, t := range in.SwitchTargets() {
 				visit(t)
 			}
 		case in.IsBranch():

@@ -211,7 +211,7 @@ func Analyze(m *classfile.Method) (*Analysis, error) {
 			if err := propagate(idx, in.Target, st); err != nil {
 				return nil, err
 			}
-			for _, t := range in.SwitchTargets {
+			for _, t := range in.SwitchTargets() {
 				if err := propagate(idx, t, st); err != nil {
 					return nil, err
 				}

@@ -327,9 +327,9 @@ func (vm *Machine) step(f *frame, in bytecode.Instruction, next *int) (stepKind,
 			return stepNext, stepResult{}, err
 		}
 		*next = in.Target
-		for i, k := range in.SwitchKeys {
+		for i, k := range in.SwitchKeys() {
 			if k == v.I {
-				*next = in.SwitchTargets[i]
+				*next = in.Switch.Targets[i]
 				break
 			}
 		}

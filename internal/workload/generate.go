@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"javaflow/internal/bytecode"
 	"javaflow/internal/classfile"
@@ -49,6 +50,7 @@ func Generate(cfg GenConfig) []*classfile.Class {
 		classSize = 64
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	asm := bytecode.NewAssembler()
 
 	var classes []*classfile.Class
 	var cur *classfile.Class
@@ -57,7 +59,7 @@ func Generate(cfg GenConfig) []*classfile.Class {
 
 	for i := 0; i < cfg.Count; i++ {
 		if i%classSize == 0 {
-			cur = classfile.NewClass(fmt.Sprintf("gen/Gen%03d", len(classes)))
+			cur = classfile.NewClass(padded("gen/Gen", len(classes), 3))
 			cur.StaticSlots = 4
 			pool = classfile.NewConstantPool()
 			statics = make([]int, cur.StaticSlots)
@@ -74,7 +76,7 @@ func Generate(cfg GenConfig) []*classfile.Class {
 			}
 			classes = append(classes, cur)
 		}
-		m := generateMethod(rng, pool, statics, consts, dconsts, fmt.Sprintf("m%04d", i))
+		m := generateMethod(rng, asm, pool, statics, consts, dconsts, padded("m", i, 4))
 		cur.Add(m)
 		if err := classfile.Verify(m); err != nil {
 			panic(fmt.Sprintf("workload: generated method invalid: %v", err))
@@ -126,17 +128,32 @@ type genState struct {
 
 func (g *genState) label(prefix string) string {
 	g.labels++
-	return fmt.Sprintf("%s_%d", prefix, g.labels)
+	var buf [24]byte
+	return string(strconv.AppendInt(append(append(buf[:0], prefix...), '_'), int64(g.labels), 10))
+}
+
+// padded renders prefix followed by n zero-padded to width digits, as
+// fmt's "%0*d" would.
+func padded(prefix string, n, width int) string {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(n), 10)
+	var buf [32]byte
+	b := append(buf[:0], prefix...)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
 }
 
 func (g *genState) intLocal() int    { return g.rng.Intn(g.nInt) }
 func (g *genState) doubleLocal() int { return g.nInt + g.rng.Intn(g.nDouble) }
 
-// generateMethod emits one synthetic method.
-func generateMethod(rng *rand.Rand, pool *classfile.ConstantPool, statics, consts, dconsts []int, name string) *classfile.Method {
+// generateMethod emits one synthetic method, reusing asm's buffers.
+func generateMethod(rng *rand.Rand, asm *bytecode.Assembler, pool *classfile.ConstantPool, statics, consts, dconsts []int, name string) *classfile.Method {
+	asm.Reset()
 	g := &genState{
 		rng:     rng,
-		a:       bytecode.NewAssembler(),
+		a:       asm,
 		pool:    pool,
 		statics: statics,
 		consts:  consts,
