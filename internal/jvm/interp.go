@@ -329,7 +329,7 @@ func (vm *Machine) step(f *frame, in bytecode.Instruction, next *int) (stepKind,
 		*next = in.Target
 		for i, k := range in.SwitchKeys() {
 			if k == v.I {
-				*next = in.Switch.Targets[i]
+				*next = in.SwitchTargets()[i]
 				break
 			}
 		}

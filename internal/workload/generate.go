@@ -128,8 +128,7 @@ type genState struct {
 
 func (g *genState) label(prefix string) string {
 	g.labels++
-	var buf [24]byte
-	return string(strconv.AppendInt(append(append(buf[:0], prefix...), '_'), int64(g.labels), 10))
+	return prefix + "_" + strconv.Itoa(g.labels)
 }
 
 // padded renders prefix followed by n zero-padded to width digits, as
