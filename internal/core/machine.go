@@ -112,7 +112,7 @@ func (d *Deployment) DescribeResolution() string {
 			}
 		}
 		var targets []string
-		for _, tg := range d.Resolution.Targets[i] {
+		for _, tg := range d.Resolution.TargetsOf(i) {
 			flag := ""
 			if len(producersOf(d.Resolution, tg)) > 1 {
 				flag = "M"
@@ -138,8 +138,8 @@ func (d *Deployment) DescribeResolution() string {
 // producersOf finds all producers feeding the same consumer side.
 func producersOf(r *fabric.Resolution, tg fabric.Target) []int {
 	var out []int
-	for prod, targets := range r.Targets {
-		for _, t := range targets {
+	for prod := range r.Placement.Method.Code {
+		for _, t := range r.TargetsOf(prod) {
 			if t == tg {
 				out = append(out, prod)
 			}

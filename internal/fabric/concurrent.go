@@ -168,17 +168,10 @@ func (cf *ConcurrentFabric) LoadAndResolve(m *classfile.Method) (*Placement, [][
 func (cf *ConcurrentFabric) resolveConcurrently(ctx context.Context, m *classfile.Method) ([][]Target, error) {
 	n := len(m.Code)
 
-	// Pass 1 (addresses down) is a pure broadcast in the deterministic
-	// resolver; compute sources locally per node, as each node would
-	// after receiving CMD_SEND_ADDRESSES_DOWN.
-	det, err := Resolve(&Placement{
-		Fabric: cf.Fabric, Method: m,
-		NodeOf: identityNodes(n), MaxNode: n,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sources := det.Sources
+	// Pass 1 (addresses down) is a pure broadcast; compute sources locally
+	// per node, as each node would after receiving
+	// CMD_SEND_ADDRESSES_DOWN.
+	sources := AddressesDown(m)
 
 	type nodeChans struct {
 		inbox chan message
@@ -237,15 +230,15 @@ func (cf *ConcurrentFabric) resolveConcurrently(ctx context.Context, m *classfil
 						// the consumer's mesh address.
 						captured[key] = true
 						mu.Lock()
-						targets[i] = append(targets[i], Target{Consumer: msg.consumer, Side: msg.side})
+						targets[i] = append(targets[i], Target{Consumer: int32(msg.consumer), Side: int32(msg.side)})
 						mu.Unlock()
 						finishOne()
 						continue
 					}
 					captured[key] = true
 					next := msg.skip - in.Push + in.Pop
-					for _, s := range sources[i] {
-						if !send(s, message{kind: msgNeed, consumer: msg.consumer, side: msg.side, skip: next}) {
+					for _, s := range sources.Of(i) {
+						if !send(int(s), message{kind: msgNeed, consumer: msg.consumer, side: msg.side, skip: next}) {
 							return
 						}
 					}
@@ -262,8 +255,8 @@ func (cf *ConcurrentFabric) resolveConcurrently(ctx context.Context, m *classfil
 		in := m.Code[c]
 		for side := 1; side <= in.Pop; side++ {
 			skip := in.Pop - side
-			for _, s := range sources[c] {
-				if !send(s, message{kind: msgNeed, consumer: c, side: side, skip: skip}) {
+			for _, s := range sources.Of(c) {
+				if !send(int(s), message{kind: msgNeed, consumer: c, side: side, skip: skip}) {
 					stopWork()
 					wg.Wait()
 					return nil, fmt.Errorf("fabric: concurrent resolve aborted (%s)", m.Signature())
@@ -286,17 +279,16 @@ func (cf *ConcurrentFabric) resolveConcurrently(ctx context.Context, m *classfil
 	wg.Wait()
 
 	for i := range targets {
+		// The load-time validation Resolve applies: every push must have
+		// found a consumer.
+		if in := &m.Code[i]; in.Push > 0 && len(targets[i]) == 0 {
+			return nil, fmt.Errorf(
+				"fabric: resolve %s: instruction %d (%s) pushes %d but has no consumers",
+				m.Signature(), i, in.Op, in.Push)
+		}
 		sortTargets(targets[i])
 	}
 	return targets, nil
-}
-
-func identityNodes(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 func sortTargets(ts []Target) {

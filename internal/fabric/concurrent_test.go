@@ -46,15 +46,16 @@ func TestConcurrentMatchesDeterministic(t *testing.T) {
 						m.Signature(), i, concP.NodeOf[i], detP.NodeOf[i])
 				}
 			}
-			for i := range detR.Targets {
-				if len(concTargets[i]) != len(detR.Targets[i]) {
+			for i := range m.Code {
+				want := detR.TargetsOf(i)
+				if len(concTargets[i]) != len(want) {
 					t.Fatalf("%s: instr %d: %d targets concurrently, %d deterministically",
-						m.Signature(), i, len(concTargets[i]), len(detR.Targets[i]))
+						m.Signature(), i, len(concTargets[i]), len(want))
 				}
-				for k := range detR.Targets[i] {
-					if concTargets[i][k] != detR.Targets[i][k] {
+				for k := range want {
+					if concTargets[i][k] != want[k] {
 						t.Fatalf("%s: instr %d target %d: %+v vs %+v",
-							m.Signature(), i, k, concTargets[i][k], detR.Targets[i][k])
+							m.Signature(), i, k, concTargets[i][k], want[k])
 					}
 				}
 			}

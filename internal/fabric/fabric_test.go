@@ -195,8 +195,8 @@ func TestResolveFigure21Example(t *testing.T) {
 		4: {5, 1},
 	}
 	for prod, want := range wantTargets {
-		if len(r.Targets[prod]) != 1 || r.Targets[prod][0] != want {
-			t.Errorf("producer %d targets %+v, want [%+v]", prod, r.Targets[prod], want)
+		if got := r.TargetsOf(prod); len(got) != 1 || got[0] != want {
+			t.Errorf("producer %d targets %+v, want [%+v]", prod, got, want)
 		}
 	}
 	if r.Merges != 0 || r.BackMerges != 0 {
@@ -229,11 +229,11 @@ func TestResolveMergeBranchIDs(t *testing.T) {
 	if r.Merges != 1 {
 		t.Errorf("merges = %d, want 1", r.Merges)
 	}
-	if len(r.Targets[2]) != 1 || r.Targets[2][0] != (Target{5, 1}) {
-		t.Errorf("then-arm targets = %+v", r.Targets[2])
+	if got := r.TargetsOf(2); len(got) != 1 || got[0] != (Target{5, 1}) {
+		t.Errorf("then-arm targets = %+v", got)
 	}
-	if len(r.Targets[4]) != 1 || r.Targets[4][0] != (Target{5, 1}) {
-		t.Errorf("else-arm targets = %+v", r.Targets[4])
+	if got := r.TargetsOf(4); len(got) != 1 || got[0] != (Target{5, 1}) {
+		t.Errorf("else-arm targets = %+v", got)
 	}
 }
 
@@ -264,9 +264,9 @@ func TestResolveMatchesDataflowAnalysis(t *testing.T) {
 			t.Fatalf("%s: %v", m.Signature(), err)
 		}
 		got := make(map[dataflow.Arc]bool)
-		for prod, targets := range r.Targets {
-			for _, tg := range targets {
-				got[dataflow.Arc{Producer: prod, Consumer: tg.Consumer, Side: tg.Side}] = true
+		for prod := range m.Code {
+			for _, tg := range r.TargetsOf(prod) {
+				got[dataflow.Arc{Producer: prod, Consumer: int(tg.Consumer), Side: int(tg.Side)}] = true
 			}
 		}
 		if len(got) != len(an.Arcs) {

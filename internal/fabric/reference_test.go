@@ -3,6 +3,7 @@ package fabric_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -59,14 +60,27 @@ func referenceLoad(f *fabric.Fabric, m *classfile.Method) (*fabric.Placement, er
 	return p, nil
 }
 
-func referenceResolve(p *fabric.Placement) (*fabric.Resolution, error) {
+// refResolution is the reference resolver's own outcome: per-instruction
+// target and source lists, as Resolution held them before it kept one flat
+// target table and dropped the sources.
+type refResolution struct {
+	Targets        [][]fabric.Target
+	Sources        [][]int
+	BranchMessages int
+	QUp            []int
+	MaxQUp         int
+	Cycles         int
+	Merges         int
+	BackMerges     int
+}
+
+func referenceResolve(p *fabric.Placement) (*refResolution, error) {
 	m := p.Method
 	n := len(m.Code)
-	r := &fabric.Resolution{
-		Placement: p,
-		Targets:   make([][]fabric.Target, n),
-		Sources:   make([][]int, n),
-		QUp:       make([]int, n),
+	r := &refResolution{
+		Targets: make([][]fabric.Target, n),
+		Sources: make([][]int, n),
+		QUp:     make([]int, n),
 	}
 
 	branchMessages := 0
@@ -119,7 +133,7 @@ func referenceResolve(p *fabric.Placement) (*fabric.Resolution, error) {
 					if !producers[st.node] {
 						producers[st.node] = true
 						r.Targets[st.node] = append(r.Targets[st.node],
-							fabric.Target{Consumer: c, Side: side})
+							fabric.Target{Consumer: int32(c), Side: int32(side)})
 						if st.node > c {
 							r.BackMerges++
 						}
@@ -169,19 +183,49 @@ func referenceResolve(p *fabric.Placement) (*fabric.Resolution, error) {
 			r.MaxQUp = q
 		}
 	}
+	r.BranchMessages = branchMessages
 	r.Cycles = 2*n + branchMessages
 	return r, nil
 }
 
-// deploy runs load then resolve, the pipeline sim.DeployMethod runs.
-func deploy(f *fabric.Fabric, m *classfile.Method,
-	load func(*fabric.Fabric, *classfile.Method) (*fabric.Placement, error),
-	resolve func(*fabric.Placement) (*fabric.Resolution, error)) (*fabric.Resolution, error) {
-	p, err := load(f, m)
-	if err != nil {
-		return nil, err
+// sameResolution reports the first difference between got and the
+// reference's want, or "": every instruction's targets, in order, and
+// pass 1's sources, then the buffering and the counts.
+func sameResolution(m *classfile.Method, got *fabric.Resolution, want *refResolution) string {
+	src := fabric.AddressesDown(m)
+	total := 0
+	for i := range m.Code {
+		if g, w := got.TargetsOf(i), want.Targets[i]; !slices.Equal(g, w) {
+			return fmt.Sprintf("instruction %d targets %v, want %v", i, g, w)
+		}
+		total += len(want.Targets[i])
+		g, w := src.Of(i), want.Sources[i]
+		if len(g) != len(w) {
+			return fmt.Sprintf("instruction %d sources %v, want %v", i, g, w)
+		}
+		for k := range w {
+			if int(g[k]) != w[k] {
+				return fmt.Sprintf("instruction %d sources %v, want %v", i, g, w)
+			}
+		}
+		if int(got.QUp[i]) != want.QUp[i] {
+			return fmt.Sprintf("instruction %d QUp %d, want %d", i, got.QUp[i], want.QUp[i])
+		}
 	}
-	return resolve(p)
+	switch {
+	case got.NumTargets() != total:
+		return fmt.Sprintf("%d targets, want %d", got.NumTargets(), total)
+	case len(got.QUp) != len(want.QUp):
+		return fmt.Sprintf("%d QUp entries, want %d", len(got.QUp), len(want.QUp))
+	case src.BranchMessages != want.BranchMessages:
+		return fmt.Sprintf("%d branch messages, want %d", src.BranchMessages, want.BranchMessages)
+	case got.MaxQUp != want.MaxQUp || got.Cycles != want.Cycles ||
+		got.Merges != want.Merges || got.BackMerges != want.BackMerges:
+		return fmt.Sprintf("MaxQUp/Cycles/Merges/BackMerges %d/%d/%d/%d, want %d/%d/%d/%d",
+			got.MaxQUp, got.Cycles, got.Merges, got.BackMerges,
+			want.MaxQUp, want.Cycles, want.Merges, want.BackMerges)
+	}
+	return ""
 }
 
 // needsAcrossControlFlow returns methods whose operand needs climb through
@@ -217,19 +261,24 @@ func needsAcrossControlFlow(t *testing.T) []*classfile.Method {
 }
 
 // TestResolveMatchesReference: over the repository benchmark's corpus on
-// every configuration, the loader and resolver produce placements and
-// resolutions deep-equal to the reference's, and reject the same methods
-// with the same error text.
+// every configuration, the loader produces placements deep-equal to the
+// reference's, the resolver the same targets, sources, buffering and
+// counts, and both reject the same methods with the same error text.
 func TestResolveMatchesReference(t *testing.T) {
-	load := func(f *fabric.Fabric, m *classfile.Method) (*fabric.Placement, error) {
-		return (&fabric.Loader{Fabric: f}).Load(m)
-	}
 	methods := append(workload.Corpus(2014, 1580), needsAcrossControlFlow(t)...)
 	accepted, rejected := 0, 0
 	for _, cfg := range sim.Configurations() {
 		for _, m := range methods {
-			got, gotErr := deploy(cfg.Fabric, m, load, fabric.Resolve)
-			want, wantErr := deploy(cfg.Fabric, m, referenceLoad, referenceResolve)
+			var got *fabric.Resolution
+			var want *refResolution
+			gotP, gotErr := (&fabric.Loader{Fabric: cfg.Fabric}).Load(m)
+			if gotErr == nil {
+				got, gotErr = fabric.Resolve(gotP)
+			}
+			wantP, wantErr := referenceLoad(cfg.Fabric, m)
+			if wantErr == nil {
+				want, wantErr = referenceResolve(wantP)
+			}
 			if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
 				t.Fatalf("%s on %s: error %v, reference %v", m.Signature(), cfg.Name, gotErr, wantErr)
 			}
@@ -238,9 +287,12 @@ func TestResolveMatchesReference(t *testing.T) {
 				continue
 			}
 			accepted++
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s on %s: resolution differs from the reference:\n got %+v\nwant %+v",
-					m.Signature(), cfg.Name, got, want)
+			if got.Placement != gotP || !reflect.DeepEqual(gotP, wantP) {
+				t.Fatalf("%s on %s: placement differs from the reference:\n got %+v\nwant %+v",
+					m.Signature(), cfg.Name, gotP, wantP)
+			}
+			if diff := sameResolution(m, got, want); diff != "" {
+				t.Fatalf("%s on %s: resolution differs from the reference: %s", m.Signature(), cfg.Name, diff)
 			}
 		}
 	}

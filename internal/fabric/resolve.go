@@ -2,9 +2,9 @@ package fabric
 
 import (
 	"fmt"
-	"slices"
 
 	"javaflow/internal/bytecode"
+	"javaflow/internal/classfile"
 )
 
 // Target is one resolved consumer address held by a producer node: the mesh
@@ -14,27 +14,27 @@ import (
 // automatically and not part of the instruction set stored in the General
 // Purpose Processor's memory."
 type Target struct {
-	Consumer int // linear address of the consuming instruction
-	Side     int // 1-based operand side at the consumer
+	Consumer int32 // linear address of the consuming instruction
+	Side     int32 // 1-based operand side at the consumer
 }
 
 // Resolution is the outcome of the two-pass serial-network protocol:
-// CMD_SEND_ADDRESSES_DOWN followed by CMD_SEND_NEEDS_UP.
+// CMD_SEND_ADDRESSES_DOWN followed by CMD_SEND_NEEDS_UP. It keeps only
+// what execution reads; the sources pass 1 leaves behind are the
+// resolver's scratch (AddressesDown rebuilds them).
 type Resolution struct {
 	Placement *Placement
 
-	// Targets[i] lists the resolved consumers of instruction i's pushes.
-	Targets [][]Target
-
-	// Sources[i] lists the control-flow predecessor instructions of i
-	// (the sourceLinearAddresses each Instruction Data Unit learns during
-	// the addresses-down pass).
-	Sources [][]int
+	// targets holds every instruction's resolved consumers back to back;
+	// instruction i's are targets[targetOff[i]:targetOff[i+1]], ordered
+	// by consumer, then side. Read them through TargetsOf.
+	targetOff []int32
+	targets   []Target
 
 	// QUp[i] counts need-messages buffered at or forwarded through
 	// instruction i during the needs-up pass; MaxQUp is the per-method
 	// buffering requirement (Table 11).
-	QUp    []int
+	QUp    []int32
 	MaxQUp int
 
 	// Cycles is the serial-cycle cost of the whole resolution: a full
@@ -48,6 +48,123 @@ type Resolution struct {
 	BackMerges int
 }
 
+// TargetsOf returns the resolved consumers of instruction i's pushes, by
+// consumer then side. The slice is capped at its own length and shared by
+// every reader of the resolution: it must not be modified.
+func (r *Resolution) TargetsOf(i int) []Target {
+	lo, hi := r.targetOff[i], r.targetOff[i+1]
+	return r.targets[lo:hi:hi]
+}
+
+// TargetStart returns the position of instruction i's first target among
+// all NumTargets of the method, so a table with one entry per target can
+// be indexed TargetStart(i)+k for TargetsOf(i)[k].
+func (r *Resolution) TargetStart(i int) int { return int(r.targetOff[i]) }
+
+// NumTargets returns the method's resolved producer→consumer arcs.
+func (r *Resolution) NumTargets() int { return len(r.targets) }
+
+// NewResolution rebuilds a resolution of p from per-instruction target
+// lists, the form a stored deployment record holds; the caller fills in
+// the counts. It keeps the lists' order.
+func NewResolution(p *Placement, targets [][]Target) *Resolution {
+	r := &Resolution{Placement: p, targetOff: make([]int32, len(targets)+1)}
+	total := 0
+	for i, tgts := range targets {
+		total += len(tgts)
+		r.targetOff[i+1] = int32(total)
+	}
+	r.targets = make([]Target, 0, total)
+	for _, tgts := range targets {
+		r.targets = append(r.targets, tgts...)
+	}
+	return r
+}
+
+// Sources is the outcome of pass 1, CMD_SEND_ADDRESSES_DOWN: every
+// instruction's control-flow predecessors (the sourceLinearAddresses each
+// Instruction Data Unit learns), ascending, and the explicit messages the
+// pass sent.
+type Sources struct {
+	off  []int32 // instruction i's predecessors are from[off[i]:off[i+1]]
+	from []int32
+
+	// BranchMessages counts the instructions with a non-sequential
+	// successor, each of which identifies itself to its target.
+	BranchMessages int
+}
+
+// Of returns instruction i's predecessors in ascending order.
+func (s *Sources) Of(i int) []int32 {
+	lo, hi := s.off[i], s.off[i+1]
+	return s.from[lo:hi:hi]
+}
+
+// AddressesDown runs pass 1 over m. Every instruction with a
+// non-sequential successor identifies itself to the target; sequential
+// flow is implicit ("only those nodes that are non-sequential must be
+// explicitly identified").
+func AddressesDown(m *classfile.Method) Sources {
+	n := len(m.Code)
+	// One buffer: n+2 offsets (the extra one is the fill cursor's spare)
+	// and at most two successors per instruction.
+	buf := make([]int32, n+2+2*n)
+	off, from := buf[:n+2], buf[n+2:]
+	var s Sources
+	// Count each instruction's predecessors into off[to+2], so that after
+	// the prefix sum off[to+1] is where to's predecessors start and serves
+	// as its fill cursor; filling leaves off[to+1] at to's end.
+	for i := range m.Code {
+		a, b, branch := successors(&m.Code[i], i)
+		for _, to := range [2]int{a, b} {
+			if to >= 0 && to < n {
+				off[to+2]++
+			}
+		}
+		if branch {
+			s.BranchMessages++
+		}
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	for i := range m.Code {
+		a, b, _ := successors(&m.Code[i], i)
+		for _, to := range [2]int{a, b} {
+			if to >= 0 && to < n {
+				from[off[to+1]] = int32(i)
+				off[to+1]++
+			}
+		}
+	}
+	s.off, s.from = off[:n+1], from[:off[n]]
+	return s
+}
+
+// successors returns the instructions control can reach from instruction
+// i (-1 for none), and whether i must send an explicit message to reach
+// them: a return has none, a goto only its target, a conditional branch
+// its target and i+1, anything else i+1.
+func successors(in *bytecode.Instruction, i int) (a, b int, branch bool) {
+	switch {
+	case in.IsReturn():
+		return -1, -1, false
+	case in.Op == bytecode.Goto || in.Op == bytecode.GotoW:
+		return in.Target, -1, true
+	case in.IsBranch():
+		return in.Target, i + 1, true
+	default:
+		return i + 1, -1, false
+	}
+}
+
+// capture is one need resolved during pass 2: producer's pushed value
+// feeds the consumer side in Target.
+type capture struct {
+	producer int32
+	Target
+}
+
 // Resolve runs address resolution over a placed method. The method must
 // be verified, as Loader.Load's placements are: verification gives every
 // instruction a single stack depth, so a need arrives at each node with a
@@ -56,41 +173,8 @@ type Resolution struct {
 func Resolve(p *Placement) (*Resolution, error) {
 	m := p.Method
 	n := len(m.Code)
-	r := &Resolution{
-		Placement: p,
-		Targets:   make([][]Target, n),
-		Sources:   make([][]int, n),
-		QUp:       make([]int, n),
-	}
-
-	// ---- Pass 1: CMD_SEND_ADDRESSES_DOWN ----
-	// Every instruction with a non-sequential successor identifies itself
-	// to the target; sequential flow is implicit ("only those nodes that
-	// are non-sequential must be explicitly identified"). Sources come out
-	// in ascending order: they are appended as i ascends.
-	branchMessages := 0
-	addSource := func(to, from int) {
-		if to < 0 || to >= n {
-			return
-		}
-		r.Sources[to] = append(r.Sources[to], from)
-	}
-	for i := range m.Code {
-		in := &m.Code[i]
-		switch {
-		case in.IsReturn():
-			// no successors
-		case in.Op == bytecode.Goto || in.Op == bytecode.GotoW:
-			addSource(in.Target, i)
-			branchMessages++
-		case in.IsBranch():
-			addSource(in.Target, i)
-			addSource(i+1, i)
-			branchMessages++
-		default:
-			addSource(i+1, i)
-		}
-	}
+	src := AddressesDown(m)
+	r := &Resolution{Placement: p, QUp: make([]int32, n)}
 
 	// ---- Pass 2: CMD_SEND_NEEDS_UP ----
 	// Each instruction emits one need per pop; the need climbs the source
@@ -99,18 +183,25 @@ func Resolve(p *Placement) (*Resolution, error) {
 	// split — modelled here by marking the nodes a need has visited, so
 	// each node captures or forwards a need at most once. The marks and
 	// the work stack serve every need of the method: a need's mark is its
-	// own number, so nothing is cleared between needs.
+	// own number, so nothing is cleared between needs. Captures are
+	// gathered in walk order — consumers descending, sides ascending — and
+	// laid out per producer afterwards.
 	type state struct{ node, skip int }
-	visited := make([]int, n)
-	need := 0
+	visited := make([]int32, n)
+	var need int32
+	pops := 0
+	for i := range m.Code {
+		pops += m.Code[i].Pop
+	}
+	caps := make([]capture, 0, pops) // one per need, more at merges
 	work := make([]state, 0, 8)
 	for c := n - 1; c >= 0; c-- {
 		pop := m.Code[c].Pop
 		for side := 1; side <= pop; side++ {
 			need++
 			producers := 0
-			for _, s := range r.Sources[c] {
-				work = append(work, state{s, pop - side})
+			for _, s := range src.Of(c) {
+				work = append(work, state{int(s), pop - side})
 			}
 			for len(work) > 0 {
 				st := work[len(work)-1]
@@ -123,8 +214,7 @@ func Resolve(p *Placement) (*Resolution, error) {
 				if pin.Push > st.skip {
 					// Captured: this node produces the wanted value.
 					producers++
-					r.Targets[st.node] = append(r.Targets[st.node],
-						Target{Consumer: c, Side: side})
+					caps = append(caps, capture{int32(st.node), Target{int32(c), int32(side)}})
 					if st.node > c {
 						r.BackMerges++
 					}
@@ -133,10 +223,11 @@ func Resolve(p *Placement) (*Resolution, error) {
 				// Forwarded further up: buffer accounting.
 				r.QUp[st.node]++
 				next := st.skip - pin.Push + pin.Pop
-				for _, s := range r.Sources[st.node] {
-					work = append(work, state{s, next})
+				sources := src.Of(st.node)
+				for _, s := range sources {
+					work = append(work, state{int(s), next})
 				}
-				if len(r.Sources[st.node]) == 0 {
+				if len(sources) == 0 {
 					// The need reached the Anchor without resolution —
 					// the load-time validation error of Section 6.2.
 					return nil, fmt.Errorf(
@@ -154,34 +245,49 @@ func Resolve(p *Placement) (*Resolution, error) {
 			}
 		}
 		// Own needs buffered before forwarding anything from below.
-		r.QUp[c] += pop
+		r.QUp[c] += int32(pop)
 	}
 
-	// Validation: every push must have found at least one consumer.
+	// Count each producer's captures into targetOff[i+1]. Validation:
+	// every push must have found at least one consumer.
+	off := make([]int32, n+1)
+	for _, cp := range caps {
+		off[cp.producer+1]++
+	}
 	for i := range m.Code {
-		if in := &m.Code[i]; in.Push > 0 && len(r.Targets[i]) == 0 {
+		if in := &m.Code[i]; in.Push > 0 && off[i+1] == 0 {
 			return nil, fmt.Errorf(
 				"fabric: resolve %s: instruction %d (%s) pushes %d but has no consumers",
 				m.Signature(), i, in.Op, in.Push)
 		}
-		slices.SortFunc(r.Targets[i], func(a, b Target) int {
-			if a.Consumer != b.Consumer {
-				return a.Consumer - b.Consumer
-			}
-			return a.Side - b.Side
-		})
+		off[i+1] += off[i]
 	}
+	// Lay the captures out per producer, consumers ascending: the walk
+	// gathered them one consumer at a time, consumers descending and each
+	// consumer's sides ascending, so taking the consumers' runs last to
+	// first, each run in order, gives every producer its targets sorted.
+	// The visit marks are spent; they become the fill cursors.
+	cursor := visited
+	copy(cursor, off[:n])
+	targets := make([]Target, len(caps))
+	for hi := len(caps); hi > 0; {
+		lo := hi - 1
+		for lo > 0 && caps[lo-1].Consumer == caps[hi-1].Consumer {
+			lo--
+		}
+		for _, cp := range caps[lo:hi] {
+			targets[cursor[cp.producer]] = cp.Target
+			cursor[cp.producer]++
+		}
+		hi = lo
+	}
+	r.targetOff, r.targets = off, targets
 
 	for _, q := range r.QUp {
-		if q > r.MaxQUp {
-			r.MaxQUp = q
-		}
+		r.MaxQUp = max(r.MaxQUp, int(q))
 	}
 	// Both passes traverse the full serial loop; branch sources add one
 	// explicit message each.
-	r.Cycles = 2*n + branchMessages
+	r.Cycles = 2*n + src.BranchMessages
 	return r, nil
 }
-
-// FanOut returns instruction i's consumer count.
-func (r *Resolution) FanOut(i int) int { return len(r.Targets[i]) }

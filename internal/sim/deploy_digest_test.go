@@ -42,7 +42,7 @@ func TestDeploymentDigest(t *testing.T) {
 			}
 			hashInt(h, p.MaxNode)
 			for i := range p.NodeOf {
-				tgts := res.Targets[i]
+				tgts := res.TargetsOf(i)
 				hashInt(h, len(tgts))
 				for _, tg := range tgts {
 					hashInt(h, int(tg.Consumer))

@@ -376,14 +376,13 @@ type Engine struct {
 	// Precomputed per-placement distances: nextD[i] is the serial hop to
 	// i+1 and pre[i] the hops' running sum from node 0 (the linear serial
 	// distance i→j is pre[j]-pre[i]), branchD[i] the serial distance to
-	// i's branch target, and meshD[meshOff[i]+k] the mesh distance to
-	// Targets[i][k].Consumer — the inner loop never calls through
+	// i's branch target, and meshD[TargetStart(i)+k] the mesh distance to
+	// TargetsOf(i)[k].Consumer — the inner loop never calls through
 	// fabric.Fabric per message.
 	nextD   []int32
 	pre     []int32
 	branchD []int32
 	meshD   []int32
-	meshOff []int32
 
 	stats EngineStats
 }
@@ -435,7 +434,6 @@ func (e *Engine) Reset(cfg Config, res *fabric.Resolution, policy BranchPolicy) 
 		pre:        e.pre,
 		branchD:    e.branchD,
 		meshD:      e.meshD,
-		meshOff:    e.meshOff,
 	}
 	clear(e.liveAt)
 	for i := range e.nodes {
@@ -944,9 +942,9 @@ func (e *Engine) fireNode(i int) {
 
 	// Operand emission to every resolved consumer.
 	if mt.push > 0 {
-		off := int(e.meshOff[i])
-		for k, tg := range e.resolution.Targets[i] {
-			e.pushMesh(tg.Consumer, int(e.meshD[off+k]))
+		off := e.resolution.TargetStart(i)
+		for k, tg := range e.resolution.TargetsOf(i) {
+			e.pushMesh(int(tg.Consumer), int(e.meshD[off+k]))
 		}
 	}
 

@@ -222,22 +222,18 @@ func (e *Engine) foldSimulated() {
 
 // buildDist fills the per-deployment distance tables — nextD[i] the serial
 // hop to i+1 and pre[i] its running sum, branchD[i] the serial distance to
-// i's branch target, and
-// meshD[meshOff[i]+k] the mesh distance to Targets[i][k].Consumer — into
-// the engine's own buffers: an O(nodes + targets) pass Reset runs once per
-// job (the tables survive a job's second policy). They live on the
+// i's branch target, and meshD[TargetStart(i)+k] the mesh distance to
+// TargetsOf(i)[k].Consumer — into the engine's own buffers: an
+// O(nodes + targets) pass Reset runs once per job (the tables survive a
+// job's second policy). They live on the
 // engine rather than in a cache keyed by resolution pointer on purpose:
 // LRU-evicted deployments re-resolve to fresh pointers, so such a cache
 // would pin dead resolutions.
 func (e *Engine) buildDist() {
 	n := len(e.nodes)
 	f, nodeOf := e.cfg.Fabric, e.placement.NodeOf
-	total := 0
-	for _, tgts := range e.resolution.Targets {
-		total += len(tgts)
-	}
 	e.nextD, e.branchD, e.pre = resized(e.nextD, n), resized(e.branchD, n), resized(e.pre, n)
-	e.meshOff, e.meshD = resized(e.meshOff, n), resized(e.meshD, total)
+	e.meshD = resized(e.meshD, e.resolution.NumTargets())
 	off := 0
 	for i := 0; i < n; i++ {
 		e.nextD[i], e.branchD[i] = 0, 0
@@ -248,8 +244,7 @@ func (e *Engine) buildDist() {
 		if mt := &e.meta[i]; mt.flags&metaBranch != 0 && mt.target >= 0 && int(mt.target) < n {
 			e.branchD[i] = int32(f.SerialDistance(nodeOf[i], nodeOf[mt.target]))
 		}
-		e.meshOff[i] = int32(off)
-		for _, tg := range e.resolution.Targets[i] {
+		for _, tg := range e.resolution.TargetsOf(i) {
 			e.meshD[off] = int32(f.MeshDistance(nodeOf[i], nodeOf[tg.Consumer]))
 			off++
 		}

@@ -539,8 +539,8 @@ func (r *refEngine) fire(i int) {
 	}
 	in := &r.prog[i]
 	if in.Push > 0 {
-		for _, tg := range r.res.Targets[i] {
-			r.mesh = append(r.mesh, refMesh{to: tg.Consumer, delay: r.meshHops(i, tg.Consumer)})
+		for _, tg := range r.res.TargetsOf(i) {
+			r.mesh = append(r.mesh, refMesh{to: int(tg.Consumer), delay: r.meshHops(i, int(tg.Consumer))})
 		}
 	}
 	switch in.Group() {

@@ -155,10 +155,16 @@ func TestStoreDeployRoundTrip(t *testing.T) {
 	if got.Placement.Method != m || got.Placement.Fabric != cfg.Fabric {
 		t.Fatal("reconstructed placement not rebound to live method/fabric")
 	}
-	if fmt.Sprint(got.Targets) != fmt.Sprint(want.Targets) ||
+	if got.NumTargets() != want.NumTargets() ||
 		fmt.Sprint(got.Placement.NodeOf) != fmt.Sprint(want.Placement.NodeOf) ||
+		fmt.Sprint(got.QUp) != fmt.Sprint(want.QUp) ||
 		got.MaxQUp != want.MaxQUp || got.Cycles != want.Cycles || got.Merges != want.Merges {
 		t.Fatalf("reconstructed resolution differs:\n got %+v\nwant %+v", got, want)
+	}
+	for i := range m.Code {
+		if fmt.Sprint(got.TargetsOf(i)) != fmt.Sprint(want.TargetsOf(i)) {
+			t.Fatalf("instruction %d: reconstructed targets %v, want %v", i, got.TargetsOf(i), want.TargetsOf(i))
+		}
 	}
 
 	_, ok, derr = st2.GetDeploy(failKey, cfg.Fabric, m)

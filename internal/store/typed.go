@@ -55,7 +55,7 @@ type deployRecord struct {
 	MaxNode int               `json:"maxNode,omitempty"`
 	Targets [][]fabric.Target `json:"targets,omitempty"`
 	Sources [][]int           `json:"sources,omitempty"`
-	QUp     []int             `json:"qUp,omitempty"`
+	QUp     []int32           `json:"qUp,omitempty"`
 	MaxQUp  int               `json:"maxQUp,omitempty"`
 	Cycles  int               `json:"cycles,omitempty"`
 	Merges  int               `json:"merges,omitempty"`
@@ -82,11 +82,26 @@ func (s *Store) PutDeploy(k DeployKey, res *fabric.Resolution, derr error) {
 		}
 		rec = deployRecord{Failed: true, ErrMethod: le.Method, ErrReason: le.Reason}
 	case res != nil:
+		// The record keeps the per-instruction lists (an empty one as
+		// null) and pass 1's sources that earlier versions held in memory,
+		// so its bytes do not depend on how a resolution is held.
+		m := res.Placement.Method
+		targets := make([][]fabric.Target, len(m.Code))
+		sources := make([][]int, len(m.Code))
+		src := fabric.AddressesDown(m)
+		for i := range m.Code {
+			if tgts := res.TargetsOf(i); len(tgts) > 0 {
+				targets[i] = tgts
+			}
+			for _, s := range src.Of(i) {
+				sources[i] = append(sources[i], int(s))
+			}
+		}
 		rec = deployRecord{
 			NodeOf:  res.Placement.NodeOf,
 			MaxNode: res.Placement.MaxNode,
-			Targets: res.Targets,
-			Sources: res.Sources,
+			Targets: targets,
+			Sources: sources,
 			QUp:     res.QUp,
 			MaxQUp:  res.MaxQUp,
 			Cycles:  res.Cycles,
@@ -137,18 +152,12 @@ func (s *Store) GetDeploy(k DeployKey, f *fabric.Fabric, m *classfile.Method) (r
 		return nil, false, nil
 	}
 	s.deployHits.Add(1)
-	return &fabric.Resolution{
-		Placement: &fabric.Placement{
-			Fabric:  f,
-			Method:  m,
-			NodeOf:  rec.NodeOf,
-			MaxNode: rec.MaxNode,
-		},
-		Targets: rec.Targets,
-		Sources: rec.Sources,
-		QUp:     rec.QUp,
-		MaxQUp:  rec.MaxQUp,
-		Cycles:  rec.Cycles,
-		Merges:  rec.Merges,
-	}, true, nil
+	res = fabric.NewResolution(&fabric.Placement{
+		Fabric:  f,
+		Method:  m,
+		NodeOf:  rec.NodeOf,
+		MaxNode: rec.MaxNode,
+	}, rec.Targets)
+	res.QUp, res.MaxQUp, res.Cycles, res.Merges = rec.QUp, rec.MaxQUp, rec.Cycles, rec.Merges
+	return res, true, nil
 }
