@@ -288,7 +288,11 @@ func BenchmarkWarmRun(b *testing.B) {
 }
 
 // BenchmarkDeployPipeline isolates the work the cache saves: the verify +
-// load + resolve pipeline alone, cold versus cached.
+// load + resolve pipeline alone, cold versus cached. "lap" is the
+// repository benchmark's lap of deployments — the first 800 corpus methods
+// on every configuration, 4 800 DeployMethod calls per op — whose bytes
+// and allocations per op are what a batch node's deployment cache fills
+// with; CI tracks them.
 func BenchmarkDeployPipeline(b *testing.B) {
 	methods := workload.NamedMethods()
 	cfg := heteroConfig(b)
@@ -300,6 +304,25 @@ func BenchmarkDeployPipeline(b *testing.B) {
 					var le *fabric.LoadError
 					if !errors.As(err, &le) {
 						b.Fatal(err)
+					}
+				}
+			}
+		}
+	})
+
+	b.Run("lap", func(b *testing.B) {
+		lap := workload.Corpus(2014, 1580)[:800]
+		configs := sim.Configurations()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, cfg := range configs {
+				for _, m := range lap {
+					if _, err := sim.DeployMethod(cfg, m); err != nil {
+						var le *fabric.LoadError
+						if !errors.As(err, &le) {
+							b.Fatal(err)
+						}
 					}
 				}
 			}
