@@ -228,13 +228,15 @@ func sameResolution(m *classfile.Method, got *fabric.Resolution, want *refResolu
 	return ""
 }
 
-// needsAcrossControlFlow returns methods whose operand needs climb through
+// needsTheCorpusLacks returns methods whose operand needs climb through
 // control flow: a value pushed before a diamond and consumed after it (the
 // need climbs both arms and meets itself above the split) and a value
 // carried around a loop (the need meets itself at the back edge). The
 // generated corpus keeps its stack empty at branches, so without these the
-// walk's deduplication would go unexercised.
-func needsAcrossControlFlow(t *testing.T) []*classfile.Method {
+// walk's deduplication would go unexercised. A dup feeding both sides of
+// one multiply gives one producer two targets at one consumer, which must
+// come out by side; the corpus has none.
+func needsTheCorpusLacks(t *testing.T) []*classfile.Method {
 	t.Helper()
 	build := func(name string, asm func(a *bytecode.Assembler)) *classfile.Method {
 		a := bytecode.NewAssembler()
@@ -257,6 +259,9 @@ func needsAcrossControlFlow(t *testing.T) []*classfile.Method {
 				Label("head").Iinc(1, -1).ILoad(1).Branch(bytecode.Ifne, "head").
 				IStore(3).Op(bytecode.Return)
 		}),
+		build("square", func(a *bytecode.Assembler) {
+			a.ILoad(0).Op(bytecode.Dup).Op(bytecode.Imul).IStore(1).Op(bytecode.Return)
+		}),
 	}
 }
 
@@ -265,7 +270,7 @@ func needsAcrossControlFlow(t *testing.T) []*classfile.Method {
 // reference's, the resolver the same targets, sources, buffering and
 // counts, and both reject the same methods with the same error text.
 func TestResolveMatchesReference(t *testing.T) {
-	methods := append(workload.Corpus(2014, 1580), needsAcrossControlFlow(t)...)
+	methods := append(workload.Corpus(2014, 1580), needsTheCorpusLacks(t)...)
 	accepted, rejected := 0, 0
 	for _, cfg := range sim.Configurations() {
 		for _, m := range methods {

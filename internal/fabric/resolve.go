@@ -248,7 +248,7 @@ func Resolve(p *Placement) (*Resolution, error) {
 		r.QUp[c] += int32(pop)
 	}
 
-	// Count each producer's captures into targetOff[i+1]. Validation:
+	// Count each producer's captures into off[i+1]. Validation:
 	// every push must have found at least one consumer.
 	off := make([]int32, n+1)
 	for _, cp := range caps {
