@@ -199,14 +199,8 @@ func sameResolution(m *classfile.Method, got *fabric.Resolution, want *refResolu
 			return fmt.Sprintf("instruction %d targets %v, want %v", i, g, w)
 		}
 		total += len(want.Targets[i])
-		g, w := src.Of(i), want.Sources[i]
-		if len(g) != len(w) {
+		if g, w := src.Of(i), want.Sources[i]; !slices.EqualFunc(g, w, func(a int32, b int) bool { return int(a) == b }) {
 			return fmt.Sprintf("instruction %d sources %v, want %v", i, g, w)
-		}
-		for k := range w {
-			if int(g[k]) != w[k] {
-				return fmt.Sprintf("instruction %d sources %v, want %v", i, g, w)
-			}
 		}
 		if int(got.QUp[i]) != want.QUp[i] {
 			return fmt.Sprintf("instruction %d QUp %d, want %d", i, got.QUp[i], want.QUp[i])

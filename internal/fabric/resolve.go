@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 
 	"javaflow/internal/bytecode"
 	"javaflow/internal/classfile"
@@ -68,15 +69,9 @@ func (r *Resolution) NumTargets() int { return len(r.targets) }
 // lists, the form a stored deployment record holds; the caller fills in
 // the counts. It keeps the lists' order.
 func NewResolution(p *Placement, targets [][]Target) *Resolution {
-	r := &Resolution{Placement: p, targetOff: make([]int32, len(targets)+1)}
-	total := 0
+	r := &Resolution{Placement: p, targetOff: make([]int32, len(targets)+1), targets: slices.Concat(targets...)}
 	for i, tgts := range targets {
-		total += len(tgts)
-		r.targetOff[i+1] = int32(total)
-	}
-	r.targets = make([]Target, 0, total)
-	for _, tgts := range targets {
-		r.targets = append(r.targets, tgts...)
+		r.targetOff[i+1] = r.targetOff[i] + int32(len(tgts))
 	}
 	return r
 }
