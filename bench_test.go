@@ -7,6 +7,7 @@ package javaflow_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -284,6 +285,38 @@ func BenchmarkWarmRun(b *testing.B) {
 		if code := post(warm[i%len(warm)]); code != http.StatusOK {
 			b.Fatalf("warm run: status %d", code)
 		}
+	}
+}
+
+// BenchmarkBatchLap measures one warm summary-only POST /v1/batch over
+// the repository benchmark's lap — the first 800 corpus methods on every
+// configuration, 4 800 jobs — through serve.NewHandler on a memory-only
+// stack whose deployment cache is already full. bytes/op and allocs/op are
+// what a batch-sweep lap leaves for the GC; CI tracks them.
+func BenchmarkBatchLap(b *testing.B) {
+	methods := workload.Corpus(2014, 1580)
+	sched := serve.NewScheduler(serve.SchedulerOptions{Workers: 2, MaxMeshCycles: 400_000})
+	handler := serve.NewHandler(serve.NewService(sched, sim.Configurations(), methods))
+	req := serve.BatchRequest{SummaryOnly: true}
+	for _, m := range methods[:800] {
+		req.Methods = append(req.Methods, m.Signature())
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	post := func() {
+		w := httptest.NewRecorder()
+		handler.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			b.Fatalf("batch lap: status %d", w.Code)
+		}
+	}
+	post() // cold: fills the deployment cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
 	}
 }
 

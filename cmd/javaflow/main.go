@@ -93,7 +93,7 @@ func findConfig(name string) (sim.Config, bool) {
 // demoLoad walks the greedy self-organizing load (Figure 20).
 func demoLoad(cfg sim.Config, m *classfile.Method) {
 	machine := core.NewMachine(cfg)
-	dep, err := machine.DeployTraced(m)
+	dep, err := machine.Deploy(m)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "javaflow: %v\n", err)
 		os.Exit(1)

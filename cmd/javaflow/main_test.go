@@ -20,7 +20,7 @@ func TestFigure20Golden(t *testing.T) {
 	if !ok || m == nil {
 		t.Fatal("the demo's default method or configuration is gone")
 	}
-	dep, err := core.NewMachine(cfg).DeployTraced(m)
+	dep, err := core.NewMachine(cfg).Deploy(m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,18 +48,9 @@ type Deployment struct {
 
 // Deploy verifies, loads and resolves a method (the Figure 20 + Figure 22
 // pipeline). Methods containing GPP-only instructions return a
-// *fabric.LoadError.
+// *fabric.LoadError. Placement.DescribeLoad renders the load walk.
 func (m *Machine) Deploy(method *classfile.Method) (*Deployment, error) {
-	return m.deploy(m.loader, method)
-}
-
-// DeployTraced is Deploy with the load walk recorded for demonstration.
-func (m *Machine) DeployTraced(method *classfile.Method) (*Deployment, error) {
-	return m.deploy(&fabric.Loader{Fabric: m.cfg.Fabric, Trace: true}, method)
-}
-
-func (m *Machine) deploy(loader *fabric.Loader, method *classfile.Method) (*Deployment, error) {
-	placement, err := loader.Load(method)
+	placement, err := m.loader.Load(method)
 	if err != nil {
 		return nil, err
 	}

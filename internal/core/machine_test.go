@@ -93,9 +93,9 @@ func TestDescribeResolution(t *testing.T) {
 	}
 }
 
-func TestDeployTraced(t *testing.T) {
+func TestDescribeLoad(t *testing.T) {
 	m := NewMachine(sim.Configurations()[5]) // Hetero2
-	dep, err := m.DeployTraced(figure21Method(t))
+	dep, err := m.Deploy(figure21Method(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -497,7 +497,8 @@ func (d *Dispatcher) maxCyclesOrDefault(maxCycles int) int {
 // RunMethodCycles routes one job: a batch of one, which the fan-out runs on
 // the caller's goroutine.
 func (d *Dispatcher) RunMethodCycles(ctx context.Context, cfg sim.Config, m *classfile.Method, maxCycles int) (sim.MethodRun, error) {
-	r := d.RunBatchStream(ctx, []serve.Job{{Config: cfg, Method: m}}, maxCycles, nil)[0]
+	var r serve.JobResult
+	d.RunBatchStream(ctx, []serve.Job{{Config: cfg, Method: m}}, maxCycles, func(_ int, jr serve.JobResult) { r = jr })
 	return r.Run, r.Err
 }
 
@@ -516,7 +517,9 @@ func (d *Dispatcher) RelayRun(ctx context.Context, cfg sim.Config, m *classfile.
 // result per job in submission order, byte-identical to running the same
 // batch on the local scheduler alone.
 func (d *Dispatcher) RunBatchCycles(ctx context.Context, jobs []serve.Job, maxCycles int) []serve.JobResult {
-	return d.RunBatchStream(ctx, jobs, maxCycles, nil)
+	results := make([]serve.JobResult, len(jobs))
+	d.RunBatchStream(ctx, jobs, maxCycles, func(i int, r serve.JobResult) { results[i] = r })
+	return results
 }
 
 // workers sizes the fan-out pool to the fleet's aggregate capacity: every
@@ -530,12 +533,12 @@ func (d *Dispatcher) workers() int {
 	return w
 }
 
-// RunBatchStream is RunBatchCycles with incremental delivery: emit (when
-// non-nil) receives each completed result exactly once, in submission
-// order.
-func (d *Dispatcher) RunBatchStream(ctx context.Context, jobs []serve.Job, maxCycles int, emit func(i int, r serve.JobResult)) []serve.JobResult {
+// RunBatchStream dispatches jobs across the backends and delivers each
+// result exactly once through emit, in submission order, as serve.FanOut
+// does; it keeps no per-job slice.
+func (d *Dispatcher) RunBatchStream(ctx context.Context, jobs []serve.Job, maxCycles int, emit func(i int, r serve.JobResult)) {
 	maxCycles = d.maxCyclesOrDefault(maxCycles)
-	return serve.FanOut(ctx, jobs, d.workers(), emit, func(j serve.Job) (sim.MethodRun, error) {
+	serve.FanOut(ctx, jobs, d.workers(), emit, func(j serve.Job) (sim.MethodRun, error) {
 		_, run, err := d.runJob(ctx, j, maxCycles, false)
 		return run, err
 	})

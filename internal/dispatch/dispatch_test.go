@@ -419,13 +419,18 @@ func TestDispatchStreamIsIncremental(t *testing.T) {
 	}
 
 	jobs := sweepJobs(t, []string{"Compact2"}, methods)
-	var order []int
+	var (
+		order   []int
+		results []serve.JobResult
+	)
 	released := false
-	done := make(chan []serve.JobResult, 1)
+	done := make(chan struct{})
 	emitFirst := make(chan struct{})
 	go func() {
-		done <- d.RunBatchStream(context.Background(), jobs, testMaxCycles, func(i int, r serve.JobResult) {
+		defer close(done)
+		d.RunBatchStream(context.Background(), jobs, testMaxCycles, func(i int, r serve.JobResult) {
 			order = append(order, i)
+			results = append(results, r)
 			if !released {
 				released = true
 				close(emitFirst)
@@ -440,7 +445,7 @@ func TestDispatchStreamIsIncremental(t *testing.T) {
 		t.Fatal("no streamed result arrived while a later job was in flight")
 	}
 	close(blocking.release)
-	results := <-done
+	<-done
 
 	if len(order) != len(jobs) {
 		t.Fatalf("emitted %d results for %d jobs", len(order), len(jobs))
@@ -564,12 +569,17 @@ func TestDispatchSingleJobInline(t *testing.T) {
 	}
 	jobs := sweepJobs(t, []string{"Compact2"}, methods)
 
-	var emitted []int
-	single := d.RunBatchStream(context.Background(), jobs[:1], testMaxCycles, func(i int, r serve.JobResult) { emitted = append(emitted, i) })
+	var (
+		emitted []int
+		single  []serve.JobResult
+	)
+	emit := func(i int, r serve.JobResult) { emitted = append(emitted, i); single = append(single, r) }
+	d.RunBatchStream(context.Background(), jobs[:1], testMaxCycles, emit)
 	if !reflect.DeepEqual(emitted, []int{0}) {
 		t.Fatalf("emitted %v, want exactly [0]", emitted)
 	}
-	pooled := d.RunBatchStream(context.Background(), jobs, testMaxCycles, nil)
+	var pooled []serve.JobResult
+	d.RunBatchStream(context.Background(), jobs, testMaxCycles, func(_ int, r serve.JobResult) { pooled = append(pooled, r) })
 	assertSameResults(t, single, pooled[:1])
 	direct, err := d.RunMethodCycles(context.Background(), jobs[0].Config, jobs[0].Method, testMaxCycles)
 	if err != nil || !reflect.DeepEqual(direct, pooled[0].Run) {
@@ -579,10 +589,10 @@ func TestDispatchSingleJobInline(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	before := d.Stats().Backends[0].Jobs
-	emitted = nil
-	r := d.RunBatchStream(ctx, jobs[:1], testMaxCycles, func(i int, r serve.JobResult) { emitted = append(emitted, i) })
-	if r[0].Err != context.Canceled || !reflect.DeepEqual(emitted, []int{0}) {
-		t.Fatalf("cancelled: err %v, emitted %v; want ctx.Err() and exactly [0]", r[0].Err, emitted)
+	emitted, single = nil, nil
+	d.RunBatchStream(ctx, jobs[:1], testMaxCycles, emit)
+	if single[0].Err != context.Canceled || !reflect.DeepEqual(emitted, []int{0}) {
+		t.Fatalf("cancelled: err %v, emitted %v; want ctx.Err() and exactly [0]", single[0].Err, emitted)
 	}
 	if _, err := d.RunMethodCycles(ctx, jobs[0].Config, jobs[0].Method, testMaxCycles); err != context.Canceled {
 		t.Fatalf("cancelled RunMethodCycles: err %v, want ctx.Err()", err)

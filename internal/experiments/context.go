@@ -168,7 +168,7 @@ func (c *Context) SimResults(cfg sim.Config) (*sim.ConfigResults, error) {
 // stays byte-identical to the table path — and reports each
 // configuration as a digest over its MethodRun encodings.
 func (c *Context) RunScenario(p *scenario.Preset) (*scenario.Report, error) {
-	methods, err := p.Select(c.Corpus())
+	methods, err := p.Select(c.Corpus(), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -27,9 +27,6 @@ type Placement struct {
 	// MaxNode is the highest node index used plus one — the linear span
 	// of the method in the fabric (Table 19's denominator).
 	MaxNode int
-	// LoadTrace records the accept/skip walk for demonstration output
-	// (Figure 20). Only filled when Trace is enabled on the loader.
-	LoadTrace []string
 }
 
 // Ratio is instructions-to-max-node (Tables 19–20; ≈1 compact, 2 sparse,
@@ -51,8 +48,6 @@ type Loader struct {
 	// MaxNodes bounds the walk; methods that cannot place within it are
 	// rejected (they would not fit the fabric). Zero means 1 << 20.
 	MaxNodes int
-	// Trace enables human-readable load traces on placements.
-	Trace bool
 }
 
 // eligible rejects methods the simulation excludes wholesale: switch and
@@ -113,12 +108,6 @@ func (l *Loader) Load(m *classfile.Method) (*Placement, error) {
 			if n+1 > p.MaxNode {
 				p.MaxNode = n + 1
 			}
-			if l.Trace {
-				x, y := l.Fabric.Position(n)
-				p.LoadTrace = append(p.LoadTrace, fmt.Sprintf(
-					"inst %3d %-18s -> node %3d (%d,%d) %s",
-					i, in.String(), n, x, y, l.Fabric.Kind(n)))
-			}
 			placed = true
 			break
 		}
@@ -131,17 +120,15 @@ func (l *Loader) Load(m *classfile.Method) (*Placement, error) {
 	return p, nil
 }
 
-// DescribeLoad renders the load trace (Figure 20 demonstration).
+// DescribeLoad renders where the load walk put each instruction — node,
+// position and kind — and the span it took (the Figure 20 demonstration).
 func (p *Placement) DescribeLoad() string {
-	if len(p.LoadTrace) == 0 {
-		return "(trace disabled)"
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "loading %s into %d-wide fabric:\n", p.Method.Signature(), p.Fabric.Width)
-	for _, line := range p.LoadTrace {
-		b.WriteString("  ")
-		b.WriteString(line)
-		b.WriteByte('\n')
+	for i, n := range p.NodeOf {
+		x, y := p.Fabric.Position(n)
+		fmt.Fprintf(&b, "  inst %3d %-18s -> node %3d (%d,%d) %s\n",
+			i, p.Method.Code[i].String(), n, x, y, p.Fabric.Kind(n))
 	}
 	fmt.Fprintf(&b, "  span: %d nodes for %d instructions (ratio %.2f)\n",
 		p.MaxNode, len(p.NodeOf), p.Ratio())

@@ -12,6 +12,7 @@ package scenario
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"javaflow/internal/classfile"
 	"javaflow/internal/workload"
@@ -87,24 +88,26 @@ func Lookup(name string) (*Preset, error) {
 // Select returns the corpus methods the preset names. Suite selectors
 // flatten in workload.AllSuites order, deduplicating by signature, and the
 // generated methods follow in corpus order — so over workload.Corpus,
-// "named" plus Generated is the corpus itself. A suite method the corpus
-// lacks is not selected; an unknown selector is an error.
-func (p *Preset) Select(corpus []*classfile.Method) ([]*classfile.Method, error) {
-	bySig := make(map[string]*classfile.Method, len(corpus))
-	for _, m := range corpus {
-		bySig[m.Signature()] = m
+// "named" plus Generated is the corpus itself. bySig looks corpus methods
+// up by signature (nil builds it from corpus); a suite method the corpus
+// lacks is not selected, and an unknown selector is an error.
+func (p *Preset) Select(corpus []*classfile.Method, bySig map[string]*classfile.Method) ([]*classfile.Method, error) {
+	if bySig == nil {
+		bySig = make(map[string]*classfile.Method, len(corpus))
+		for _, m := range corpus {
+			bySig[m.Signature()] = m
+		}
 	}
-	all := workload.AllSuites()
+	r := roster()
 	seen := make(map[string]bool)
 	var out []*classfile.Method
 	for _, sel := range p.Suites {
-		suites, err := suiteSelection(all, sel)
+		suites, err := r.selection(sel)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q: %w", p.Name, err)
 		}
 		for _, s := range suites {
-			for _, m := range s.AllMethods() {
-				sig := m.Signature()
+			for _, sig := range s.sigs {
 				if cm, ok := bySig[sig]; ok && !seen[sig] {
 					seen[sig] = true
 					out = append(out, cm)
@@ -113,14 +116,8 @@ func (p *Preset) Select(corpus []*classfile.Method) ([]*classfile.Method, error)
 		}
 	}
 	if p.Generated {
-		named := make(map[string]bool)
-		for _, s := range all {
-			for _, m := range s.AllMethods() {
-				named[m.Signature()] = true
-			}
-		}
 		for _, m := range corpus {
-			if sig := m.Signature(); !named[sig] && !seen[sig] {
+			if sig := m.Signature(); !r.named[sig] && !seen[sig] {
 				seen[sig] = true
 				out = append(out, m)
 			}
@@ -129,16 +126,45 @@ func (p *Preset) Select(corpus []*classfile.Method) ([]*classfile.Method, error)
 	return out, nil
 }
 
-// suiteSelection resolves one Suites selector against the roster, or
-// reports that nothing matches.
-func suiteSelection(all []*workload.Suite, sel string) ([]*workload.Suite, error) {
+// rosterTable is the suite roster reduced to what selection reads: each
+// suite's name, era and method signatures, in workload.AllSuites and
+// Suite.AllMethods order, and the set of every suite method's signature.
+type rosterTable struct {
+	suites []rosterSuite
+	named  map[string]bool
+}
+
+type rosterSuite struct {
+	name, era string
+	sigs      []string
+}
+
+// roster builds the table once: assembling the suites builds every
+// method body in them, which no selection needs twice.
+var roster = sync.OnceValue(func() rosterTable {
+	var r rosterTable
+	r.named = make(map[string]bool)
+	for _, s := range workload.AllSuites() {
+		row := rosterSuite{name: s.Name, era: s.Era}
+		for _, m := range s.AllMethods() {
+			row.sigs = append(row.sigs, m.Signature())
+			r.named[m.Signature()] = true
+		}
+		r.suites = append(r.suites, row)
+	}
+	return r
+})
+
+// selection resolves one Suites selector against the roster, or reports
+// that nothing matches.
+func (r rosterTable) selection(sel string) ([]rosterSuite, error) {
 	if sel == "named" {
-		return all, nil
+		return r.suites, nil
 	}
 	era, isEra := strings.CutPrefix(sel, "era:")
-	var out []*workload.Suite
-	for _, s := range all {
-		if (isEra && s.Era == era) || (!isEra && s.Name == sel) {
+	var out []rosterSuite
+	for _, s := range r.suites {
+		if (isEra && s.era == era) || (!isEra && s.name == sel) {
 			out = append(out, s)
 		}
 	}

@@ -40,7 +40,7 @@ func TestCatalogRoundTrip(t *testing.T) {
 func TestCatalogResolves(t *testing.T) {
 	corpus := testCorpus()
 	for _, p := range scenario.Catalog() {
-		methods, err := p.Select(corpus)
+		methods, err := p.Select(corpus, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
@@ -58,7 +58,7 @@ func TestSelectRejectsUnknownSelectors(t *testing.T) {
 		"era:SpecJvm86": `unknown era selector "era:SpecJvm86"`,
 	} {
 		p := scenario.Preset{Name: "x", Suites: []string{sel}}
-		if _, err := p.Select(testCorpus()); err == nil || !strings.Contains(err.Error(), want) {
+		if _, err := p.Select(testCorpus(), nil); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("%s: err = %v, want %q", sel, err, want)
 		}
 	}
@@ -74,7 +74,7 @@ func TestChapter7MatchesLegacyCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := testCorpus()
-	got, err := p.Select(want)
+	got, err := p.Select(want, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestChapter7MatchesLegacyCorpus(t *testing.T) {
 func TestSelectFiltersTheCallersCorpus(t *testing.T) {
 	named := workload.NamedMethods()
 	chapter7, _ := scenario.Lookup("chapter7")
-	got, err := chapter7.Select(named)
+	got, err := chapter7.Select(named, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestSelectFiltersTheCallersCorpus(t *testing.T) {
 	}
 	generated := testCorpus()[len(named):]
 	crypto, _ := scenario.Lookup("crypto")
-	if got, err := crypto.Select(generated); err != nil || len(got) != 0 {
+	if got, err := crypto.Select(generated, nil); err != nil || len(got) != 0 {
 		t.Fatalf("crypto over the generated methods selected %d (err %v), want none", len(got), err)
 	}
 }
@@ -115,5 +115,26 @@ func TestRegistryUnknownScenario(t *testing.T) {
 	}
 	if err.Error() != `unknown scenario "no-such-scenario"` {
 		t.Fatalf("err = %q", err)
+	}
+}
+
+// BenchmarkPresetSelect measures what a scenario-keyed batch spends on
+// selection over the serving corpus (1580 generated methods), with the
+// signature lookup the service already holds.
+func BenchmarkPresetSelect(b *testing.B) {
+	corpus := workload.Corpus(2014, 1580)
+	bySig := make(map[string]*classfile.Method, len(corpus))
+	for _, m := range corpus {
+		bySig[m.Signature()] = m
+	}
+	for _, p := range scenario.Catalog() {
+		b.Run(p.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Select(corpus, bySig); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -7,9 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"javaflow/internal/classfile"
 	"javaflow/internal/sim"
 	"javaflow/internal/store"
 )
@@ -21,11 +25,14 @@ func TestFanOutSingleJobInline(t *testing.T) {
 	job := []Job{{Config: testConfig(t, "Compact2"), Method: hostableMethods(t, 1)[0]}}
 	want := sim.MethodRun{Signature: "inline"}
 	ran := 0
-	var emitted []int
+	var (
+		emitted []int
+		results []JobResult
+	)
 	run := func(Job) (sim.MethodRun, error) { ran++; return want, nil } // unsynchronised: must stay on this goroutine
-	emit := func(i int, r JobResult) { emitted = append(emitted, i) }
+	emit := func(i int, r JobResult) { emitted = append(emitted, i); results = append(results, r) }
 
-	results := FanOut(context.Background(), job, 4, emit, run)
+	FanOut(context.Background(), job, 4, emit, run)
 	if ran != 1 || len(results) != 1 || results[0].Err != nil || results[0].Run != want || results[0].Job != job[0] {
 		t.Fatalf("ran %d times, results %+v", ran, results)
 	}
@@ -35,17 +42,27 @@ func TestFanOutSingleJobInline(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ran, emitted = 0, nil
-	results = FanOut(ctx, job, 4, emit, run)
+	ran, emitted, results = 0, nil, nil
+	FanOut(ctx, job, 4, emit, run)
 	if ran != 0 || !errors.Is(results[0].Err, context.Canceled) {
 		t.Fatalf("cancelled: ran %d times, err %v; want no run and context.Canceled", ran, results[0].Err)
 	}
 	if !reflect.DeepEqual(emitted, []int{0}) {
 		t.Fatalf("cancelled: emitted %v, want exactly [0]", emitted)
 	}
-	if got := FanOut(ctx, nil, 4, emit, run); len(got) != 0 || len(emitted) != 1 {
-		t.Fatalf("empty batch: %d results, %d emits", len(got), len(emitted)-1)
+	if FanOut(ctx, nil, 4, emit, run); len(results) != 1 || len(emitted) != 1 {
+		t.Fatalf("empty batch: %d results, %d emits", len(results)-1, len(emitted)-1)
 	}
+}
+
+// streamed collects what RunBatchStream emits, in emission order, with the
+// index each result came with.
+func streamed(ctx context.Context, r BatchRunner, jobs []Job) (order []int, results []JobResult) {
+	r.RunBatchStream(ctx, jobs, 0, func(i int, jr JobResult) {
+		order = append(order, i)
+		results = append(results, jr)
+	})
+	return order, results
 }
 
 // TestSchedulerSingleJobMatchesPool: the inline single-job path and the
@@ -53,9 +70,8 @@ func TestFanOutSingleJobInline(t *testing.T) {
 func TestSchedulerSingleJobMatchesPool(t *testing.T) {
 	job := Job{Config: testConfig(t, "Hetero2"), Method: hostableMethods(t, 1)[0]}
 	sched := NewScheduler(SchedulerOptions{Workers: 4, MaxMeshCycles: testMaxCycles})
-	var emitted []int
-	single := sched.RunBatchStream(context.Background(), []Job{job}, 0, func(i int, r JobResult) { emitted = append(emitted, i) })
-	pooled := sched.RunBatchStream(context.Background(), []Job{job, job}, 0, nil)
+	emitted, single := streamed(context.Background(), sched, []Job{job})
+	_, pooled := streamed(context.Background(), sched, []Job{job, job})
 	if single[0].Err != nil || !reflect.DeepEqual(single[0], pooled[0]) || !reflect.DeepEqual(single[0], pooled[1]) {
 		t.Fatalf("single %+v differs from pooled %+v", single[0], pooled)
 	}
@@ -66,7 +82,7 @@ func TestSchedulerSingleJobMatchesPool(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	jobs := sched.Snapshot().Jobs
-	if r := sched.RunBatchStream(ctx, []Job{job}, 0, nil); !errors.Is(r[0].Err, context.Canceled) {
+	if _, r := streamed(ctx, sched, []Job{job}); !errors.Is(r[0].Err, context.Canceled) {
 		t.Fatalf("cancelled: err %v, want context.Canceled", r[0].Err)
 	}
 	if got := sched.Snapshot().Jobs; got != jobs {
@@ -153,4 +169,97 @@ func TestWarmRunAllocations(t *testing.T) {
 		t.Errorf("warm POST /v1/run: %.0f allocations per request, want <= 33", allocs)
 	}
 	t.Logf("warm POST /v1/run: %.0f allocations per request", allocs)
+}
+
+// orderedEmits returns an emit that fails the test unless every index
+// arrives exactly once and strictly in order, and the results it saw.
+func orderedEmits(t *testing.T, jobs []Job) (func(int, JobResult), *[]JobResult) {
+	var results []JobResult
+	return func(i int, r JobResult) {
+		if i != len(results) {
+			t.Fatalf("emitted index %d after %d results", i, len(results))
+		}
+		if r.Job != jobs[i] {
+			t.Fatalf("emit %d carries the wrong job", i)
+		}
+		results = append(results, r)
+	}, &results
+}
+
+// TestFanOutSkewedCompletion: whatever order jobs finish in, FanOut emits
+// each index exactly once, in order. Job 0 finishes last — it waits until
+// every other job has run — and the rest finish in a scrambled order.
+func TestFanOutSkewedCompletion(t *testing.T) {
+	jobs := make([]Job, 64)
+	for i := range jobs {
+		jobs[i].Method = &classfile.Method{Name: strconv.Itoa(i)}
+	}
+	var ran atomic.Int32
+	others := make(chan struct{})
+	run := func(j Job) (sim.MethodRun, error) {
+		i, _ := strconv.Atoi(j.Method.Name)
+		if i == 0 {
+			<-others
+		} else {
+			time.Sleep(time.Duration(i*37%11) * 50 * time.Microsecond)
+			if ran.Add(1) == int32(len(jobs)-1) {
+				close(others)
+			}
+		}
+		return sim.MethodRun{Signature: j.Method.Name}, nil
+	}
+	emit, results := orderedEmits(t, jobs)
+	FanOut(context.Background(), jobs, 4, emit, run)
+	if len(*results) != len(jobs) {
+		t.Fatalf("emitted %d results for %d jobs", len(*results), len(jobs))
+	}
+	for i, r := range *results {
+		if r.Err != nil || r.Run.Signature != strconv.Itoa(i) {
+			t.Fatalf("result %d: %+v", i, r)
+		}
+	}
+}
+
+// TestFanOutCancelledSlowHead: a slow head job that is cancelled still
+// emits first, with the context's error, followed by every job that ran
+// behind it and then every job that never started — each exactly once,
+// in order.
+func TestFanOutCancelledSlowHead(t *testing.T) {
+	jobs := make([]Job, 64)
+	for i := range jobs {
+		jobs[i].Method = &classfile.Method{Name: strconv.Itoa(i)}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ran atomic.Int32
+	run := func(j Job) (sim.MethodRun, error) {
+		if j.Method.Name == "0" {
+			<-ctx.Done()
+			return sim.MethodRun{}, ctx.Err()
+		}
+		if ran.Add(1) == 20 {
+			cancel()
+		}
+		return sim.MethodRun{Signature: j.Method.Name}, nil
+	}
+	emit, results := orderedEmits(t, jobs)
+	FanOut(ctx, jobs, 4, emit, run)
+	if len(*results) != len(jobs) {
+		t.Fatalf("emitted %d results for %d jobs", len(*results), len(jobs))
+	}
+	if !errors.Is((*results)[0].Err, context.Canceled) {
+		t.Fatalf("slow head: err %v, want context.Canceled", (*results)[0].Err)
+	}
+	done := 0
+	for i, r := range (*results)[1:] {
+		switch {
+		case r.Err == nil && r.Run.Signature == strconv.Itoa(i+1):
+			done++
+		case !errors.Is(r.Err, context.Canceled):
+			t.Fatalf("result %d: %+v", i+1, r)
+		}
+	}
+	if done != int(ran.Load()) || done >= len(jobs)-1 {
+		t.Fatalf("%d results ran, %d runs counted; want every run emitted and the rest cancelled", done, ran.Load())
+	}
 }

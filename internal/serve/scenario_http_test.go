@@ -106,7 +106,7 @@ func TestHTTPScenarioKeyedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	methods, err := p.Select(workload.NamedMethods())
+	methods, err := p.Select(workload.NamedMethods(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

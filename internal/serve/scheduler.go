@@ -48,24 +48,20 @@ type SchedulerOptions struct {
 	Store *store.Store
 }
 
-// BatchRunner is the RunBatch-shaped seam between the HTTP surface and
-// whatever executes jobs: the process-local Scheduler, or a dispatcher
-// fanning jobs across remote jfserved instances (internal/dispatch).
-// Implementations must fill one result per job in submission order and,
-// when emit is non-nil, deliver each completed result exactly once in
-// submission order as the batch progresses.
+// BatchRunner is the seam between the HTTP surface and whatever executes
+// jobs: the process-local Scheduler, or a dispatcher fanning jobs across
+// remote jfserved instances (internal/dispatch). A batch is delivered
+// through emit, one result per job in submission order, and never held
+// whole: the service folds each result as it arrives.
 type BatchRunner interface {
 	// RunMethodCycles executes one job on the caller's goroutine — the
 	// POST /v1/run path, which has no batch to order.
 	RunMethodCycles(ctx context.Context, cfg sim.Config, m *classfile.Method, maxCycles int) (sim.MethodRun, error)
-	// RunBatchCycles executes jobs with the given per-execution mesh-cycle
-	// bound (0 = implementation default) and returns one result per job in
-	// submission order.
-	RunBatchCycles(ctx context.Context, jobs []Job, maxCycles int) []JobResult
-	// RunBatchStream is RunBatchCycles with incremental delivery: emit is
-	// called once per job, in submission order, as soon as that job and
-	// every earlier one have completed.
-	RunBatchStream(ctx context.Context, jobs []Job, maxCycles int, emit func(i int, r JobResult)) []JobResult
+	// RunBatchStream executes jobs with the given per-execution mesh-cycle
+	// bound (0 = implementation default) and calls emit once per job, in
+	// submission order, as soon as that job and every earlier one have
+	// completed.
+	RunBatchStream(ctx context.Context, jobs []Job, maxCycles int, emit func(i int, r JobResult))
 }
 
 // Scheduler fans simulation jobs across a bounded goroutine pool, routing
@@ -76,8 +72,11 @@ type Scheduler struct {
 	workers       int
 	maxMeshCycles int
 	cache         *DeploymentCache
-	metrics       *Metrics
-	store         *store.Store
+	// resolve is cache.ResolveMethod, bound once so a job's runner does
+	// not allocate a closure.
+	resolve func(sim.Config, *classfile.Method) (*fabric.Resolution, error)
+	metrics *Metrics
+	store   *store.Store
 }
 
 // NewScheduler builds a scheduler from opts.
@@ -106,6 +105,7 @@ func NewScheduler(opts SchedulerOptions) *Scheduler {
 		workers:       workers,
 		maxMeshCycles: maxCycles,
 		cache:         cache,
+		resolve:       cache.ResolveMethod,
 		metrics:       metrics,
 		store:         opts.Store,
 	}
@@ -153,17 +153,11 @@ func (s *Scheduler) Snapshot() MetricsSnapshot {
 // runner builds the per-call runner routed through the cache. The context
 // reaches the engine's mid-run preemption check, so cancelling a batch
 // aborts even a single multimillion-cycle execution promptly.
-func (s *Scheduler) runner(ctx context.Context, maxCycles int) *sim.Runner {
+func (s *Scheduler) runner(ctx context.Context, maxCycles int) sim.Runner {
 	if maxCycles <= 0 {
 		maxCycles = s.maxMeshCycles
 	}
-	return &sim.Runner{
-		MaxMeshCycles: maxCycles,
-		Ctx:           ctx,
-		Resolve: func(cfg sim.Config, m *classfile.Method) (*fabric.Resolution, error) {
-			return s.cache.ResolveMethod(cfg, m)
-		},
-	}
+	return sim.Runner{MaxMeshCycles: maxCycles, Ctx: ctx, Resolve: s.resolve}
 }
 
 // RunMethod executes one job synchronously through the cache (no pool).
@@ -204,7 +198,8 @@ func (s *Scheduler) RunMethodCycles(ctx context.Context, cfg sim.Config, m *clas
 		}
 	}
 
-	run, err := s.runner(ctx, maxCycles).RunMethod(cfg, m)
+	runner := s.runner(ctx, maxCycles)
+	run, err := runner.RunMethod(cfg, m)
 	s.metrics.JobFinished(start, span.Context().TraceID, err)
 	if err == nil && s.store != nil {
 		s.store.PutRun(key, run)
@@ -243,56 +238,58 @@ func (s *Scheduler) RunBatch(ctx context.Context, jobs []Job) []JobResult {
 }
 
 // RunBatchCycles is RunBatch with an explicit per-execution mesh-cycle
-// bound overriding the scheduler default (0 keeps the default).
+// bound overriding the scheduler default (0 keeps the default). It holds
+// the whole batch; the service's batch paths fold results as they arrive
+// through RunBatchStream instead.
 func (s *Scheduler) RunBatchCycles(ctx context.Context, jobs []Job, maxCycles int) []JobResult {
-	return s.RunBatchStream(ctx, jobs, maxCycles, nil)
+	results := make([]JobResult, len(jobs))
+	s.RunBatchStream(ctx, jobs, maxCycles, func(i int, r JobResult) { results[i] = r })
+	return results
 }
 
-// RunBatchStream is RunBatchCycles with incremental, submission-ordered
-// delivery through emit (see FanOut) — the seam POST
-// /v1/batch?stream=ndjson flows through.
-func (s *Scheduler) RunBatchStream(ctx context.Context, jobs []Job, maxCycles int, emit func(i int, r JobResult)) []JobResult {
-	return FanOut(ctx, jobs, s.workers, emit, func(j Job) (sim.MethodRun, error) {
+// RunBatchStream delivers a batch through emit in submission order (see
+// FanOut) — the seam POST /v1/batch flows through.
+func (s *Scheduler) RunBatchStream(ctx context.Context, jobs []Job, maxCycles int, emit func(i int, r JobResult)) {
+	FanOut(ctx, jobs, s.workers, emit, func(j Job) (sim.MethodRun, error) {
 		return s.RunMethodCycles(ctx, j.Config, j.Method, maxCycles)
 	})
 }
 
 // FanOut is the one ordered fan-out behind every BatchRunner: it executes
-// run for each job on up to workers goroutines and returns one result per
-// job in submission order, calling emit (when non-nil) exactly once per
-// job, in submission order, as soon as that job and every earlier one have
-// completed. Jobs not yet started when ctx is cancelled report ctx.Err()
-// without running. A batch of one runs on the caller's goroutine — a pool
-// buys a single job nothing but a handoff.
-func FanOut(ctx context.Context, jobs []Job, workers int, emit func(i int, r JobResult), run func(Job) (sim.MethodRun, error)) []JobResult {
-	results := make([]JobResult, len(jobs))
-	for i, j := range jobs {
-		results[i].Job = j
-	}
+// run for each job on up to workers goroutines and calls emit exactly once
+// per job, in submission order, as soon as that job and every earlier one
+// have completed. It keeps no per-job state: a result that completes ahead
+// of an earlier one waits in a reorder window as wide as the spread of
+// completions, not the batch. Jobs not yet started when ctx is cancelled
+// report ctx.Err() without running. A batch of one runs on the caller's
+// goroutine — a pool buys a single job nothing but a handoff. emit always
+// runs on the caller's goroutine.
+func FanOut(ctx context.Context, jobs []Job, workers int, emit func(i int, r JobResult), run func(Job) (sim.MethodRun, error)) {
 	if len(jobs) <= 1 {
 		for i, j := range jobs {
-			if results[i].Err = ctx.Err(); results[i].Err == nil {
-				results[i].Run, results[i].Err = run(j)
+			r := JobResult{Job: j, Err: ctx.Err()}
+			if r.Err == nil {
+				r.Run, r.Err = run(j)
 			}
-			if emit != nil {
-				emit(i, results[i])
-			}
+			emit(i, r)
 		}
-		return results
+		return
 	}
 
+	workers = max(1, min(workers, len(jobs)))
 	indexes := make(chan int)
-	// completed is buffered for the whole batch so neither workers nor the
-	// feeder ever block on the collector.
-	completed := make(chan int, len(jobs))
+	// One slot per worker: a worker that finishes while the collector is
+	// inside emit parks its result here instead of idling.
+	completed := make(chan completion, workers)
 	var wg sync.WaitGroup
-	for w := max(1, min(workers, len(jobs))); w > 0; w-- {
+	for w := workers; w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range indexes {
-				results[i].Run, results[i].Err = run(jobs[i])
-				completed <- i
+				c := completion{i: i}
+				c.run, c.err = run(jobs[i])
+				completed <- c
 			}
 		}()
 	}
@@ -306,8 +303,7 @@ func FanOut(ctx context.Context, jobs []Job, workers int, emit func(i int, r Job
 				// that were already delivered stamp ctx.Err() themselves
 				// via run's own context checks.
 				for k := i; k < len(jobs); k++ {
-					results[k].Err = ctx.Err()
-					completed <- k
+					completed <- completion{i: k, err: ctx.Err()}
 				}
 				break feed
 			}
@@ -317,21 +313,64 @@ func FanOut(ctx context.Context, jobs []Job, workers int, emit func(i int, r Job
 		close(completed)
 	}()
 
-	// Collect completions and emit the contiguous prefix in order. Every
-	// index arrives exactly once: from the worker that ran it, or from the
-	// feeder for jobs cancelled before they were handed out.
-	done := make([]bool, len(results))
-	next := 0
-	for i := range completed {
-		done[i] = true
-		for next < len(results) && done[next] {
-			if emit != nil {
-				emit(next, results[next])
-			}
-			next++
+	// Every index arrives exactly once: from the worker that ran it, or
+	// from the feeder for jobs cancelled before they were handed out.
+	var win reorderWindow
+	for c := range completed {
+		win.put(c.i-win.next, c)
+		for c, ok := win.pop(); ok; c, ok = win.pop() {
+			emit(c.i, JobResult{Job: jobs[c.i], Run: c.run, Err: c.err})
 		}
 	}
-	return results
+}
+
+// completion is one job's outcome on its way from a worker to FanOut's
+// collector.
+type completion struct {
+	i   int
+	run sim.MethodRun
+	err error
+	ok  bool // set by reorderWindow.put: the slot holds a result
+}
+
+// reorderWindow holds the results that completed ahead of next, the first
+// index not yet emitted: index next+d sits in slots[(head+d)&(len-1)]. The
+// slice is reused as next advances and doubles (staying a power of two)
+// only when a result lands beyond it, so it is as wide as the widest
+// spread of completions the batch saw.
+type reorderWindow struct {
+	slots []completion
+	head  int
+	next  int
+}
+
+// put stores c, which is d indexes past next.
+func (w *reorderWindow) put(d int, c completion) {
+	if d >= len(w.slots) {
+		n := max(1, len(w.slots))
+		for n <= d {
+			n *= 2
+		}
+		grown := make([]completion, n)
+		for k := range w.slots {
+			grown[k] = w.slots[(w.head+k)&(len(w.slots)-1)]
+		}
+		w.slots, w.head = grown, 0
+	}
+	c.ok = true
+	w.slots[(w.head+d)&(len(w.slots)-1)] = c
+}
+
+// pop removes and returns the result for next, if it has arrived.
+func (w *reorderWindow) pop() (completion, bool) {
+	if len(w.slots) == 0 || !w.slots[w.head].ok {
+		return completion{}, false
+	}
+	c := w.slots[w.head]
+	w.slots[w.head] = completion{} // drop the run's strings and the error
+	w.head = (w.head + 1) & (len(w.slots) - 1)
+	w.next++
+	return c, true
 }
 
 // RunAll is the pooled, cached equivalent of sim.Runner.RunAll: it executes

@@ -338,7 +338,7 @@ func (s *Service) sweepJobs(req BatchRequest) ([]sim.Config, []*classfile.Method
 	}
 	var methods []*classfile.Method
 	if preset != nil {
-		methods, err = preset.Select(s.methods)
+		methods, err = preset.Select(s.methods, s.methodBySig)
 	} else {
 		methods, err = s.pickMethods(req.Methods)
 	}
@@ -358,36 +358,111 @@ func (s *Service) sweepJobs(req BatchRequest) ([]sim.Config, []*classfile.Method
 // Results are deterministic: per-configuration groups in request order,
 // runs in method order, identical to running sim.Runner.RunAll per
 // configuration — whether the jobs ran locally or were dispatched across
-// remote backends.
+// remote backends. A job that fails other than by fabric rejection fails
+// the batch with the error sim.Runner.RunAll reports, and cancels the jobs
+// still to run.
 func (s *Service) Batch(ctx context.Context, req BatchRequest) (BatchResponse, error) {
-	configs, methods, jobs, err := s.sweepJobs(req)
+	var resp BatchResponse
+	err := s.sweep(ctx, req, !req.SummaryOnly,
+		func(kind string, r JobResult, _ RunPayload) error {
+			if kind == "error" {
+				return fmt.Errorf("sim: %s: %w", r.Job.Method.Signature(), r.Err)
+			}
+			return nil
+		},
+		func(res BatchConfigResult) error {
+			resp.Results = append(resp.Results, res)
+			return nil
+		})
 	if err != nil {
 		return BatchResponse{}, err
 	}
+	return resp, nil
+}
 
-	flat := s.runner.RunBatchCycles(ctx, jobs, req.MaxMeshCycles)
-	resp := BatchResponse{Results: make([]BatchConfigResult, 0, len(configs))}
-	for i, cfg := range configs {
-		cr, err := CollectRuns(cfg, flat[i*len(methods):(i+1)*len(methods)])
-		if err != nil {
-			return BatchResponse{}, err
+// sweep runs req's jobs through the installed batch runner and folds each
+// configuration's results as they arrive, in submission order — the one
+// fold behind Batch and BatchStream. job sees every result with its kind
+// ("run", "skip", "timeout" or "error") and, for a run, its payload;
+// config receives each configuration's summary once its last method is in
+// — also for a sweep that selects no methods — with the configuration's
+// payloads when keepRuns is set. The fold keeps the counts and the runs'
+// mean IPC values, in method order, so the summary is the one
+// sim.ConfigResults.IPCSummary computes over the same runs. A callback's
+// error cancels the jobs still to run and is returned.
+func (s *Service) sweep(ctx context.Context, req BatchRequest, keepRuns bool,
+	job func(kind string, r JobResult, run RunPayload) error,
+	config func(BatchConfigResult) error) error {
+	configs, methods, jobs, err := s.sweepJobs(req)
+	if err != nil {
+		return err
+	}
+	ctx, cancelJobs := context.WithCancel(ctx)
+	defer cancelJobs()
+	var (
+		failed            error
+		skipped, timedOut int
+		ipcs              []float64
+		runs              []RunPayload
+	)
+	closeConfig := func(cfg sim.Config) {
+		sum := ConfigSummary{Config: cfg.Name, Methods: len(ipcs), Skipped: skipped, TimedOut: timedOut, IPC: stats.Summarize(ipcs)}
+		if failed = config(BatchConfigResult{Summary: sum, Runs: runs}); failed != nil {
+			cancelJobs()
 		}
-		out := BatchConfigResult{Summary: ConfigSummary{
-			Config:   cfg.Name,
-			Methods:  len(cr.Runs),
-			Skipped:  cr.Skipped,
-			TimedOut: cr.TimedOut,
-			IPC:      cr.IPCSummary(),
-		}}
-		if !req.SummaryOnly {
-			out.Runs = make([]RunPayload, 0, len(cr.Runs))
-			for _, run := range cr.Runs {
-				out.Runs = append(out.Runs, payloadFor(cfg.Name, run))
+		skipped, timedOut, ipcs, runs = 0, 0, ipcs[:0], nil
+	}
+	s.runner.RunBatchStream(ctx, jobs, req.MaxMeshCycles, func(i int, r JobResult) {
+		if failed != nil {
+			return
+		}
+		cfg := configs[i/len(methods)]
+		var (
+			kind string
+			run  RunPayload
+		)
+		switch {
+		case r.Err != nil && rejection(r.Err) != nil:
+			kind = "skip"
+			skipped++
+		case r.Err != nil:
+			kind = "error"
+		case r.Run.BP1.TimedOut || r.Run.BP2.TimedOut:
+			kind = "timeout"
+			timedOut++
+		default:
+			kind = "run"
+			run = payloadFor(cfg.Name, r.Run)
+			ipcs = append(ipcs, run.MeanIPC)
+			if keepRuns {
+				runs = append(runs, run)
 			}
 		}
-		resp.Results = append(resp.Results, out)
+		if failed = job(kind, r, run); failed != nil {
+			cancelJobs()
+			return
+		}
+		if (i+1)%len(methods) == 0 {
+			closeConfig(cfg)
+		}
+	})
+	if len(methods) == 0 {
+		// No job ends a configuration: each still gets its empty summary.
+		for _, cfg := range configs {
+			if failed == nil {
+				closeConfig(cfg)
+			}
+		}
 	}
-	return resp, nil
+	return failed
+}
+
+// rejection returns the fabric's refusal to host a job's method, or nil
+// when err is some other failure.
+func rejection(err error) *fabric.LoadError {
+	var le *fabric.LoadError
+	errors.As(err, &le)
+	return le
 }
 
 // StreamEvent is one NDJSON line of POST /v1/batch?stream=ndjson. Events
@@ -412,68 +487,22 @@ type StreamEvent struct {
 // streaming changes delivery, never content. An emit error (a client that
 // went away) aborts the stream.
 func (s *Service) BatchStream(ctx context.Context, req BatchRequest, emit func(StreamEvent) error) error {
-	configs, methods, jobs, err := s.sweepJobs(req)
-	if err != nil {
-		return err
-	}
-	if len(methods) == 0 {
-		return nil
-	}
-
-	var (
-		emitErr  error
-		cfgRuns  []sim.MethodRun
-		skipped  int
-		timedOut int
-	)
-	ctx, cancelJobs := context.WithCancel(ctx)
-	defer cancelJobs()
-	s.runner.RunBatchStream(ctx, jobs, req.MaxMeshCycles, func(i int, r JobResult) {
-		if emitErr != nil {
-			return
-		}
-		cfg := configs[i/len(methods)]
-		ev := StreamEvent{Config: cfg.Name, Signature: r.Job.Method.Signature()}
-		var le *fabric.LoadError
-		switch {
-		case errors.As(r.Err, &le):
-			ev.Type = "skip"
-			ev.Error = le.Error()
-			skipped++
-		case r.Err != nil:
-			ev.Type = "error"
-			ev.Error = r.Err.Error()
-		case r.Run.BP1.TimedOut || r.Run.BP2.TimedOut:
-			ev.Type = "timeout"
-			timedOut++
-		default:
-			ev.Type = "run"
-			payload := payloadFor(cfg.Name, r.Run)
-			ev.Run = &payload
-			cfgRuns = append(cfgRuns, r.Run)
-		}
-		if emitErr = emit(ev); emitErr != nil {
-			// The client is gone: stop feeding the pool instead of
-			// simulating the rest of the sweep for nobody.
-			cancelJobs()
-			return
-		}
-		if (i+1)%len(methods) == 0 {
-			cr := &sim.ConfigResults{Config: cfg, Runs: cfgRuns, Skipped: skipped, TimedOut: timedOut}
-			summary := ConfigSummary{
-				Config:   cfg.Name,
-				Methods:  len(cr.Runs),
-				Skipped:  cr.Skipped,
-				TimedOut: cr.TimedOut,
-				IPC:      cr.IPCSummary(),
+	return s.sweep(ctx, req, false,
+		func(kind string, r JobResult, run RunPayload) error {
+			ev := StreamEvent{Type: kind, Config: r.Job.Config.Name, Signature: r.Job.Method.Signature()}
+			switch kind {
+			case "run":
+				ev.Run = &run
+			case "skip":
+				ev.Error = rejection(r.Err).Error()
+			case "error":
+				ev.Error = r.Err.Error()
 			}
-			if emitErr = emit(StreamEvent{Type: "summary", Config: cfg.Name, Summary: &summary}); emitErr != nil {
-				cancelJobs()
-			}
-			cfgRuns, skipped, timedOut = nil, 0, 0
-		}
-	})
-	return emitErr
+			return emit(ev)
+		},
+		func(res BatchConfigResult) error {
+			return emit(StreamEvent{Type: "summary", Config: res.Summary.Config, Summary: &res.Summary})
+		})
 }
 
 // pickConfigs resolves names to configurations (empty = all).
