@@ -81,7 +81,7 @@ func batchLap(t testing.TB) (http.Handler, []byte) {
 // On four, the window grows to the spread of completions, which for
 // no-op jobs is set by how long the Go scheduler leaves a worker that
 // holds the next index waiting (up to one 10 ms time slice, thousands of
-// no-op jobs): 0.26 to 8.4 MB at -cpu 1, 2 and 4, logged, not gated.
+// no-op jobs): up to 8.4 MB at -cpu 2 and 4, so it is logged, not gated.
 func TestFanOutAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"javaflow/internal/classfile"
 	"javaflow/internal/sim"
@@ -187,24 +186,27 @@ func orderedEmits(t *testing.T, jobs []Job) (func(int, JobResult), *[]JobResult)
 }
 
 // TestFanOutSkewedCompletion: whatever order jobs finish in, FanOut emits
-// each index exactly once, in order. Job 0 finishes last — it waits until
-// every other job has run — and the rest finish in a scrambled order.
+// each index exactly once, in order. Three slow jobs each wait until a
+// later job has run, so 3, 7 and 20 results complete ahead of them, and
+// the reorder window has to grow while its head sits at three different
+// slots.
 func TestFanOutSkewedCompletion(t *testing.T) {
 	jobs := make([]Job, 64)
 	for i := range jobs {
 		jobs[i].Method = &classfile.Method{Name: strconv.Itoa(i)}
 	}
-	var ran atomic.Int32
-	others := make(chan struct{})
+	waitFor := map[int]int{0: 3, 10: 17, 30: 50} // slow job -> the job it waits for
+	ran := make(map[int]chan struct{}, len(waitFor))
+	for _, later := range waitFor {
+		ran[later] = make(chan struct{})
+	}
 	run := func(j Job) (sim.MethodRun, error) {
 		i, _ := strconv.Atoi(j.Method.Name)
-		if i == 0 {
-			<-others
-		} else {
-			time.Sleep(time.Duration(i*37%11) * 50 * time.Microsecond)
-			if ran.Add(1) == int32(len(jobs)-1) {
-				close(others)
-			}
+		if later, ok := waitFor[i]; ok {
+			<-ran[later]
+		}
+		if c, ok := ran[i]; ok {
+			close(c)
 		}
 		return sim.MethodRun{Signature: j.Method.Name}, nil
 	}

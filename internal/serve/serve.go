@@ -362,7 +362,7 @@ func (s *Service) sweepJobs(req BatchRequest) ([]sim.Config, []*classfile.Method
 // the batch with the error sim.Runner.RunAll reports, and cancels the jobs
 // still to run.
 func (s *Service) Batch(ctx context.Context, req BatchRequest) (BatchResponse, error) {
-	var resp BatchResponse
+	resp := BatchResponse{Results: []BatchConfigResult{}} // "results":[] for a node without configurations
 	err := s.sweep(ctx, req, !req.SummaryOnly,
 		func(kind string, r JobResult, _ RunPayload) error {
 			if kind == "error" {
