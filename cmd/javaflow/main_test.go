@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"os"
 	"testing"
 
@@ -38,4 +39,58 @@ func TestFigure20Golden(t *testing.T) {
 	if got != string(want) {
 		t.Fatalf("Figure 20 load walk differs from %s:\n%s", path, got)
 	}
+}
+
+// demoGoldens are the three outputs of the command that testdata pins:
+// the default demos (Figures 20, 21–22, 23 and 31 for nextDouble on
+// Hetero2), the Figure 26 layout, and the method list. Six lines of the
+// default output end in a space, which is why these are files and not
+// Example output blocks.
+var demoGoldens = []struct {
+	golden string
+	args   []string
+}{
+	{"testdata/default.golden", nil},
+	{"testdata/hetero.golden", []string{"-demo", "hetero"}},
+	{"testdata/list.golden", []string{"-list"}},
+}
+
+// TestDemoGoldens runs the command's main with each golden's arguments and
+// compares what it prints, byte for byte.
+func TestDemoGoldens(t *testing.T) {
+	for _, g := range demoGoldens {
+		t.Run(g.golden, func(t *testing.T) {
+			got := captureMain(t, g.args)
+			want, err := os.ReadFile(g.golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Fatalf("javaflow %v differs from %s:\n%s", g.args, g.golden, got)
+			}
+		})
+	}
+}
+
+// captureMain calls main with args on a fresh flag set and returns what it
+// wrote to stdout.
+func captureMain(t *testing.T, args []string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldArgs, oldFlags, oldStdout := os.Args, flag.CommandLine, os.Stdout
+	defer func() { os.Args, flag.CommandLine, os.Stdout = oldArgs, oldFlags, oldStdout }()
+	os.Args = append([]string{"javaflow"}, args...)
+	flag.CommandLine = flag.NewFlagSet("javaflow", flag.ContinueOnError)
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	main()
+	w.Close()
+	return string(<-out)
 }
