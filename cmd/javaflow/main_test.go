@@ -2,8 +2,8 @@ package main
 
 import (
 	"flag"
-	"io"
 	"os"
+	"strings"
 	"testing"
 
 	"javaflow/internal/core"
@@ -55,12 +55,15 @@ var demoGoldens = []struct {
 	{"testdata/list.golden", []string{"-list"}},
 }
 
-// TestDemoGoldens runs the command's main with each golden's arguments and
+// TestDemoGoldens runs the command with each golden's arguments and
 // compares what it prints, byte for byte.
 func TestDemoGoldens(t *testing.T) {
 	for _, g := range demoGoldens {
 		t.Run(g.golden, func(t *testing.T) {
-			got := captureMain(t, g.args)
+			code, got, stderr := runJavaflow(g.args...)
+			if code != 0 || stderr != "" {
+				t.Fatalf("javaflow %v: exit %d, stderr %q", g.args, code, stderr)
+			}
 			want, err := os.ReadFile(g.golden)
 			if err != nil {
 				t.Fatal(err)
@@ -72,25 +75,33 @@ func TestDemoGoldens(t *testing.T) {
 	}
 }
 
-// captureMain calls main with args on a fresh flag set and returns what it
-// wrote to stdout.
-func captureMain(t *testing.T, args []string) string {
-	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
+// runJavaflow runs the command in process and returns its exit status and
+// output.
+func runJavaflow(args ...string) (code int, stdout, stderr string) {
+	var out, errOut strings.Builder
+	code = run(args, &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
+// TestBadArgumentsPrintNothing: every argument is checked before the first
+// demo prints. An unknown demo after a valid one used to exit 2 only after
+// the valid one had printed its walk.
+func TestBadArgumentsPrintNothing(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-demo", "load,bogus"}, 2, `unknown demo "bogus"`},
+		{[]string{"-demo", "bogus"}, 2, `unknown demo "bogus"`},
+		{[]string{"-method", "noSuchMethod"}, 1, `no method matching "noSuchMethod"`},
+		{[]string{"-config", "Hetero3"}, 1, `no configuration "Hetero3"`},
+		{[]string{"-scale", "2"}, 2, "flag provided but not defined: -scale"},
+	} {
+		code, stdout, stderr := runJavaflow(tc.args...)
+		if code != tc.code || stdout != "" || !strings.Contains(stderr, tc.want) {
+			t.Errorf("javaflow %s: exit %d, stdout %d bytes, stderr %q; want exit %d, empty stdout, stderr containing %q",
+				strings.Join(tc.args, " "), code, len(stdout), stderr, tc.code, tc.want)
+		}
 	}
-	oldArgs, oldFlags, oldStdout := os.Args, flag.CommandLine, os.Stdout
-	defer func() { os.Args, flag.CommandLine, os.Stdout = oldArgs, oldFlags, oldStdout }()
-	os.Args = append([]string{"javaflow"}, args...)
-	flag.CommandLine = flag.NewFlagSet("javaflow", flag.ContinueOnError)
-	os.Stdout = w
-	out := make(chan []byte)
-	go func() {
-		b, _ := io.ReadAll(r)
-		out <- b
-	}()
-	main()
-	w.Close()
-	return string(<-out)
 }
