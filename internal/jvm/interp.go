@@ -53,9 +53,6 @@ func (vm *Machine) Invoke(m *classfile.Method, args ...Value) (Value, error) {
 	}
 
 	frames := []*frame{newFrame(m, args)}
-	if vm.Profile != nil {
-		vm.Profile.recordInvocation(m.Signature())
-	}
 	var steps uint64
 
 	for {
@@ -106,9 +103,6 @@ func (vm *Machine) Invoke(m *classfile.Method, args ...Value) (Value, error) {
 			}
 			f.pc = next // resume point after the call returns
 			frames = append(frames, newFrame(callee, retVal.args))
-			if vm.Profile != nil {
-				vm.Profile.recordInvocation(callee.Signature())
-			}
 		case stepReturn:
 			frames = frames[:len(frames)-1]
 			if len(frames) == 0 {

@@ -257,8 +257,9 @@ func TestInvokeNested(t *testing.T) {
 	if got.I != 25 {
 		t.Errorf("3²+4² = %d, want 25", got.I)
 	}
-	if vm.Profile.Invocations("T.sq/1") != 2 {
-		t.Errorf("sq invoked %d times, want 2", vm.Profile.Invocations("T.sq/1"))
+	// Two calls of sq's four instructions.
+	if got := vm.Profile.OpsOf("T.sq/1"); got != 8 {
+		t.Errorf("sq executed %d ops, want 8 (two invocations)", got)
 	}
 }
 

@@ -11,17 +11,13 @@ import (
 // signature which was executed. Each element in the array is a counter for
 // the corresponding ByteCode instruction."
 type Profile struct {
-	perMethod   map[string]*[256]uint64
-	invocations map[string]uint64
-	totalOps    uint64
+	perMethod map[string]*[256]uint64
+	totalOps  uint64
 }
 
 // NewProfile returns an empty profile.
 func NewProfile() *Profile {
-	return &Profile{
-		perMethod:   make(map[string]*[256]uint64),
-		invocations: make(map[string]uint64),
-	}
+	return &Profile{perMethod: make(map[string]*[256]uint64)}
 }
 
 func (p *Profile) record(sig string, op bytecode.Opcode) {
@@ -34,18 +30,11 @@ func (p *Profile) record(sig string, op bytecode.Opcode) {
 	p.totalOps++
 }
 
-func (p *Profile) recordInvocation(sig string) {
-	p.invocations[sig]++
-}
-
 // TotalOps returns the total ByteCode instructions executed.
 func (p *Profile) TotalOps() uint64 { return p.totalOps }
 
 // MethodsExecuted returns the number of distinct method signatures executed.
 func (p *Profile) MethodsExecuted() int { return len(p.perMethod) }
-
-// Invocations returns how many times sig was invoked.
-func (p *Profile) Invocations(sig string) uint64 { return p.invocations[sig] }
 
 // OpsOf returns the total instructions executed within sig.
 func (p *Profile) OpsOf(sig string) uint64 {

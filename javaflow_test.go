@@ -7,29 +7,11 @@ import (
 	"javaflow"
 )
 
-// buildSum assembles the quickstart method through the public API.
+// buildSum returns the quickstart's sum method (example_test.go).
 func buildSum(t *testing.T) *javaflow.Method {
 	t.Helper()
-	asm := javaflow.NewAssembler()
-	asm.PushInt(0).IStore(1).
-		PushInt(0).IStore(2).
-		Label("loop").
-		ILoad(2).ILoad(0).
-		Branch(javaflow.OpIfIcmpge, "done").
-		ILoad(1).ILoad(2).Op(javaflow.OpIadd).IStore(1).
-		Iinc(2, 1).
-		Branch(javaflow.OpGoto, "loop").
-		Label("done").
-		ILoad(1).Op(javaflow.OpIreturn)
-	code, err := asm.Finish()
+	m, err := sumMethod()
 	if err != nil {
-		t.Fatal(err)
-	}
-	m := &javaflow.Method{
-		Name: "sum", Class: "T", Argc: 1, ReturnsValue: true,
-		MaxLocals: 3, Code: code, Pool: javaflow.NewConstantPool(),
-	}
-	if err := javaflow.Verify(m); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -38,7 +20,7 @@ func buildSum(t *testing.T) *javaflow.Method {
 func TestPublicAPIInterpreter(t *testing.T) {
 	m := buildSum(t)
 	vm := javaflow.NewJVM()
-	cls := javaflow.NewClass("T")
+	cls := javaflow.NewClass(m.Class)
 	cls.Add(m)
 	if err := vm.Register(cls); err != nil {
 		t.Fatal(err)
