@@ -15,16 +15,16 @@ import (
 // the method the quickstart and the public API tests run.
 func sumMethod() (*javaflow.Method, error) {
 	asm := javaflow.NewAssembler()
-	asm.PushInt(0).IStore(1). // s = 0
-					PushInt(0).IStore(2). // i = 0
-					Label("loop").
-					ILoad(2).ILoad(0).
-					Branch(javaflow.OpIfIcmpge, "done").
-					ILoad(1).ILoad(2).Op(javaflow.OpIadd).IStore(1).
-					Iinc(2, 1).
-					Branch(javaflow.OpGoto, "loop").
-					Label("done").
-					ILoad(1).Op(javaflow.OpIreturn)
+	asm.PushInt(0).IStore(1).
+		PushInt(0).IStore(2).
+		Label("loop").
+		ILoad(2).ILoad(0).
+		Branch(javaflow.OpIfIcmpge, "done").
+		ILoad(1).ILoad(2).Op(javaflow.OpIadd).IStore(1).
+		Iinc(2, 1).
+		Branch(javaflow.OpGoto, "loop").
+		Label("done").
+		ILoad(1).Op(javaflow.OpIreturn)
 	code, err := asm.Finish()
 	if err != nil {
 		return nil, err
@@ -241,8 +241,9 @@ func Example_specMix() {
 		}
 	}
 
+	named := javaflow.NamedMethods()
 	var arcs, merges, backMerges int
-	for _, m := range javaflow.NamedMethods() {
+	for _, m := range named {
 		an, err := javaflow.Analyze(m)
 		if err != nil {
 			log.Fatal(err)
@@ -252,7 +253,7 @@ func Example_specMix() {
 		backMerges += an.BackMerges
 	}
 	fmt.Printf("\nstatic dataflow across %d named methods: %d arcs, %d merges, %d back merges\n",
-		len(javaflow.NamedMethods()), arcs, merges, backMerges)
+		len(named), arcs, merges, backMerges)
 	// Output:
 	// scimark.fft.large      SpecJvm2008        101510 ops   3 methods, 2 cover 90%
 	//      82.9%  scimark/fft/FFT.transform_internal/2
