@@ -51,7 +51,13 @@ type RunKey struct {
 }
 
 func (k RunKey) encode() []byte {
-	b := k.appendTo(make([]byte, 0, len(k.Signature)+len(k.Geometry)+64), "run|e")
+	return k.appendKey(make([]byte, 0, len(k.Signature)+len(k.Geometry)+64))
+}
+
+// appendKey appends the key's bytes to b: the shared part, then
+// "|spm<SerialPerMesh>|max<MaxMeshCycles>".
+func (k RunKey) appendKey(b []byte) []byte {
+	b = k.appendTo(b, "run|e")
 	b = append(b, "|spm"...)
 	b = strconv.AppendInt(b, int64(k.SerialPerMesh), 10)
 	b = append(b, "|max"...)

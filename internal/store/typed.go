@@ -13,7 +13,10 @@ import (
 // configuration's name (the key is geometry-based, so the label of the
 // process that computed the run may differ).
 func (s *Store) GetRun(k RunKey) (sim.MethodRun, bool) {
-	val, ok := s.get(k.encode(), recTypeRun)
+	// The key is built on the stack: a warm hit allocates nothing for it
+	// (a key longer than the buffer grows onto the heap).
+	var buf [256]byte
+	val, ok := s.get(k.appendKey(buf[:0]), recTypeRun)
 	if !ok {
 		s.runMisses.Add(1)
 		return sim.MethodRun{}, false
