@@ -2,7 +2,7 @@ package bytecode
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Assembler builds a method body instruction-by-instruction with symbolic
@@ -12,17 +12,18 @@ import (
 //
 // The zero value is not usable; create with NewAssembler.
 type Assembler struct {
-	instrs []Instruction
-	labels map[string]int
-	fixups []fixup
-	errs   []error
+	instrs   []Instruction
+	switches []Switch
+	labels   map[string]int
+	fixups   []fixup
+	errs     []error
 }
 
-// fixup records that a branch target of instruction instr waits on label.
-// Arm -1 is the instruction's Target; arm i >= 0 is its Switch.Targets[i].
+// fixup records that a branch target waits on label. Arm -1 is the Target
+// of instruction at; arm i >= 0 is Targets[i] of arm table at.
 type fixup struct {
-	instr, arm int
-	label      string
+	at, arm int
+	label   string
 }
 
 // NewAssembler returns an empty assembler.
@@ -31,9 +32,10 @@ func NewAssembler() *Assembler {
 }
 
 // Reset empties the assembler for the next method, keeping its buffers.
-// Slices returned by earlier Finish calls are unaffected.
+// Slices returned by earlier Finish and Switches calls are unaffected.
 func (a *Assembler) Reset() {
 	a.instrs = a.instrs[:0]
+	a.switches = nil
 	clear(a.labels)
 	a.fixups = a.fixups[:0]
 	a.errs = nil
@@ -61,7 +63,18 @@ func (a *Assembler) Op(op Opcode) *Assembler {
 
 // OpA emits an instruction with a primary operand.
 func (a *Assembler) OpA(op Opcode, operand int64) *Assembler {
-	a.instrs = append(a.instrs, MakeA(op, operand))
+	return a.emit(op, operand, 0)
+}
+
+// emit appends op with operands x and y, recording an error when either
+// falls outside op's architected width.
+func (a *Assembler) emit(op Opcode, x, y int64) *Assembler {
+	if err := checkOperands(op, x, y); err != nil {
+		a.errs = append(a.errs, fmt.Errorf("instruction %d: %w", len(a.instrs), err))
+	}
+	in := Make(op)
+	in.A, in.B = int32(x), int32(y)
+	a.instrs = append(a.instrs, in)
 	return a
 }
 
@@ -78,10 +91,7 @@ func (a *Assembler) Branch(op Opcode, label string) *Assembler {
 
 // Iinc emits a local-increment of register local by delta.
 func (a *Assembler) Iinc(local, delta int) *Assembler {
-	in := Make(Iinc)
-	in.A, in.B = int64(local), int64(delta)
-	a.instrs = append(a.instrs, in)
-	return a
+	return a.emit(Iinc, int64(local), int64(delta))
 }
 
 // shortForm returns the _0.._3 variant of base for register n, if any.
@@ -194,30 +204,37 @@ func IsQuick(op Opcode) bool {
 
 // Call emits an invoke instruction with its signature-resolved pop count.
 func (a *Assembler) Call(op Opcode, cpIndex int, argc int, returnsValue bool) *Assembler {
-	a.instrs = append(a.instrs, MakeCall(op, int64(cpIndex), argc, returnsValue))
-	return a
-}
-
-// Switch emits a lookupswitch with the given key->label arms and a default
-// label. Keys are sorted as the architecture requires.
-func (a *Assembler) Switch(arms map[int64]string, def string) *Assembler {
-	in := Make(Lookupswitch)
-	keys := make([]int64, 0, len(arms))
-	for k := range arms {
-		keys = append(keys, k)
+	in, err := makeCall(op, int64(cpIndex), argc, returnsValue)
+	if err != nil {
+		a.errs = append(a.errs, fmt.Errorf("instruction %d: %w", len(a.instrs), err))
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	in.Switch = &Switch{Keys: keys, Targets: make([]int, len(keys))}
-	idx := len(a.instrs)
-	for i, k := range keys {
-		a.fixups = append(a.fixups, fixup{idx, i, arms[k]})
-	}
-	a.fixups = append(a.fixups, fixup{idx, -1, def})
 	a.instrs = append(a.instrs, in)
 	return a
 }
 
-// Finish resolves all labels and returns the instruction stream.
+// Switch emits a lookupswitch with the given key->label arms and a default
+// label. Keys are sorted as the architecture requires; each must fit int32.
+func (a *Assembler) Switch(arms map[int64]string, def string) *Assembler {
+	keys := make([]int64, 0, len(arms))
+	for k := range arms {
+		if k != int64(int32(k)) {
+			a.errs = append(a.errs, fmt.Errorf("instruction %d: switch key %d outside int32", len(a.instrs), k))
+		}
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	sw := len(a.switches)
+	a.switches = append(a.switches, Switch{At: len(a.instrs), Keys: keys, Targets: make([]int, len(keys))})
+	for i, k := range keys {
+		a.fixups = append(a.fixups, fixup{sw, i, arms[k]})
+	}
+	a.fixups = append(a.fixups, fixup{len(a.instrs), -1, def})
+	a.instrs = append(a.instrs, Make(Lookupswitch))
+	return a
+}
+
+// Finish resolves all labels and returns the instruction stream. The arm
+// tables of its switches, if any, are then read with Switches.
 func (a *Assembler) Finish() ([]Instruction, error) {
 	if len(a.errs) > 0 {
 		return nil, a.errs[0]
@@ -228,24 +245,18 @@ func (a *Assembler) Finish() ([]Instruction, error) {
 			return nil, fmt.Errorf("undefined label %q", f.label)
 		}
 		if f.arm < 0 {
-			a.instrs[f.instr].Target = target
+			a.instrs[f.at].Target = int32(target)
 		} else {
-			a.instrs[f.instr].Switch.Targets[f.arm] = target
+			a.switches[f.at].Targets[f.arm] = target
 		}
 	}
-	inRange := func(t int) bool { return t >= 0 && t <= len(a.instrs) }
 	for i, in := range a.instrs {
 		if in.Info().Branch && in.Target == NoTarget {
 			return nil, fmt.Errorf("instruction %d (%s) has unresolved target", i, in.Op)
 		}
-		if in.Target != NoTarget && !inRange(in.Target) {
-			return nil, fmt.Errorf("instruction %d (%s) targets out of range %d", i, in.Op, in.Target)
-		}
-		for arm, t := range in.SwitchTargets() {
-			if !inRange(t) {
-				return nil, fmt.Errorf("instruction %d (%s) arm %d targets out of range %d", i, in.Op, arm, t)
-			}
-		}
+	}
+	if at, err := CheckSwitches(a.instrs, a.switches); err != nil {
+		return nil, fmt.Errorf("instruction %d: %w", at, err)
 	}
 	// An exact-length copy: the caller keeps it for the life of the method,
 	// and the assembler's own buffer grew by doubling and is reused after
@@ -254,3 +265,8 @@ func (a *Assembler) Finish() ([]Instruction, error) {
 	copy(code, a.instrs)
 	return code, nil
 }
+
+// Switches returns the arm tables of the body the last Finish returned, in
+// instruction order; nil when it has no switch. A method keeps them beside
+// its code (classfile.Method.Switches).
+func (a *Assembler) Switches() []Switch { return a.switches }

@@ -94,7 +94,7 @@ func TestInstructionLocalIndex(t *testing.T) {
 
 func mustIinc(local, delta int) Instruction {
 	in := Make(Iinc)
-	in.A, in.B = int64(local), int64(delta)
+	in.A, in.B = int32(local), int32(delta)
 	return in
 }
 
@@ -261,8 +261,8 @@ func TestMakeCallPopResolution(t *testing.T) {
 		op      Opcode
 		argc    int
 		returns bool
-		wantPop int
-		wantPsh int
+		wantPop int8
+		wantPsh int8
 	}{
 		{Invokestatic, 2, true, 2, 1},
 		{Invokestatic, 0, false, 0, 0},
@@ -271,7 +271,10 @@ func TestMakeCallPopResolution(t *testing.T) {
 		{Invokeinterface, 1, true, 2, 1},
 	}
 	for _, c := range cases {
-		in := MakeCall(c.op, 9, c.argc, c.returns)
+		in, err := makeCall(c.op, 9, c.argc, c.returns)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if in.Pop != c.wantPop || in.Push != c.wantPsh {
 			t.Errorf("%s argc=%d: pop/push = %d/%d, want %d/%d",
 				c.op, c.argc, in.Pop, in.Push, c.wantPop, c.wantPsh)
@@ -309,11 +312,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	code, err := Encode(instrs)
+	code, err := Encode(instrs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(code, fixedResolver{argc: 2})
+	got, _, err := Decode(code, fixedResolver{argc: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,31 +344,33 @@ func TestEncodeDecodeSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	switches := a.Switches()
 	sw := instrs[1]
-	if sw.Op != Lookupswitch || len(sw.SwitchKeys()) != 3 {
-		t.Fatalf("switch malformed: %+v", sw)
+	keys, targets := Arms(switches, 1)
+	if sw.Op != Lookupswitch || len(switches) != 1 || len(keys) != 3 {
+		t.Fatalf("switch malformed: %+v %+v", sw, switches)
 	}
-	if keys := sw.SwitchKeys(); keys[0] != -3 || keys[2] != 5 {
+	if keys[0] != -3 || keys[2] != 5 {
 		t.Errorf("switch keys not sorted: %v", keys)
 	}
+	if sw.A != 0 || sw.B != 0 {
+		t.Errorf("switch operands = %d, %d, want 0, 0", sw.A, sw.B)
+	}
 
-	code, err := Encode(instrs)
+	code, err := Encode(instrs, switches)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(code, nil)
+	got, gotSwitches, err := Decode(code, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := got[1]
-	if g.Target != sw.Target {
+	if g := got[1]; g.Target != sw.Target {
 		t.Errorf("default target = %d, want %d", g.Target, sw.Target)
 	}
-	for i := range sw.SwitchKeys() {
-		if g.Switch.Keys[i] != sw.Switch.Keys[i] || g.Switch.Targets[i] != sw.Switch.Targets[i] {
-			t.Errorf("arm %d: got (%d->%d), want (%d->%d)",
-				i, g.Switch.Keys[i], g.Switch.Targets[i], sw.Switch.Keys[i], sw.Switch.Targets[i])
-		}
+	gk, gt := Arms(gotSwitches, 1)
+	if !slices.Equal(gk, keys) || !slices.Equal(gt, targets) {
+		t.Errorf("arms: got %v -> %v, want %v -> %v", gk, gt, keys, targets)
 	}
 }
 
@@ -393,7 +398,11 @@ func TestAssemblerWideSwitch(t *testing.T) {
 	if sw.Target != 2+2*arms {
 		t.Errorf("default target = %d, want %d", sw.Target, 2+2*arms)
 	}
-	for i, target := range sw.SwitchTargets() {
+	_, targets := Arms(a.Switches(), 1)
+	if len(targets) != arms {
+		t.Fatalf("switch has %d arms, want %d", len(targets), arms)
+	}
+	for i, target := range targets {
 		if want := 2 + 2*i; target != want {
 			t.Errorf("arm %d targets %d, want %d", i, target, want)
 		}
@@ -406,14 +415,22 @@ func TestAssemblerWideSwitch(t *testing.T) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode([]byte{0xfe}, nil); err == nil {
-		t.Error("expected error on undefined opcode")
-	}
-	if _, err := Decode([]byte{byte(Bipush)}, nil); err == nil {
-		t.Error("expected error on truncated operand")
-	}
-	if _, err := Decode([]byte{byte(Goto), 0x00, 0x05}, nil); err == nil {
-		t.Error("expected error on branch into nowhere")
+	for _, c := range []struct {
+		name string
+		code []byte
+	}{
+		{"undefined opcode", []byte{0xfe}},
+		{"truncated operand", []byte{byte(Bipush)}},
+		{"branch into nowhere", []byte{byte(Goto), 0x00, 0x05}},
+		{"branch before the body", []byte{byte(Goto), 0xff, 0xff}},
+		{"invokedynamic reserved byte", []byte{byte(Invokedynamic), 0, 1, 1, 0}},
+		{"invokeinterface reserved byte", []byte{byte(Invokeinterface), 0, 1, 1, 1}},
+		{"unsorted lookupswitch keys", []byte{byte(Lookupswitch), 0, 0, 0,
+			0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}},
+	} {
+		if _, _, err := Decode(c.code, nil); err == nil {
+			t.Errorf("%s: Decode accepted % x", c.name, c.code)
+		}
 	}
 }
 
@@ -434,15 +451,80 @@ func TestNegativeBranchEncode(t *testing.T) {
 	a := NewAssembler()
 	a.Label("top").Op(Nop).Op(Nop).Branch(Goto, "top")
 	instrs, _ := a.Finish()
-	code, err := Encode(instrs)
+	code, err := Encode(instrs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(code, nil)
+	got, _, err := Decode(code, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[2].Target != 0 {
 		t.Errorf("back-branch target = %d, want 0", got[2].Target)
+	}
+}
+
+// TestOperandsOutsideWidthRefused: an operand outside its opcode's
+// architected width is an assembly error. Each of these once assembled,
+// encoded and decoded back as another value (iinc 300, 1000 as iinc 44,
+// -24; a switch key 1<<32 as 0, its arms then out of order).
+func TestOperandsOutsideWidthRefused(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		emit func(a *Assembler)
+	}{
+		{"iinc 300, 1000", func(a *Assembler) { a.Iinc(300, 1000) }},
+		{"iinc 1, 1000", func(a *Assembler) { a.Iinc(1, 1000) }},
+		{"bipush 1000", func(a *Assembler) { a.OpA(Bipush, 1000) }},
+		{"bipush 1<<32", func(a *Assembler) { a.OpA(Bipush, 1<<32) }},
+		{"sipush 40000", func(a *Assembler) { a.OpA(Sipush, 40000) }},
+		{"iload 300", func(a *Assembler) { a.ILoad(300).Op(Pop) }},
+		{"newarray 256", func(a *Assembler) { a.PushInt(1).OpA(Newarray, 256).Op(Pop) }},
+		{"ldc_w 70000", func(a *Assembler) { a.Ldc(70000, false).Op(Pop) }},
+		{"getstatic 1<<16", func(a *Assembler) { a.Field(Getstatic, 1<<16).Op(Pop) }},
+		{"invokestatic cp 1<<16", func(a *Assembler) { a.Call(Invokestatic, 1<<16, 0, false) }},
+		{"invokestatic 200 arguments", func(a *Assembler) { a.Call(Invokestatic, 1, 200, false) }},
+		{"lookupswitch key 1<<32", func(a *Assembler) {
+			a.ILoad(0).Switch(map[int64]string{1: "x", 1 << 32: "x"}, "x").Label("x")
+		}},
+	} {
+		a := NewAssembler()
+		c.emit(a)
+		a.Op(Return)
+		if code, err := a.Finish(); err == nil {
+			t.Errorf("%s: assembled as %q", c.name, Disassemble(code))
+		}
+	}
+}
+
+// TestEncodeRefusesWhatDoesNotFit: Encode refuses a hand-built body that
+// does not fit the architected form rather than truncating or dropping a
+// field, or indexing outside the body.
+func TestEncodeRefusesWhatDoesNotFit(t *testing.T) {
+	with := func(in Instruction, f func(*Instruction)) Instruction { f(&in); return in }
+	ret := Make(Return)
+	for _, c := range []struct {
+		name     string
+		code     []Instruction
+		switches []Switch
+	}{
+		{"bipush 1000", []Instruction{MakeA(Bipush, 1000), ret}, nil},
+		{"iload 300", []Instruction{MakeA(Iload, 300), ret}, nil},
+		{"iinc 1, 1000", []Instruction{mustIinc(1, 1000), ret}, nil},
+		{"iadd with an operand", []Instruction{with(Make(Iadd), func(in *Instruction) { in.A = 1 }), ret}, nil},
+		{"nop with a target", []Instruction{with(Make(Nop), func(in *Instruction) { in.Target = 0 }), ret}, nil},
+		{"goto past the end", []Instruction{with(Make(Goto), func(in *Instruction) { in.Target = 7 }), ret}, nil},
+		{"lookupswitch without a table", []Instruction{with(Make(Lookupswitch), func(in *Instruction) { in.Target = 1 }), ret}, nil},
+		{"table on a non-switch", []Instruction{ret}, []Switch{{At: 0}}},
+		{"switch key 1<<32", []Instruction{with(Make(Lookupswitch), func(in *Instruction) { in.Target = 1 }), ret},
+			[]Switch{{At: 0, Keys: []int64{1 << 32}, Targets: []int{1}}}},
+		{"switch keys out of order", []Instruction{with(Make(Lookupswitch), func(in *Instruction) { in.Target = 1 }), ret},
+			[]Switch{{At: 0, Keys: []int64{2, 1}, Targets: []int{1, 1}}}},
+		{"switch arm past the end", []Instruction{with(Make(Lookupswitch), func(in *Instruction) { in.Target = 1 }), ret},
+			[]Switch{{At: 0, Keys: []int64{1}, Targets: []int{3}}}},
+	} {
+		if b, err := Encode(c.code, c.switches); err == nil {
+			t.Errorf("%s: encoded as % x", c.name, b)
+		}
 	}
 }

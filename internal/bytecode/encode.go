@@ -3,6 +3,7 @@ package bytecode
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // SignatureResolver resolves the stack effect of a call site from its
@@ -16,131 +17,118 @@ type SignatureResolver interface {
 	CallEffect(cpIndex int) (argc int, returnsValue bool, err error)
 }
 
-// Encode serializes a decoded instruction stream to architected class-file
-// byte form: one opcode byte plus big-endian operands, with branch targets
-// re-expressed as signed 16-bit byte offsets relative to the branch opcode.
-func Encode(instrs []Instruction) ([]byte, error) {
-	// First pass: byte offset of each instruction.
-	offsets := make([]int, len(instrs)+1)
-	off := 0
-	for i, in := range instrs {
+// Encode serializes a decoded instruction stream and its switches' arm
+// tables to architected class-file byte form: one opcode byte plus
+// big-endian operands, with branch targets re-expressed as signed byte
+// offsets relative to the branch opcode. An operand outside its opcode's
+// architected width, a target outside the body or an invalid arm table is
+// an error, never truncated.
+func Encode(code []Instruction, switches []Switch) ([]byte, error) {
+	if at, err := CheckSwitches(code, switches); err != nil {
+		return nil, fmt.Errorf("instruction %d: %w", at, err)
+	}
+	// First pass: check every instruction and find its byte offset.
+	offsets := make([]int, len(code)+1)
+	off, sw := 0, 0
+	for i, in := range code {
 		offsets[i] = off
-		n, err := encodedLen(in)
+		n, err := encodedLen(in, switches, &sw, len(code))
 		if err != nil {
 			return nil, fmt.Errorf("instruction %d: %w", i, err)
 		}
 		off += n
 	}
-	offsets[len(instrs)] = off
+	offsets[len(code)] = off
 
 	buf := make([]byte, 0, off)
-	for i, in := range instrs {
-		b, err := encodeOne(in, offsets, i)
-		if err != nil {
-			return nil, fmt.Errorf("instruction %d (%s): %w", i, in.Op, err)
+	sw = 0
+	for i, in := range code {
+		info := MustLookup(in.Op)
+		myOff := offsets[i]
+		buf = append(buf, byte(in.Op))
+		switch {
+		case in.Op == Lookupswitch:
+			// Fixed 3-byte padding (we do not require 4-byte alignment of
+			// the method base; the decoder mirrors this choice).
+			s := switches[sw]
+			sw++
+			buf = append(buf, 0, 0, 0)
+			buf = binary.BigEndian.AppendUint32(buf, uint32(offsets[in.Target]-myOff))
+			buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.Keys)))
+			for arm, k := range s.Keys {
+				buf = binary.BigEndian.AppendUint32(buf, uint32(int32(k)))
+				buf = binary.BigEndian.AppendUint32(buf, uint32(offsets[s.Targets[arm]]-myOff))
+			}
+		case info.Branch:
+			delta := offsets[in.Target] - myOff
+			if info.OperandBytes == 4 {
+				buf = binary.BigEndian.AppendUint32(buf, uint32(int32(delta)))
+			} else if delta < math.MinInt16 || delta > math.MaxInt16 {
+				return nil, fmt.Errorf("instruction %d (%s): branch offset %d exceeds 16 bits", i, in.Op, delta)
+			} else {
+				buf = binary.BigEndian.AppendUint16(buf, uint16(delta))
+			}
+		case info.OperandBytes == 1:
+			buf = append(buf, byte(in.A))
+		case in.Op == Iinc:
+			buf = append(buf, byte(in.A), byte(in.B))
+		case info.OperandBytes == 2:
+			buf = binary.BigEndian.AppendUint16(buf, uint16(in.A))
+		case info.OperandBytes == 3: // multianewarray: 2-byte cp index + dimensions byte
+			buf = append(binary.BigEndian.AppendUint16(buf, uint16(in.A)), byte(in.B))
+		case info.OperandBytes == 4: // invokeinterface's count byte; invokedynamic's B is 0
+			buf = append(binary.BigEndian.AppendUint16(buf, uint16(in.A)), byte(in.B), 0)
 		}
-		buf = append(buf, b...)
 	}
 	return buf, nil
 }
 
-func encodedLen(in Instruction) (int, error) {
+// encodedLen checks in, the instruction of a body of n, and returns its
+// encoded length. *sw is the index of the next switch's arm table.
+func encodedLen(in Instruction, switches []Switch, sw *int, n int) (int, error) {
 	info, ok := Lookup(in.Op)
 	if !ok {
 		return 0, fmt.Errorf("undefined opcode 0x%02x", byte(in.Op))
 	}
-	if info.OperandBytes != VarLen {
-		return 1 + info.OperandBytes, nil
+	if err := checkOperands(in.Op, int64(in.A), int64(in.B)); err != nil {
+		return 0, err
 	}
-	switch in.Op {
-	case Lookupswitch:
-		// opcode + pad-to-4 + default(4) + npairs(4) + 8 per pair.
-		// Padding depends on position; account for worst case in the
-		// first pass by computing exactly in encodeOne. To keep offsets
-		// consistent we disallow padding by aligning: we instead always
-		// use 3 pad bytes' worth of space. See encodeOne.
-		return 1 + 3 + 4 + 4 + 8*len(in.SwitchKeys()), nil
+	switch {
+	case info.Branch || in.Op == Lookupswitch:
+		if in.Target < 0 || int(in.Target) > n {
+			return 0, fmt.Errorf("%s targets out of range %d", in.Op, in.Target)
+		}
+	case in.Target != NoTarget:
+		return 0, fmt.Errorf("%s carries target %d", in.Op, in.Target)
+	}
+	switch {
+	case info.OperandBytes != VarLen:
+		return 1 + info.OperandBytes, nil
+	case in.Op == Lookupswitch:
+		// opcode + 3 pad bytes + default(4) + npairs(4) + 8 per pair. The
+		// padding is fixed rather than aligning to 4 (see Encode).
+		keys := len(switches[*sw].Keys)
+		*sw++
+		return 1 + 3 + 4 + 4 + 8*keys, nil
 	default:
 		return 0, fmt.Errorf("variable-length opcode %s not encodable", in.Op)
 	}
 }
 
-func encodeOne(in Instruction, offsets []int, idx int) ([]byte, error) {
-	info := MustLookup(in.Op)
-	myOff := offsets[idx]
-	var buf []byte
-	buf = append(buf, byte(in.Op))
-
-	if in.Op == Lookupswitch {
-		// Fixed 3-byte padding (we do not require 4-byte alignment of the
-		// method base; the decoder mirrors this choice).
-		buf = append(buf, 0, 0, 0)
-		var w [4]byte
-		binary.BigEndian.PutUint32(w[:], uint32(offsets[in.Target]-myOff))
-		buf = append(buf, w[:]...)
-		keys, targets := in.SwitchKeys(), in.SwitchTargets()
-		binary.BigEndian.PutUint32(w[:], uint32(len(keys)))
-		buf = append(buf, w[:]...)
-		for i, k := range keys {
-			binary.BigEndian.PutUint32(w[:], uint32(int32(k)))
-			buf = append(buf, w[:]...)
-			binary.BigEndian.PutUint32(w[:], uint32(offsets[targets[i]]-myOff))
-			buf = append(buf, w[:]...)
-		}
-		return buf, nil
-	}
-
-	if info.Branch {
-		delta := offsets[in.Target] - myOff
-		switch info.OperandBytes {
-		case 2:
-			if delta < -32768 || delta > 32767 {
-				return nil, fmt.Errorf("branch offset %d exceeds 16 bits", delta)
-			}
-			buf = append(buf, byte(delta>>8), byte(delta))
-		case 4:
-			var w [4]byte
-			binary.BigEndian.PutUint32(w[:], uint32(int32(delta)))
-			buf = append(buf, w[:]...)
-		}
-		return buf, nil
-	}
-
-	switch info.OperandBytes {
-	case 0:
-	case 1:
-		buf = append(buf, byte(in.A))
-	case 2:
-		if in.Op == Iinc {
-			buf = append(buf, byte(in.A), byte(in.B))
-		} else {
-			buf = append(buf, byte(in.A>>8), byte(in.A))
-		}
-	case 3: // multianewarray: 2-byte cp index + dimensions byte
-		buf = append(buf, byte(in.A>>8), byte(in.A), byte(in.B))
-	case 4:
-		if in.Op == Invokeinterface {
-			buf = append(buf, byte(in.A>>8), byte(in.A), byte(in.B), 0)
-		} else { // invokedynamic
-			buf = append(buf, byte(in.A>>8), byte(in.A), 0, 0)
-		}
-	default:
-		return nil, fmt.Errorf("unhandled operand width %d", info.OperandBytes)
-	}
-	return buf, nil
-}
-
-// Decode parses architected byte form back into linear-address instructions.
-// resolver may be nil, in which case call sites keep Pop=VarPop and must be
-// resolved before fabric loading.
-func Decode(code []byte, resolver SignatureResolver) ([]Instruction, error) {
-	// First pass: byte offset -> instruction index.
-	idxAt := make(map[int]int)
+// Decode parses architected byte form back into linear-address instructions
+// and the arm tables of their switches. resolver may be nil, in which case
+// call sites keep Pop=VarPop and must be resolved before fabric loading.
+func Decode(code []byte, resolver SignatureResolver) ([]Instruction, []Switch, error) {
+	// idxAt[off] is one more than the index of the instruction starting at
+	// byte offset off; 0 inside an instruction.
+	idxAt := make([]int, len(code))
 	var instrs []Instruction
+	var switches []Switch
+	// A patch waits on a branch's byte offset. Arm -1 is the Target of
+	// instruction at; arm i >= 0 is Targets[i] of arm table at.
 	type patch struct {
-		instr  int
-		arm    int // -1: Target; >=0: Switch.Targets[arm]
-		target int // byte offset
+		at, arm int
+		target  int
 	}
 	var patches []patch
 
@@ -148,127 +136,84 @@ func Decode(code []byte, resolver SignatureResolver) ([]Instruction, error) {
 		op := Opcode(code[pc])
 		info, ok := Lookup(op)
 		if !ok {
-			return nil, fmt.Errorf("offset %d: undefined opcode 0x%02x", pc, byte(op))
+			return nil, nil, fmt.Errorf("offset %d: undefined opcode 0x%02x", pc, byte(op))
 		}
-		idxAt[pc] = len(instrs)
-		in := Instruction{Op: op, Target: NoTarget, Pop: info.Pop, Push: info.Push}
+		idxAt[pc] = len(instrs) + 1
+		in := Instruction{Op: op, Target: NoTarget, Pop: int8(info.Pop), Push: int8(info.Push)}
 		myOff := pc
 		pc++
 
-		readU16 := func() (int, error) {
-			if pc+2 > len(code) {
-				return 0, fmt.Errorf("offset %d: truncated %s", myOff, op)
-			}
-			v := int(binary.BigEndian.Uint16(code[pc:]))
-			pc += 2
-			return v, nil
-		}
-		readS32 := func() (int, error) {
-			if pc+4 > len(code) {
-				return 0, fmt.Errorf("offset %d: truncated %s", myOff, op)
-			}
-			v := int(int32(binary.BigEndian.Uint32(code[pc:])))
-			pc += 4
-			return v, nil
-		}
+		s32 := func(at int) int { return int(int32(binary.BigEndian.Uint32(code[at:]))) }
 
 		switch {
 		case op == Lookupswitch:
 			pc += 3 // fixed padding, mirroring Encode
-			def, err := readS32()
-			if err != nil {
-				return nil, err
+			if pc+8 > len(code) {
+				return nil, nil, fmt.Errorf("offset %d: truncated %s", myOff, op)
 			}
-			patches = append(patches, patch{len(instrs), -1, myOff + def})
-			n, err := readS32()
-			if err != nil {
-				return nil, err
-			}
+			patches = append(patches, patch{len(instrs), -1, myOff + s32(pc)})
+			n := s32(pc + 4)
+			pc += 8
 			if n < 0 || n > 1<<16 {
-				return nil, fmt.Errorf("offset %d: implausible npairs %d", myOff, n)
+				return nil, nil, fmt.Errorf("offset %d: implausible npairs %d", myOff, n)
 			}
-			in.Switch = &Switch{Keys: make([]int64, n), Targets: make([]int, n)}
-			for i := 0; i < n; i++ {
-				k, err := readS32()
-				if err != nil {
-					return nil, err
-				}
-				in.Switch.Keys[i] = int64(k)
-				t, err := readS32()
-				if err != nil {
-					return nil, err
-				}
-				patches = append(patches, patch{len(instrs), i, myOff + t})
+			if pc+8*n > len(code) {
+				return nil, nil, fmt.Errorf("offset %d: truncated %s", myOff, op)
 			}
+			s := Switch{At: len(instrs), Keys: make([]int64, n), Targets: make([]int, n)}
+			for arm := range n {
+				s.Keys[arm] = int64(s32(pc))
+				if arm > 0 && s.Keys[arm] <= s.Keys[arm-1] {
+					return nil, nil, fmt.Errorf("offset %d: lookupswitch keys out of order (%d after %d)", myOff, s.Keys[arm], s.Keys[arm-1])
+				}
+				patches = append(patches, patch{len(switches), arm, myOff + s32(pc+4)})
+				pc += 8
+			}
+			switches = append(switches, s)
 		case op == Tableswitch || op == Wide:
-			return nil, fmt.Errorf("offset %d: %s decoding not supported (assembler never emits it)", myOff, op)
+			return nil, nil, fmt.Errorf("offset %d: %s decoding not supported (assembler never emits it)", myOff, op)
+		case pc+info.OperandBytes > len(code):
+			return nil, nil, fmt.Errorf("offset %d: truncated %s", myOff, op)
 		case info.Branch && info.OperandBytes == 2:
-			v, err := readU16()
-			if err != nil {
-				return nil, err
-			}
-			patches = append(patches, patch{len(instrs), -1, myOff + int(int16(v))})
-		case info.Branch && info.OperandBytes == 4:
-			v, err := readS32()
-			if err != nil {
-				return nil, err
-			}
-			patches = append(patches, patch{len(instrs), -1, myOff + v})
+			patches = append(patches, patch{len(instrs), -1, myOff + int(int16(binary.BigEndian.Uint16(code[pc:])))})
+		case info.Branch:
+			patches = append(patches, patch{len(instrs), -1, myOff + s32(pc)})
+		case op == Bipush:
+			in.A = int32(int8(code[pc]))
 		case info.OperandBytes == 1:
-			if pc >= len(code) {
-				return nil, fmt.Errorf("offset %d: truncated %s", myOff, op)
-			}
-			if op == Bipush {
-				in.A = int64(int8(code[pc]))
-			} else {
-				in.A = int64(code[pc])
-			}
-			pc++
+			in.A = int32(code[pc])
+		case op == Iinc:
+			in.A, in.B = int32(code[pc]), int32(int8(code[pc+1]))
+		case op == Sipush:
+			in.A = int32(int16(binary.BigEndian.Uint16(code[pc:])))
 		case info.OperandBytes == 2:
-			if op == Iinc {
-				if pc+2 > len(code) {
-					return nil, fmt.Errorf("offset %d: truncated iinc", myOff)
-				}
-				in.A = int64(code[pc])
-				in.B = int64(int8(code[pc+1]))
-				pc += 2
-			} else {
-				v, err := readU16()
-				if err != nil {
-					return nil, err
-				}
-				if op == Sipush {
-					in.A = int64(int16(v))
-				} else {
-					in.A = int64(v)
-				}
-			}
-		case info.OperandBytes == 3:
-			if pc+3 > len(code) {
-				return nil, fmt.Errorf("offset %d: truncated %s", myOff, op)
-			}
-			in.A = int64(binary.BigEndian.Uint16(code[pc:]))
-			in.B = int64(code[pc+2])
-			pc += 3
+			in.A = int32(binary.BigEndian.Uint16(code[pc:]))
+		case info.OperandBytes == 3: // multianewarray
+			in.A, in.B = int32(binary.BigEndian.Uint16(code[pc:])), int32(code[pc+2])
 		case info.OperandBytes == 4:
-			v, err := readU16()
-			if err != nil {
-				return nil, err
+			in.A = int32(binary.BigEndian.Uint16(code[pc:]))
+			if op == Invokeinterface {
+				in.B = int32(code[pc+2])
+			} else if code[pc+2] != 0 {
+				return nil, nil, fmt.Errorf("offset %d: %s reserved byte is %d, want 0", myOff, op, code[pc+2])
 			}
-			in.A = int64(v)
-			if pc+2 > len(code) {
-				return nil, fmt.Errorf("offset %d: truncated %s", myOff, op)
+			if code[pc+3] != 0 {
+				return nil, nil, fmt.Errorf("offset %d: %s reserved byte is %d, want 0", myOff, op, code[pc+3])
 			}
-			in.B = int64(code[pc])
-			pc += 2
+		}
+		if op != Lookupswitch {
+			pc += info.OperandBytes
 		}
 
 		if info.Pop == VarPop && info.Group == GroupCall && resolver != nil {
 			argc, rv, err := resolver.CallEffect(int(in.A))
 			if err != nil {
-				return nil, fmt.Errorf("offset %d: resolving %s: %w", myOff, op, err)
+				return nil, nil, fmt.Errorf("offset %d: resolving %s: %w", myOff, op, err)
 			}
-			resolved := MakeCall(op, in.A, argc, rv)
+			resolved, err := makeCall(op, int64(in.A), argc, rv)
+			if err != nil {
+				return nil, nil, fmt.Errorf("offset %d: %w", myOff, err)
+			}
 			resolved.B = in.B
 			in = resolved
 		}
@@ -276,17 +221,17 @@ func Decode(code []byte, resolver SignatureResolver) ([]Instruction, error) {
 	}
 
 	for _, p := range patches {
-		ti, ok := idxAt[p.target]
-		if !ok {
-			return nil, fmt.Errorf("branch into middle of instruction at byte offset %d", p.target)
+		if p.target < 0 || p.target >= len(code) || idxAt[p.target] == 0 {
+			return nil, nil, fmt.Errorf("branch into middle of instruction at byte offset %d", p.target)
 		}
+		ti := idxAt[p.target] - 1
 		if p.arm < 0 {
-			instrs[p.instr].Target = ti
+			instrs[p.at].Target = int32(ti)
 		} else {
-			instrs[p.instr].Switch.Targets[p.arm] = ti
+			switches[p.at].Targets[p.arm] = ti
 		}
 	}
-	return instrs, nil
+	return instrs, switches, nil
 }
 
 // Disassemble renders the stream in JAVAP-like numbered form (Figure 28).

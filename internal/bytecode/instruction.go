@@ -1,6 +1,11 @@
 package bytecode
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+)
 
 // NoTarget marks the Target field of non-branch instructions.
 const NoTarget = -1
@@ -12,92 +17,170 @@ const NoTarget = -1
 // independent of the size of the ByteCode instructions", Section 4.2), so
 // branch targets are instruction indices, not byte offsets. The byte-level
 // encoding is handled by Encode/Decode.
+//
+// An Instruction is 16 bytes and holds no pointer, so a node's corpus of
+// method bodies is never scanned by the garbage collector. Every operand
+// fits its opcode's architected width (the Assembler and Encode refuse one
+// that does not), which int32 always holds. A switch's arm table is not
+// part of the instruction: it is a Switch, kept beside the body.
 type Instruction struct {
 	Op Opcode
-
-	// A is the primary operand: the immediate constant for bipush/sipush,
-	// the local register index for wide-form loads/stores/iinc/ret, or the
-	// constant-pool index for ldc/field/invoke/new instructions.
-	A int64
-	// B is the secondary operand (the iinc delta, or the invokeinterface
-	// count byte).
-	B int64
-
-	// Target is the branch target as an instruction index, or NoTarget.
-	Target int
-
-	// Switch is the arm table of a tableswitch/lookupswitch, whose Target
-	// holds the default; nil for every other opcode. A pointer rather than
-	// two inline slices keeps Instruction at 56 bytes, and generated method
-	// bodies carry no switches at all.
-	Switch *Switch
 
 	// Pop and Push are the resolved stack effects. For most instructions
 	// they mirror the architected table; for invokes they are resolved
 	// from the call signature by the General Purpose Processor before the
-	// method is loaded into the fabric (Section 6.2).
-	Pop, Push int
+	// method is loaded into the fabric (Section 6.2). Pop is VarPop until
+	// then.
+	Pop, Push int8
+
+	// A is the primary operand: the immediate constant for bipush/sipush,
+	// the local register index for wide-form loads/stores/iinc/ret, or the
+	// constant-pool index for ldc/field/invoke/new instructions.
+	A int32
+	// B is the secondary operand (the iinc delta, the invokeinterface
+	// count byte, or the multianewarray dimensions).
+	B int32
+
+	// Target is the branch target as an instruction index, or NoTarget.
+	// A switch's Target is its default.
+	Target int32
 }
 
-// Switch is a switch instruction's arm table: key Keys[i] transfers
-// control to instruction Targets[i].
+// Switch is the arm table of the switch instruction at index At: key
+// Keys[i] transfers control to instruction Targets[i]. A method keeps its
+// tables in instruction order, one per switch instruction.
 type Switch struct {
+	At      int
 	Keys    []int64
 	Targets []int
 }
 
-// SwitchKeys returns the switch arm keys; nil when the instruction has no
-// arm table.
-func (in Instruction) SwitchKeys() []int64 {
-	if in.Switch == nil {
-		return nil
+// Arms returns the arm keys and targets of instruction i from switches, a
+// body's tables in instruction order; nil, nil when i has none.
+func Arms(switches []Switch, i int) (keys []int64, targets []int) {
+	j, ok := slices.BinarySearchFunc(switches, i, func(s Switch, i int) int { return cmp.Compare(s.At, i) })
+	if !ok {
+		return nil, nil
 	}
-	return in.Switch.Keys
+	return switches[j].Keys, switches[j].Targets
 }
 
-// SwitchTargets returns the switch arm targets, parallel to SwitchKeys;
-// nil when the instruction has no arm table.
-func (in Instruction) SwitchTargets() []int {
-	if in.Switch == nil {
-		return nil
+// CheckSwitches reports whether switches is a valid set of arm tables for
+// code: exactly one per switch instruction, in instruction order, with one
+// target per key, keys strictly ascending and within int32 (as the
+// architecture requires), and every target inside the body. On a fault it
+// also returns the index of the instruction at fault.
+func CheckSwitches(code []Instruction, switches []Switch) (int, error) {
+	next := 0
+	for i, in := range code {
+		isSwitch := in.Op == Lookupswitch || in.Op == Tableswitch
+		hasTable := next < len(switches) && switches[next].At == i
+		switch {
+		case isSwitch && !hasTable:
+			return i, fmt.Errorf("%s has no arm table", in.Op)
+		case hasTable && !isSwitch:
+			return i, fmt.Errorf("%s has an arm table", in.Op)
+		case !hasTable:
+			continue
+		}
+		s := switches[next]
+		next++
+		if len(s.Keys) != len(s.Targets) {
+			return i, fmt.Errorf("%d arm keys for %d targets", len(s.Keys), len(s.Targets))
+		}
+		for arm, k := range s.Keys {
+			if k != int64(int32(k)) {
+				return i, fmt.Errorf("switch key %d outside int32", k)
+			}
+			if arm > 0 && k <= s.Keys[arm-1] {
+				return i, fmt.Errorf("switch keys out of order (%d after %d)", k, s.Keys[arm-1])
+			}
+			if t := s.Targets[arm]; t < 0 || t > len(code) {
+				return i, fmt.Errorf("arm %d targets out of range %d", arm, t)
+			}
+		}
 	}
-	return in.Switch.Targets
+	if next < len(switches) {
+		return switches[next].At, fmt.Errorf("arm table out of instruction order or outside the body")
+	}
+	return 0, nil
+}
+
+// checkOperands reports whether a and b fit the operand bytes op encodes
+// them in. An operand op does not encode must be 0, or Encode would drop
+// it.
+func checkOperands(op Opcode, a, b int64) error {
+	var aMin, aMax, bMax int64 // every B is unsigned but iinc's
+	bMin := int64(0)
+	info := MustLookup(op)
+	switch {
+	case info.Branch || info.OperandBytes <= 0:
+	case op == Bipush:
+		aMin, aMax = math.MinInt8, math.MaxInt8
+	case op == Sipush:
+		aMin, aMax = math.MinInt16, math.MaxInt16
+	case op == Iinc:
+		aMax, bMin, bMax = math.MaxUint8, math.MinInt8, math.MaxInt8
+	case info.OperandBytes == 1:
+		aMax = math.MaxUint8
+	case op == Multianewarray || op == Invokeinterface:
+		aMax, bMax = math.MaxUint16, math.MaxUint8
+	default: // a 2-byte index; invokedynamic's other two bytes are zero
+		aMax = math.MaxUint16
+	}
+	if a < aMin || a > aMax {
+		return fmt.Errorf("%s operand %d outside [%d, %d]", op, a, aMin, aMax)
+	}
+	if b < bMin || b > bMax {
+		return fmt.Errorf("%s second operand %d outside [%d, %d]", op, b, bMin, bMax)
+	}
+	return nil
 }
 
 // Make builds an instruction with architected pop/push counts resolved.
-// It panics on VarPop opcodes (calls), which need MakeCall.
+// It panics on VarPop opcodes (calls), which need resolving from the call
+// signature.
 func Make(op Opcode) Instruction {
 	info := MustLookup(op)
 	if info.Pop == VarPop {
-		panic(fmt.Sprintf("bytecode: %s needs MakeCall (signature-dependent pop)", op))
+		panic(fmt.Sprintf("bytecode: %s needs its call signature (signature-dependent pop)", op))
 	}
-	return Instruction{Op: op, Target: NoTarget, Pop: info.Pop, Push: info.Push}
+	return Instruction{Op: op, Target: NoTarget, Pop: int8(info.Pop), Push: int8(info.Push)}
 }
 
 // MakeA builds an instruction with a primary operand.
-func MakeA(op Opcode, a int64) Instruction {
+func MakeA(op Opcode, a int32) Instruction {
 	in := Make(op)
 	in.A = a
 	return in
 }
 
-// MakeCall builds an invoke instruction with its pop count resolved from the
-// call signature: argc arguments plus one receiver for instance invokes, and
-// a single pushed result when the callee returns a value.
-func MakeCall(op Opcode, cpIndex int64, argc int, returnsValue bool) Instruction {
+// maxCallPop is the largest pop count an Instruction holds.
+const maxCallPop = math.MaxInt8
+
+// makeCall builds an invoke instruction with its pop count resolved from
+// the call signature: argc arguments plus one receiver for instance
+// invokes, and a single pushed result when the callee returns a value.
+func makeCall(op Opcode, cpIndex int64, argc int, returnsValue bool) (Instruction, error) {
 	info := MustLookup(op)
 	if info.Group != GroupCall {
-		panic(fmt.Sprintf("bytecode: MakeCall on non-call opcode %s", op))
+		return Instruction{}, fmt.Errorf("%s is not a call opcode", op)
+	}
+	if err := checkOperands(op, cpIndex, 0); err != nil {
+		return Instruction{}, err
 	}
 	pop := argc
 	if op == Invokevirtual || op == Invokespecial || op == Invokeinterface {
 		pop++ // objectref
 	}
-	push := 0
+	if argc < 0 || pop > maxCallPop {
+		return Instruction{}, fmt.Errorf("%s with %d arguments: pop count outside [0, %d]", op, argc, maxCallPop)
+	}
+	push := int8(0)
 	if returnsValue {
 		push = 1
 	}
-	return Instruction{Op: op, A: cpIndex, Target: NoTarget, Pop: pop, Push: push}
+	return Instruction{Op: op, A: int32(cpIndex), Target: NoTarget, Pop: int8(pop), Push: push}, nil
 }
 
 // Info returns the architected description of the instruction's opcode.
@@ -179,7 +262,7 @@ func (in Instruction) IntConst() (int64, bool) {
 	}
 	switch in.Op {
 	case Bipush, Sipush:
-		return in.A, true
+		return int64(in.A), true
 	}
 	return 0, false
 }

@@ -75,11 +75,11 @@ func TestEncodeDecodeRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		code, err := Encode(instrs)
+		code, err := Encode(instrs, nil)
 		if err != nil {
 			return false
 		}
-		got, err := Decode(code, nil)
+		got, _, err := Decode(code, nil)
 		if err != nil || len(got) != len(instrs) {
 			return false
 		}

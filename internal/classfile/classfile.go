@@ -189,7 +189,11 @@ type Method struct {
 	MaxStack  int
 
 	Code []bytecode.Instruction
-	Pool *ConstantPool
+	// Switches holds the arm tables of Code's switch instructions, in
+	// instruction order (bytecode.Assembler.Switches); nil for a body
+	// without one. Read them with Arms.
+	Switches []bytecode.Switch
+	Pool     *ConstantPool
 
 	// sig and hash memoise Signature and Hash on first use. A method is
 	// immutable once constructed (the literal, Verify's MaxStack stamp and
@@ -208,6 +212,12 @@ func (m *Method) ParamRegisters() int {
 		n++
 	}
 	return n
+}
+
+// Arms returns the arm keys and targets of the switch at instruction i;
+// nil, nil when instruction i has no arm table.
+func (m *Method) Arms(i int) (keys []int64, targets []int) {
+	return bytecode.Arms(m.Switches, i)
 }
 
 // Ref returns the method's own reference record.
@@ -260,12 +270,12 @@ func (m *Method) Hash() uint64 {
 	writeInt(int64(m.MaxLocals))
 	writeInt(int64(m.MaxStack))
 	writeInt(int64(len(m.Code)))
-	for _, in := range m.Code {
+	for i, in := range m.Code {
 		writeInt(int64(in.Op))
-		writeInt(in.A)
-		writeInt(in.B)
+		writeInt(int64(in.A))
+		writeInt(int64(in.B))
 		writeInt(int64(in.Target))
-		keys, targets := in.SwitchKeys(), in.SwitchTargets()
+		keys, targets := m.Arms(i)
 		writeInt(int64(len(keys)))
 		for _, k := range keys {
 			writeInt(k)

@@ -23,10 +23,14 @@ func (e *VerifyError) Error() string {
 // stack depth from all predecessors (the JVM restriction of Figure 9),
 // stack depth never goes negative or exceeds a bound, local register
 // accesses stay within MaxLocals, all call sites are signature-resolved,
-// and branch targets are in range. On success it fills in m.MaxStack.
+// every switch has one valid arm table, and branch targets are in range.
+// On success it fills in m.MaxStack.
 func Verify(m *Method) error {
 	if len(m.Code) == 0 {
 		return &VerifyError{m.Signature(), 0, "empty code"}
+	}
+	if at, err := bytecode.CheckSwitches(m.Code, m.Switches); err != nil {
+		return &VerifyError{m.Signature(), at, err.Error()}
 	}
 	if m.ParamRegisters() > m.MaxLocals {
 		return &VerifyError{m.Signature(), 0,
@@ -72,12 +76,12 @@ func Verify(m *Method) error {
 			return &VerifyError{m.Signature(), item.idx,
 				fmt.Sprintf("register %d out of range (MaxLocals %d)", reg, m.MaxLocals)}
 		}
-		after := item.depth - in.Pop
+		after := item.depth - int(in.Pop)
 		if after < 0 {
 			return &VerifyError{m.Signature(), item.idx,
 				fmt.Sprintf("%s pops %d with only %d on stack", in.Op, in.Pop, item.depth)}
 		}
-		after += in.Push
+		after += int(in.Push)
 		if after > maxDepth {
 			maxDepth = after
 		}
@@ -87,7 +91,7 @@ func Verify(m *Method) error {
 		// fall-through resumes at the depth before the jsr (the
 		// subroutine consumes the address and preserves the stack).
 		if in.Op == bytecode.Jsr || in.Op == bytecode.JsrW {
-			if err := push(in.Target, after); err != nil {
+			if err := push(int(in.Target), after); err != nil {
 				return &VerifyError{m.Signature(), item.idx, err.Error()}
 			}
 			if item.idx+1 >= len(m.Code) {
@@ -114,20 +118,21 @@ func Verify(m *Method) error {
 		}
 		switch {
 		case in.Op == bytecode.Goto || in.Op == bytecode.GotoW:
-			if err := push(in.Target, after); err != nil {
+			if err := push(int(in.Target), after); err != nil {
 				return &VerifyError{m.Signature(), item.idx, err.Error()}
 			}
 		case in.Op == bytecode.Lookupswitch || in.Op == bytecode.Tableswitch:
-			if err := push(in.Target, after); err != nil {
+			if err := push(int(in.Target), after); err != nil {
 				return &VerifyError{m.Signature(), item.idx, err.Error()}
 			}
-			for _, t := range in.SwitchTargets() {
+			_, targets := m.Arms(item.idx)
+			for _, t := range targets {
 				if err := push(t, after); err != nil {
 					return &VerifyError{m.Signature(), item.idx, err.Error()}
 				}
 			}
 		case in.IsBranch():
-			if err := push(in.Target, after); err != nil {
+			if err := push(int(in.Target), after); err != nil {
 				return &VerifyError{m.Signature(), item.idx, err.Error()}
 			}
 			fallthrough
@@ -181,7 +186,7 @@ func EntryDepths(m *Method) ([]int, error) {
 		item := work[len(work)-1]
 		work = work[:len(work)-1]
 		in := m.Code[item.idx]
-		after := item.depth - in.Pop + in.Push
+		after := item.depth - int(in.Pop) + int(in.Push)
 		visit := func(idx int) {
 			if depths[idx] == -1 {
 				depths[idx] = after
@@ -193,20 +198,21 @@ func EntryDepths(m *Method) ([]int, error) {
 		}
 		switch {
 		case in.Op == bytecode.Jsr || in.Op == bytecode.JsrW:
-			visit(in.Target)
+			visit(int(in.Target))
 			if depths[item.idx+1] == -1 {
 				depths[item.idx+1] = item.depth
 				work = append(work, workItem{item.idx + 1, item.depth})
 			}
 		case in.Op == bytecode.Goto || in.Op == bytecode.GotoW:
-			visit(in.Target)
+			visit(int(in.Target))
 		case in.Op == bytecode.Lookupswitch || in.Op == bytecode.Tableswitch:
-			visit(in.Target)
-			for _, t := range in.SwitchTargets() {
+			visit(int(in.Target))
+			_, targets := m.Arms(item.idx)
+			for _, t := range targets {
 				visit(t)
 			}
 		case in.IsBranch():
-			visit(in.Target)
+			visit(int(in.Target))
 			visit(item.idx + 1)
 		default:
 			visit(item.idx + 1)

@@ -96,7 +96,7 @@ func (d *Deployment) DescribeResolution() string {
 	for i, in := range m.Code {
 		dir := "(0)"
 		if in.IsBranch() {
-			if in.Target > i {
+			if int(in.Target) > i {
 				dir = "(+)"
 			} else {
 				dir = "(-)"

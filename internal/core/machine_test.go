@@ -52,7 +52,7 @@ func TestMachineDeployRejectsIneligible(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := &classfile.Method{Class: "Demo", Name: "sw", MaxLocals: 1,
-		Code: code, Pool: classfile.NewConstantPool()}
+		Code: code, Switches: a.Switches(), Pool: classfile.NewConstantPool()}
 	m := NewMachine(sim.Configurations()[0])
 	_, err = m.Deploy(bad)
 	var le *fabric.LoadError

@@ -141,8 +141,8 @@ func Analyze(m *classfile.Method) (*Analysis, error) {
 			an.Calls++
 		}
 		if in.IsBranch() {
-			j := Jump{From: i, To: in.Target}
-			if in.Target > i {
+			j := Jump{From: i, To: int(in.Target)}
+			if j.To > i {
 				an.ForwardJumps = append(an.ForwardJumps, j)
 			} else {
 				an.BackJumps = append(an.BackJumps, j)
@@ -192,11 +192,11 @@ func Analyze(m *classfile.Method) (*Analysis, error) {
 		in := m.Code[idx]
 		st := entry[idx].clone()
 
-		if in.Pop > len(st) {
+		if int(in.Pop) > len(st) {
 			return nil, fmt.Errorf("dataflow: underflow at %d (%s)", idx, in.Op)
 		}
-		st = st[:len(st)-in.Pop]
-		for p := 0; p < in.Push; p++ {
+		st = st[:len(st)-int(in.Pop)]
+		for p := 0; p < int(in.Push); p++ {
 			st = append(st, producerSet{idx})
 		}
 
@@ -204,20 +204,21 @@ func Analyze(m *classfile.Method) (*Analysis, error) {
 		case in.IsReturn(), in.Op == bytecode.Ret:
 			continue
 		case in.Op == bytecode.Goto || in.Op == bytecode.GotoW:
-			if err := propagate(idx, in.Target, st); err != nil {
+			if err := propagate(idx, int(in.Target), st); err != nil {
 				return nil, err
 			}
 		case in.Op == bytecode.Lookupswitch || in.Op == bytecode.Tableswitch:
-			if err := propagate(idx, in.Target, st); err != nil {
+			if err := propagate(idx, int(in.Target), st); err != nil {
 				return nil, err
 			}
-			for _, t := range in.SwitchTargets() {
+			_, targets := m.Arms(idx)
+			for _, t := range targets {
 				if err := propagate(idx, t, st); err != nil {
 					return nil, err
 				}
 			}
 		case in.Op == bytecode.Jsr || in.Op == bytecode.JsrW:
-			if err := propagate(idx, in.Target, st); err != nil {
+			if err := propagate(idx, int(in.Target), st); err != nil {
 				return nil, err
 			}
 			// fall-through resumes without the pushed return address
@@ -225,7 +226,7 @@ func Analyze(m *classfile.Method) (*Analysis, error) {
 				return nil, err
 			}
 		case in.IsBranch():
-			if err := propagate(idx, in.Target, st); err != nil {
+			if err := propagate(idx, int(in.Target), st); err != nil {
 				return nil, err
 			}
 			if err := propagate(idx, idx+1, st); err != nil {
@@ -245,7 +246,7 @@ func Analyze(m *classfile.Method) (*Analysis, error) {
 			continue
 		}
 		st := entry[idx]
-		group := st[len(st)-in.Pop:]
+		group := st[len(st)-int(in.Pop):]
 		for side, producers := range group {
 			if len(producers) >= 2 {
 				an.Merges++

@@ -18,7 +18,7 @@ func method(t *testing.T, maxLocals int, build func(a *bytecode.Assembler)) *cla
 	}
 	m := &classfile.Method{
 		Class: "T", Name: "m", MaxLocals: maxLocals,
-		Code: code, Pool: classfile.NewConstantPool(),
+		Code: code, Switches: a.Switches(), Pool: classfile.NewConstantPool(),
 	}
 	return m
 }

@@ -225,7 +225,7 @@ func (cf *ConcurrentFabric) resolveConcurrently(ctx context.Context, m *classfil
 						finishOne()
 						continue
 					}
-					if in.Push > msg.skip {
+					if int(in.Push) > msg.skip {
 						// This node produces the wanted value: record
 						// the consumer's mesh address.
 						captured[key] = true
@@ -236,7 +236,7 @@ func (cf *ConcurrentFabric) resolveConcurrently(ctx context.Context, m *classfil
 						continue
 					}
 					captured[key] = true
-					next := msg.skip - in.Push + in.Pop
+					next := msg.skip - int(in.Push) + int(in.Pop)
 					for _, s := range sources.Of(i) {
 						if !send(int(s), message{kind: msgNeed, consumer: msg.consumer, side: msg.side, skip: next}) {
 							return
@@ -253,8 +253,8 @@ func (cf *ConcurrentFabric) resolveConcurrently(ctx context.Context, m *classfil
 	atomic.AddInt64(&outstanding, 1) // guard against premature zero
 	for c := 0; c < n; c++ {
 		in := m.Code[c]
-		for side := 1; side <= in.Pop; side++ {
-			skip := in.Pop - side
+		for side := 1; side <= int(in.Pop); side++ {
+			skip := int(in.Pop) - side
 			for _, s := range sources.Of(c) {
 				if !send(int(s), message{kind: msgNeed, consumer: c, side: side, skip: skip}) {
 					stopWork()

@@ -94,10 +94,10 @@ func referenceResolve(p *fabric.Placement) (*refResolution, error) {
 		switch {
 		case in.IsReturn():
 		case in.Op == bytecode.Goto || in.Op == bytecode.GotoW:
-			addSource(in.Target, i)
+			addSource(int(in.Target), i)
 			branchMessages++
 		case in.IsBranch():
-			addSource(in.Target, i)
+			addSource(int(in.Target), i)
 			addSource(i+1, i)
 			branchMessages++
 		default:
@@ -110,8 +110,8 @@ func referenceResolve(p *fabric.Placement) (*refResolution, error) {
 
 	for c := n - 1; c >= 0; c-- {
 		in := m.Code[c]
-		for side := 1; side <= in.Pop; side++ {
-			skip := in.Pop - side
+		for side := 1; side <= int(in.Pop); side++ {
+			skip := int(in.Pop) - side
 			visited := make(map[[2]int]bool)
 			producers := map[int]bool{}
 
@@ -129,7 +129,7 @@ func referenceResolve(p *fabric.Placement) (*refResolution, error) {
 				}
 				visited[key] = true
 				pin := m.Code[st.node]
-				if pin.Push > st.skip {
+				if int(pin.Push) > st.skip {
 					if !producers[st.node] {
 						producers[st.node] = true
 						r.Targets[st.node] = append(r.Targets[st.node],
@@ -141,7 +141,7 @@ func referenceResolve(p *fabric.Placement) (*refResolution, error) {
 					continue
 				}
 				r.QUp[st.node]++
-				next := st.skip - pin.Push + pin.Pop
+				next := st.skip - int(pin.Push) + int(pin.Pop)
 				for _, s := range r.Sources[st.node] {
 					work = append(work, state{s, next})
 				}
@@ -160,7 +160,7 @@ func referenceResolve(p *fabric.Placement) (*refResolution, error) {
 				r.Merges++
 			}
 		}
-		r.QUp[c] += in.Pop
+		r.QUp[c] += int(in.Pop)
 	}
 
 	for i, in := range m.Code {

@@ -145,9 +145,9 @@ func successors(in *bytecode.Instruction, i int) (a, b int, branch bool) {
 	case in.IsReturn():
 		return -1, -1, false
 	case in.Op == bytecode.Goto || in.Op == bytecode.GotoW:
-		return in.Target, -1, true
+		return int(in.Target), -1, true
 	case in.IsBranch():
-		return in.Target, i + 1, true
+		return int(in.Target), i + 1, true
 	default:
 		return i + 1, -1, false
 	}
@@ -186,12 +186,12 @@ func Resolve(p *Placement) (*Resolution, error) {
 	var need int32
 	pops := 0
 	for i := range m.Code {
-		pops += m.Code[i].Pop
+		pops += int(m.Code[i].Pop)
 	}
 	caps := make([]capture, 0, pops) // one per need, more at merges
 	work := make([]state, 0, 8)
 	for c := n - 1; c >= 0; c-- {
-		pop := m.Code[c].Pop
+		pop := int(m.Code[c].Pop)
 		for side := 1; side <= pop; side++ {
 			need++
 			producers := 0
@@ -206,7 +206,7 @@ func Resolve(p *Placement) (*Resolution, error) {
 				}
 				visited[st.node] = need
 				pin := &m.Code[st.node]
-				if pin.Push > st.skip {
+				if int(pin.Push) > st.skip {
 					// Captured: this node produces the wanted value.
 					producers++
 					caps = append(caps, capture{int32(st.node), Target{int32(c), int32(side)}})
@@ -217,7 +217,7 @@ func Resolve(p *Placement) (*Resolution, error) {
 				}
 				// Forwarded further up: buffer accounting.
 				r.QUp[st.node]++
-				next := st.skip - pin.Push + pin.Pop
+				next := st.skip - int(pin.Push) + int(pin.Pop)
 				sources := src.Of(st.node)
 				for _, s := range sources {
 					work = append(work, state{int(s), next})

@@ -170,7 +170,7 @@ func (vm *Machine) step(f *frame, in bytecode.Instruction, next *int) (stepKind,
 		f.push(Double(v))
 		return stepNext, stepResult{}, nil
 	case op == bytecode.Bipush || op == bytecode.Sipush:
-		f.push(Int(in.A))
+		f.push(Int(int64(in.A)))
 		return stepNext, stepResult{}, nil
 
 	case op == bytecode.Pop:
@@ -263,7 +263,7 @@ func (vm *Machine) step(f *frame, in bytecode.Instruction, next *int) (stepKind,
 		return stepNext, stepResult{}, nil
 	case op == bytecode.Iinc:
 		reg := int(in.A)
-		f.locals[reg] = Int(f.locals[reg].I + in.B)
+		f.locals[reg] = Int(f.locals[reg].I + int64(in.B))
 		return stepNext, stepResult{}, nil
 
 	// ----- arithmetic -----
@@ -276,7 +276,7 @@ func (vm *Machine) step(f *frame, in bytecode.Instruction, next *int) (stepKind,
 
 	// ----- control flow -----
 	case op == bytecode.Goto || op == bytecode.GotoW:
-		*next = in.Target
+		*next = int(in.Target)
 		return stepNext, stepResult{}, nil
 	case op >= bytecode.Ifeq && op <= bytecode.Ifle:
 		v, err := f.pop()
@@ -284,7 +284,7 @@ func (vm *Machine) step(f *frame, in bytecode.Instruction, next *int) (stepKind,
 			return stepNext, stepResult{}, err
 		}
 		if intCondition(op, v.I) {
-			*next = in.Target
+			*next = int(in.Target)
 		}
 		return stepNext, stepResult{}, nil
 	case op >= bytecode.IfIcmpeq && op <= bytecode.IfIcmple:
@@ -293,7 +293,7 @@ func (vm *Machine) step(f *frame, in bytecode.Instruction, next *int) (stepKind,
 			return stepNext, stepResult{}, err
 		}
 		if intCondition(op-(bytecode.IfIcmpeq-bytecode.Ifeq), vs[0].I-vs[1].I) {
-			*next = in.Target
+			*next = int(in.Target)
 		}
 		return stepNext, stepResult{}, nil
 	case op == bytecode.IfAcmpeq || op == bytecode.IfAcmpne:
@@ -303,7 +303,7 @@ func (vm *Machine) step(f *frame, in bytecode.Instruction, next *int) (stepKind,
 		}
 		eq := vs[0].I == vs[1].I
 		if (op == bytecode.IfAcmpeq) == eq {
-			*next = in.Target
+			*next = int(in.Target)
 		}
 		return stepNext, stepResult{}, nil
 	case op == bytecode.Ifnull || op == bytecode.Ifnonnull:
@@ -312,7 +312,7 @@ func (vm *Machine) step(f *frame, in bytecode.Instruction, next *int) (stepKind,
 			return stepNext, stepResult{}, err
 		}
 		if (op == bytecode.Ifnull) == v.IsNull() {
-			*next = in.Target
+			*next = int(in.Target)
 		}
 		return stepNext, stepResult{}, nil
 	case op == bytecode.Lookupswitch:
@@ -320,17 +320,18 @@ func (vm *Machine) step(f *frame, in bytecode.Instruction, next *int) (stepKind,
 		if err != nil {
 			return stepNext, stepResult{}, err
 		}
-		*next = in.Target
-		for i, k := range in.SwitchKeys() {
+		*next = int(in.Target)
+		keys, targets := f.m.Arms(f.pc)
+		for i, k := range keys {
 			if k == v.I {
-				*next = in.SwitchTargets()[i]
+				*next = targets[i]
 				break
 			}
 		}
 		return stepNext, stepResult{}, nil
 	case op == bytecode.Jsr || op == bytecode.JsrW:
 		f.push(Value{K: KindRetAddr, I: int64(f.pc + 1)})
-		*next = in.Target
+		*next = int(in.Target)
 		return stepNext, stepResult{}, nil
 	case op == bytecode.Ret:
 		ra := f.locals[int(in.A)]
@@ -522,7 +523,7 @@ func (vm *Machine) step(f *frame, in bytecode.Instruction, next *int) (stepKind,
 		// GPP-serviced (native) methods short-circuit the frame machinery,
 		// as Service instructions do in the fabric.
 		if fn, ok := vm.Native(c.Method.Class, c.Method.Name); ok {
-			args, err := f.popN(in.Pop)
+			args, err := f.popN(int(in.Pop))
 			if err != nil {
 				return stepNext, stepResult{}, err
 			}
@@ -539,7 +540,7 @@ func (vm *Machine) step(f *frame, in bytecode.Instruction, next *int) (stepKind,
 		if err != nil {
 			return stepNext, stepResult{}, err
 		}
-		args, err := f.popN(in.Pop)
+		args, err := f.popN(int(in.Pop))
 		if err != nil {
 			return stepNext, stepResult{}, err
 		}

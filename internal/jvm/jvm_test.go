@@ -25,7 +25,7 @@ func buildMethod(t *testing.T, vm *Machine, name string, argc, maxLocals int,
 	}
 	m := &classfile.Method{
 		Name: name, Argc: argc, ReturnsValue: returns,
-		MaxLocals: maxLocals, Code: code, Pool: pool,
+		MaxLocals: maxLocals, Code: code, Switches: a.Switches(), Pool: pool,
 	}
 	c := classfile.NewClass("T")
 	c.Add(m)

@@ -158,7 +158,7 @@ func decodeMeta(code []bytecode.Instruction) []nodeMeta {
 	for i := range code {
 		in := &code[i]
 		m := nodeMeta{
-			target:   int32(in.Target),
+			target:   in.Target,
 			localReg: -1,
 			pop:      int32(in.Pop),
 			push:     int32(in.Push),

@@ -19,7 +19,7 @@ func buildTestMethod(t *testing.T, maxLocals int, build func(a *bytecode.Assembl
 	}
 	return &classfile.Method{
 		Class: "T", Name: "m", MaxLocals: maxLocals,
-		Code: code, Pool: classfile.NewConstantPool(),
+		Code: code, Switches: a.Switches(), Pool: classfile.NewConstantPool(),
 	}
 }
 

@@ -285,9 +285,9 @@ func (r *refEngine) arrive(t refToken, i int) {
 	// or fall-through decision it routes latecomers along the decided
 	// path, after a backward-taken one it keeps buffering until TAIL.
 	if r.control(i) {
-		if n.phase == refFired && (!in.IsBranch() || !n.taken || in.Target > i) {
-			if in.IsBranch() && n.taken && in.Target > i {
-				r.sendTo(t, i, in.Target, 0)
+		if n.phase == refFired && (!in.IsBranch() || !n.taken || int(in.Target) > i) {
+			if in.IsBranch() && n.taken && int(in.Target) > i {
+				r.sendTo(t, i, int(in.Target), 0)
 			} else {
 				r.sendOn(t, i, 0)
 			}
@@ -373,7 +373,7 @@ func (r *refEngine) releaseTails() {
 		}
 		in := &r.prog[i]
 		jump := r.control(i) && in.IsBranch() && n.taken
-		if jump && in.Target <= i {
+		if jump && int(in.Target) <= i {
 			r.transport(i)
 			continue
 		}
@@ -387,7 +387,7 @@ func (r *refEngine) releaseTails() {
 			}
 		}
 		if jump {
-			r.sendTo(refToken{kind: refTail}, i, in.Target, 0)
+			r.sendTo(refToken{kind: refTail}, i, int(in.Target), 0)
 		} else {
 			r.sendOn(refToken{kind: refTail}, i, 0)
 		}
@@ -437,7 +437,7 @@ func (r *refEngine) releaseMemory(i int) {
 func (r *refEngine) transport(i int) {
 	n := &r.cells[i]
 	in := &r.prog[i]
-	if n.phase != refFired || !n.taken || !in.IsBranch() || in.Target > i || !r.hasTail(i) {
+	if n.phase != refFired || !n.taken || !in.IsBranch() || int(in.Target) > i || !r.hasTail(i) {
 		return
 	}
 	for _, s := range r.serial {
@@ -451,13 +451,13 @@ func (r *refEngine) transport(i int) {
 		}
 	}
 	bundle := n.held
-	for k := in.Target; k <= i; k++ {
+	for k := int(in.Target); k <= i; k++ {
 		r.cells[k] = refNode{everFired: r.cells[k].everFired}
 	}
 	sort.SliceStable(bundle, func(a, b int) bool { return bundle[a].kind < bundle[b].kind })
-	hops := r.serialHops(i, in.Target)
+	hops := r.serialHops(i, int(in.Target))
 	for k, t := range bundle {
-		r.serial = append(r.serial, refSerial{tok: t, to: in.Target, delay: hops + k})
+		r.serial = append(r.serial, refSerial{tok: t, to: int(in.Target), delay: hops + k})
 	}
 }
 
@@ -477,15 +477,15 @@ func (r *refEngine) tryFire(i int) {
 			return
 		}
 	case bytecode.GroupMemRead, bytecode.GroupMemWrite:
-		if !n.headSeen || !n.memSeen || n.pops < in.Pop {
+		if !n.headSeen || !n.memSeen || n.pops < int(in.Pop) {
 			return
 		}
 	case bytecode.GroupReturn:
-		if !n.headSeen || n.pops < in.Pop || !r.hasTail(i) {
+		if !n.headSeen || n.pops < int(in.Pop) || !r.hasTail(i) {
 			return
 		}
 	case bytecode.GroupControl:
-		if !n.headSeen || n.pops < in.Pop {
+		if !n.headSeen || n.pops < int(in.Pop) {
 			return
 		}
 		// The direction is decided now; a backward-taken jump also needs
@@ -493,13 +493,13 @@ func (r *refEngine) tryFire(i int) {
 		switch {
 		case in.Op == bytecode.Goto || in.Op == bytecode.GotoW:
 			n.taken = true
-		case in.Target > i:
+		case int(in.Target) > i:
 			n.taken = r.bp.Forward(i)
 		default:
 			n.taken = r.bp.Backward(i)
 		}
 	default:
-		if !n.headSeen || n.pops < in.Pop {
+		if !n.headSeen || n.pops < int(in.Pop) {
 			return
 		}
 	}
@@ -553,8 +553,8 @@ func (r *refEngine) fire(i int) {
 		switch {
 		case !in.IsBranch() || !n.taken:
 			r.release(i, -1)
-		case in.Target > i:
-			r.release(i, in.Target)
+		case int(in.Target) > i:
+			r.release(i, int(in.Target))
 		default:
 			r.transport(i)
 		}

@@ -51,12 +51,12 @@ func referenceMethodHash(m *classfile.Method) uint64 {
 	writeInt(int64(m.MaxLocals))
 	writeInt(int64(m.MaxStack))
 	writeInt(int64(len(m.Code)))
-	for _, in := range m.Code {
+	for i, in := range m.Code {
 		writeInt(int64(in.Op))
-		writeInt(in.A)
-		writeInt(in.B)
+		writeInt(int64(in.A))
+		writeInt(int64(in.B))
 		writeInt(int64(in.Target))
-		keys, targets := in.SwitchKeys(), in.SwitchTargets()
+		keys, targets := m.Arms(i)
 		writeInt(int64(len(keys)))
 		for _, k := range keys {
 			writeInt(k)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"reflect"
+	"slices"
 	"testing"
 
 	"javaflow/internal/bytecode"
@@ -47,7 +48,7 @@ func TestEncodeDigest(t *testing.T) {
 	h := sha256.New()
 	var buf [8]byte
 	for _, m := range Corpus(2014, 1580) {
-		code, err := bytecode.Encode(m.Code)
+		code, err := bytecode.Encode(m.Code, m.Switches)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Signature(), err)
 		}
@@ -56,11 +57,11 @@ func TestEncodeDigest(t *testing.T) {
 		binary.LittleEndian.PutUint64(buf[:], uint64(len(code)))
 		h.Write(buf[:])
 		h.Write(code)
-		back, err := bytecode.Decode(code, m.Pool)
+		back, switches, err := bytecode.Decode(code, m.Pool)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", m.Signature(), err)
 		}
-		if !reflect.DeepEqual(back, m.Code) {
+		if !slices.Equal(back, m.Code) || !reflect.DeepEqual(switches, m.Switches) {
 			t.Fatalf("%s: decoded body differs from the method's", m.Signature())
 		}
 	}

@@ -140,7 +140,7 @@ func TestGenerateBranchStatistics(t *testing.T) {
 		inFilter++
 		for i, in := range m.Code {
 			if in.IsBranch() {
-				if in.Target > i {
+				if int(in.Target) > i {
 					fwd++
 				} else {
 					back++

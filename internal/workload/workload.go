@@ -50,6 +50,7 @@ func build(pool *classfile.ConstantPool, spec methodSpec, body func(a *bytecode.
 		ReturnsValue: spec.Returns,
 		MaxLocals:    spec.MaxLocals,
 		Code:         code,
+		Switches:     a.Switches(),
 		Pool:         pool,
 	}
 	if err := classfile.Verify(m); err != nil {
