@@ -32,11 +32,17 @@ func Encode(code []Instruction, switches []Switch) ([]byte, error) {
 	off, sw := 0, 0
 	for i, in := range code {
 		offsets[i] = off
-		n, err := encodedLen(in, switches, &sw, len(code))
-		if err != nil {
+		if err := checkEncodable(in, len(code)); err != nil {
 			return nil, fmt.Errorf("instruction %d: %w", i, err)
 		}
-		off += n
+		if in.Op == Lookupswitch {
+			// opcode + 3 pad bytes + default(4) + npairs(4) + 8 per pair.
+			// The padding is fixed rather than aligning to 4 (see below).
+			off += 1 + 3 + 4 + 4 + 8*len(switches[sw].Keys)
+			sw++
+		} else {
+			off += 1 + MustLookup(in.Op).OperandBytes
+		}
 	}
 	offsets[len(code)] = off
 
@@ -83,36 +89,25 @@ func Encode(code []Instruction, switches []Switch) ([]byte, error) {
 	return buf, nil
 }
 
-// encodedLen checks in, the instruction of a body of n, and returns its
-// encoded length. *sw is the index of the next switch's arm table.
-func encodedLen(in Instruction, switches []Switch, sw *int, n int) (int, error) {
+// checkEncodable reports whether in, an instruction of a body of n, has
+// an architected byte form: a defined fixed-length opcode or lookupswitch,
+// operands within their widths, and a target inside the body exactly when
+// the opcode has one.
+func checkEncodable(in Instruction, n int) error {
 	info, ok := Lookup(in.Op)
-	if !ok {
-		return 0, fmt.Errorf("undefined opcode 0x%02x", byte(in.Op))
-	}
-	if err := checkOperands(in.Op, int64(in.A), int64(in.B)); err != nil {
-		return 0, err
-	}
 	switch {
+	case !ok:
+		return fmt.Errorf("undefined opcode 0x%02x", byte(in.Op))
+	case info.OperandBytes == VarLen && in.Op != Lookupswitch:
+		return fmt.Errorf("variable-length opcode %s not encodable", in.Op)
 	case info.Branch || in.Op == Lookupswitch:
 		if in.Target < 0 || int(in.Target) > n {
-			return 0, fmt.Errorf("%s targets out of range %d", in.Op, in.Target)
+			return fmt.Errorf("%s targets out of range %d", in.Op, in.Target)
 		}
 	case in.Target != NoTarget:
-		return 0, fmt.Errorf("%s carries target %d", in.Op, in.Target)
+		return fmt.Errorf("%s carries target %d", in.Op, in.Target)
 	}
-	switch {
-	case info.OperandBytes != VarLen:
-		return 1 + info.OperandBytes, nil
-	case in.Op == Lookupswitch:
-		// opcode + 3 pad bytes + default(4) + npairs(4) + 8 per pair. The
-		// padding is fixed rather than aligning to 4 (see Encode).
-		keys := len(switches[*sw].Keys)
-		*sw++
-		return 1 + 3 + 4 + 4 + 8*keys, nil
-	default:
-		return 0, fmt.Errorf("variable-length opcode %s not encodable", in.Op)
-	}
+	return checkOperands(in.Op, int64(in.A), int64(in.B))
 }
 
 // Decode parses architected byte form back into linear-address instructions

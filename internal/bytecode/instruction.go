@@ -110,8 +110,7 @@ func CheckSwitches(code []Instruction, switches []Switch) (int, error) {
 // them in. An operand op does not encode must be 0, or Encode would drop
 // it.
 func checkOperands(op Opcode, a, b int64) error {
-	var aMin, aMax, bMax int64 // every B is unsigned but iinc's
-	bMin := int64(0)
+	var aMin, aMax, bMin, bMax int64
 	info := MustLookup(op)
 	switch {
 	case info.Branch || info.OperandBytes <= 0:
