@@ -72,8 +72,8 @@ func (a *Assembler) emit(op Opcode, x, y int64) *Assembler {
 	if err := checkOperands(op, x, y); err != nil {
 		a.errs = append(a.errs, fmt.Errorf("instruction %d: %w", len(a.instrs), err))
 	}
-	in := Make(op)
-	in.A, in.B = int32(x), int32(y)
+	in := MakeA(op, int32(x))
+	in.B = int32(y)
 	a.instrs = append(a.instrs, in)
 	return a
 }

@@ -154,9 +154,6 @@ func MakeA(op Opcode, a int32) Instruction {
 	return in
 }
 
-// maxCallPop is the largest pop count an Instruction holds.
-const maxCallPop = math.MaxInt8
-
 // makeCall builds an invoke instruction with its pop count resolved from
 // the call signature: argc arguments plus one receiver for instance
 // invokes, and a single pushed result when the callee returns a value.
@@ -172,8 +169,8 @@ func makeCall(op Opcode, cpIndex int64, argc int, returnsValue bool) (Instructio
 	if op == Invokevirtual || op == Invokespecial || op == Invokeinterface {
 		pop++ // objectref
 	}
-	if argc < 0 || pop > maxCallPop {
-		return Instruction{}, fmt.Errorf("%s with %d arguments: pop count outside [0, %d]", op, argc, maxCallPop)
+	if argc < 0 || pop > math.MaxInt8 {
+		return Instruction{}, fmt.Errorf("%s with %d arguments: pop count outside [0, %d]", op, argc, math.MaxInt8)
 	}
 	push := int8(0)
 	if returnsValue {
