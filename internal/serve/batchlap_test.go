@@ -75,13 +75,14 @@ func batchLap(t testing.TB) (http.Handler, []byte) {
 }
 
 // TestFanOutAllocations gates the fan-out's own cost: 50 000 no-op jobs
-// allocate the goroutines, the channels and a reorder window, never a
-// result per job (the slice-backed fan-out allocated 15.3 MB here). On one
-// worker completions arrive in order and the window stays one slot wide.
-// On four, the window grows to the spread of completions, which for
-// no-op jobs is set by how long the Go scheduler leaves a worker that
-// holds the next index waiting (up to one 10 ms time slice, thousands of
-// no-op jobs): up to 8.4 MB at -cpu 2 and 4, so it is logged, not gated.
+// allocate the goroutines, the lock and a reorder window, never a result
+// per job (the slice-backed fan-out allocated 15.3 MB here). On one worker
+// completions arrive in order and the window stays one slot wide. On four,
+// the window grows to the spread of completions, which for no-op jobs is
+// set by how long the Go scheduler leaves a worker that holds the next
+// index waiting (up to one 10 ms time slice, thousands of no-op jobs): 1.1
+// to 8.4 MB at -cpu 2 and 4, as with the channel fan-out before it, so it
+// is logged, not gated.
 func TestFanOutAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"javaflow/internal/classfile"
 	"javaflow/internal/sim"
@@ -264,5 +267,83 @@ func TestFanOutCancelledSlowHead(t *testing.T) {
 	}
 	if done != int(ran.Load()) || done >= len(jobs)-1 {
 		t.Fatalf("%d results ran, %d runs counted; want every run emitted and the rest cancelled", done, ran.Load())
+	}
+}
+
+// TestFanOutBlockedEmitStopsPool: an emit that blocks stops the pool.
+// While emit holds index 0, at most 2 × workers jobs complete (the channel
+// fan-out this replaced read exactly 8; a window without the bound ran all
+// 63 others). Once emit is released every index is emitted once, in order.
+func TestFanOutBlockedEmitStopsPool(t *testing.T) {
+	const workers = 4
+	jobs := make([]Job, 64)
+	for i := range jobs {
+		jobs[i].Method = &classfile.Method{Name: strconv.Itoa(i)}
+	}
+	var ran atomic.Int64
+	run := func(j Job) (sim.MethodRun, error) {
+		ran.Add(1)
+		return sim.MethodRun{Signature: j.Method.Name}, nil
+	}
+	blocked, release, done := make(chan int64), make(chan struct{}), make(chan struct{})
+	emitted := 0
+	emit := func(i int, r JobResult) {
+		if i != emitted || r.Err != nil || r.Run.Signature != strconv.Itoa(i) {
+			t.Errorf("emitted index %d (%+v) after %d results", i, r, emitted)
+		}
+		emitted++
+		if i == 0 {
+			blocked <- ran.Load()
+			<-release
+		}
+	}
+	go func() {
+		defer close(done)
+		FanOut(context.Background(), jobs, workers, emit, run)
+	}()
+	atEmit := <-blocked
+	// The pool has stopped once no job completes for 50 ms; without the
+	// bound it runs all 63 other jobs well within that.
+	for settled := int64(-1); ran.Load() != settled; time.Sleep(50 * time.Millisecond) {
+		settled = ran.Load()
+	}
+	n := ran.Load() - atEmit
+	if n > 2*workers {
+		t.Errorf("%d jobs completed while emit was blocked, want <= %d", n, 2*workers)
+	}
+	t.Logf("%d jobs completed while emit was blocked", n)
+	close(release)
+	<-done
+	if emitted != len(jobs) {
+		t.Fatalf("emitted %d results for %d jobs", emitted, len(jobs))
+	}
+}
+
+// TestFanOutEmitsNeverOverlap: emit runs on whichever worker completes the
+// head, but two calls never run at once and indexes arrive in order. Run
+// it under -race too: the race detector checks that each call sees the
+// writes of the one before.
+func TestFanOutEmitsNeverOverlap(t *testing.T) {
+	jobs := make([]Job, 2000)
+	run := func(Job) (sim.MethodRun, error) {
+		time.Sleep(rand.N(50 * time.Microsecond))
+		return sim.MethodRun{}, nil
+	}
+	var inside atomic.Bool
+	emitted := 0
+	emit := func(i int, _ JobResult) {
+		if !inside.CompareAndSwap(false, true) {
+			t.Errorf("emit %d started while another emit was running", i)
+		}
+		if i != emitted {
+			t.Errorf("emitted index %d after %d results", i, emitted)
+		}
+		emitted++
+		runtime.Gosched()
+		inside.Store(false)
+	}
+	FanOut(context.Background(), jobs, 8, emit, run)
+	if emitted != len(jobs) {
+		t.Fatalf("emitted %d results for %d jobs", emitted, len(jobs))
 	}
 }

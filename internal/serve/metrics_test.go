@@ -16,7 +16,7 @@ func TestMetricsEngineThroughput(t *testing.T) {
 	sched := NewScheduler(SchedulerOptions{Workers: 1, MaxMeshCycles: testMaxCycles})
 
 	before := sim.TotalEngineStats()
-	if _, err := sched.RunMethod(context.Background(), cfg, methods[0]); err != nil {
+	if _, err := sched.RunMethodCycles(context.Background(), cfg, methods[0], 0); err != nil {
 		t.Fatal(err)
 	}
 	snap := sched.Snapshot()

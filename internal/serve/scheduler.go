@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"javaflow/internal/classfile"
 	"javaflow/internal/fabric"
@@ -59,8 +60,8 @@ type BatchRunner interface {
 	RunMethodCycles(ctx context.Context, cfg sim.Config, m *classfile.Method, maxCycles int) (sim.MethodRun, error)
 	// RunBatchStream executes jobs with the given per-execution mesh-cycle
 	// bound (0 = implementation default) and calls emit once per job, in
-	// submission order, as soon as that job and every earlier one have
-	// completed.
+	// submission order, once that job and every earlier one completed: on
+	// any goroutine, never two calls at once, all before it returns.
 	RunBatchStream(ctx context.Context, jobs []Job, maxCycles int, emit func(i int, r JobResult))
 }
 
@@ -160,14 +161,10 @@ func (s *Scheduler) runner(ctx context.Context, maxCycles int) sim.Runner {
 	return sim.Runner{MaxMeshCycles: maxCycles, Ctx: ctx, Resolve: s.resolve}
 }
 
-// RunMethod executes one job synchronously through the cache (no pool).
-func (s *Scheduler) RunMethod(ctx context.Context, cfg sim.Config, m *classfile.Method) (sim.MethodRun, error) {
-	return s.RunMethodCycles(ctx, cfg, m, 0)
-}
-
-// RunMethodCycles is RunMethod with an explicit per-execution mesh-cycle
-// bound overriding the scheduler default (0 keeps the default). It is the
-// per-job entry point dispatch backends call directly.
+// RunMethodCycles executes one job synchronously through the cache (no
+// pool) under an explicit per-execution mesh-cycle bound overriding the
+// scheduler default (0 keeps the default). It is the per-job entry point
+// dispatch backends call directly.
 func (s *Scheduler) RunMethodCycles(ctx context.Context, cfg sim.Config, m *classfile.Method, maxCycles int) (sim.MethodRun, error) {
 	if err := ctx.Err(); err != nil {
 		return sim.MethodRun{}, err
@@ -255,15 +252,14 @@ func (s *Scheduler) RunBatchStream(ctx context.Context, jobs []Job, maxCycles in
 	})
 }
 
-// FanOut is the one ordered fan-out behind every BatchRunner: it executes
-// run for each job on up to workers goroutines and calls emit exactly once
-// per job, in submission order, as soon as that job and every earlier one
-// have completed. It keeps no per-job state: a result that completes ahead
-// of an earlier one waits in a reorder window as wide as the spread of
+// FanOut is the one ordered fan-out behind every BatchRunner: it runs each
+// job on one of up to workers goroutines, the caller's among them, and
+// calls emit exactly once per job, in submission order, as soon as that job
+// and every earlier one have completed: from whichever worker completes the
+// head, never two calls at once, the last before FanOut returns. Results
+// that complete early wait in a reorder window as wide as the spread of
 // completions, not the batch. Jobs not yet started when ctx is cancelled
-// report ctx.Err() without running. A batch of one runs on the caller's
-// goroutine — a pool buys a single job nothing but a handoff. emit always
-// runs on the caller's goroutine.
+// report ctx.Err() without running; a batch of one runs inline.
 func FanOut(ctx context.Context, jobs []Job, workers int, emit func(i int, r JobResult), run func(Job) (sim.MethodRun, error)) {
 	if len(jobs) <= 1 {
 		for i, j := range jobs {
@@ -277,55 +273,59 @@ func FanOut(ctx context.Context, jobs []Job, workers int, emit func(i int, r Job
 	}
 
 	workers = max(1, min(workers, len(jobs)))
-	indexes := make(chan int)
-	// One slot per worker: a worker that finishes while the collector is
-	// inside emit parks its result here instead of idling.
-	completed := make(chan completion, workers)
-	var wg sync.WaitGroup
-	for w := workers; w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range indexes {
-				c := completion{i: i}
+	var (
+		claimed  atomic.Int64
+		mu       sync.Mutex // guards win, emitting and held
+		win      reorderWindow
+		emitting bool // a worker is draining the window through emit
+		// held is how far deposits have outrun emits in the current drain;
+		// at workers, depositors wait, so a blocked emit stops the pool.
+		held    int
+		drained = sync.NewCond(&mu)
+		wg      sync.WaitGroup
+	)
+	work := func() {
+		defer wg.Done()
+		for i := int(claimed.Add(1)) - 1; i < len(jobs); i = int(claimed.Add(1)) - 1 {
+			// A worker never blocks, so it yields once per job: timers and
+			// other goroutines of this process must not wait out a time slice.
+			runtime.Gosched()
+			c := completion{i: i, err: ctx.Err()}
+			if c.err == nil {
 				c.run, c.err = run(jobs[i])
-				completed <- c
 			}
-		}()
-	}
-	go func() {
-	feed:
-		for i := range jobs {
-			select {
-			case indexes <- i:
-			case <-ctx.Done():
-				// Indexes from i on were never handed to a worker; jobs
-				// that were already delivered stamp ctx.Err() themselves
-				// via run's own context checks.
-				for k := i; k < len(jobs); k++ {
-					completed <- completion{i: k, err: ctx.Err()}
+			mu.Lock()
+			win.put(i-win.next, c)
+			if emitting { // the emitting worker picks c up
+				held++
+				for emitting && held >= workers {
+					drained.Wait()
 				}
-				break feed
+				mu.Unlock()
+				continue
 			}
-		}
-		close(indexes)
-		wg.Wait()
-		close(completed)
-	}()
-
-	// Every index arrives exactly once: from the worker that ran it, or
-	// from the feeder for jobs cancelled before they were handed out.
-	var win reorderWindow
-	for c := range completed {
-		win.put(c.i-win.next, c)
-		for c, ok := win.pop(); ok; c, ok = win.pop() {
-			emit(c.i, JobResult{Job: jobs[c.i], Run: c.run, Err: c.err})
+			emitting, held = true, 0
+			for c, ok := win.pop(); ok; c, ok = win.pop() {
+				mu.Unlock()
+				emit(c.i, JobResult{Job: jobs[c.i], Run: c.run, Err: c.err})
+				mu.Lock()
+				held--
+				drained.Broadcast()
+			}
+			emitting = false
+			drained.Broadcast()
+			mu.Unlock()
 		}
 	}
+	wg.Add(workers)
+	for w := workers; w > 1; w-- {
+		go work()
+	}
+	work()
+	wg.Wait()
 }
 
-// completion is one job's outcome on its way from a worker to FanOut's
-// collector.
+// completion is one job's outcome, held in the reorder window until emitted.
 type completion struct {
 	i   int
 	run sim.MethodRun

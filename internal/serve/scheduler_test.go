@@ -187,7 +187,7 @@ func TestRunMethodThroughCache(t *testing.T) {
 		t.Fatalf("serial: %v", err)
 	}
 	for i := 0; i < 3; i++ {
-		got, err := sched.RunMethod(context.Background(), cfg, methods[0])
+		got, err := sched.RunMethodCycles(context.Background(), cfg, methods[0], 0)
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}

@@ -309,10 +309,10 @@ func (s *Store) PutMeta(name string, val []byte) {
 
 // HasRun reports whether k is live without counting a hit or a miss — the
 // peek dispatch fronts use to decide a retry can be served warm from the
-// local store.
+// local store. It builds the key on the stack, as GetRun does.
 func (s *Store) HasRun(k RunKey) bool {
 	s.mu.Lock()
-	e, ok := s.index[string(k.encode())]
+	e, ok := s.index[string(k.appendKey(make([]byte, 0, 256)))]
 	s.mu.Unlock()
 	return ok && e.typ == recTypeRun
 }

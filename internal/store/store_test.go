@@ -121,6 +121,32 @@ func TestStoreRunKeyDiscriminates(t *testing.T) {
 	}
 }
 
+// TestHasRunAllocations: the peek dispatch fronts make before a warm retry
+// builds its key on the stack, as GetRun does, so it allocates nothing on
+// a hit or a miss (it allocated the key's bytes on both before).
+func TestHasRunAllocations(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer st.Close()
+	m, cfg := testMethod(t)
+	hit, miss := RunKeyFor(cfg, m, 400_000), RunKeyFor(cfg, m, 200_000)
+	st.PutRun(hit, runFor(t, cfg, m))
+	for _, c := range []struct {
+		name string
+		key  RunKey
+		want bool
+	}{{"hit", hit, true}, {"miss", miss, false}} {
+		if got := st.HasRun(c.key); got != c.want {
+			t.Fatalf("HasRun on a %s = %v", c.name, got)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { st.HasRun(c.key) }); allocs != 0 {
+			t.Errorf("HasRun on a %s: %.0f allocations per call, want 0", c.name, allocs)
+		}
+	}
+}
+
 func TestStoreDeployRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{})
