@@ -107,3 +107,24 @@ func TestWithDeadlineOnlyTightens(t *testing.T) {
 		t.Fatalf("deadline = %v, want tightened to %v", dl, tight)
 	}
 }
+
+// FuzzParseDeadline holds ParseDeadline to its contract on any wire value
+// and clock: it never panics, and an accepted deadline lies after the
+// Unix epoch, at most MaxDeadlineAhead past now, and parses back from
+// FormatDeadline unchanged.
+func FuzzParseDeadline(f *testing.F) {
+	f.Add("1767268890000", int64(1767268800000))
+	f.Fuzz(func(t *testing.T, value string, nowMilli int64) {
+		now := time.UnixMilli(nowMilli)
+		dl, ok := ParseDeadline(value, now)
+		if !ok {
+			return
+		}
+		if !dl.After(time.Unix(0, 0)) || dl.Sub(now) > MaxDeadlineAhead {
+			t.Fatalf("ParseDeadline(%q, %v) accepted %v", value, now, dl)
+		}
+		if again, ok := ParseDeadline(FormatDeadline(dl), now); !ok || !again.Equal(dl) {
+			t.Fatalf("ParseDeadline(%q) = %v, but %q parses to %v, %v", value, dl, FormatDeadline(dl), again, ok)
+		}
+	})
+}

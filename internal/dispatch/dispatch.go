@@ -1,9 +1,9 @@
 // Package dispatch shards simulation batches across multiple jfserved
 // instances. A Dispatcher fronts N backends — remote peers spoken to over
 // the /v1/run HTTP API, plus the in-process scheduler as a terminal
-// fallback — behind the same RunBatch-shaped interface serve.Scheduler
-// exposes, so the HTTP surface, the bench driver and the experiment sweeps
-// can switch between one node and many without changing shape.
+// fallback — behind the serve.BatchRunner interface serve.Scheduler
+// implements too, so the HTTP surface, the bench driver and the experiment
+// sweeps can switch between one node and many without changing shape.
 //
 // Routing is a consistent-hash ring keyed on the method signature: the
 // same method always lands on the same node, keeping that node's
@@ -494,12 +494,14 @@ func (d *Dispatcher) maxCyclesOrDefault(maxCycles int) int {
 	return d.local.MaxMeshCycles()
 }
 
-// RunMethodCycles routes one job: a batch of one, which the fan-out runs on
-// the caller's goroutine.
+// RunMethodCycles routes one job on the caller's goroutine, as RelayRun
+// does, and decodes whatever a Remote answered.
 func (d *Dispatcher) RunMethodCycles(ctx context.Context, cfg sim.Config, m *classfile.Method, maxCycles int) (sim.MethodRun, error) {
-	var r serve.JobResult
-	d.RunBatchStream(ctx, []serve.Job{{Config: cfg, Method: m}}, maxCycles, func(_ int, jr serve.JobResult) { r = jr })
-	return r.Run, r.Err
+	if err := ctx.Err(); err != nil {
+		return sim.MethodRun{}, err
+	}
+	_, run, err := d.runJob(ctx, serve.Job{Config: cfg, Method: m}, d.maxCyclesOrDefault(maxCycles), false)
+	return run, err
 }
 
 // RelayRun implements serve.Relayer: it routes one job as RunMethodCycles
@@ -518,7 +520,7 @@ func (d *Dispatcher) RelayRun(ctx context.Context, cfg sim.Config, m *classfile.
 // batch on the local scheduler alone.
 func (d *Dispatcher) RunBatchCycles(ctx context.Context, jobs []serve.Job, maxCycles int) []serve.JobResult {
 	results := make([]serve.JobResult, len(jobs))
-	d.RunBatchStream(ctx, jobs, maxCycles, func(i int, r serve.JobResult) { results[i] = r })
+	d.RunBatchStream(ctx, len(jobs), func(i int) serve.Job { return jobs[i] }, maxCycles, func(i int, r serve.JobResult) { results[i] = r })
 	return results
 }
 
@@ -533,12 +535,12 @@ func (d *Dispatcher) workers() int {
 	return w
 }
 
-// RunBatchStream dispatches jobs across the backends and delivers each
-// result exactly once through emit, in submission order, as serve.FanOut
-// does; it keeps no per-job slice.
-func (d *Dispatcher) RunBatchStream(ctx context.Context, jobs []serve.Job, maxCycles int, emit func(i int, r serve.JobResult)) {
+// RunBatchStream dispatches the n jobs job(0) … job(n-1) across the
+// backends and delivers each result exactly once through emit, in
+// submission order, as serve.FanOut does; it keeps no per-job slice.
+func (d *Dispatcher) RunBatchStream(ctx context.Context, n int, job func(int) serve.Job, maxCycles int, emit func(i int, r serve.JobResult)) {
 	maxCycles = d.maxCyclesOrDefault(maxCycles)
-	serve.FanOut(ctx, jobs, d.workers(), emit, func(j serve.Job) (sim.MethodRun, error) {
+	serve.FanOut(ctx, n, job, d.workers(), emit, func(j serve.Job) (sim.MethodRun, error) {
 		_, run, err := d.runJob(ctx, j, maxCycles, false)
 		return run, err
 	})

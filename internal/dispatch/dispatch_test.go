@@ -70,6 +70,11 @@ func sweepJobs(t testing.TB, configNames []string, methods []*classfile.Method) 
 	return jobs
 }
 
+// jobAt indexes a job list the way RunBatchStream asks for jobs.
+func jobAt(jobs []serve.Job) func(int) serve.Job {
+	return func(i int) serve.Job { return jobs[i] }
+}
+
 // assertSameResults demands got and want agree run-for-run, byte-for-byte.
 func assertSameResults(t *testing.T, got, want []serve.JobResult) {
 	t.Helper()
@@ -428,7 +433,7 @@ func TestDispatchStreamIsIncremental(t *testing.T) {
 	emitFirst := make(chan struct{})
 	go func() {
 		defer close(done)
-		d.RunBatchStream(context.Background(), jobs, testMaxCycles, func(i int, r serve.JobResult) {
+		d.RunBatchStream(context.Background(), len(jobs), jobAt(jobs), testMaxCycles, func(i int, r serve.JobResult) {
 			order = append(order, i)
 			results = append(results, r)
 			if !released {
@@ -574,12 +579,12 @@ func TestDispatchSingleJobInline(t *testing.T) {
 		single  []serve.JobResult
 	)
 	emit := func(i int, r serve.JobResult) { emitted = append(emitted, i); single = append(single, r) }
-	d.RunBatchStream(context.Background(), jobs[:1], testMaxCycles, emit)
+	d.RunBatchStream(context.Background(), 1, jobAt(jobs), testMaxCycles, emit)
 	if !reflect.DeepEqual(emitted, []int{0}) {
 		t.Fatalf("emitted %v, want exactly [0]", emitted)
 	}
 	var pooled []serve.JobResult
-	d.RunBatchStream(context.Background(), jobs, testMaxCycles, func(_ int, r serve.JobResult) { pooled = append(pooled, r) })
+	d.RunBatchStream(context.Background(), len(jobs), jobAt(jobs), testMaxCycles, func(_ int, r serve.JobResult) { pooled = append(pooled, r) })
 	assertSameResults(t, single, pooled[:1])
 	direct, err := d.RunMethodCycles(context.Background(), jobs[0].Config, jobs[0].Method, testMaxCycles)
 	if err != nil || !reflect.DeepEqual(direct, pooled[0].Run) {
@@ -590,7 +595,7 @@ func TestDispatchSingleJobInline(t *testing.T) {
 	cancel()
 	before := d.Stats().Backends[0].Jobs
 	emitted, single = nil, nil
-	d.RunBatchStream(ctx, jobs[:1], testMaxCycles, emit)
+	d.RunBatchStream(ctx, 1, jobAt(jobs), testMaxCycles, emit)
 	if single[0].Err != context.Canceled || !reflect.DeepEqual(emitted, []int{0}) {
 		t.Fatalf("cancelled: err %v, emitted %v; want ctx.Err() and exactly [0]", single[0].Err, emitted)
 	}

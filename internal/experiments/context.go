@@ -6,11 +6,11 @@
 // bench_test.go both drive this package.
 //
 // The load-bearing invariant: the tables and the scenario presets share one
-// sweep loop over the same serve.Scheduler/collect path the daemon uses —
-// never a private engine loop — so scenario-keyed and table sweeps produce
-// byte-identical digests (TestChapter7DigestsMatchSimResults compares
-// them), and the rendered output at jfbench defaults is pinned byte for
-// byte in testdata (TestGoldenOutput).
+// sweep, serve.Scheduler.RunAll, over the same pool and cache the daemon
+// uses — never a private engine loop — so scenario-keyed and table sweeps
+// produce byte-identical digests (TestChapter7DigestsMatchSimResults
+// compares them), and the rendered output at jfbench defaults is pinned
+// byte for byte in testdata (TestGoldenOutput).
 package experiments
 
 import (
@@ -155,7 +155,7 @@ func (c *Context) SimResults(cfg sim.Config) (*sim.ConfigResults, error) {
 	if r, ok := c.simResult[cfg.Name]; ok {
 		return r, nil
 	}
-	cr, err := c.sweep(cfg, c.Corpus())
+	cr, err := c.Scheduler().RunAll(context.Background(), cfg, c.Corpus())
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +164,7 @@ func (c *Context) SimResults(cfg sim.Config) (*sim.ConfigResults, error) {
 }
 
 // RunScenario sweeps a preset's selection of the corpus across every
-// configuration — through sweep, the loop SimResults uses, so "chapter7"
+// configuration — through Scheduler().RunAll, as SimResults, so "chapter7"
 // stays byte-identical to the table path — and reports each
 // configuration as a digest over its MethodRun encodings.
 func (c *Context) RunScenario(p *scenario.Preset) (*scenario.Report, error) {
@@ -174,7 +174,7 @@ func (c *Context) RunScenario(p *scenario.Preset) (*scenario.Report, error) {
 	}
 	rep := &scenario.Report{Scenario: p.Name}
 	for _, cfg := range sim.Configurations() {
-		cr, err := c.sweep(cfg, methods)
+		cr, err := c.Scheduler().RunAll(context.Background(), cfg, methods)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scenario %s on %s: %w", p.Name, cfg.Name, err)
 		}
@@ -188,16 +188,6 @@ func (c *Context) RunScenario(p *scenario.Preset) (*scenario.Report, error) {
 		})
 	}
 	return rep, nil
-}
-
-// sweep runs methods on one configuration through the context's scheduler
-// and collects the runs in method order.
-func (c *Context) sweep(cfg sim.Config, methods []*classfile.Method) (*sim.ConfigResults, error) {
-	jobs := make([]serve.Job, len(methods))
-	for i, m := range methods {
-		jobs[i] = serve.Job{Config: cfg, Method: m}
-	}
-	return serve.CollectRuns(cfg, c.Scheduler().RunBatchCycles(context.Background(), jobs, c.MaxMeshCycles))
 }
 
 // Baseline returns the Baseline configuration's results.

@@ -183,3 +183,22 @@ func TestTracerConcurrent(t *testing.T) {
 		t.Errorf("span count = %d, want %d", tr.SpanCount(), 8*500*2)
 	}
 }
+
+// FuzzParseTrace holds ParseTrace to its contract on any header value: it
+// never panics, a rejected value yields the zero TraceContext, and an
+// accepted one parses back from its own Header unchanged.
+func FuzzParseTrace(f *testing.F) {
+	f.Add("0123456789abcdef-fedcba9876543210-3")
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, ok := ParseTrace(s)
+		if !ok {
+			if tc != (TraceContext{}) {
+				t.Fatalf("ParseTrace(%q) rejected the value but returned %+v", s, tc)
+			}
+			return
+		}
+		if again, ok := ParseTrace(tc.Header()); !ok || again != tc {
+			t.Fatalf("ParseTrace(%q) = %+v, but its header %q parses to %+v, %v", s, tc, tc.Header(), again, ok)
+		}
+	})
+}

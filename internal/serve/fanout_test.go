@@ -34,7 +34,7 @@ func TestFanOutSingleJobInline(t *testing.T) {
 	run := func(Job) (sim.MethodRun, error) { ran++; return want, nil } // unsynchronised: must stay on this goroutine
 	emit := func(i int, r JobResult) { emitted = append(emitted, i); results = append(results, r) }
 
-	FanOut(context.Background(), job, 4, emit, run)
+	FanOut(context.Background(), 1, jobAt(job), 4, emit, run)
 	if ran != 1 || len(results) != 1 || results[0].Err != nil || results[0].Run != want || results[0].Job != job[0] {
 		t.Fatalf("ran %d times, results %+v", ran, results)
 	}
@@ -45,30 +45,36 @@ func TestFanOutSingleJobInline(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran, emitted, results = 0, nil, nil
-	FanOut(ctx, job, 4, emit, run)
+	FanOut(ctx, 1, jobAt(job), 4, emit, run)
 	if ran != 0 || !errors.Is(results[0].Err, context.Canceled) {
 		t.Fatalf("cancelled: ran %d times, err %v; want no run and context.Canceled", ran, results[0].Err)
 	}
 	if !reflect.DeepEqual(emitted, []int{0}) {
 		t.Fatalf("cancelled: emitted %v, want exactly [0]", emitted)
 	}
-	if FanOut(ctx, nil, 4, emit, run); len(results) != 1 || len(emitted) != 1 {
+	if FanOut(ctx, 0, jobAt(nil), 4, emit, run); len(results) != 1 || len(emitted) != 1 {
 		t.Fatalf("empty batch: %d results, %d emits", len(results)-1, len(emitted)-1)
 	}
+}
+
+// jobAt indexes a job list the way FanOut and RunBatchStream ask for jobs.
+func jobAt(jobs []Job) func(int) Job {
+	return func(i int) Job { return jobs[i] }
 }
 
 // streamed collects what RunBatchStream emits, in emission order, with the
 // index each result came with.
 func streamed(ctx context.Context, r BatchRunner, jobs []Job) (order []int, results []JobResult) {
-	r.RunBatchStream(ctx, jobs, 0, func(i int, jr JobResult) {
+	r.RunBatchStream(ctx, len(jobs), jobAt(jobs), 0, func(i int, jr JobResult) {
 		order = append(order, i)
 		results = append(results, jr)
 	})
 	return order, results
 }
 
-// TestSchedulerSingleJobMatchesPool: the inline single-job path and the
-// pooled path produce the same result for the same job.
+// TestSchedulerSingleJobMatchesPool: a batch of one, which runs on the
+// caller's goroutine alone, and a pooled batch produce the same result for
+// the same job.
 func TestSchedulerSingleJobMatchesPool(t *testing.T) {
 	job := Job{Config: testConfig(t, "Hetero2"), Method: hostableMethods(t, 1)[0]}
 	sched := NewScheduler(SchedulerOptions{Workers: 4, MaxMeshCycles: testMaxCycles})
@@ -215,7 +221,7 @@ func TestFanOutSkewedCompletion(t *testing.T) {
 		return sim.MethodRun{Signature: j.Method.Name}, nil
 	}
 	emit, results := orderedEmits(t, jobs)
-	FanOut(context.Background(), jobs, 4, emit, run)
+	FanOut(context.Background(), len(jobs), jobAt(jobs), 4, emit, run)
 	if len(*results) != len(jobs) {
 		t.Fatalf("emitted %d results for %d jobs", len(*results), len(jobs))
 	}
@@ -249,7 +255,7 @@ func TestFanOutCancelledSlowHead(t *testing.T) {
 		return sim.MethodRun{Signature: j.Method.Name}, nil
 	}
 	emit, results := orderedEmits(t, jobs)
-	FanOut(ctx, jobs, 4, emit, run)
+	FanOut(ctx, len(jobs), jobAt(jobs), 4, emit, run)
 	if len(*results) != len(jobs) {
 		t.Fatalf("emitted %d results for %d jobs", len(*results), len(jobs))
 	}
@@ -299,7 +305,7 @@ func TestFanOutBlockedEmitStopsPool(t *testing.T) {
 	}
 	go func() {
 		defer close(done)
-		FanOut(context.Background(), jobs, workers, emit, run)
+		FanOut(context.Background(), len(jobs), jobAt(jobs), workers, emit, run)
 	}()
 	atEmit := <-blocked
 	// The pool has stopped once no job completes for 50 ms; without the
@@ -324,7 +330,7 @@ func TestFanOutBlockedEmitStopsPool(t *testing.T) {
 // it under -race too: the race detector checks that each call sees the
 // writes of the one before.
 func TestFanOutEmitsNeverOverlap(t *testing.T) {
-	jobs := make([]Job, 2000)
+	const jobs = 2000
 	run := func(Job) (sim.MethodRun, error) {
 		time.Sleep(rand.N(50 * time.Microsecond))
 		return sim.MethodRun{}, nil
@@ -342,8 +348,8 @@ func TestFanOutEmitsNeverOverlap(t *testing.T) {
 		runtime.Gosched()
 		inside.Store(false)
 	}
-	FanOut(context.Background(), jobs, 8, emit, run)
-	if emitted != len(jobs) {
-		t.Fatalf("emitted %d results for %d jobs", emitted, len(jobs))
+	FanOut(context.Background(), jobs, func(int) Job { return Job{} }, 8, emit, run)
+	if emitted != jobs {
+		t.Fatalf("emitted %d results for %d jobs", emitted, jobs)
 	}
 }

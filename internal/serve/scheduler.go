@@ -58,11 +58,12 @@ type BatchRunner interface {
 	// RunMethodCycles executes one job on the caller's goroutine — the
 	// POST /v1/run path, which has no batch to order.
 	RunMethodCycles(ctx context.Context, cfg sim.Config, m *classfile.Method, maxCycles int) (sim.MethodRun, error)
-	// RunBatchStream executes jobs with the given per-execution mesh-cycle
-	// bound (0 = implementation default) and calls emit once per job, in
-	// submission order, once that job and every earlier one completed: on
-	// any goroutine, never two calls at once, all before it returns.
-	RunBatchStream(ctx context.Context, jobs []Job, maxCycles int, emit func(i int, r JobResult))
+	// RunBatchStream executes the n jobs job(0) … job(n-1) with the given
+	// per-execution mesh-cycle bound (0 = implementation default) and
+	// calls emit once per job, in submission order, once that job and
+	// every earlier one completed: on any goroutine, never two calls at
+	// once, all before it returns.
+	RunBatchStream(ctx context.Context, n int, job func(i int) Job, maxCycles int, emit func(i int, r JobResult))
 }
 
 // Scheduler fans simulation jobs across a bounded goroutine pool, routing
@@ -226,53 +227,39 @@ func jobOutcome(err error) string {
 	return "error"
 }
 
-// RunBatch executes jobs across the worker pool and returns one result per
-// job, in submission order. Cancelling ctx stops the pool: jobs already
-// executing abort at the engine's next preemption check, jobs not yet
-// started report ctx.Err().
-func (s *Scheduler) RunBatch(ctx context.Context, jobs []Job) []JobResult {
-	return s.RunBatchCycles(ctx, jobs, 0)
-}
-
-// RunBatchCycles is RunBatch with an explicit per-execution mesh-cycle
-// bound overriding the scheduler default (0 keeps the default). It holds
-// the whole batch; the service's batch paths fold results as they arrive
-// through RunBatchStream instead.
+// RunBatchCycles executes jobs across the worker pool under an explicit
+// per-execution mesh-cycle bound (0 keeps the scheduler default) and
+// returns one result per job, in submission order. Cancelling ctx stops
+// the pool: jobs already executing abort at the engine's next preemption
+// check, jobs not yet started report ctx.Err(). It holds the whole batch;
+// the service's batch paths fold results as they arrive through
+// RunBatchStream instead.
 func (s *Scheduler) RunBatchCycles(ctx context.Context, jobs []Job, maxCycles int) []JobResult {
 	results := make([]JobResult, len(jobs))
-	s.RunBatchStream(ctx, jobs, maxCycles, func(i int, r JobResult) { results[i] = r })
+	s.RunBatchStream(ctx, len(jobs), func(i int) Job { return jobs[i] }, maxCycles, func(i int, r JobResult) { results[i] = r })
 	return results
 }
 
 // RunBatchStream delivers a batch through emit in submission order (see
 // FanOut) — the seam POST /v1/batch flows through.
-func (s *Scheduler) RunBatchStream(ctx context.Context, jobs []Job, maxCycles int, emit func(i int, r JobResult)) {
-	FanOut(ctx, jobs, s.workers, emit, func(j Job) (sim.MethodRun, error) {
+func (s *Scheduler) RunBatchStream(ctx context.Context, n int, job func(int) Job, maxCycles int, emit func(i int, r JobResult)) {
+	FanOut(ctx, n, job, s.workers, emit, func(j Job) (sim.MethodRun, error) {
 		return s.RunMethodCycles(ctx, j.Config, j.Method, maxCycles)
 	})
 }
 
-// FanOut is the one ordered fan-out behind every BatchRunner: it runs each
-// job on one of up to workers goroutines, the caller's among them, and
-// calls emit exactly once per job, in submission order, as soon as that job
-// and every earlier one have completed: from whichever worker completes the
-// head, never two calls at once, the last before FanOut returns. Results
-// that complete early wait in a reorder window as wide as the spread of
-// completions, not the batch. Jobs not yet started when ctx is cancelled
-// report ctx.Err() without running; a batch of one runs inline.
-func FanOut(ctx context.Context, jobs []Job, workers int, emit func(i int, r JobResult), run func(Job) (sim.MethodRun, error)) {
-	if len(jobs) <= 1 {
-		for i, j := range jobs {
-			r := JobResult{Job: j, Err: ctx.Err()}
-			if r.Err == nil {
-				r.Run, r.Err = run(j)
-			}
-			emit(i, r)
-		}
-		return
-	}
-
-	workers = max(1, min(workers, len(jobs)))
+// FanOut is the one ordered fan-out behind every BatchRunner: it runs the
+// n jobs job(0) … job(n-1) on up to workers goroutines, the caller's among
+// them, and calls emit exactly once per job, in submission order, as soon
+// as that job and every earlier one have completed: from whichever worker
+// completes the head, never two calls at once, the last before FanOut
+// returns. No job list is held: job(i) is called when i is claimed and
+// again when it is emitted. Results that complete early wait in a reorder
+// window as wide as the spread of completions, not the batch. Jobs not
+// yet started when ctx is cancelled report ctx.Err() without running. A
+// batch of one runs on the caller's goroutine alone.
+func FanOut(ctx context.Context, n int, job func(int) Job, workers int, emit func(i int, r JobResult), run func(Job) (sim.MethodRun, error)) {
+	workers = max(1, min(workers, n))
 	var (
 		claimed  atomic.Int64
 		mu       sync.Mutex // guards win, emitting and held
@@ -286,13 +273,13 @@ func FanOut(ctx context.Context, jobs []Job, workers int, emit func(i int, r Job
 	)
 	work := func() {
 		defer wg.Done()
-		for i := int(claimed.Add(1)) - 1; i < len(jobs); i = int(claimed.Add(1)) - 1 {
+		for i := int(claimed.Add(1)) - 1; i < n; i = int(claimed.Add(1)) - 1 {
 			// A worker never blocks, so it yields once per job: timers and
 			// other goroutines of this process must not wait out a time slice.
 			runtime.Gosched()
 			c := completion{i: i, err: ctx.Err()}
 			if c.err == nil {
-				c.run, c.err = run(jobs[i])
+				c.run, c.err = run(job(i))
 			}
 			mu.Lock()
 			win.put(i-win.next, c)
@@ -307,7 +294,7 @@ func FanOut(ctx context.Context, jobs []Job, workers int, emit func(i int, r Job
 			emitting, held = true, 0
 			for c, ok := win.pop(); ok; c, ok = win.pop() {
 				mu.Unlock()
-				emit(c.i, JobResult{Job: jobs[c.i], Run: c.run, Err: c.err})
+				emit(c.i, JobResult{Job: job(c.i), Run: c.run, Err: c.err})
 				mu.Lock()
 				held--
 				drained.Broadcast()
@@ -377,11 +364,10 @@ func (w *reorderWindow) pop() (completion, bool) {
 // the population on one configuration, skips fabric-rejected methods,
 // filters timeouts, and produces results identical to the serial path.
 func (s *Scheduler) RunAll(ctx context.Context, cfg sim.Config, methods []*classfile.Method) (*sim.ConfigResults, error) {
-	jobs := make([]Job, len(methods))
-	for i, m := range methods {
-		jobs[i] = Job{Config: cfg, Method: m}
-	}
-	return CollectRuns(cfg, s.RunBatch(ctx, jobs))
+	results := make([]JobResult, len(methods))
+	s.RunBatchStream(ctx, len(methods), func(i int) Job { return Job{Config: cfg, Method: methods[i]} }, 0,
+		func(i int, r JobResult) { results[i] = r })
+	return CollectRuns(cfg, results)
 }
 
 // CollectRuns folds ordered per-job results into the ConfigResults shape of

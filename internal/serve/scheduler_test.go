@@ -80,7 +80,7 @@ func TestSweepSharesCacheAcrossConfigs(t *testing.T) {
 			jobs = append(jobs, Job{Config: cfg, Method: m})
 		}
 	}
-	results := sched.RunBatch(context.Background(), jobs)
+	results := sched.RunBatchCycles(context.Background(), jobs, 0)
 	if len(results) != len(jobs) {
 		t.Fatalf("got %d results for %d jobs", len(results), len(jobs))
 	}
@@ -98,7 +98,7 @@ func TestSweepSharesCacheAcrossConfigs(t *testing.T) {
 	}
 
 	// Re-sweeping is all hits.
-	sched.RunBatch(context.Background(), jobs)
+	sched.RunBatchCycles(context.Background(), jobs, 0)
 	if st := sched.Cache().Stats(); st.Hits != 8 {
 		t.Fatalf("expected warm sweep to hit 8 times: %+v", st)
 	}
@@ -115,7 +115,7 @@ func TestRunBatchPreCancelled(t *testing.T) {
 	for i, m := range methods {
 		jobs[i] = Job{Config: cfg, Method: m}
 	}
-	results := sched.RunBatch(ctx, jobs)
+	results := sched.RunBatchCycles(ctx, jobs, 0)
 	if len(results) != len(jobs) {
 		t.Fatalf("got %d results for %d jobs", len(results), len(jobs))
 	}
@@ -145,7 +145,7 @@ func TestRunBatchCancellationMidFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan []JobResult, 1)
-	go func() { done <- sched.RunBatch(ctx, jobs) }()
+	go func() { done <- sched.RunBatchCycles(ctx, jobs, 0) }()
 
 	// Cancel once at least one job has completed, so the cancellation
 	// lands mid-stream rather than before the pool starts.

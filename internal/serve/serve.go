@@ -316,25 +316,26 @@ type BatchResponse struct {
 	Results []BatchConfigResult `json:"results"`
 }
 
-// sweepJobs resolves a batch request into the flat submission-ordered job
-// list (config-major, methods in registry order) shared by the buffered
-// and streaming batch paths.
-func (s *Service) sweepJobs(req BatchRequest) ([]sim.Config, []*classfile.Method, []Job, error) {
+// sweepJobs resolves a batch request into the configurations and methods
+// it sweeps, shared by the buffered and streaming batch paths. Job i of
+// the sweep is configs[i/len(methods)] × methods[i%len(methods)]:
+// config-major, methods in registry order.
+func (s *Service) sweepJobs(req BatchRequest) ([]sim.Config, []*classfile.Method, error) {
 	var preset *scenario.Preset
 	if req.Scenario != "" {
 		if len(req.Configs) > 0 || len(req.Methods) > 0 {
-			return nil, nil, nil, &BadRequestError{Msg: fmt.Sprintf(
+			return nil, nil, &BadRequestError{Msg: fmt.Sprintf(
 				"serve: batch request cannot combine scenario %q with explicit configs or methods", req.Scenario)}
 		}
 		p, err := s.preset(req.Scenario)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		preset = p
 	}
 	configs, err := s.pickConfigs(req.Configs)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	var methods []*classfile.Method
 	if preset != nil {
@@ -343,15 +344,9 @@ func (s *Service) sweepJobs(req BatchRequest) ([]sim.Config, []*classfile.Method
 		methods, err = s.pickMethods(req.Methods)
 	}
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	jobs := make([]Job, 0, len(configs)*len(methods))
-	for _, cfg := range configs {
-		for _, m := range methods {
-			jobs = append(jobs, Job{Config: cfg, Method: m})
-		}
-	}
-	return configs, methods, jobs, nil
+	return configs, methods, nil
 }
 
 // Batch executes a population sweep through the installed batch runner.
@@ -393,7 +388,7 @@ func (s *Service) Batch(ctx context.Context, req BatchRequest) (BatchResponse, e
 func (s *Service) sweep(ctx context.Context, req BatchRequest, keepRuns bool,
 	job func(kind string, r JobResult, run RunPayload) error,
 	config func(BatchConfigResult) error) error {
-	configs, methods, jobs, err := s.sweepJobs(req)
+	configs, methods, err := s.sweepJobs(req)
 	if err != nil {
 		return err
 	}
@@ -412,11 +407,12 @@ func (s *Service) sweep(ctx context.Context, req BatchRequest, keepRuns bool,
 		}
 		skipped, timedOut, ipcs, runs = 0, 0, ipcs[:0], nil
 	}
-	s.runner.RunBatchStream(ctx, jobs, req.MaxMeshCycles, func(i int, r JobResult) {
+	jobAt := func(i int) Job { return Job{Config: configs[i/len(methods)], Method: methods[i%len(methods)]} }
+	s.runner.RunBatchStream(ctx, len(configs)*len(methods), jobAt, req.MaxMeshCycles, func(i int, r JobResult) {
 		if failed != nil {
 			return
 		}
-		cfg := configs[i/len(methods)]
+		cfg := r.Job.Config
 		var (
 			kind string
 			run  RunPayload

@@ -19,7 +19,7 @@ import (
 
 // TestRunBatchStreamOrdered: the scheduler must emit every result exactly
 // once, in submission order, and the emitted results must equal the
-// materialised RunBatch path.
+// materialised RunBatchCycles path.
 func TestRunBatchStreamOrdered(t *testing.T) {
 	methods := hostableMethods(t, 6)
 	cfg := testConfig(t, "Compact2")
@@ -46,7 +46,7 @@ func TestRunBatchStreamOrdered(t *testing.T) {
 	}
 
 	plain := NewScheduler(SchedulerOptions{Workers: 4, MaxMeshCycles: testMaxCycles}).
-		RunBatch(context.Background(), jobs)
+		RunBatchCycles(context.Background(), jobs, 0)
 	for i := range plain {
 		if results[i].Err != nil || plain[i].Err != nil {
 			t.Fatalf("job %d errored: %v / %v", i, results[i].Err, plain[i].Err)
@@ -299,8 +299,8 @@ type failingRunner struct {
 
 var errInjected = errors.New("injected failure")
 
-func (f *failingRunner) RunBatchStream(ctx context.Context, jobs []Job, maxCycles int, emit func(int, JobResult)) {
-	FanOut(ctx, jobs, 1, emit, func(j Job) (sim.MethodRun, error) {
+func (f *failingRunner) RunBatchStream(ctx context.Context, n int, job func(int) Job, maxCycles int, emit func(int, JobResult)) {
+	FanOut(ctx, n, job, 1, emit, func(j Job) (sim.MethodRun, error) {
 		f.runs.Add(1)
 		if j == f.fail {
 			return sim.MethodRun{}, errInjected
