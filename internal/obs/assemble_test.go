@@ -40,12 +40,12 @@ func TestSpansForIndexesAndEvicts(t *testing.T) {
 func TestSpansForOrdersByHop(t *testing.T) {
 	tr := NewTracer(8)
 	base := time.Now().UnixNano()
-	for _, sp := range []Span{
-		{TraceID: "t0", SpanID: "s2", Hop: 1, StartNanos: base + 100},
-		{TraceID: "t0", SpanID: "s1", Hop: 0, StartNanos: base},
-		{TraceID: "t0", SpanID: "s3", Hop: 1, StartNanos: base + 50},
+	for _, sp := range []spanRec{
+		{traceID: "t0", spanID: "s2", hop: 1, start: base + 100},
+		{traceID: "t0", spanID: "s1", hop: 0, start: base},
+		{traceID: "t0", spanID: "s3", hop: 1, start: base + 50},
 	} {
-		tr.record(sp)
+		tr.record(&sp)
 	}
 	got := tr.SpansFor("t0")
 	if len(got) != 3 || got[0].SpanID != "s1" || got[1].SpanID != "s3" || got[2].SpanID != "s2" {

@@ -8,15 +8,6 @@ import (
 	"time"
 )
 
-// defaultRingEvents bounds the event journal when no size is given.
-const defaultRingEvents = 512
-
-// maxEventAttrs caps the attribute strings one journal slot carries
-// (4 key/value pairs). Emit truncates longer lists instead of
-// allocating — the journal trades completeness for a wait-free,
-// allocation-free hot path.
-const maxEventAttrs = 8
-
 // Severity grades journal events.
 type Severity uint8
 
@@ -67,20 +58,13 @@ type Event struct {
 	Attrs     map[string]string `json:"attrs,omitempty"`
 }
 
-// eventSlot is one fixed-shape ring cell. The per-slot mutex covers a
-// handful of plain stores and is contended only when a render races an
-// emit into the same cell — emitters never contend with each other
-// (the atomic slot claim hands every emit a distinct cell until the
-// ring wraps).
-type eventSlot struct {
-	mu        sync.Mutex
-	time      int64
-	subsystem string
-	kind      string
-	sev       Severity
-	traceID   string
-	nattrs    int
-	attrs     [maxEventAttrs]string
+// eventRec is one event as the ring holds it, rendered to an Event
+// only on read.
+type eventRec struct {
+	time                     int64
+	subsystem, kind, traceID string
+	sev                      Severity
+	attrs                    attrList
 }
 
 // eventKey keys the per-(subsystem,kind) counters.
@@ -88,10 +72,10 @@ type eventKey struct{ subsystem, kind string }
 
 // Journal is the structured event ring: a bounded buffer of typed
 // state transitions every subsystem emits into, rendered by
-// GET /debug/events and dumped to stderr on SIGQUIT. Recording is an
-// atomic slot claim plus a handful of stores under a per-slot mutex —
-// emitters never contend with each other, allocate nothing, and finish
-// in O(1) — so emit sites can sit on dispatch and admission hot paths.
+// GET /debug/events and dumped to stderr on SIGQUIT. Recording is one
+// claim of the shared ring plus a handful of stores in place — emitters
+// never contend with each other, allocate nothing, and finish in O(1) —
+// so emit sites can sit on dispatch and admission hot paths.
 // Per-(subsystem,kind) counters survive ring wraparound and feed
 // javaflow_events_total; they live in a copy-on-write map so bumping
 // one is an atomic pointer load away. A nil *Journal is a valid no-op,
@@ -103,8 +87,7 @@ type Journal struct {
 	// the difference between emit fitting the 100ns budget or not.
 	base   time.Time
 	baseNS int64
-	next   atomic.Uint64 // total slots ever claimed
-	ring   []eventSlot
+	ring   ring[eventRec]
 
 	// counts is an immutable map swapped wholesale when a new
 	// (subsystem,kind) pair appears; mu serializes only those swaps.
@@ -117,15 +100,12 @@ type Journal struct {
 // (cap <= 0 selects the default of 512). node stamps every rendered
 // event so fleet tooling can tell whose journal a line came from.
 func NewJournal(node string, capEvents int) *Journal {
-	if capEvents <= 0 {
-		capEvents = defaultRingEvents
-	}
 	base := time.Now()
 	j := &Journal{
 		node:   node,
 		base:   base,
 		baseNS: base.UnixNano(),
-		ring:   make([]eventSlot, capEvents),
+		ring:   newRing[eventRec](capEvents),
 	}
 	empty := make(map[eventKey]*atomic.Uint64)
 	j.counts.Store(&empty)
@@ -155,19 +135,10 @@ func (j *Journal) Emit(subsystem, kind string, sev Severity, traceID string, att
 	}
 	j.count(subsystem, kind)
 	now := j.baseNS + time.Since(j.base).Nanoseconds()
-	n := len(attrs) &^ 1
-	if n > maxEventAttrs {
-		n = maxEventAttrs
-	}
-	slot := &j.ring[(j.next.Add(1)-1)%uint64(len(j.ring))]
-	slot.mu.Lock()
-	slot.time = now
-	slot.subsystem = subsystem
-	slot.kind = kind
-	slot.sev = sev
-	slot.traceID = traceID
-	slot.nattrs = n
-	copy(slot.attrs[:n], attrs[:n])
+	slot := j.ring.claim()
+	e := &slot.v
+	e.time, e.subsystem, e.kind, e.sev, e.traceID = now, subsystem, kind, sev, traceID
+	e.attrs.fill(attrs)
 	slot.mu.Unlock()
 }
 
@@ -207,68 +178,34 @@ func (j *Journal) EventCount() uint64 {
 	if j == nil {
 		return 0
 	}
-	return j.next.Load()
+	return j.ring.next.Load()
 }
 
 // Events returns up to n events newest-first, keeping only those
-// matching subsystem (empty = all) at or above minSev. Rendering runs
-// concurrently with emitters: a cell a writer is mid-rewrite is
-// skipped, never blocked on.
+// matching subsystem (empty = all) at or above minSev.
 func (j *Journal) Events(subsystem string, minSev Severity, n int) []Event {
-	if j == nil || n <= 0 {
-		return nil
-	}
-	pos := j.next.Load()
-	size := uint64(len(j.ring))
-	if pos < size {
-		size = pos
-	}
-	out := make([]Event, 0, min(n, int(size)))
-	for i := uint64(0); i < size && len(out) < n; i++ {
-		slot := &j.ring[(pos-1-i)%uint64(len(j.ring))]
-		ev, ok := readSlot(slot)
-		if !ok {
-			continue
-		}
-		if subsystem != "" && ev.Subsystem != subsystem {
-			continue
-		}
-		if sev, _ := ParseSeverity(ev.Severity); sev < minSev {
-			continue
-		}
-		ev.Node = j.node
-		out = append(out, ev)
+	var out []Event
+	for _, e := range j.recent(subsystem, minSev, n) {
+		out = append(out, Event{Time: e.time, Node: j.node, Subsystem: e.subsystem, Kind: e.kind,
+			Severity: e.sev.String(), TraceID: e.traceID, Attrs: e.attrs.wire()})
 	}
 	return out
 }
 
-// readSlot copies one cell out under its slot mutex. A claimed cell
-// whose writer has not stored yet reads as its previous occupant (or,
-// on a fresh ring, as empty — reported not-ok); either way the copy is
-// internally consistent.
-func readSlot(slot *eventSlot) (Event, bool) {
-	slot.mu.Lock()
-	ev := Event{
-		Time:      slot.time,
-		Subsystem: slot.subsystem,
-		Kind:      slot.kind,
-		Severity:  slot.sev.String(),
-		TraceID:   slot.traceID,
+// recent copies up to n matching events out of the ring, newest-first.
+func (j *Journal) recent(subsystem string, minSev Severity, n int) []eventRec {
+	if j == nil || n <= 0 {
+		return nil
 	}
-	nattrs := slot.nattrs
-	var attrs [maxEventAttrs]string
-	copy(attrs[:], slot.attrs[:])
-	slot.mu.Unlock()
-	if ev.Time == 0 {
-		return Event{}, false
-	}
-	if nattrs > 0 && nattrs <= maxEventAttrs {
-		ev.Attrs = make(map[string]string, nattrs/2)
-		for i := 0; i+1 < nattrs; i += 2 {
-			ev.Attrs[attrs[i]] = attrs[i+1]
+	out := []eventRec{}
+	for e := range j.ring.newest() {
+		if (subsystem == "" || e.subsystem == subsystem) && e.sev >= minSev {
+			if out = append(out, e); len(out) == n {
+				break
+			}
 		}
 	}
-	return ev, true
+	return out
 }
 
 // CountsByKind snapshots the per-(subsystem,kind) totals, which
@@ -312,21 +249,18 @@ func (j *Journal) Dump(subsystem string, minSev Severity, n int) EventDump {
 }
 
 // WriteText renders up to n newest events oldest-first as one line
-// each — the SIGQUIT stderr dump format.
+// each, attributes in emit order — the SIGQUIT stderr dump format.
 func (j *Journal) WriteText(w io.Writer, n int) {
-	if j == nil {
-		return
-	}
-	events := j.Events("", SevInfo, n)
-	for i := len(events) - 1; i >= 0; i-- {
-		ev := events[i]
-		fmt.Fprintf(w, "%s %-5s %s/%s", time.Unix(0, ev.Time).UTC().Format(time.RFC3339Nano),
-			ev.Severity, ev.Subsystem, ev.Kind)
-		if ev.TraceID != "" {
-			fmt.Fprintf(w, " trace=%s", ev.TraceID)
+	recs := j.recent("", SevInfo, n)
+	for i := len(recs) - 1; i >= 0; i-- {
+		e := &recs[i]
+		fmt.Fprintf(w, "%s %-5s %s/%s", time.Unix(0, e.time).UTC().Format(time.RFC3339Nano),
+			e.sev, e.subsystem, e.kind)
+		if e.traceID != "" {
+			fmt.Fprintf(w, " trace=%s", e.traceID)
 		}
-		for k, v := range ev.Attrs {
-			fmt.Fprintf(w, " %s=%s", k, v)
+		for i := 0; i < e.attrs.n; i += 2 {
+			fmt.Fprintf(w, " %s=%s", e.attrs.kv[i], e.attrs.kv[i+1])
 		}
 		fmt.Fprintln(w)
 	}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -163,6 +164,46 @@ func TestJournalWriteText(t *testing.T) {
 	out := b.String()
 	if !strings.Contains(out, "store/compaction") || !strings.Contains(out, "segments=3") {
 		t.Fatalf("WriteText output %q", out)
+	}
+}
+
+// TestJournalWriteTextAttrOrder: the SIGQUIT dump prints an event's
+// attributes in emit order, so two dumps of one journal read the same.
+func TestJournalWriteTextAttrOrder(t *testing.T) {
+	j := NewJournal("n", 8)
+	j.Emit("dispatch", "suspension", SevWarn, "", "backend", "b1", "error", "refused", "attempt", "3")
+	var first string
+	for i := 0; i < 20; i++ {
+		var b strings.Builder
+		j.WriteText(&b, 10)
+		out := b.String()
+		if strings.Count(out, "\n") != 1 || !strings.HasSuffix(out, " backend=b1 error=refused attempt=3\n") {
+			t.Fatalf("render %d = %q, want one line ending in the attributes in emit order", i, out)
+		}
+		if i == 0 {
+			first = out
+		} else if out != first {
+			t.Fatalf("render %d = %q differs from render 0 = %q", i, out, first)
+		}
+	}
+}
+
+// TestSpanAllocations: a job.run-shaped span — started under a parent
+// context, three attributes, ended — allocates only its span ID and the
+// context value that carries it to children: the context node and the
+// trace context boxed into it. The span itself lives on the caller's
+// stack and is copied into the ring.
+func TestSpanAllocations(t *testing.T) {
+	tr := NewTracer(0)
+	ctx := ContextWithTrace(context.Background(), TraceContext{TraceID: NewID(), SpanID: NewID()})
+	if allocs := testing.AllocsPerRun(1000, func() {
+		_, sp := tr.StartSpan(ctx, "job.run")
+		sp.SetAttr("config", "Baseline")
+		sp.SetAttr("method", "scimark/fft/FFT.bitreverse/1")
+		sp.SetAttr("outcome", "warm")
+		sp.End(nil)
+	}); allocs > 3 {
+		t.Fatalf("job.run-shaped span: %.2f allocations, want <= 3", allocs)
 	}
 }
 

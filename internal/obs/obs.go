@@ -9,15 +9,17 @@
 // and crosses processes in the X-Javaflow-Trace header — dispatch /v1/run
 // hops, replication segment pulls, and gossip notifications all inject it
 // — so one request's spans can be reconstructed across the fleet from
-// each node's bounded in-memory ring (GET /debug/traces). The ring is
-// indexed by trace ID (Tracer.SpansFor) and AssembleTrace stitches
-// per-node span sets into one hop-ordered tree, which is how
-// GET /v1/trace/{traceID} shows a shed/reroute/warm-hit decision chain
-// end to end. The Journal records typed state transitions (suspensions,
-// sheds, gossip heals, compactions) into a wait-free ring next to the
-// spans. Histograms are fixed log-spaced buckets updated with three
-// atomic adds, cheap enough for every job, request, dispatch attempt and
-// replication round, and their snapshots merge losslessly across nodes.
+// each node's bounded in-memory ring (GET /debug/traces). SpansFor scans
+// that ring for one trace and AssembleTrace stitches per-node span sets
+// into one hop-ordered tree, which is how GET /v1/trace/{traceID} shows
+// a shed/reroute/warm-hit decision chain end to end. The Journal records
+// typed state transitions (suspensions, sheds, gossip heals,
+// compactions) into the same kind of ring: one atomic add claims a slot,
+// the writer fills it in place, and attributes stay a fixed list of four
+// pairs until read. Histograms are fixed log-spaced buckets updated with
+// three atomic adds, cheap enough for every job, request, dispatch
+// attempt and replication round, and their snapshots merge losslessly
+// across nodes.
 //
 // Load-bearing invariant: observation never perturbs the observed system.
 // Every instrument is wait-free or O(1) under a short mutex, recording

@@ -1,19 +1,16 @@
 package obs
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-const (
-	// defaultRingSpans bounds the per-process recent-span ring.
-	defaultRingSpans = 512
-	// slowestSpans bounds the separately-kept slowest-span list.
-	slowestSpans = 32
-)
+// slowestSpans bounds the separately-kept slowest-span list.
+const slowestSpans = 32
 
 // Span is one finished unit of work inside a trace. JSON field names are
 // the /debug/traces wire format.
@@ -29,40 +26,51 @@ type Span struct {
 	Error      string            `json:"error,omitempty"`
 }
 
-// Tracer records finished spans into a bounded ring plus a slowest-N
-// list. The zero number of spans it can lose to concurrent eviction is
-// not guaranteed — it is a diagnostic buffer, not a durable log. A nil
-// *Tracer is a valid no-op tracer.
-type Tracer struct {
-	spans atomic.Int64 // total spans ever finished
+// spanRec is one span as the ring holds it, rendered to a Span only on
+// read.
+type spanRec struct {
+	traceID, spanID, parentID, name string
+	hop                             int
+	start, dur                      int64 // Unix nanoseconds, nanoseconds
+	err                             string
+	attrs                           attrList
+}
 
-	mu      sync.Mutex
-	ring    []Span // fixed capacity, ringNext is the next write slot
-	next    int
-	filled  bool
-	slowest []Span // kept sorted descending by DurationNS, ≤ slowestSpans
-	// byTrace indexes the ring by trace ID — which slots currently hold
-	// spans of each trace — so SpansFor (and through it cross-node trace
-	// assembly) is a map hit instead of a ring scan. Entries are evicted
-	// as the ring overwrites their slots, so the index is bounded by the
-	// ring capacity.
-	byTrace map[string][]int
+// wire renders the span in the /debug/traces wire format.
+func (r *spanRec) wire() Span {
+	return Span{TraceID: r.traceID, SpanID: r.spanID, ParentID: r.parentID, Name: r.name, Hop: r.hop,
+		Attrs: r.attrs.wire(), StartNanos: r.start, DurationNS: r.dur, Error: r.err}
+}
+
+// Tracer records finished spans into the shared bounded ring plus a
+// slowest-N list. It is a diagnostic buffer, not a durable log: spans
+// wrap out of the ring oldest first. A nil *Tracer is a valid no-op
+// tracer.
+type Tracer struct {
+	ring ring[spanRec]
+
+	// slowest is kept sorted descending by duration, ≤ slowestSpans.
+	// floor is the duration a span must beat to enter it (-1 while it
+	// has room), so a span that cannot make the list never takes slowMu.
+	slowMu  sync.Mutex
+	slowest []spanRec
+	floor   atomic.Int64
 }
 
 // NewTracer builds a tracer whose recent-span ring holds cap spans
 // (cap <= 0 selects the default of 512).
 func NewTracer(capSpans int) *Tracer {
-	if capSpans <= 0 {
-		capSpans = defaultRingSpans
-	}
-	return &Tracer{ring: make([]Span, capSpans), byTrace: make(map[string][]int)}
+	t := &Tracer{ring: newRing[spanRec](capSpans), slowest: make([]spanRec, 0, slowestSpans)}
+	t.floor.Store(-1)
+	return t
 }
 
-// ActiveSpan is an in-flight span; End finishes it into the tracer. A
-// nil *ActiveSpan is a valid no-op.
+// ActiveSpan is an in-flight span, held by value; End finishes it into
+// the tracer. The zero ActiveSpan, which a nil tracer starts, is a valid
+// no-op.
 type ActiveSpan struct {
 	t     *Tracer
-	span  Span
+	rec   spanRec
 	start time.Time
 }
 
@@ -70,101 +78,72 @@ type ActiveSpan struct {
 // context the span joins that trace as a child at the same hop depth;
 // otherwise a fresh trace is minted at hop 0. The returned context
 // carries the new span's context so children and Inject see it.
-func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *ActiveSpan) {
+func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, ActiveSpan) {
 	if t == nil {
-		return ctx, nil
+		return ctx, ActiveSpan{}
 	}
-	sp := Span{Name: name, SpanID: NewID()}
+	s := ActiveSpan{t: t, start: time.Now()}
+	s.rec.name, s.rec.spanID, s.rec.start = name, NewID(), s.start.UnixNano()
 	if tc, ok := TraceFrom(ctx); ok {
-		sp.TraceID = tc.TraceID
-		sp.ParentID = tc.SpanID
-		sp.Hop = tc.Hop
+		s.rec.traceID, s.rec.parentID, s.rec.hop = tc.TraceID, tc.SpanID, tc.Hop
 	} else {
-		sp.TraceID = NewID()
+		s.rec.traceID = NewID()
 	}
-	now := time.Now()
-	sp.StartNanos = now.UnixNano()
-	ctx = ContextWithTrace(ctx, TraceContext{TraceID: sp.TraceID, SpanID: sp.SpanID, Hop: sp.Hop})
-	return ctx, &ActiveSpan{t: t, span: sp, start: now}
+	return ContextWithTrace(ctx, s.Context()), s
 }
 
-// SetAttr attaches a key/value attribute to the span.
-func (s *ActiveSpan) SetAttr(key, value string) {
-	if s == nil {
-		return
-	}
-	if s.span.Attrs == nil {
-		s.span.Attrs = make(map[string]string, 4)
-	}
-	s.span.Attrs[key] = value
-}
+// SetAttr attaches a key/value attribute to the span, replacing an
+// earlier value of the same key; at most 4 keys are kept.
+func (s *ActiveSpan) SetAttr(key, value string) { s.rec.attrs.set(key, value) }
 
 // Context reports the span's trace context (for manual propagation).
 func (s *ActiveSpan) Context() TraceContext {
-	if s == nil {
-		return TraceContext{}
-	}
-	return TraceContext{TraceID: s.span.TraceID, SpanID: s.span.SpanID, Hop: s.span.Hop}
+	return TraceContext{TraceID: s.rec.traceID, SpanID: s.rec.spanID, Hop: s.rec.hop}
 }
 
 // End finishes the span, recording err's text as the error kind when
 // non-nil, and files it into the tracer's ring and slowest list.
 func (s *ActiveSpan) End(err error) {
-	if s == nil {
+	if s.t == nil {
 		return
 	}
-	s.span.DurationNS = time.Since(s.start).Nanoseconds()
+	s.rec.dur = time.Since(s.start).Nanoseconds()
 	if err != nil {
-		s.span.Error = err.Error()
+		s.rec.err = err.Error()
 	}
-	s.t.record(s.span)
+	s.t.record(&s.rec)
 }
 
-func (t *Tracer) record(sp Span) {
-	t.spans.Add(1)
-	t.mu.Lock()
-	// The ring is about to overwrite slot t.next: drop the evicted
-	// span's slot from the trace index first.
-	if t.filled {
-		if old := t.ring[t.next].TraceID; old != "" {
-			slots := t.byTrace[old]
-			for i, s := range slots {
-				if s == t.next {
-					slots = append(slots[:i], slots[i+1:]...)
-					break
-				}
-			}
-			if len(slots) == 0 {
-				delete(t.byTrace, old)
-			} else {
-				t.byTrace[old] = slots
-			}
-		}
+// record files r into the ring and, if it is slow enough, the slowest list.
+func (t *Tracer) record(r *spanRec) {
+	slot := t.ring.claim()
+	slot.v = *r
+	slot.mu.Unlock()
+	if r.dur <= t.floor.Load() {
+		return
 	}
-	t.byTrace[sp.TraceID] = append(t.byTrace[sp.TraceID], t.next)
-	t.ring[t.next] = sp
-	t.next++
-	if t.next == len(t.ring) {
-		t.next = 0
-		t.filled = true
-	}
-	// Maintain the slowest list: sp takes the last place if the list has
-	// room or sp beats the current floor, then moves up to its rank.
+	// r takes the last place if the list has room or r beats the
+	// current floor, then moves up to its rank.
+	t.slowMu.Lock()
+	defer t.slowMu.Unlock()
 	if len(t.slowest) < slowestSpans {
-		t.slowest = append(t.slowest, sp)
-		raiseLast(t.slowest)
-	} else if sp.DurationNS > t.slowest[len(t.slowest)-1].DurationNS {
-		t.slowest[len(t.slowest)-1] = sp
-		raiseLast(t.slowest)
+		t.slowest = append(t.slowest, *r)
+	} else if last := &t.slowest[len(t.slowest)-1]; r.dur > last.dur {
+		*last = *r
+	} else {
+		return
 	}
-	t.mu.Unlock()
+	raiseLast(t.slowest)
+	if len(t.slowest) == slowestSpans {
+		t.floor.Store(t.slowest[len(t.slowest)-1].dur)
+	}
 }
 
 // raiseLast moves the last of spans, sorted slowest first but for that
 // one, up to its rank. Unlike sort.Slice it allocates nothing, so what a
 // request allocates does not depend on how often its span makes the list.
-func raiseLast(spans []Span) {
-	for i := len(spans) - 1; i > 0 && spans[i].DurationNS > spans[i-1].DurationNS; i-- {
+func raiseLast(spans []spanRec) {
+	for i := len(spans) - 1; i > 0 && spans[i].dur > spans[i-1].dur; i-- {
 		spans[i], spans[i-1] = spans[i-1], spans[i]
 	}
 }
@@ -174,7 +153,7 @@ func (t *Tracer) SpanCount() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.spans.Load()
+	return int64(t.ring.next.Load())
 }
 
 // Recent returns up to n most recently finished spans, newest first.
@@ -182,19 +161,11 @@ func (t *Tracer) Recent(n int) []Span {
 	if t == nil || n <= 0 {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	size := t.next
-	if t.filled {
-		size = len(t.ring)
-	}
-	if n > size {
-		n = size
-	}
-	out := make([]Span, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (t.next - 1 - i + len(t.ring)) % len(t.ring)
-		out = append(out, t.ring[idx])
+	out := []Span{}
+	for r := range t.ring.newest() {
+		if out = append(out, r.wire()); len(out) == n {
+			break
+		}
 	}
 	return out
 }
@@ -204,37 +175,32 @@ func (t *Tracer) Slowest(n int) []Span {
 	if t == nil || n <= 0 {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n > len(t.slowest) {
-		n = len(t.slowest)
+	t.slowMu.Lock()
+	defer t.slowMu.Unlock()
+	out := make([]Span, min(n, len(t.slowest)))
+	for i := range out {
+		out[i] = t.slowest[i].wire()
 	}
-	out := make([]Span, n)
-	copy(out, t.slowest[:n])
 	return out
 }
 
 // SpansFor returns every span of the given trace still held in the
 // ring, ordered by hop depth then start time — the local half of
-// cross-node trace assembly (GET /debug/traces/{traceID}). Spans
-// evicted by ring wraparound are gone; assembly marks such traces
-// partial rather than failing.
+// cross-node trace assembly (GET /debug/traces/{traceID}). It scans the
+// ring, as Journal.Events does. Spans evicted by ring wraparound are
+// gone; assembly marks such traces partial rather than failing.
 func (t *Tracer) SpansFor(traceID string) []Span {
 	if t == nil || traceID == "" {
 		return nil
 	}
-	t.mu.Lock()
-	slots := t.byTrace[traceID]
-	out := make([]Span, 0, len(slots))
-	for _, idx := range slots {
-		out = append(out, t.ring[idx])
-	}
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hop != out[j].Hop {
-			return out[i].Hop < out[j].Hop
+	out := []Span{}
+	for r := range t.ring.newest() {
+		if r.traceID == traceID {
+			out = append(out, r.wire())
 		}
-		return out[i].StartNanos < out[j].StartNanos
+	}
+	slices.SortFunc(out, func(a, b Span) int {
+		return cmp.Or(cmp.Compare(a.Hop, b.Hop), cmp.Compare(a.StartNanos, b.StartNanos))
 	})
 	return out
 }
@@ -248,16 +214,8 @@ type TraceDump struct {
 
 // Dump builds the /debug/traces payload with up to n spans per section.
 func (t *Tracer) Dump(n int) TraceDump {
-	if t == nil {
-		return TraceDump{Recent: []Span{}, Slowest: []Span{}}
+	if t == nil || n <= 0 {
+		return TraceDump{Spans: t.SpanCount(), Recent: []Span{}, Slowest: []Span{}}
 	}
-	recent := t.Recent(n)
-	if recent == nil {
-		recent = []Span{}
-	}
-	slowest := t.Slowest(n)
-	if slowest == nil {
-		slowest = []Span{}
-	}
-	return TraceDump{Spans: t.SpanCount(), Recent: recent, Slowest: slowest}
+	return TraceDump{Spans: t.SpanCount(), Recent: t.Recent(n), Slowest: t.Slowest(n)}
 }

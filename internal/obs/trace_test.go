@@ -133,7 +133,7 @@ func TestTracerRingBounded(t *testing.T) {
 func TestTracerSlowestOrdering(t *testing.T) {
 	tr := NewTracer(4)
 	for _, d := range []int64{5, 1, 9, 3} {
-		tr.record(Span{Name: "s", DurationNS: d * int64(time.Millisecond)})
+		tr.record(&spanRec{name: "s", dur: d * int64(time.Millisecond)})
 	}
 	slow := tr.Slowest(4)
 	for i := 1; i < len(slow); i++ {
