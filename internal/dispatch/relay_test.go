@@ -244,8 +244,11 @@ func TestRelayLongDocument(t *testing.T) {
 // without fmt and Content-Length set on both 200s. It read 123–125 while
 // the tracer re-sorted its slowest-span list with sort.Slice, which
 // allocates each time a span makes the list, and how often that happens
-// depends on timing. The gate leaves 3 for the backend's net/http server,
-// whose allocations may differ across Go releases.
+// depends on timing. It reads 109 in ten idle runs and ten beside two
+// other test binaries since spans are recorded the way journal events
+// are, by value into a ring slot, with no attribute map or heap span.
+// The gate leaves 3 for the backend's net/http server, whose allocations
+// may differ across Go releases.
 func TestDispatchedRunAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -284,8 +287,8 @@ func TestDispatchedRunAllocations(t *testing.T) {
 	if s := d.Stats(); s.LocalFallbacks != 0 || s.Backends[0].Jobs < 201 {
 		t.Fatalf("the measured requests did not all go to the backend: %+v", s)
 	}
-	if allocs > 125 {
-		t.Errorf("dispatched POST /v1/run: %.0f allocations per request, want <= 125", allocs)
+	if allocs > 112 {
+		t.Errorf("dispatched POST /v1/run: %.0f allocations per request, want <= 112", allocs)
 	}
 	t.Logf("dispatched POST /v1/run: %.0f allocations per request", allocs)
 }

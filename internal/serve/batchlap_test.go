@@ -25,18 +25,21 @@ import (
 // the sweep built as a job list first, 3.39–3.64 MB in 29 900–31 500
 // allocations idle and 3.50–3.84 MB in 30 000–31 900 beside another
 // test binary; with jobs asked for by index, 3.12–3.29 MB in 29 900–31 100
-// idle and 3.26–3.61 MB in 30 100–31 800 beside one. The byte gate is
-// that last maximum plus 5 %: the reorder window, and so the lap, grows
-// when a worker is descheduled, as when go test runs packages side by
-// side.
+// idle and 3.26–3.61 MB in 30 100–31 800 beside one. With spans recorded
+// by value into a ring slot instead of a heap span with an attribute map,
+// and no GC cycle in a lap: 0.79–0.88 MB in 15 400–16 000 allocations
+// idle, 0.89–1.05 MB in 15 400–15 900 beside one test binary, and
+// 0.98–1.33 MB in 15 400–17 800 beside two. Both gates are the loaded
+// maxima plus 5 %: the reorder window, and so the lap, grows when a
+// worker is descheduled, as when go test runs packages side by side.
 func TestBatchLapAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	const (
 		laps      = 3
-		maxBytes  = 3_800_000
-		maxAllocs = 35_800
+		maxBytes  = 1_400_000
+		maxAllocs = 18_700
 	)
 	handler, body := batchLap(t)
 	post := func() {
