@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -215,4 +217,49 @@ func TestStoreUndecodableValueIsMiss(t *testing.T) {
 	if _, ok := st.GetRun(k); ok {
 		t.Fatal("undecodable value served as a hit")
 	}
+}
+
+// FuzzScanSegment holds scanSegment to its contract on any bytes, since
+// it reads peers' bytes through Store.Ingest as well as the disk: it
+// never panics; the frames it delivers, the frames it skips on their CRC
+// and the tail it gives up on cover the input exactly, in order; and
+// every delivered record re-encodes with appendRecord to the bytes it was
+// read from. Seeds in testdata/fuzz: one record of each type, a torn
+// tail, and a flipped CRC byte.
+func FuzzScanSegment(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		covered, delivered, skipped := 0, 0, 0
+		// skipTo walks CRC-skipped frames from covered up to end, which
+		// they must reach exactly.
+		skipTo := func(end int) {
+			for covered < end {
+				if end-covered < headerSize {
+					t.Fatalf("%d bytes at %d before %d are no frame", end-covered, covered, end)
+				}
+				h := data[covered:]
+				covered += headerSize + int(binary.LittleEndian.Uint32(h[5:9])) +
+					int(binary.LittleEndian.Uint32(h[9:13])) + trailerSize
+				skipped++
+			}
+			if covered != end {
+				t.Fatalf("skipped frames overrun to %d, past %d", covered, end)
+			}
+		}
+		res := scanSegment(data, func(rec record) {
+			// The key aliases data: its capacity places the frame.
+			off := cap(data) - cap(rec.key) - headerSize
+			skipTo(off)
+			frame := appendRecord(nil, rec)
+			if off+len(frame) > len(data) || !bytes.Equal(frame, data[off:off+len(frame)]) {
+				t.Fatalf("record at %d re-encodes to %x, not the bytes it was read from", off, frame)
+			}
+			covered += len(frame)
+			delivered++
+		})
+		skipTo(len(data) - int(res.tail))
+		if res.records != delivered || res.skipped != skipped {
+			t.Fatalf("scan reports %d records and %d skipped, saw %d delivered and %d skipped",
+				res.records, res.skipped, delivered, skipped)
+		}
+	})
 }
