@@ -244,8 +244,8 @@ func TestRelayLongDocument(t *testing.T) {
 // without fmt and Content-Length set on both 200s. It read 123–125 while
 // the tracer re-sorted its slowest-span list with sort.Slice, which
 // allocates each time a span makes the list, and how often that happens
-// depends on timing. It reads 109 in ten idle runs and ten beside two
-// other test binaries since spans are recorded the way journal events
+// depends on timing. It reads 109 in ten idle runs and ten beside
+// another test binary since spans are recorded the way journal events
 // are, by value into a ring slot, with no attribute map or heap span.
 // The gate leaves 3 for the backend's net/http server, whose allocations
 // may differ across Go releases.

@@ -31,7 +31,7 @@ type Span struct {
 type spanRec struct {
 	traceID, spanID, parentID, name string
 	hop                             int
-	start, dur                      int64 // Unix nanoseconds, nanoseconds
+	start, dur                      int64 // start in Unix nanoseconds, dur in nanoseconds
 	err                             string
 	attrs                           attrList
 }

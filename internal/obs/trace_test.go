@@ -163,22 +163,49 @@ func TestNilTracerSafe(t *testing.T) {
 	}
 }
 
+// TestTracerConcurrent ends spans from many goroutines while others read
+// the ring and the slowest list; run under -race it proves neither needs
+// a tracer-wide lock, and every span read back is whole.
 func TestTracerConcurrent(t *testing.T) {
 	tr := NewTracer(64)
-	var wg sync.WaitGroup
+	var wg, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, sp := range append(tr.Recent(64), tr.Slowest(32)...) {
+					if (sp.Name == "child") != (sp.ParentID != "") || sp.Attrs["k"] != sp.Name {
+						t.Errorf("torn span: %+v", sp)
+						return
+					}
+				}
+			}
+		}()
+	}
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				ctx, sp := tr.StartSpan(context.Background(), "c")
+				sp.SetAttr("k", "c")
 				_, child := tr.StartSpan(ctx, "child")
+				child.SetAttr("k", "child")
 				child.End(nil)
 				sp.End(nil)
 			}
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	readers.Wait()
 	if tr.SpanCount() != 8*500*2 {
 		t.Errorf("span count = %d, want %d", tr.SpanCount(), 8*500*2)
 	}

@@ -147,8 +147,8 @@ func TestSingleJobsDuringBatch(t *testing.T) {
 // since the 200 sets Content-Length, 32 since the tracer keeps its
 // slowest-span list without sort.Slice, 31 since the store builds the
 // run key on the stack, and 23 since spans are recorded by value into a
-// ring slot with no attribute map (ten idle runs and ten beside two other
-// test binaries, all 23). The gate is the 23.
+// ring slot with no attribute map (ten idle runs and ten beside another
+// test binary, all 23). The gate is the 23.
 func TestWarmRunAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
