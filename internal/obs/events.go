@@ -197,7 +197,7 @@ func (j *Journal) recent(subsystem string, minSev Severity, n int) []eventRec {
 	if j == nil || n <= 0 {
 		return nil
 	}
-	out := []eventRec{}
+	var out []eventRec
 	for e := range j.ring.newest() {
 		if (subsystem == "" || e.subsystem == subsystem) && e.sev >= minSev {
 			if out = append(out, e); len(out) == n {

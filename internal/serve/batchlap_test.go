@@ -30,8 +30,10 @@ import (
 // and no GC cycle in a lap: 0.79–0.88 MB in 15 400–16 000 allocations
 // idle, 0.89–1.05 MB in 15 400–15 900 beside one test binary, and
 // 0.98–1.33 MB in 15 400–17 800 beside two. Both gates are the loaded
-// maxima plus 5 %: the reorder window, and so the lap, grows when a
-// worker is descheduled, as when go test runs packages side by side.
+// maxima plus 5 %: the lap grows when a worker is descheduled, as when go
+// test runs packages side by side. The reorder window widens, and a
+// worker may draw a fresh engine from the pool, whose per-node token
+// buffers regrow (≈ 5 300 allocations in sim.(*Engine).holdToken).
 func TestBatchLapAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")

@@ -42,6 +42,20 @@ func hostableMethods(t testing.TB, n int) []*classfile.Method {
 	return out
 }
 
+// rejectedMethod returns a named corpus method the compact fabric refuses.
+func rejectedMethod(t *testing.T) *classfile.Method {
+	t.Helper()
+	cfg := testConfig(t, "Compact2")
+	for _, m := range workload.NamedMethods() {
+		var le *fabric.LoadError
+		if _, err := sim.DeployMethod(cfg, m); err != nil && errors.As(err, &le) {
+			return m
+		}
+	}
+	t.Fatal("no fabric-rejected method in the named corpus")
+	return nil
+}
+
 func TestCacheHitMissAccounting(t *testing.T) {
 	cache := NewDeploymentCache(64)
 	cfg := testConfig(t, "Compact2")
@@ -123,20 +137,7 @@ func TestCacheSharesDeploymentsAcrossConfigs(t *testing.T) {
 func TestCacheCachesFailures(t *testing.T) {
 	cache := NewDeploymentCache(64)
 	cfg := testConfig(t, "Compact2")
-
-	var rejected *classfile.Method
-	for _, m := range workload.NamedMethods() {
-		if _, err := sim.DeployMethod(cfg, m); err != nil {
-			var le *fabric.LoadError
-			if errors.As(err, &le) {
-				rejected = m
-				break
-			}
-		}
-	}
-	if rejected == nil {
-		t.Skip("no fabric-rejected method in the named corpus")
-	}
+	rejected := rejectedMethod(t)
 
 	_, err1 := cache.ResolveMethod(cfg, rejected)
 	_, err2 := cache.ResolveMethod(cfg, rejected)

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"net/http"
 	"net/http/httptest"
@@ -14,11 +13,9 @@ import (
 	"testing"
 
 	"javaflow/internal/classfile"
-	"javaflow/internal/fabric"
 	"javaflow/internal/obs"
 	"javaflow/internal/sim"
 	"javaflow/internal/store"
-	"javaflow/internal/workload"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current code")
@@ -50,7 +47,7 @@ func TestObservabilityGolden(t *testing.T) {
 	})
 	st.SetJournal(sched.Metrics().Journal())
 	handler := NewHandler(NewService(sched, sim.Configurations(), append(methods, rejected)))
-	serve := func(method, path, body string, header http.Header) *httptest.ResponseRecorder {
+	do := func(method, path, body string, header http.Header) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(method, path, bytes.NewReader([]byte(body)))
 		for k, v := range header {
 			req.Header[k] = v
@@ -78,13 +75,13 @@ func TestObservabilityGolden(t *testing.T) {
 		{"/v1/run", run("Hetero2", methods[1]), http.Header{obs.TraceHeader: {inboundTrace + "-00000000000000aa-1"}}, http.StatusOK},
 		{"/v1/store/compact", "", nil, http.StatusOK}, // a journal event with two attributes
 	} {
-		if w := serve(http.MethodPost, r.path, r.body, r.header); w.Code != r.status {
+		if w := do(http.MethodPost, r.path, r.body, r.header); w.Code != r.status {
 			t.Fatalf("POST %s %s: status %d, want %d: %s", r.path, r.body, w.Code, r.status, w.Body)
 		}
 	}
 
 	get := func(path string) any {
-		w := serve(http.MethodGet, path, "", nil)
+		w := do(http.MethodGet, path, "", nil)
 		if w.Code != http.StatusOK {
 			t.Fatalf("GET %s: status %d: %s", path, w.Code, w.Body)
 		}
@@ -152,20 +149,6 @@ func TestObservabilityGolden(t *testing.T) {
 		os.WriteFile(got, out.Bytes(), 0o644)
 		t.Errorf("observability endpoints differ from %s; got written to %s", golden, got)
 	}
-}
-
-// rejectedMethod returns a named corpus method the compact fabric refuses.
-func rejectedMethod(t *testing.T) *classfile.Method {
-	t.Helper()
-	cfg := testConfig(t, "Compact2")
-	for _, m := range workload.NamedMethods() {
-		var le *fabric.LoadError
-		if _, err := sim.DeployMethod(cfg, m); err != nil && errors.As(err, &le) {
-			return m
-		}
-	}
-	t.Fatal("no fabric-rejected method in the named corpus")
-	return nil
 }
 
 // normaliser rewrites one run's observability JSON into a stable form:
