@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -103,6 +107,89 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	for deadline := time.Now().Add(time.Minute); !cond(); time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("no %s within a minute", what)
+		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/metrics_surface.golden from the current code")
+
+// checkSurface compares a node's metrics surface with
+// testdata/metrics_surface.golden. The surface is every "# HELP" and
+// "# TYPE" line of the exposition and each sample's name{labels} without
+// its value, plus every key path of the JSON /metrics document with array
+// indexes collapsed to []. The node's own address becomes "self" and
+// every peer's "peer", since the ring, not the test, picks which peer
+// serves a given job. Label values that hang on the toolchain
+// (build_info) or on timing (which journal kinds fired) are blanked. The
+// lines are sorted and deduplicated. Regenerate with -update only for a
+// deliberate change to the series or the JSON fields.
+func checkSurface(t *testing.T, prom string, doc []byte, addrs []string) {
+	t.Helper()
+	var lines []string
+	for _, line := range strings.Split(strings.TrimSuffix(prom, "\n"), "\n") {
+		if !strings.HasPrefix(line, "# ") {
+			line = line[:strings.LastIndexByte(line, ' ')]
+		}
+		lines = append(lines, "prom "+line)
+	}
+	var v any
+	if err := json.Unmarshal(doc, &v); err != nil {
+		t.Fatalf("decoding /metrics: %v", err)
+	}
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		if path != "" {
+			lines = append(lines, "json "+path)
+		}
+		switch v := v.(type) {
+		case map[string]any:
+			for k, e := range v {
+				walk(strings.TrimPrefix(path+"."+k, "."), e)
+			}
+		case []any:
+			for _, e := range v {
+				walk(path+"[]", e)
+			}
+		}
+	}
+	walk("", v)
+	var names []string
+	for i, a := range addrs {
+		name := "peer"
+		if i == 0 {
+			name = "self"
+		}
+		names = append(names, "http://"+a, name, a, name)
+	}
+	out := strings.NewReplacer(names...).Replace(strings.Join(lines, "\n"))
+	out = regexp.MustCompile(`(go_version|module_version|subsystem|kind)="[^"]*"`).ReplaceAllString(out, `$1=""`)
+	lines = strings.Split(out, "\n")
+	slices.Sort(lines)
+	lines = slices.Compact(lines)
+	got := strings.Join(lines, "\n") + "\n"
+
+	path := filepath.Join("testdata", "metrics_surface.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		wl := strings.Split(string(want), "\n")
+		for _, l := range lines {
+			if !slices.Contains(wl, l) {
+				t.Errorf("surface gained %q", l)
+			}
+		}
+		for _, l := range wl {
+			if l != "" && !slices.Contains(lines, l) {
+				t.Errorf("surface lost %q", l)
+			}
 		}
 	}
 }
@@ -210,6 +297,7 @@ func TestFleet(t *testing.T) {
 			t.Errorf("exposition has no javaflow_%s series", name)
 		}
 	}
+	checkSurface(t, prom, call(t, "GET", nodes[0]+"/metrics", "", nil), addrs)
 
 	// 8 methods × 3 configurations, served by each node from its own store
 	// (the dispatched header keeps the run local), then after the restart.
