@@ -65,8 +65,9 @@ type Options struct {
 	// Parallelism is the service's drain concurrency (the scheduler's
 	// worker count) used in the Retry-After arithmetic; <=0 uses 1.
 	Parallelism int
-	// Registry receives the queue-depth gauges and rejection counters
-	// (javaflow_admit_*). Nil leaves them unregistered (still in Stats).
+	// Registry receives the per-class service-time histograms. Nil leaves
+	// them unregistered. The gauges and counters are Stats fields, which
+	// the node's /metrics renders.
 	Registry *obs.Registry
 	// Journal receives admission state transitions (over-cap rejections,
 	// deadline sheds, draining flips) as structured events. Nil disables
@@ -100,7 +101,7 @@ type Controller struct {
 	journal     *obs.Journal
 }
 
-// New builds a controller from opts and registers its instruments.
+// New builds a controller from opts and registers its histograms.
 func New(opts Options) *Controller {
 	caps := map[Class]int{
 		ClassRun:       pick(opts.RunCap, DefaultRunCap),
@@ -126,7 +127,6 @@ func New(opts Options) *Controller {
 		}
 		c.classes[class] = cs
 		c.order = append(c.order, cs)
-		c.registerClass(opts.Registry, cs)
 	}
 	return c
 }
@@ -136,25 +136,6 @@ func pick(v, def int) int {
 		return def
 	}
 	return v
-}
-
-// registerClass exposes one lane's gauges and counters in the registry
-// (no-op on nil).
-func (c *Controller) registerClass(reg *obs.Registry, cs *classState) {
-	if reg == nil {
-		return
-	}
-	label := string(cs.class)
-	reg.GaugeFunc("javaflow_admit_queue_depth", "Requests currently admitted (queued or executing) per class.",
-		func() float64 { return float64(cs.depth.Load()) }, "class", label)
-	reg.GaugeFunc("javaflow_admit_queue_cap", "Admission cap per class.",
-		func() float64 { return float64(cs.cap) }, "class", label)
-	reg.CounterFunc("javaflow_admit_admitted_total", "Requests admitted per class.",
-		func() float64 { return float64(cs.admitted.Load()) }, "class", label)
-	reg.CounterFunc("javaflow_admit_rejections_total", "Requests rejected over-cap (typed 429) per class.",
-		func() float64 { return float64(cs.rejected.Load()) }, "class", label)
-	reg.CounterFunc("javaflow_admit_deadline_sheds_total", "Requests shed expired-on-arrival per class.",
-		func() float64 { return float64(cs.shed.Load()) }, "class", label)
 }
 
 // OverloadError is the typed rejection: the lane is at cap. The HTTP
@@ -302,15 +283,15 @@ func (c *Controller) SetDraining(v bool) {
 
 // ClassStats is one lane's slice of Stats.
 type ClassStats struct {
-	Class Class `json:"class"`
+	Class Class `json:"class" prom:",label=class"`
 	// Cap is the lane's admission bound; Depth the current admitted
 	// count (queued + executing).
-	Cap   int64 `json:"cap"`
-	Depth int64 `json:"depth"`
+	Cap   int64 `json:"cap" prom:"javaflow_admit_queue_cap,gauge" help:"Admission cap per class."`
+	Depth int64 `json:"depth" prom:"javaflow_admit_queue_depth,gauge" help:"Requests currently admitted (queued or executing) per class."`
 	// Admitted / Rejected / DeadlineSheds are lifetime counters.
-	Admitted      int64 `json:"admitted"`
-	Rejected      int64 `json:"rejected"`
-	DeadlineSheds int64 `json:"deadlineSheds"`
+	Admitted      int64 `json:"admitted" prom:"javaflow_admit_admitted_total,counter" help:"Requests admitted per class."`
+	Rejected      int64 `json:"rejected" prom:"javaflow_admit_rejections_total,counter" help:"Requests rejected over-cap (typed 429) per class."`
+	DeadlineSheds int64 `json:"deadlineSheds" prom:"javaflow_admit_deadline_sheds_total,counter" help:"Requests shed expired-on-arrival per class."`
 	// MeanServiceMS is the observed mean service time feeding the
 	// Retry-After arithmetic.
 	MeanServiceMS float64 `json:"meanServiceMs"`

@@ -2,6 +2,7 @@ package admit
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -242,10 +243,11 @@ func TestControllerRegistersGauges(t *testing.T) {
 	defer rel()
 	c.Admit(ClassRun) // one rejection
 
-	names := map[string]bool{}
-	for _, n := range reg.Names() {
-		names[n] = true
-	}
+	// The node renders the controller's Stats block, then its registry.
+	var b strings.Builder
+	obs.WriteSnapshot(&b, c.Stats())
+	reg.WritePrometheus(&b)
+	out := b.String()
 	for _, want := range []string{
 		"javaflow_admit_queue_depth",
 		"javaflow_admit_queue_cap",
@@ -254,8 +256,11 @@ func TestControllerRegistersGauges(t *testing.T) {
 		"javaflow_admit_deadline_sheds_total",
 		"javaflow_admit_service_duration_seconds",
 	} {
-		if !names[want] {
-			t.Errorf("registry missing %s (have %v)", want, reg.Names())
+		if !strings.Contains(out, "# TYPE "+want+" ") {
+			t.Errorf("exposition missing %s:\n%s", want, out)
 		}
+	}
+	if !strings.Contains(out, `javaflow_admit_rejections_total{class="run"} 1`) {
+		t.Errorf("the rejection is not counted under class run:\n%s", out)
 	}
 }

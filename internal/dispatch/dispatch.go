@@ -103,9 +103,9 @@ type Options struct {
 	// serve.Metrics tracer so one /debug/traces dump covers ingress and
 	// fan-out. Nil disables span recording.
 	Tracer *obs.Tracer
-	// Registry receives the dispatcher's counters and per-backend/outcome
-	// attempt histograms. Nil leaves them unregistered (still counted in
-	// Stats).
+	// Registry receives the per-backend/outcome attempt histograms. Nil
+	// leaves them unregistered. The counters are Stats fields, which the
+	// node's /metrics renders.
 	Registry *obs.Registry
 	// Journal receives routing state transitions (backend suspension and
 	// recovery, retry-budget denials, local fallbacks) as structured
@@ -228,36 +228,10 @@ func NewWithBackends(backends []Backend, opts Options) (*Dispatcher, error) {
 		})
 	}
 	d.ring = newRing(names)
-	d.register(opts.Registry)
-	return d, nil
-}
-
-// register exposes the dispatcher's counters and attempt histograms in
-// the node registry (no-op on a nil registry).
-func (d *Dispatcher) register(reg *obs.Registry) {
-	d.attemptHist = reg.NewHistogramVec("javaflow_dispatch_attempt_duration_seconds",
+	d.attemptHist = opts.Registry.NewHistogramVec("javaflow_dispatch_attempt_duration_seconds",
 		"Dispatch attempt latency per backend, failures and fallbacks included.",
 		"backend", "outcome")
-	if reg == nil {
-		return
-	}
-	reg.CounterFunc("javaflow_dispatch_retries_total", "Jobs that needed a second node.",
-		func() float64 { return float64(d.retries.Load()) })
-	reg.CounterFunc("javaflow_dispatch_retry_budget_denied_total", "Network retries denied by an exhausted per-backend retry budget.",
-		func() float64 { return float64(d.retryDenials.Load()) })
-	reg.CounterFunc("javaflow_dispatch_local_fallbacks_total", "Jobs that ended on the in-process scheduler.",
-		func() float64 { return float64(d.localFallbacks.Load()) })
-	reg.CounterFunc("javaflow_dispatch_suspensions_total", "Backends crossing the consecutive-failure threshold into suspension.",
-		func() float64 { return float64(d.suspensions.Load()) })
-	reg.CounterFunc("javaflow_dispatch_warm_local_hits_total", "Retries short-circuited by the local store.",
-		func() float64 { return float64(d.warmLocalHits.Load()) })
-	for _, bs := range d.backends {
-		bs := bs
-		reg.CounterFunc("javaflow_dispatch_backend_jobs_total", "Jobs completed per backend.",
-			func() float64 { return float64(bs.jobs.Load()) }, "backend", bs.b.Name())
-		reg.CounterFunc("javaflow_dispatch_backend_errors_total", "Transient failures per backend.",
-			func() float64 { return float64(bs.errs.Load()) }, "backend", bs.b.Name())
-	}
+	return d, nil
 }
 
 // suspended reports whether routing should skip backend i, with the probe
@@ -548,11 +522,11 @@ func (d *Dispatcher) RunBatchStream(ctx context.Context, n int, job func(int) se
 
 // BackendStats is one backend's slice of Stats.
 type BackendStats struct {
-	Name string `json:"name"`
+	Name string `json:"name" prom:",label=backend"`
 	// Jobs counts jobs this backend completed, including typed rejections.
-	Jobs int64 `json:"jobs"`
+	Jobs int64 `json:"jobs" prom:"javaflow_dispatch_backend_jobs_total,counter" help:"Jobs completed per backend."`
 	// Errors counts transient failures observed on this backend.
-	Errors int64 `json:"errors"`
+	Errors int64 `json:"errors" prom:"javaflow_dispatch_backend_errors_total,counter" help:"Transient failures per backend."`
 	// RetriedAway counts jobs rerouted to another node after failing here.
 	RetriedAway int64 `json:"retriedAway"`
 	// RetryBudgetDenied counts reroutes this backend's exhausted token
@@ -570,15 +544,15 @@ type Stats struct {
 	// VirtualNodes is the total ring-point count (replicas × backends).
 	VirtualNodes int `json:"virtualNodes"`
 	// Retries counts jobs that needed a second node.
-	Retries int64 `json:"retries"`
+	Retries int64 `json:"retries" prom:"javaflow_dispatch_retries_total,counter" help:"Jobs that needed a second node."`
 	// RetryBudgetDenials counts network retries the per-backend token
 	// buckets denied (those jobs fell back locally instead).
-	RetryBudgetDenials int64 `json:"retryBudgetDenials"`
+	RetryBudgetDenials int64 `json:"retryBudgetDenials" prom:"javaflow_dispatch_retry_budget_denied_total,counter" help:"Network retries denied by an exhausted per-backend retry budget."`
 	// LocalFallbacks counts jobs that ended on the in-process scheduler.
-	LocalFallbacks int64 `json:"localFallbacks"`
+	LocalFallbacks int64 `json:"localFallbacks" prom:"javaflow_dispatch_local_fallbacks_total,counter" help:"Jobs that ended on the in-process scheduler."`
 	// WarmLocalHits counts retries short-circuited by the local store
 	// already holding the key (replicated or previously computed).
-	WarmLocalHits int64 `json:"warmLocalHits"`
+	WarmLocalHits int64 `json:"warmLocalHits" prom:"javaflow_dispatch_warm_local_hits_total,counter" help:"Retries short-circuited by the local store."`
 	// WarmRetries counts retries routed to a replication-synced peer in
 	// preference to the plain next node clockwise.
 	WarmRetries int64 `json:"warmRetries"`
@@ -587,7 +561,7 @@ type Stats struct {
 	OwnerRecoveries int64 `json:"ownerRecoveries"`
 	// Suspensions counts backends crossing the consecutive-failure
 	// threshold into suspension (once per streak, not per skipped job).
-	Suspensions int64 `json:"suspensions"`
+	Suspensions int64 `json:"suspensions" prom:"javaflow_dispatch_suspensions_total,counter" help:"Backends crossing the consecutive-failure threshold into suspension."`
 }
 
 // Stats snapshots the dispatcher's routing counters.

@@ -93,7 +93,6 @@ type Journal struct {
 	// (subsystem,kind) pair appears; mu serializes only those swaps.
 	counts atomic.Pointer[map[eventKey]*atomic.Uint64]
 	mu     sync.Mutex
-	onNew  func(subsystem, kind string, n *atomic.Uint64)
 }
 
 // NewJournal builds a journal whose ring holds capEvents entries
@@ -110,19 +109,6 @@ func NewJournal(node string, capEvents int) *Journal {
 	empty := make(map[eventKey]*atomic.Uint64)
 	j.counts.Store(&empty)
 	return j
-}
-
-// OnNewKind installs a hook invoked once per first-seen
-// (subsystem, kind) pair with the counter that will track it — the
-// registry wiring uses it to register a javaflow_events_total series
-// per kind. Install before the journal sees traffic.
-func (j *Journal) OnNewKind(fn func(subsystem, kind string, n *atomic.Uint64)) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	j.onNew = fn
-	j.mu.Unlock()
 }
 
 // Emit files one event. attrs is an even-length key/value list; at
@@ -142,10 +128,9 @@ func (j *Journal) Emit(subsystem, kind string, sev Severity, traceID string, att
 	slot.mu.Unlock()
 }
 
-// count bumps the (subsystem,kind) counter, creating it — and telling
-// the OnNewKind hook — on first sight. The fast path is an atomic
-// pointer load plus a map hit on an immutable map: no locks, no
-// allocation.
+// count bumps the (subsystem,kind) counter, creating it on first
+// sight. The fast path is an atomic pointer load plus a map hit on an
+// immutable map: no locks, no allocation.
 func (j *Journal) count(subsystem, kind string) {
 	k := eventKey{subsystem, kind}
 	if n := (*j.counts.Load())[k]; n != nil {
@@ -155,7 +140,6 @@ func (j *Journal) count(subsystem, kind string) {
 	j.mu.Lock()
 	old := *j.counts.Load()
 	n := old[k]
-	var onNew func(string, string, *atomic.Uint64)
 	if n == nil {
 		n = new(atomic.Uint64)
 		next := make(map[eventKey]*atomic.Uint64, len(old)+1)
@@ -164,13 +148,9 @@ func (j *Journal) count(subsystem, kind string) {
 		}
 		next[k] = n
 		j.counts.Store(&next)
-		onNew = j.onNew
 	}
 	j.mu.Unlock()
 	n.Add(1)
-	if onNew != nil {
-		onNew(subsystem, kind, n)
-	}
 }
 
 // EventCount reports the total number of events ever emitted.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -67,24 +66,9 @@ func TestJournalWraparound(t *testing.T) {
 	}
 }
 
-func TestJournalOnNewKind(t *testing.T) {
-	j := NewJournal("n", 8)
-	var seen []string
-	j.OnNewKind(func(subsystem, kind string, n *atomic.Uint64) {
-		seen = append(seen, subsystem+"/"+kind)
-	})
-	j.Emit("a", "x", SevInfo, "")
-	j.Emit("a", "x", SevInfo, "")
-	j.Emit("b", "y", SevInfo, "")
-	if len(seen) != 2 || seen[0] != "a/x" || seen[1] != "b/y" {
-		t.Fatalf("OnNewKind fired %v, want [a/x b/y]", seen)
-	}
-}
-
 func TestNilJournalIsNoOp(t *testing.T) {
 	var j *Journal
 	j.Emit("s", "k", SevError, "id", "k", "v") // must not panic
-	j.OnNewKind(nil)
 	if j.EventCount() != 0 || j.Events("", SevInfo, 10) != nil || j.CountsByKind() != nil {
 		t.Fatal("nil journal must report nothing")
 	}

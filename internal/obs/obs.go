@@ -1,8 +1,8 @@
 // Package obs is the fleet's observability substrate: request-scoped
 // distributed tracing, a structured event journal, log-bucketed latency
-// histograms, and a Prometheus text-exposition registry that every
-// subsystem registers its instruments into instead of hand-rolling
-// snapshot structs.
+// histograms in a registry, and the Prometheus text exposition of both
+// those histograms and the counters and gauges each subsystem declares
+// once, as tagged fields of its typed stats snapshot (WriteSnapshot).
 //
 // Tracing is propagation-first: a TraceContext (trace ID, span ID, hop
 // depth) is minted at ingress, carried through contexts inside a process,

@@ -3,18 +3,18 @@ package obs
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 )
 
-// Registry is the single process-wide instrument catalog: subsystems
-// register counters, gauges and histograms at startup and WritePrometheus
-// renders all of them in the Prometheus text exposition format (0.0.4).
-// Registration is replace-by-(name,labels) — re-registering the same
-// series swaps the reader instead of duplicating the exposition line, so
-// rebuilding a subsystem (new scheduler over a shared cache, say) is
-// safe. A nil *Registry is valid: registrations no-op and histogram
+// Registry holds a node's histograms and histogram vectors and renders
+// them in the Prometheus text exposition format (0.0.4). Counters and
+// gauges are not registered: they are tagged fields of the typed
+// snapshots WriteSnapshot renders. Registering a histogram name twice
+// returns the first instrument, so rebuilding a subsystem over a shared
+// registry never duplicates a family. A nil *Registry is valid: the
 // constructors return functional unregistered instruments.
 type Registry struct {
 	mu       sync.Mutex
@@ -23,18 +23,11 @@ type Registry struct {
 }
 
 type metricFamily struct {
-	name, help, typ string // typ: counter | gauge | histogram
-	series          []*numSeries
-	byLabels        map[string]*numSeries
-	hists           []*histSeries
-	histByLabels    map[string]*histSeries
-	vec             *HistogramVec
-	vecKeys         []string
-}
-
-type numSeries struct {
-	labels string // rendered `k="v",...` or ""
-	fn     func() float64
+	name, help   string
+	hists        []*histSeries
+	histByLabels map[string]*histSeries
+	vec          *HistogramVec
+	vecKeys      []string
 }
 
 type histSeries struct {
@@ -47,47 +40,14 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*metricFamily)}
 }
 
-func (r *Registry) family(name, help, typ string) *metricFamily {
+func (r *Registry) family(name, help string) *metricFamily {
 	f := r.byName[name]
 	if f == nil {
-		f = &metricFamily{
-			name: name, help: help, typ: typ,
-			byLabels:     make(map[string]*numSeries),
-			histByLabels: make(map[string]*histSeries),
-		}
+		f = &metricFamily{name: name, help: help, histByLabels: make(map[string]*histSeries)}
 		r.byName[name] = f
 		r.families = append(r.families, f)
 	}
 	return f
-}
-
-// CounterFunc registers a monotonically increasing series read from fn
-// at exposition time. kv is an even-length list of label key/value pairs.
-func (r *Registry) CounterFunc(name, help string, fn func() float64, kv ...string) {
-	r.addNum(name, help, "counter", fn, kv)
-}
-
-// GaugeFunc registers a point-in-time series read from fn at exposition
-// time. kv is an even-length list of label key/value pairs.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, kv ...string) {
-	r.addNum(name, help, "gauge", fn, kv)
-}
-
-func (r *Registry) addNum(name, help, typ string, fn func() float64, kv []string) {
-	if r == nil || fn == nil {
-		return
-	}
-	labels := renderLabelPairs(kv)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.family(name, help, typ)
-	if s := f.byLabels[labels]; s != nil {
-		s.fn = fn
-		return
-	}
-	s := &numSeries{labels: labels, fn: fn}
-	f.byLabels[labels] = s
-	f.series = append(f.series, s)
 }
 
 // NewHistogram registers and returns a histogram with static labels.
@@ -99,7 +59,7 @@ func (r *Registry) NewHistogram(name, help string, kv ...string) *Histogram {
 	labels := renderLabelPairs(kv)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.family(name, help, "histogram")
+	f := r.family(name, help)
 	if s := f.histByLabels[labels]; s != nil {
 		return s.h
 	}
@@ -119,7 +79,7 @@ func (r *Registry) NewHistogramVec(name, help string, keys ...string) *Histogram
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.family(name, help, "histogram")
+	f := r.family(name, help)
 	if f.vec == nil {
 		f.vec = NewHistogramVec(keys...)
 		f.vecKeys = keys
@@ -127,23 +87,8 @@ func (r *Registry) NewHistogramVec(name, help string, keys ...string) *Histogram
 	return f.vec
 }
 
-// Names lists every registered family name, in registration order.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.families))
-	for i, f := range r.families {
-		out[i] = f.name
-	}
-	return out
-}
-
-// WritePrometheus renders every family in the text exposition format.
-// Reader callbacks run under the registry lock, so they must not
-// re-register instruments (reading atomics or other locks is fine).
+// WritePrometheus renders every histogram family in the text exposition
+// format.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	if r == nil {
 		return
@@ -151,11 +96,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, f := range r.families {
-		fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
-		for _, s := range f.series {
-			writeSample(w, f.name, s.labels, s.fn())
-		}
+		writeHeader(w, f.name, f.help, "histogram")
 		for _, s := range f.hists {
 			writeHistogram(w, f.name, s.labels, s.h.Snapshot())
 		}
@@ -173,6 +114,128 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			}
 		}
 	}
+}
+
+// WriteSnapshot renders the counters and gauges a typed snapshot
+// declares in the text exposition format. A field tagged
+// prom:"<family>,counter" or prom:"<family>,gauge", with its HELP text
+// in a help:"…" tag, is one sample of that family: a number, or a bool
+// read as 0 or 1. A tagged struct field is an info sample whose value is
+// 1 and whose labels are its own fields. A field tagged
+// prom:",label=<key>" labels every sample of the struct it sits in and
+// of everything nested below it, so each element of a slice of structs
+// is its own series. The walk follows pointers and interfaces (nil ones
+// are skipped), embedded and nested structs and slices; maps and
+// untagged scalars are ignored. Each family is written contiguously, in
+// the order the walk first meets it.
+func WriteSnapshot(w io.Writer, v any) {
+	s := snapshotWriter{byName: make(map[string]*snapFamily)}
+	s.walk(reflect.ValueOf(v), "")
+	for _, f := range s.families {
+		writeHeader(w, f.name, f.help, f.typ)
+		io.WriteString(w, f.samples.String())
+	}
+}
+
+type snapshotWriter struct {
+	families []*snapFamily
+	byName   map[string]*snapFamily
+}
+
+type snapFamily struct {
+	name, help, typ string
+	samples         strings.Builder
+}
+
+func (s *snapshotWriter) walk(v reflect.Value, labels string) {
+	v = indirect(v)
+	switch v.Kind() {
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			s.walk(v.Index(i), labels)
+		}
+	case reflect.Struct:
+		labels = structLabels(v, labels)
+		t := v.Type()
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			tag, tagged := f.Tag.Lookup("prom")
+			if !f.IsExported() && !f.Anonymous || strings.HasPrefix(tag, ",label=") {
+				continue
+			}
+			if !tagged {
+				s.walk(v.Field(i), labels)
+				continue
+			}
+			fv := indirect(v.Field(i))
+			if fv.Kind() == reflect.Struct {
+				s.add(f, structLabels(fv, labels), 1)
+			} else if x, ok := number(fv); ok {
+				s.add(f, labels, x)
+			}
+		}
+	}
+}
+
+// add files one sample under the family field's prom tag names.
+func (s *snapshotWriter) add(field reflect.StructField, labels string, v float64) {
+	name, typ, _ := strings.Cut(field.Tag.Get("prom"), ",")
+	f := s.byName[name]
+	if f == nil {
+		f = &snapFamily{name: name, help: field.Tag.Get("help"), typ: typ}
+		s.byName[name] = f
+		s.families = append(s.families, f)
+	}
+	writeSample(&f.samples, name, labels, v)
+}
+
+// indirect follows pointers and interfaces; a nil one yields the zero
+// Value, which every walk step ignores.
+func indirect(v reflect.Value) reflect.Value {
+	for v.Kind() == reflect.Pointer || v.Kind() == reflect.Interface {
+		v = v.Elem()
+	}
+	return v
+}
+
+// structLabels appends the label pairs struct v's prom:",label=<key>"
+// fields declare.
+func structLabels(v reflect.Value, labels string) string {
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		key, ok := strings.CutPrefix(t.Field(i).Tag.Get("prom"), ",label=")
+		if !ok {
+			continue
+		}
+		val := v.Field(i).String()
+		if x, ok := number(v.Field(i)); ok {
+			val = formatValue(x)
+		}
+		labels = joinLabels(labels, key+`="`+escapeLabelValue(val)+`"`)
+	}
+	return labels
+}
+
+func number(v reflect.Value) (float64, bool) {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return float64(v.Int()), true
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return float64(v.Uint()), true
+	case reflect.Float32, reflect.Float64:
+		return v.Float(), true
+	case reflect.Bool:
+		if v.Bool() {
+			return 1, true
+		}
+		return 0, true
+	}
+	return 0, false
+}
+
+func writeHeader(w io.Writer, name, help, typ string) {
+	fmt.Fprintf(w, "# HELP %s %s\n", name, escapeHelp(help))
+	fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
 }
 
 func writeSample(w io.Writer, name, labels string, v float64) {

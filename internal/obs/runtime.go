@@ -1,48 +1,26 @@
 package obs
 
-import (
-	"runtime"
-	"sync"
-	"time"
-)
+import "runtime"
 
-// memReader caches runtime.ReadMemStats so one exposition scrape pays
-// for at most one read even though several gauges consume it.
-type memReader struct {
-	mu   sync.Mutex
-	at   time.Time
-	stat runtime.MemStats
+// RuntimeStats is the Go runtime block of a node's metrics snapshot.
+type RuntimeStats struct {
+	Goroutines     int     `json:"goroutines" prom:"javaflow_goroutines,gauge" help:"Current number of goroutines."`
+	HeapAllocBytes uint64  `json:"heapAllocBytes" prom:"javaflow_heap_alloc_bytes,gauge" help:"Bytes of allocated heap objects."`
+	HeapObjects    uint64  `json:"heapObjects" prom:"javaflow_heap_objects,gauge" help:"Number of allocated heap objects."`
+	GCRuns         uint32  `json:"gcRuns" prom:"javaflow_gc_runs_total,counter" help:"Completed garbage-collection cycles."`
+	GCPauseSeconds float64 `json:"gcPauseSeconds" prom:"javaflow_gc_pause_seconds_total,counter" help:"Cumulative stop-the-world GC pause time."`
 }
 
-func (m *memReader) read() runtime.MemStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if time.Since(m.at) > time.Second {
-		runtime.ReadMemStats(&m.stat)
-		m.at = time.Now()
+// ReadRuntimeStats samples the goroutine count and, with one
+// runtime.ReadMemStats, the heap and GC figures.
+func ReadRuntimeStats() RuntimeStats {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return RuntimeStats{
+		Goroutines:     runtime.NumGoroutine(),
+		HeapAllocBytes: m.HeapAlloc,
+		HeapObjects:    m.HeapObjects,
+		GCRuns:         m.NumGC,
+		GCPauseSeconds: float64(m.PauseTotalNs) / 1e9,
 	}
-	return m.stat
-}
-
-// RegisterRuntimeMetrics registers goroutine, heap and GC-pause gauges.
-func RegisterRuntimeMetrics(reg *Registry) {
-	if reg == nil {
-		return
-	}
-	mem := &memReader{}
-	reg.GaugeFunc("javaflow_goroutines", "Current number of goroutines.", func() float64 {
-		return float64(runtime.NumGoroutine())
-	})
-	reg.GaugeFunc("javaflow_heap_alloc_bytes", "Bytes of allocated heap objects.", func() float64 {
-		return float64(mem.read().HeapAlloc)
-	})
-	reg.GaugeFunc("javaflow_heap_objects", "Number of allocated heap objects.", func() float64 {
-		return float64(mem.read().HeapObjects)
-	})
-	reg.CounterFunc("javaflow_gc_runs_total", "Completed garbage-collection cycles.", func() float64 {
-		return float64(mem.read().NumGC)
-	})
-	reg.CounterFunc("javaflow_gc_pause_seconds_total", "Cumulative stop-the-world GC pause time.", func() float64 {
-		return float64(mem.read().PauseTotalNs) / 1e9
-	})
 }

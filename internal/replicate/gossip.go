@@ -365,14 +365,14 @@ type GossipStats struct {
 	Advertise string `json:"advertise"`
 	// RumorsSent counts notifications peers accepted; SendErrors counts
 	// rejected or unreachable ones.
-	RumorsSent int64 `json:"rumorsSent"`
+	RumorsSent int64 `json:"rumorsSent" prom:"javaflow_gossip_rumors_sent_total,counter" help:"Push notifications peers accepted."`
 	SendErrors int64 `json:"sendErrors"`
 	// RumorsReceived counts inbound notifications.
-	RumorsReceived int64 `json:"rumorsReceived"`
+	RumorsReceived int64 `json:"rumorsReceived" prom:"javaflow_gossip_rumors_received_total,counter" help:"Push notifications received."`
 	UnknownOrigin  int64 `json:"unknownOrigin"`
 	// PullsTriggered counts notifications that found this node behind and
 	// triggered a synchronous catch-up pull.
-	PullsTriggered int64 `json:"pullsTriggered"`
+	PullsTriggered int64 `json:"pullsTriggered" prom:"javaflow_gossip_pulls_total,counter" help:"Delta pulls triggered by notifications."`
 }
 
 // gossipStats snapshots the gossip counters (nil when gossip is off).

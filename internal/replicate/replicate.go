@@ -93,8 +93,9 @@ type Options struct {
 	// serve.Metrics tracer so replication hops land in the same
 	// /debug/traces dump as the requests they serve. Nil disables spans.
 	Tracer *obs.Tracer
-	// Registry receives the replicator's counters and per-peer pull
-	// histograms. Nil leaves them unregistered (still visible in Stats).
+	// Registry receives the per-peer pull histograms. Nil leaves them
+	// unregistered. The counters are Stats fields, which the node's
+	// /metrics renders.
 	Registry *obs.Registry
 	// Journal receives replication state transitions (foreign-segment
 	// ingests, cursor heals after a failing peer recovers, suspected
@@ -184,40 +185,9 @@ func New(opts Options) (*Replicator, error) {
 	}
 	r.tracer = opts.Tracer
 	r.journal = opts.Journal
-	r.register(opts.Registry)
-	return r, nil
-}
-
-// register exposes the replicator's counters and per-peer pull histograms
-// in the node registry (no-op on a nil registry).
-func (r *Replicator) register(reg *obs.Registry) {
-	r.pullHist = reg.NewHistogramVec("javaflow_replicate_pull_duration_seconds",
+	r.pullHist = opts.Registry.NewHistogramVec("javaflow_replicate_pull_duration_seconds",
 		"Per-peer reconciliation latency: a pull round's slice or a gossip delta pull.", "peer")
-	if reg == nil {
-		return
-	}
-	reg.CounterFunc("javaflow_replicate_rounds_total", "Completed anti-entropy rounds.",
-		func() float64 { return float64(r.rounds.Load()) })
-	reg.CounterFunc("javaflow_replicate_round_errors_total", "Per-peer failures across rounds.",
-		func() float64 { return float64(r.errs.Load()) })
-	reg.CounterFunc("javaflow_replicate_ingested_records_total", "Records pulled in from peers.",
-		func() float64 {
-			var n int64
-			for _, p := range r.peers {
-				p.mu.Lock()
-				n += p.ingested
-				p.mu.Unlock()
-			}
-			return float64(n)
-		})
-	if r.g != nil {
-		reg.CounterFunc("javaflow_gossip_rumors_sent_total", "Push notifications peers accepted.",
-			func() float64 { return float64(r.g.sent.Load()) })
-		reg.CounterFunc("javaflow_gossip_rumors_received_total", "Push notifications received.",
-			func() float64 { return float64(r.g.received.Load()) })
-		reg.CounterFunc("javaflow_gossip_pulls_total", "Delta pulls triggered by notifications.",
-			func() float64 { return float64(r.g.pulls.Load()) })
-	}
+	return r, nil
 }
 
 // peerByName finds the configured peer whose normalized base URL is name.
@@ -500,13 +470,13 @@ func (r *Replicator) SyncedPeers() []string {
 // PeerStats is one peer's slice of Stats — the /v1/store and /metrics
 // replication block.
 type PeerStats struct {
-	Peer string `json:"peer"`
+	Peer string `json:"peer" prom:",label=peer"`
 	// Cursor is the persisted per-segment position (seq -> bytes
 	// ingested), the exact state a restart resumes from.
 	Cursor map[string]int64 `json:"cursor,omitempty"`
 	// RecordsIngested / RecordsSkipped count pulled records versus
 	// offered-but-already-present ones, over this process's lifetime.
-	RecordsIngested int64 `json:"recordsIngested"`
+	RecordsIngested int64 `json:"recordsIngested" prom:"javaflow_replicate_ingested_records_total,counter" help:"Records pulled in from peers."`
 	RecordsSkipped  int64 `json:"recordsSkipped"`
 	BytesFetched    int64 `json:"bytesFetched"`
 	SegmentsPulled  int64 `json:"segmentsPulled"`
@@ -521,8 +491,8 @@ type PeerStats struct {
 // Stats is the replicator's observable state.
 type Stats struct {
 	IntervalSeconds float64 `json:"intervalSeconds"`
-	Rounds          int64   `json:"rounds"`
-	RoundErrors     int64   `json:"roundErrors"`
+	Rounds          int64   `json:"rounds" prom:"javaflow_replicate_rounds_total,counter" help:"Completed anti-entropy rounds."`
+	RoundErrors     int64   `json:"roundErrors" prom:"javaflow_replicate_round_errors_total,counter" help:"Per-peer failures across rounds."`
 	// Gossip is the push block; absent on pull-only replicators
 	// (Options.Advertise unset).
 	Gossip *GossipStats `json:"gossip,omitempty"`

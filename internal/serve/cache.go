@@ -192,10 +192,10 @@ func (c *DeploymentCache) Len() int {
 
 // CacheStats is a point-in-time counter snapshot.
 type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
+	Hits      int64 `json:"hits" prom:"javaflow_cache_hits_total,counter" help:"Deployment-cache hits."`
+	Misses    int64 `json:"misses" prom:"javaflow_cache_misses_total,counter" help:"Deployment-cache misses."`
+	Evictions int64 `json:"evictions" prom:"javaflow_cache_evictions_total,counter" help:"Deployment-cache evictions."`
+	Entries   int   `json:"entries" prom:"javaflow_cache_entries,gauge" help:"Deployments currently cached."`
 }
 
 // Stats snapshots the cache counters.

@@ -166,10 +166,12 @@ func (s *Service) FleetSnapshot(ctx context.Context) FleetSnapshot {
 	return out
 }
 
-// snapshotFull builds the GET /metrics JSON body: the scheduler
-// snapshot plus the dispatch, replication and admission blocks.
+// snapshotFull builds the GET /metrics body: the scheduler snapshot plus
+// the dispatch, replication, admission and Go runtime blocks.
 func (s *Service) snapshotFull() MetricsSnapshot {
 	snap := s.sched.Snapshot()
+	rt := obs.ReadRuntimeStats()
+	snap.Runtime = &rt
 	if ds, ok := s.runner.(DispatchStatser); ok {
 		snap.Dispatch = ds.DispatchStats()
 	}

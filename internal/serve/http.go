@@ -290,6 +290,10 @@ func NewHandler(svc *Service) http.Handler {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("format") == "prometheus" {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			obs.WriteSnapshot(w, svc.snapshotFull())
+			if st := svc.Scheduler().Store(); st != nil {
+				obs.WriteSnapshot(w, st.Admin())
+			}
 			metrics.Registry().WritePrometheus(w)
 			return
 		}

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"maps"
 	"runtime"
 	"runtime/debug"
-	"strconv"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,10 +27,11 @@ const slowestWindowDur = time.Minute
 // effectiveness, in-flight work, and job-latency percentiles from a
 // log-bucketed histogram (no sample window — recording is atomic adds and
 // quantiles are exact bucket bounds). Every Metrics owns the process
-// Registry, Tracer and Journal the rest of the node registers into, so
-// one GET /metrics?format=prometheus scrape, one GET /debug/traces dump
-// and one GET /debug/events render cover every subsystem wired to this
-// scheduler. All methods are safe for concurrent use.
+// Registry (histograms), Tracer and Journal the rest of the node records
+// into, so one GET /metrics?format=prometheus scrape, one GET
+// /debug/traces dump and one GET /debug/events render cover every
+// subsystem wired to this scheduler. All methods are safe for concurrent
+// use.
 type Metrics struct {
 	requests  atomic.Int64 // HTTP requests served
 	jobs      atomic.Int64 // simulation jobs completed
@@ -37,6 +40,7 @@ type Metrics struct {
 
 	start time.Time // rate base for the engine throughput gauges
 	node  string    // this node's fleet name (advertise URL or "")
+	build BuildInfo
 
 	reg         *obs.Registry
 	tracer      *obs.Tracer
@@ -58,12 +62,17 @@ type MetricsOptions struct {
 func NewMetrics() *Metrics { return NewMetricsOpts(MetricsOptions{}) }
 
 // NewMetricsOpts returns a metrics collector with its registry
-// pre-populated with the serve, engine, runtime and build-info
-// instruments; the trace and event rings hold obs's default 512 entries.
+// holding the job and HTTP latency histograms; the trace and event rings
+// hold obs's default 512 entries.
 func NewMetricsOpts(opts MetricsOptions) *Metrics {
 	m := &Metrics{
-		start:   time.Now(),
-		node:    opts.Node,
+		start: time.Now(),
+		node:  opts.Node,
+		build: BuildInfo{
+			GoVersion:     runtime.Version(),
+			EngineVersion: sim.EngineVersion,
+			ModuleVersion: moduleVersion(),
+		},
 		reg:     obs.NewRegistry(),
 		tracer:  obs.NewTracer(0),
 		journal: obs.NewJournal(opts.Node, 0),
@@ -73,45 +82,6 @@ func NewMetricsOpts(opts MetricsOptions) *Metrics {
 		"Simulation job latency, warm cache hits and cold engine runs alike.")
 	m.httpLatency = m.reg.NewHistogramVec("javaflow_http_request_duration_seconds",
 		"HTTP request latency by endpoint.", "endpoint")
-	m.reg.CounterFunc("javaflow_http_requests_total", "HTTP requests served.",
-		func() float64 { return float64(m.requests.Load()) })
-	m.reg.CounterFunc("javaflow_jobs_total", "Simulation jobs completed.",
-		func() float64 { return float64(m.jobs.Load()) })
-	m.reg.CounterFunc("javaflow_job_errors_total", "Simulation jobs that returned an error.",
-		func() float64 { return float64(m.jobErrors.Load()) })
-	m.reg.GaugeFunc("javaflow_jobs_inflight", "Simulation jobs currently executing.",
-		func() float64 { return float64(m.inFlight.Load()) })
-	m.reg.CounterFunc("javaflow_engine_runs_total", "Engine method runs completed process-wide.",
-		func() float64 { return float64(sim.TotalEngineStats().Runs) })
-	m.reg.CounterFunc("javaflow_engine_mesh_cycles_total", "Mesh cycles simulated process-wide.",
-		func() float64 { return float64(sim.TotalEngineStats().SimulatedMeshCycles) })
-	m.reg.CounterFunc("javaflow_engine_events_total", "Engine events simulated process-wide (arrivals, deliveries, completions the reference loop would process).",
-		func() float64 { return float64(sim.TotalEngineStats().Events) })
-	m.reg.CounterFunc("javaflow_engine_delivered_total", "Queue entries the engine dequeued to simulate its events.",
-		func() float64 { return float64(sim.TotalEngineStats().Delivered) })
-	m.reg.CounterFunc("javaflow_engine_policy_runs_shared_total", "Second-policy results copied from the first policy's run (policy-invariant methods).",
-		func() float64 { return float64(sim.TotalEngineStats().PolicyRunsShared) })
-	m.reg.CounterFunc("javaflow_engine_cycles_skipped_total", "Mesh cycles fast-forwarded instead of ticked.",
-		func() float64 { return float64(sim.TotalEngineStats().CyclesSkipped) })
-	m.reg.GaugeFunc("javaflow_engine_mesh_cycles_per_second", "Simulated mesh cycles per second of uptime.",
-		func() float64 { return m.engineThroughput().MeshCyclesPerSec })
-	m.reg.CounterFunc("javaflow_trace_spans_total", "Trace spans finished on this node.",
-		func() float64 { return float64(m.tracer.SpanCount()) })
-	m.reg.GaugeFunc("javaflow_build_info",
-		"Build metadata as labels; the value is always 1.",
-		func() float64 { return 1 },
-		"go_version", runtime.Version(),
-		"engine_version", strconv.Itoa(sim.EngineVersion),
-		"module_version", moduleVersion())
-	// Every first-seen event kind mints its own javaflow_events_total
-	// series; the counters live in the journal and survive ring
-	// wraparound.
-	m.journal.OnNewKind(func(subsystem, kind string, n *atomic.Uint64) {
-		m.reg.CounterFunc("javaflow_events_total", "Structured journal events by subsystem and kind.",
-			func() float64 { return float64(n.Load()) },
-			"subsystem", subsystem, "kind", kind)
-	})
-	obs.RegisterRuntimeMetrics(m.reg)
 	return m
 }
 
@@ -124,8 +94,8 @@ func moduleVersion() string {
 	return "unknown"
 }
 
-// Registry is the node-wide instrument registry; subsystems wired to this
-// scheduler (store, dispatch, replicate) register into it at startup.
+// Registry is the node-wide histogram registry; subsystems wired to this
+// scheduler (dispatch, replicate, admit) register into it at startup.
 func (m *Metrics) Registry() *obs.Registry { return m.reg }
 
 // Tracer records this node's spans; dispatch and replicate share it so
@@ -229,7 +199,7 @@ func (w *slowestWindow) rotate(now time.Time) {
 	}
 }
 
-// EngineThroughput is the engine-core gauge block of /metrics: the
+// EngineThroughput is the engine-core block of /metrics: the
 // process-wide totals of the event-driven simulation core plus derived
 // rates over the service's uptime. CyclesSkipped over SimulatedMeshCycles
 // is the fraction of simulated time the core fast-forwarded instead of
@@ -237,18 +207,34 @@ func (w *slowestWindow) rotate(now time.Time) {
 // to dequeue.
 type EngineThroughput struct {
 	sim.EngineTotals
-	MeshCyclesPerSec float64 `json:"meshCyclesPerSec"`
+	MeshCyclesPerSec float64 `json:"meshCyclesPerSec" prom:"javaflow_engine_mesh_cycles_per_second,gauge" help:"Simulated mesh cycles per second of uptime."`
 	EventsPerSec     float64 `json:"eventsPerSec"`
 }
 
-// MetricsSnapshot is the JSON shape of GET /metrics. Store is nil when the
+// BuildInfo is javaflow_build_info's label set.
+type BuildInfo struct {
+	GoVersion     string `json:"goVersion" prom:",label=go_version"`
+	EngineVersion int    `json:"engineVersion" prom:",label=engine_version"`
+	ModuleVersion string `json:"moduleVersion" prom:",label=module_version"`
+}
+
+// EventKindCount is one journal (subsystem, kind) pair's lifetime count.
+type EventKindCount struct {
+	Subsystem string `json:"subsystem" prom:",label=subsystem"`
+	Kind      string `json:"kind" prom:",label=kind"`
+	Count     uint64 `json:"count" prom:"javaflow_events_total,counter" help:"Structured journal events by subsystem and kind."`
+}
+
+// MetricsSnapshot is the JSON shape of GET /metrics, and the declaration
+// of the node's counters and gauges: obs.WriteSnapshot renders its
+// prom-tagged fields as the Prometheus exposition. Store is nil when the
 // service runs memory-only (no -store-dir).
 type MetricsSnapshot struct {
 	Node         string  `json:"node,omitempty"`
-	Requests     int64   `json:"requests"`
-	Jobs         int64   `json:"jobs"`
-	JobErrors    int64   `json:"jobErrors"`
-	InFlight     int64   `json:"inFlight"`
+	Requests     int64   `json:"requests" prom:"javaflow_http_requests_total,counter" help:"HTTP requests served."`
+	Jobs         int64   `json:"jobs" prom:"javaflow_jobs_total,counter" help:"Simulation jobs completed."`
+	JobErrors    int64   `json:"jobErrors" prom:"javaflow_job_errors_total,counter" help:"Simulation jobs that returned an error."`
+	InFlight     int64   `json:"inFlight" prom:"javaflow_jobs_inflight,gauge" help:"Simulation jobs currently executing."`
 	P50LatencyMS float64 `json:"p50LatencyMs"`
 	P95LatencyMS float64 `json:"p95LatencyMs"`
 	P99LatencyMS float64 `json:"p99LatencyMs"`
@@ -273,6 +259,14 @@ type MetricsSnapshot struct {
 	// Admission carries the overload-protection controller's per-class
 	// queue depths, caps and rejection counters when admission is bounded.
 	Admission *admit.Stats `json:"admission,omitempty"`
+	Spans     int64        `json:"spans" prom:"javaflow_trace_spans_total,counter" help:"Trace spans finished on this node."`
+	Build     BuildInfo    `json:"build" prom:"javaflow_build_info,gauge" help:"Build metadata as labels; the value is always 1."`
+	// Runtime is read only for GET /metrics, which pays its
+	// runtime.ReadMemStats.
+	Runtime *obs.RuntimeStats `json:"runtime,omitempty"`
+	// EventKinds counts every journal kind ever emitted, sorted; the
+	// counters survive ring wraparound.
+	EventKinds []EventKindCount `json:"eventKinds,omitempty"`
 }
 
 // Snapshot captures the current counters plus the given cache's and
@@ -293,6 +287,13 @@ func (m *Metrics) Snapshot(cache *DeploymentCache, st *store.Store) MetricsSnaps
 		JobLatency:     &lat,
 		Events:         m.journal.EventCount(),
 		Engine:         m.engineThroughput(),
+		Spans:          m.tracer.SpanCount(),
+		Build:          m.build,
+	}
+	counts := m.journal.CountsByKind()
+	for _, k := range slices.Sorted(maps.Keys(counts)) {
+		subsystem, kind, _ := strings.Cut(k, "/")
+		snap.EventKinds = append(snap.EventKinds, EventKindCount{subsystem, kind, counts[k]})
 	}
 	if cache != nil {
 		snap.Cache = cache.Stats()

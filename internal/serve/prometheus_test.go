@@ -29,8 +29,8 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("seed run: status %d", resp.StatusCode)
 	}
-	// Journal counters register lazily on the first emit of each
-	// (subsystem, kind); seed one so javaflow_events_total is present.
+	// javaflow_events_total has a series per (subsystem, kind) emitted so
+	// far; seed one so it is present.
 	svc.Scheduler().Metrics().Journal().Emit("test", "probe", obs.SevInfo, "")
 
 	res, err := http.Get(ts.URL + "/metrics?format=prometheus")
@@ -50,8 +50,16 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	}
 	body := string(raw)
 
-	// Every non-comment line must match the exposition grammar.
+	// Every non-comment line must match the exposition grammar, and each
+	// family is declared once.
+	declared := map[string]bool{}
 	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			if declared[line] {
+				t.Errorf("family declared twice: %q", line)
+			}
+			declared[line] = true
+		}
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}

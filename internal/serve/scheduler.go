@@ -10,7 +10,6 @@ import (
 
 	"javaflow/internal/classfile"
 	"javaflow/internal/fabric"
-	"javaflow/internal/obs"
 	"javaflow/internal/sim"
 	"javaflow/internal/store"
 )
@@ -99,10 +98,6 @@ func NewScheduler(opts SchedulerOptions) *Scheduler {
 	if maxCycles <= 0 {
 		maxCycles = sim.DefaultMaxMeshCycles
 	}
-	if opts.Store != nil {
-		opts.Store.RegisterMetrics(metrics.Registry())
-	}
-	registerCacheMetrics(metrics.Registry(), cache)
 	return &Scheduler{
 		workers:       workers,
 		maxMeshCycles: maxCycles,
@@ -111,20 +106,6 @@ func NewScheduler(opts SchedulerOptions) *Scheduler {
 		metrics:       metrics,
 		store:         opts.Store,
 	}
-}
-
-// registerCacheMetrics exposes the deployment cache's counters in the
-// node registry. Re-registration over a shared cache replaces the
-// readers, so two schedulers over one cache never duplicate series.
-func registerCacheMetrics(reg *obs.Registry, cache *DeploymentCache) {
-	reg.CounterFunc("javaflow_cache_hits_total", "Deployment-cache hits.",
-		func() float64 { return float64(cache.Stats().Hits) })
-	reg.CounterFunc("javaflow_cache_misses_total", "Deployment-cache misses.",
-		func() float64 { return float64(cache.Stats().Misses) })
-	reg.CounterFunc("javaflow_cache_evictions_total", "Deployment-cache evictions.",
-		func() float64 { return float64(cache.Stats().Evictions) })
-	reg.GaugeFunc("javaflow_cache_entries", "Deployments currently cached.",
-		func() float64 { return float64(cache.Stats().Entries) })
 }
 
 // Cache exposes the scheduler's deployment cache.

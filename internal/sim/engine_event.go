@@ -152,18 +152,18 @@ var engineTotals struct {
 
 // EngineTotals is the process-wide engine activity snapshot.
 type EngineTotals struct {
-	Runs                uint64 `json:"runs"`
-	SimulatedMeshCycles uint64 `json:"simulatedMeshCycles"`
-	Events              uint64 `json:"events"`
-	CyclesSkipped       uint64 `json:"cyclesSkipped"`
+	Runs                uint64 `json:"runs" prom:"javaflow_engine_runs_total,counter" help:"Engine method runs completed process-wide."`
+	SimulatedMeshCycles uint64 `json:"simulatedMeshCycles" prom:"javaflow_engine_mesh_cycles_total,counter" help:"Mesh cycles simulated process-wide."`
+	Events              uint64 `json:"events" prom:"javaflow_engine_events_total,counter" help:"Engine events simulated process-wide (arrivals, deliveries, completions the reference loop would process)."`
+	CyclesSkipped       uint64 `json:"cyclesSkipped" prom:"javaflow_engine_cycles_skipped_total,counter" help:"Mesh cycles fast-forwarded instead of ticked."`
 	// Delivered is the queue entries dequeued to simulate Events.
-	Delivered uint64 `json:"delivered"`
+	Delivered uint64 `json:"delivered" prom:"javaflow_engine_delivered_total,counter" help:"Queue entries the engine dequeued to simulate its events."`
 	// Serial splits Delivered's serial queue entries by token kind.
 	Serial SerialDequeues `json:"serialDequeued"`
 	// PolicyRunsShared counts BP2 results copied from BP1's run because
 	// the method never consults the branch policy; their simulated
 	// counters are in the totals above, their engine run is not.
-	PolicyRunsShared uint64 `json:"policyRunsShared"`
+	PolicyRunsShared uint64 `json:"policyRunsShared" prom:"javaflow_engine_policy_runs_shared_total,counter" help:"Second-policy results copied from the first policy's run (policy-invariant methods)."`
 }
 
 // TotalEngineStats snapshots the process-wide engine counters.

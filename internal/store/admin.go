@@ -31,7 +31,7 @@ type AdminReport struct {
 	Segments     int             `json:"segments"`
 	DiskBytes    int64           `json:"diskBytes"`
 	LiveBytes    int64           `json:"liveBytes"`
-	GarbageRatio float64         `json:"garbageRatio"`
+	GarbageRatio float64         `json:"garbageRatio" prom:"javaflow_store_garbage_ratio,gauge" help:"Fraction of on-disk bytes superseded or deleted."`
 	Compactions  int64           `json:"compactions"`
 	Geometries   []GeometryStats `json:"geometries"`
 }

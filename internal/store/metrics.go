@@ -19,40 +19,3 @@ func (s *Store) SetJournal(j *obs.Journal) {
 			"tornBytes", strconv.FormatInt(s.tornBytes, 10))
 	}
 }
-
-// RegisterMetrics exposes the store's counters and gauges in reg. All
-// readers pull from Stats (atomics plus two short mutexed reads) except
-// the garbage-ratio gauge, which walks the index via Admin once per
-// scrape — milliseconds at fleet-sized indexes, and only paid when the
-// Prometheus exposition is actually requested.
-func (s *Store) RegisterMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.GaugeFunc("javaflow_store_records", "Live records in the store index.",
-		func() float64 { return float64(s.Stats().Records) })
-	reg.GaugeFunc("javaflow_store_segments", "Segment files in the store log.",
-		func() float64 { return float64(s.Stats().Segments) })
-	reg.GaugeFunc("javaflow_store_garbage_ratio", "Fraction of on-disk bytes superseded or deleted.",
-		func() float64 { return s.Admin().GarbageRatio })
-	reg.CounterFunc("javaflow_store_run_hits_total", "MethodRun reads answered by the store.",
-		func() float64 { return float64(s.runHits.Load()) })
-	reg.CounterFunc("javaflow_store_run_misses_total", "MethodRun reads the store could not answer.",
-		func() float64 { return float64(s.runMisses.Load()) })
-	reg.CounterFunc("javaflow_store_deploy_hits_total", "Deployment reads answered by the store.",
-		func() float64 { return float64(s.deployHits.Load()) })
-	reg.CounterFunc("javaflow_store_deploy_misses_total", "Deployment reads the store could not answer.",
-		func() float64 { return float64(s.deployMisses.Load()) })
-	reg.CounterFunc("javaflow_store_puts_total", "Records appended to the log.",
-		func() float64 { return float64(s.puts.Load()) })
-	reg.CounterFunc("javaflow_store_put_errors_total", "Appends that failed.",
-		func() float64 { return float64(s.putErrors.Load()) })
-	reg.CounterFunc("javaflow_store_compactions_total", "Completed compactions.",
-		func() float64 { return float64(s.compactions.Load()) })
-	reg.CounterFunc("javaflow_store_bytes_appended_total", "Bytes appended to the log.",
-		func() float64 { return float64(s.bytesAppended.Load()) })
-	reg.CounterFunc("javaflow_store_ingested_records_total", "Records merged in from peer segments.",
-		func() float64 { return float64(s.ingested.Load()) })
-	reg.CounterFunc("javaflow_store_ingest_skipped_total", "Peer-offered records already live here.",
-		func() float64 { return float64(s.ingestSkipped.Load()) })
-}

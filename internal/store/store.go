@@ -163,23 +163,23 @@ type Store struct {
 // DeployMisses count the deprecated GetDeploy, which no serving path
 // calls: on a jfserved node they read 0.
 type Stats struct {
-	RunHits        int64 `json:"runHits"`
-	RunMisses      int64 `json:"runMisses"`
-	DeployHits     int64 `json:"deployHits"`
-	DeployMisses   int64 `json:"deployMisses"`
-	Puts           int64 `json:"puts"`
-	PutErrors      int64 `json:"putErrors"`
-	Records        int   `json:"records"`
-	Segments       int   `json:"segments"`
+	RunHits        int64 `json:"runHits" prom:"javaflow_store_run_hits_total,counter" help:"MethodRun reads answered by the store."`
+	RunMisses      int64 `json:"runMisses" prom:"javaflow_store_run_misses_total,counter" help:"MethodRun reads the store could not answer."`
+	DeployHits     int64 `json:"deployHits" prom:"javaflow_store_deploy_hits_total,counter" help:"Deployment reads answered by the store."`
+	DeployMisses   int64 `json:"deployMisses" prom:"javaflow_store_deploy_misses_total,counter" help:"Deployment reads the store could not answer."`
+	Puts           int64 `json:"puts" prom:"javaflow_store_puts_total,counter" help:"Records appended to the log."`
+	PutErrors      int64 `json:"putErrors" prom:"javaflow_store_put_errors_total,counter" help:"Appends that failed."`
+	Records        int   `json:"records" prom:"javaflow_store_records,gauge" help:"Live records in the store index."`
+	Segments       int   `json:"segments" prom:"javaflow_store_segments,gauge" help:"Segment files in the store log."`
 	SkippedRecords int64 `json:"skippedRecords"`
 	TornBytes      int64 `json:"tornBytes"`
-	Compactions    int64 `json:"compactions"`
-	BytesAppended  int64 `json:"bytesAppended"`
+	Compactions    int64 `json:"compactions" prom:"javaflow_store_compactions_total,counter" help:"Completed compactions."`
+	BytesAppended  int64 `json:"bytesAppended" prom:"javaflow_store_bytes_appended_total,counter" help:"Bytes appended to the log."`
 	// IngestedRecords / IngestSkipped count replication merges: records
 	// pulled from peers versus records a peer offered that were already
 	// live here (byte-exact dedup on content keys).
-	IngestedRecords int64 `json:"ingestedRecords"`
-	IngestSkipped   int64 `json:"ingestSkipped"`
+	IngestedRecords int64 `json:"ingestedRecords" prom:"javaflow_store_ingested_records_total,counter" help:"Records merged in from peer segments."`
+	IngestSkipped   int64 `json:"ingestSkipped" prom:"javaflow_store_ingest_skipped_total,counter" help:"Peer-offered records already live here."`
 }
 
 func segmentName(seq int) string { return fmt.Sprintf("seg-%06d.jfs", seq) }
