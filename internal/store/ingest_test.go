@@ -2,10 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -292,4 +294,32 @@ func TestCursorCodecRoundTrip(t *testing.T) {
 	if got := UnmarshalCursor([]byte("not json")); len(got) != 0 {
 		t.Fatalf("damaged cursor = %v, want empty", got)
 	}
+}
+
+// FuzzUnmarshalCursor: decoding a stored cursor never panics; every pair
+// it returns sits in the input under its canonical decimal key with a
+// non-negative offset, whatever order the decoder meets the keys in; and
+// what it returns round-trips through MarshalCursor. Seeds in
+// testdata/fuzz: keys that alias segment 1, a negative offset, a "+2"
+// key, null and truncated JSON.
+func FuzzUnmarshalCursor(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var in cursorValue
+		_ = json.Unmarshal(data, &in) // a decode error leaves in empty, as it must leave the cursor
+		var out map[int]int64
+		// Map order varies per decode, and an alias shows only in some
+		// orders.
+		for range 8 {
+			out = UnmarshalCursor(data)
+			for seq, off := range out {
+				if want, ok := in.Segments[strconv.Itoa(seq)]; !ok || off != want || seq < 1 || off < 0 {
+					t.Fatalf("decoded %d:%d from %q, which holds %d under %q (present %v)",
+						seq, off, data, want, strconv.Itoa(seq), ok)
+				}
+			}
+		}
+		if again := UnmarshalCursor(MarshalCursor(out)); !reflect.DeepEqual(again, out) {
+			t.Fatalf("cursor %v round-trips to %v", out, again)
+		}
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 )
 
 // This file is the store's replication surface: exporting the segment log
@@ -328,24 +329,26 @@ type cursorValue struct {
 func MarshalCursor(segments map[int]int64) []byte {
 	cv := cursorValue{Segments: make(map[string]int64, len(segments))}
 	for seq, off := range segments {
-		cv.Segments[fmt.Sprintf("%d", seq)] = off
+		cv.Segments[strconv.Itoa(seq)] = off
 	}
 	data, _ := json.Marshal(cv)
 	return data
 }
 
 // UnmarshalCursor decodes a cursor written by MarshalCursor. Damaged or
-// empty input yields an empty cursor — the replicator then re-fetches and
-// dedups, never loses data.
+// empty input yields an empty cursor, and a damaged entry is dropped — the
+// replicator then re-fetches and dedups, never loses data. Only
+// MarshalCursor's own keys count: "1x" or " 1" would alias segment 1 in
+// map order. A negative offset is damage too, since every pull from it
+// would be refused.
 func UnmarshalCursor(data []byte) map[int]int64 {
 	var cv cursorValue
 	out := make(map[int]int64)
 	if err := json.Unmarshal(data, &cv); err != nil {
 		return out
 	}
-	for seqStr, off := range cv.Segments {
-		var seq int
-		if _, err := fmt.Sscanf(seqStr, "%d", &seq); err == nil {
+	for key, off := range cv.Segments {
+		if seq, err := strconv.Atoi(key); err == nil && seq >= 1 && off >= 0 && strconv.Itoa(seq) == key {
 			out[seq] = off
 		}
 	}
