@@ -119,9 +119,9 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 // WriteSnapshot renders the counters and gauges a typed snapshot
 // declares in the text exposition format. A field tagged
 // prom:"<family>,counter" or prom:"<family>,gauge", with its HELP text
-// in a help:"…" tag, is one sample of that family: a number, or a bool
-// read as 0 or 1. A tagged struct field is an info sample whose value is
-// 1 and whose labels are its own fields. A field tagged
+// in a help:"…" tag, is one numeric sample of that family. A tagged
+// struct field is an info sample whose value is 1 and whose labels are
+// its own fields. A field tagged
 // prom:",label=<key>" labels every sample of the struct it sits in and
 // of everything nested below it, so each element of a slice of structs
 // is its own series. The walk follows pointers and interfaces (nil ones
@@ -224,11 +224,6 @@ func number(v reflect.Value) (float64, bool) {
 		return float64(v.Uint()), true
 	case reflect.Float32, reflect.Float64:
 		return v.Float(), true
-	case reflect.Bool:
-		if v.Bool() {
-			return 1, true
-		}
-		return 0, true
 	}
 	return 0, false
 }

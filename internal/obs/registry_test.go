@@ -20,7 +20,7 @@ type testCounts struct {
 
 type testBackend struct {
 	Name string `prom:",label=backend"`
-	Up   bool   `prom:"javaflow_test_backend_up,gauge" help:"Backend liveness."`
+	Up   uint8  `prom:"javaflow_test_backend_up,gauge" help:"Backend liveness."`
 	Jobs int64  `prom:"javaflow_test_backend_jobs_total,counter" help:"Jobs per backend."`
 }
 
@@ -50,7 +50,7 @@ func buildTestSnapshot() testSnapshot {
 		InFlight:   3,
 		Info:       testInfo{Version: "v1", Engine: 1},
 		Backends: []testBackend{
-			{Name: `http://peer:8080/with"quote\back` + "\nline", Up: true, Jobs: 5},
+			{Name: `http://peer:8080/with"quote\back` + "\nline", Up: 1, Jobs: 5},
 			{Name: "b2", Jobs: 7},
 		},
 		Untagged: 9,
