@@ -3,6 +3,7 @@ package bytecode
 import (
 	"fmt"
 	"slices"
+	"strconv"
 )
 
 // Assembler builds a method body instruction-by-instruction with symbolic
@@ -10,25 +11,48 @@ import (
 // they exist, mirroring what JAVAC emits, so that static-mix statistics match
 // real compiler output.
 //
+// A label is either a name (Label, Branch, Switch) or a Label value from
+// NewLabel (Bind, BranchTo); names are resolved to the same values, so the
+// two can be mixed in one body.
+//
 // The zero value is not usable; create with NewAssembler.
 type Assembler struct {
 	instrs   []Instruction
 	switches []Switch
-	labels   map[string]int
-	fixups   []fixup
-	errs     []error
+	// at[l] is the instruction label l is bound to, -1 until Bind; name[l]
+	// is its name, "" for a NewLabel label. names maps a name to its label.
+	at     []int32
+	name   []string
+	names  map[string]Label
+	fixups []fixup
+	errs   []error
+	// bare is one more than the index of the first branch emitted without
+	// a label (Op or OpA), 0 when there is none; bareSwitch records a
+	// switch opcode emitted without an arm table. Finish refuses both.
+	bare       int
+	bareSwitch bool
+	// bodies is the chunk Finish carves the returned bodies from.
+	bodies []Instruction
 }
+
+// bodyChunk is the largest chunk, in instructions, Finish allocates
+// bodies from (64 KiB).
+const bodyChunk = 2048
+
+// Label is a branch target of one body, made by NewLabel and bound to an
+// instruction by Bind.
+type Label int32
 
 // fixup records that a branch target waits on label. Arm -1 is the Target
 // of instruction at; arm i >= 0 is Targets[i] of arm table at.
 type fixup struct {
-	at, arm int
-	label   string
+	at, arm int32
+	label   Label
 }
 
 // NewAssembler returns an empty assembler.
 func NewAssembler() *Assembler {
-	return &Assembler{labels: make(map[string]int)}
+	return &Assembler{}
 }
 
 // Reset empties the assembler for the next method, keeping its buffers.
@@ -36,28 +60,67 @@ func NewAssembler() *Assembler {
 func (a *Assembler) Reset() {
 	a.instrs = a.instrs[:0]
 	a.switches = nil
-	clear(a.labels)
+	a.at = a.at[:0]
+	a.name = a.name[:0]
+	clear(a.names)
 	a.fixups = a.fixups[:0]
 	a.errs = nil
+	a.bare, a.bareSwitch = 0, false
 }
 
 // Len returns the number of instructions emitted so far (the linear address
 // of the next instruction).
 func (a *Assembler) Len() int { return len(a.instrs) }
 
+// NewLabel returns a fresh label of the body being built, bound to nothing.
+func (a *Assembler) NewLabel() Label {
+	a.at = append(a.at, -1)
+	a.name = append(a.name, "")
+	return Label(len(a.at) - 1)
+}
+
+// named returns the label called name, making it on first use.
+func (a *Assembler) named(name string) Label {
+	if l, ok := a.names[name]; ok {
+		return l
+	}
+	if a.names == nil {
+		a.names = make(map[string]Label)
+	}
+	l := a.NewLabel()
+	a.name[l] = name
+	a.names[name] = l
+	return l
+}
+
+// labelString names l in an error.
+func (a *Assembler) labelString(l Label) string {
+	if a.name[l] != "" {
+		return strconv.Quote(a.name[l])
+	}
+	return "#" + strconv.Itoa(int(l))
+}
+
 // Label binds name to the next emitted instruction.
-func (a *Assembler) Label(name string) *Assembler {
-	if _, dup := a.labels[name]; dup {
-		a.errs = append(a.errs, fmt.Errorf("duplicate label %q", name))
+func (a *Assembler) Label(name string) *Assembler { return a.Bind(a.named(name)) }
+
+// Bind binds l to the next emitted instruction.
+func (a *Assembler) Bind(l Label) *Assembler {
+	if a.at[l] >= 0 {
+		a.errs = append(a.errs, fmt.Errorf("duplicate label %s", a.labelString(l)))
 		return a
 	}
-	a.labels[name] = len(a.instrs)
+	a.at[l] = int32(len(a.instrs))
 	return a
 }
 
 // Op emits an instruction with no operand.
 func (a *Assembler) Op(op Opcode) *Assembler {
-	a.instrs = append(a.instrs, Make(op))
+	p := &protos[op]
+	if !p.plain {
+		a.unplain(op)
+	}
+	a.instrs = append(a.instrs, p.in)
 	return a
 }
 
@@ -69,22 +132,48 @@ func (a *Assembler) OpA(op Opcode, operand int64) *Assembler {
 // emit appends op with operands x and y, recording an error when either
 // falls outside op's architected width.
 func (a *Assembler) emit(op Opcode, x, y int64) *Assembler {
-	if err := checkOperands(op, x, y); err != nil {
-		a.errs = append(a.errs, fmt.Errorf("instruction %d: %w", len(a.instrs), err))
+	p := &protos[op]
+	if x < p.aMin || x > p.aMax || y < p.bMin || y > p.bMax {
+		a.errs = append(a.errs, fmt.Errorf("instruction %d: %w", len(a.instrs), checkOperands(op, x, y)))
 	}
-	in := MakeA(op, int32(x))
-	in.B = int32(y)
+	if !p.plain {
+		a.unplain(op)
+	}
+	in := p.in
+	in.A, in.B = int32(x), int32(y)
 	a.instrs = append(a.instrs, in)
 	return a
 }
 
+// unplain is Op's and emit's path for an opcode that is not plain: it
+// panics on an undefined or VarPop opcode, as Make does, and notes a
+// branch or switch emitted at Len without a label or an arm table, which
+// Finish refuses.
+func (a *Assembler) unplain(op Opcode) {
+	p := protoOf(op)
+	if p.varPop {
+		Make(op) // panics with the reason
+	}
+	if p.branch && a.bare == 0 {
+		a.bare = len(a.instrs) + 1
+	}
+	if p.switchOp {
+		a.bareSwitch = true
+	}
+}
+
 // Branch emits a branch instruction targeting label.
 func (a *Assembler) Branch(op Opcode, label string) *Assembler {
-	info := MustLookup(op)
-	if !info.Branch {
+	return a.BranchTo(op, a.named(label))
+}
+
+// BranchTo emits a branch instruction targeting l.
+func (a *Assembler) BranchTo(op Opcode, l Label) *Assembler {
+	p := protoOf(op)
+	if !p.branch {
 		a.errs = append(a.errs, fmt.Errorf("%s is not a branch opcode", op))
 	}
-	a.fixups = append(a.fixups, fixup{len(a.instrs), -1, label})
+	a.fixups = append(a.fixups, fixup{int32(len(a.instrs)), -1, l})
 	a.instrs = append(a.instrs, Make(op))
 	return a
 }
@@ -94,10 +183,10 @@ func (a *Assembler) Iinc(local, delta int) *Assembler {
 	return a.emit(Iinc, int64(local), int64(delta))
 }
 
-// shortForm returns the _0.._3 variant of base for register n, if any.
-// base must be the wide (operand-carrying) load/store opcode; the four short
-// forms are architected to follow contiguously per type.
-var shortForms = map[Opcode][4]Opcode{
+// shortForms holds the _0.._3 variants of each wide (operand-carrying)
+// load/store opcode, indexed by the wide opcode; a zero row (nop is never
+// a short form) means the opcode has none.
+var shortForms = [256][4]Opcode{
 	Iload:  {Iload0, Iload1, Iload2, Iload3},
 	Lload:  {Lload0, Lload1, Lload2, Lload3},
 	Fload:  {Fload0, Fload1, Fload2, Fload3},
@@ -117,7 +206,7 @@ func (a *Assembler) Local(base Opcode, n int) *Assembler {
 		a.errs = append(a.errs, fmt.Errorf("negative register %d", n))
 		n = 0
 	}
-	if forms, ok := shortForms[base]; ok && n < 4 {
+	if forms := &shortForms[base]; n < 4 && forms[0] != Nop {
 		return a.Op(forms[n])
 	}
 	return a.OpA(base, int64(n))
@@ -226,9 +315,9 @@ func (a *Assembler) Switch(arms map[int64]string, def string) *Assembler {
 	sw := len(a.switches)
 	a.switches = append(a.switches, Switch{At: len(a.instrs), Keys: keys, Targets: make([]int, len(keys))})
 	for i, k := range keys {
-		a.fixups = append(a.fixups, fixup{sw, i, arms[k]})
+		a.fixups = append(a.fixups, fixup{int32(sw), int32(i), a.named(arms[k])})
 	}
-	a.fixups = append(a.fixups, fixup{len(a.instrs), -1, def})
+	a.fixups = append(a.fixups, fixup{int32(len(a.instrs)), -1, a.named(def)})
 	a.instrs = append(a.instrs, Make(Lookupswitch))
 	return a
 }
@@ -240,29 +329,38 @@ func (a *Assembler) Finish() ([]Instruction, error) {
 		return nil, a.errs[0]
 	}
 	for _, f := range a.fixups {
-		target, ok := a.labels[f.label]
-		if !ok {
-			return nil, fmt.Errorf("undefined label %q", f.label)
+		target := a.at[f.label]
+		if target < 0 {
+			return nil, fmt.Errorf("undefined label %s", a.labelString(f.label))
 		}
 		if f.arm < 0 {
-			a.instrs[f.at].Target = int32(target)
+			a.instrs[f.at].Target = target
 		} else {
-			a.switches[f.at].Targets[f.arm] = target
+			a.switches[f.at].Targets[f.arm] = int(target)
 		}
 	}
-	for i, in := range a.instrs {
-		if in.Info().Branch && in.Target == NoTarget {
-			return nil, fmt.Errorf("instruction %d (%s) has unresolved target", i, in.Op)
-		}
+	if a.bare > 0 {
+		i := a.bare - 1
+		return nil, fmt.Errorf("instruction %d (%s) has unresolved target", i, a.instrs[i].Op)
 	}
-	if at, err := CheckSwitches(a.instrs, a.switches); err != nil {
-		return nil, fmt.Errorf("instruction %d: %w", at, err)
+	if len(a.switches) > 0 || a.bareSwitch {
+		if at, err := CheckSwitches(a.instrs, a.switches); err != nil {
+			return nil, fmt.Errorf("instruction %d: %w", at, err)
+		}
 	}
 	// An exact-length copy: the caller keeps it for the life of the method,
 	// and the assembler's own buffer grew by doubling and is reused after
-	// Reset.
-	code := make([]Instruction, len(a.instrs))
+	// Reset. Copies are carved from a chunk the assembler fills across
+	// methods, one allocation per chunk rather than per body; a chunk
+	// starts at the first body's size and doubles up to bodyChunk
+	// instructions, so an assembler that builds one method wastes nothing.
+	n := len(a.instrs)
+	if cap(a.bodies)-len(a.bodies) < n {
+		a.bodies = make([]Instruction, 0, max(n, min(2*cap(a.bodies), bodyChunk)))
+	}
+	code := a.bodies[len(a.bodies) : len(a.bodies)+n : len(a.bodies)+n]
 	copy(code, a.instrs)
+	a.bodies = a.bodies[:len(a.bodies)+n]
 	return code, nil
 }
 

@@ -71,20 +71,29 @@ func Arms(switches []Switch, i int) (keys []int64, targets []int) {
 // architecture requires), and every target inside the body. On a fault it
 // also returns the index of the instruction at fault.
 func CheckSwitches(code []Instruction, switches []Switch) (int, error) {
-	next := 0
-	for i, in := range code {
-		isSwitch := in.Op == Lookupswitch || in.Op == Tableswitch
-		hasTable := next < len(switches) && switches[next].At == i
+	// nextAt is where the next arm table sits, -1 once none is left: the
+	// loop reads no table until an instruction is a switch or has one.
+	next, nextAt := 0, -1
+	if len(switches) > 0 {
+		nextAt = switches[0].At
+	}
+	for i := range code {
+		op := code[i].Op
+		isSwitch := op == Lookupswitch || op == Tableswitch
+		hasTable := i == nextAt
 		switch {
-		case isSwitch && !hasTable:
-			return i, fmt.Errorf("%s has no arm table", in.Op)
-		case hasTable && !isSwitch:
-			return i, fmt.Errorf("%s has an arm table", in.Op)
-		case !hasTable:
+		case !isSwitch && !hasTable:
 			continue
+		case !hasTable:
+			return i, fmt.Errorf("%s has no arm table", op)
+		case !isSwitch:
+			return i, fmt.Errorf("%s has an arm table", op)
 		}
 		s := switches[next]
 		next++
+		if nextAt = -1; next < len(switches) {
+			nextAt = switches[next].At
+		}
 		if len(s.Keys) != len(s.Targets) {
 			return i, fmt.Errorf("%d arm keys for %d targets", len(s.Keys), len(s.Targets))
 		}
@@ -110,8 +119,18 @@ func CheckSwitches(code []Instruction, switches []Switch) (int, error) {
 // them in. An operand op does not encode must be 0, or Encode would drop
 // it.
 func checkOperands(op Opcode, a, b int64) error {
-	var aMin, aMax, bMin, bMax int64
-	info := MustLookup(op)
+	p := protoOf(op)
+	if a < p.aMin || a > p.aMax {
+		return fmt.Errorf("%s operand %d outside [%d, %d]", op, a, p.aMin, p.aMax)
+	}
+	if b < p.bMin || b > p.bMax {
+		return fmt.Errorf("%s second operand %d outside [%d, %d]", op, b, p.bMin, p.bMax)
+	}
+	return nil
+}
+
+// operandBounds returns the ranges op's operand bytes hold for A and B.
+func operandBounds(op Opcode, info *Info) (aMin, aMax, bMin, bMax int64) {
 	switch {
 	case info.Branch || info.OperandBytes <= 0:
 	case op == Bipush:
@@ -127,24 +146,57 @@ func checkOperands(op Opcode, a, b int64) error {
 	default: // a 2-byte index; invokedynamic's other two bytes are zero
 		aMax = math.MaxUint16
 	}
-	if a < aMin || a > aMax {
-		return fmt.Errorf("%s operand %d outside [%d, %d]", op, a, aMin, aMax)
+	return aMin, aMax, bMin, bMax
+}
+
+// proto is what the assembler needs of an opcode for every instruction it
+// emits, derived once from the Info table: the instruction Make returns,
+// the operand ranges checkOperands enforces, and whether the opcode is
+// plain: defined, with a fixed pop count, and neither a branch nor a
+// switch, so that emitting it needs no further check.
+type proto struct {
+	in                     Instruction
+	plain                  bool
+	defined, varPop        bool
+	branch, switchOp       bool
+	aMin, aMax, bMin, bMax int64
+}
+
+var protos = func() *[256]proto {
+	t := new([256]proto)
+	for op := range t {
+		info := &infoTable.val[op]
+		p := &t[op]
+		p.defined = infoTable.defined[op]
+		p.varPop = info.Pop == VarPop
+		p.branch = info.Branch
+		p.switchOp = Opcode(op) == Lookupswitch || Opcode(op) == Tableswitch
+		p.plain = p.defined && !p.varPop && !p.branch && !p.switchOp
+		p.in = Instruction{Op: Opcode(op), Target: NoTarget, Pop: int8(info.Pop), Push: int8(info.Push)}
+		p.aMin, p.aMax, p.bMin, p.bMax = operandBounds(Opcode(op), info)
 	}
-	if b < bMin || b > bMax {
-		return fmt.Errorf("%s second operand %d outside [%d, %d]", op, b, bMin, bMax)
+	return t
+}()
+
+// protoOf returns op's proto, panicking on undefined opcodes as
+// MustLookup does.
+func protoOf(op Opcode) *proto {
+	p := &protos[op]
+	if !p.defined {
+		panic(fmt.Sprintf("bytecode: undefined opcode 0x%02x", byte(op)))
 	}
-	return nil
+	return p
 }
 
 // Make builds an instruction with architected pop/push counts resolved.
 // It panics on VarPop opcodes (calls), which need resolving from the call
 // signature.
 func Make(op Opcode) Instruction {
-	info := MustLookup(op)
-	if info.Pop == VarPop {
+	p := protoOf(op)
+	if p.varPop {
 		panic(fmt.Sprintf("bytecode: %s needs its call signature (signature-dependent pop)", op))
 	}
-	return Instruction{Op: op, Target: NoTarget, Pop: int8(info.Pop), Push: int8(info.Push)}
+	return p.in
 }
 
 // MakeA builds an instruction with a primary operand.

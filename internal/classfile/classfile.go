@@ -315,10 +315,11 @@ func (c *Class) Add(m *Method) *Class {
 	m.Class = c.Name
 	m.sig.Store(nil)
 	m.hash.Store(0)
-	if _, exists := c.Methods[m.Name]; !exists {
+	n := len(c.Methods)
+	c.Methods[m.Name] = m
+	if len(c.Methods) > n { // a new name, not a replacement
 		c.order = append(c.order, m.Name)
 	}
-	c.Methods[m.Name] = m
 	return c
 }
 

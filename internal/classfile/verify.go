@@ -2,6 +2,8 @@ package classfile
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"javaflow/internal/bytecode"
 )
@@ -37,119 +39,11 @@ func Verify(m *Method) error {
 			fmt.Sprintf("parameters need %d registers but MaxLocals is %d", m.ParamRegisters(), m.MaxLocals)}
 	}
 
-	const unvisited = -1
-	depthAt := make([]int, len(m.Code))
-	for i := range depthAt {
-		depthAt[i] = unvisited
-	}
-
-	type workItem struct{ idx, depth int }
-	work := []workItem{{0, 0}}
-	maxDepth := 0
-
-	push := func(idx, depth int) error {
-		if idx < 0 || idx >= len(m.Code) {
-			return fmt.Errorf("branch target %d out of range", idx)
-		}
-		if prev := depthAt[idx]; prev != unvisited {
-			if prev != depth {
-				return fmt.Errorf("inconsistent stack depth at merge: %d vs %d (invalid per JVM rule, Figure 9)", prev, depth)
-			}
-			return nil
-		}
-		depthAt[idx] = depth
-		work = append(work, workItem{idx, depth})
-		return nil
-	}
-	depthAt[0] = 0
-
-	for len(work) > 0 {
-		item := work[len(work)-1]
-		work = work[:len(work)-1]
-		in := &m.Code[item.idx]
-
-		if in.Pop == bytecode.VarPop {
-			return &VerifyError{m.Signature(), item.idx,
-				fmt.Sprintf("%s has unresolved signature (GPP resolution step missing)", in.Op)}
-		}
-		if reg, ok := in.LocalIndex(); ok && reg >= m.MaxLocals {
-			return &VerifyError{m.Signature(), item.idx,
-				fmt.Sprintf("register %d out of range (MaxLocals %d)", reg, m.MaxLocals)}
-		}
-		after := item.depth - int(in.Pop)
-		if after < 0 {
-			return &VerifyError{m.Signature(), item.idx,
-				fmt.Sprintf("%s pops %d with only %d on stack", in.Op, in.Pop, item.depth)}
-		}
-		after += int(in.Push)
-		if after > maxDepth {
-			maxDepth = after
-		}
-
-		// Successors. jsr/ret need subroutine-aware treatment: the
-		// subroutine entry sees the pushed return address; the jsr
-		// fall-through resumes at the depth before the jsr (the
-		// subroutine consumes the address and preserves the stack).
-		if in.Op == bytecode.Jsr || in.Op == bytecode.JsrW {
-			if err := push(int(in.Target), after); err != nil {
-				return &VerifyError{m.Signature(), item.idx, err.Error()}
-			}
-			if item.idx+1 >= len(m.Code) {
-				return &VerifyError{m.Signature(), item.idx, "control flow falls off method end"}
-			}
-			if err := push(item.idx+1, item.depth); err != nil {
-				return &VerifyError{m.Signature(), item.idx, err.Error()}
-			}
-			continue
-		}
-		if in.Op == bytecode.Ret {
-			continue // successor is dynamic (the captured return address)
-		}
-		if in.IsReturn() {
-			if in.Op != bytecode.Return && in.Op != bytecode.Athrow && after != 0 {
-				// value-returning forms consume their operand via Pop;
-				// the stack must be clean afterwards in our single-method
-				// model. (The architected JVM discards leftovers; the
-				// fabric has no way to, so the corpus keeps stacks clean.)
-				return &VerifyError{m.Signature(), item.idx,
-					fmt.Sprintf("stack not empty (%d) at %s", after, in.Op)}
-			}
-			continue
-		}
-		switch {
-		case in.Op == bytecode.Goto || in.Op == bytecode.GotoW:
-			if err := push(int(in.Target), after); err != nil {
-				return &VerifyError{m.Signature(), item.idx, err.Error()}
-			}
-		case in.Op == bytecode.Lookupswitch || in.Op == bytecode.Tableswitch:
-			if err := push(int(in.Target), after); err != nil {
-				return &VerifyError{m.Signature(), item.idx, err.Error()}
-			}
-			_, targets := m.Arms(item.idx)
-			for _, t := range targets {
-				if err := push(t, after); err != nil {
-					return &VerifyError{m.Signature(), item.idx, err.Error()}
-				}
-			}
-		case in.IsBranch():
-			if err := push(int(in.Target), after); err != nil {
-				return &VerifyError{m.Signature(), item.idx, err.Error()}
-			}
-			fallthrough
-		default:
-			if item.idx+1 >= len(m.Code) {
-				return &VerifyError{m.Signature(), item.idx, "control flow falls off method end"}
-			}
-			if err := push(item.idx+1, after); err != nil {
-				return &VerifyError{m.Signature(), item.idx, err.Error()}
-			}
-		}
-	}
-
-	for i, d := range depthAt {
-		if d == unvisited {
-			return &VerifyError{m.Signature(), i, "unreachable instruction"}
-		}
+	w := walkers.Get().(*walker)
+	maxDepth, err := w.walk(m)
+	walkers.Put(w)
+	if err != nil {
+		return err
 	}
 	if m.MaxStack != 0 && maxDepth > m.MaxStack {
 		return &VerifyError{m.Signature(), 0,
@@ -165,6 +59,228 @@ func Verify(m *Method) error {
 		m.hash.Store(0)
 	}
 	return nil
+}
+
+// flowKind is how control leaves an instruction, as Verify's walk reads
+// it.
+type flowKind uint8
+
+const (
+	flowNext       flowKind = iota // falls through to the next instruction
+	flowBranch                     // its Target (when it has one), then the next
+	flowGoto                       // its Target only
+	flowSwitch                     // its Target (the default), then each arm
+	flowJsr                        // a subroutine entry and the instruction after
+	flowRet                        // a dynamic successor: none to follow
+	flowReturn                     // ends the method; the stack must be empty after
+	flowReturnVoid                 // return and athrow: ends the method
+)
+
+// opFlow is what Verify reads of an opcode for every instruction: how
+// control leaves it, and the register it accesses (noLocal when none,
+// localInA when the register is the A operand).
+type opFlow struct {
+	kind  flowKind
+	local int8
+}
+
+const (
+	noLocal  = -2
+	localInA = -1
+)
+
+// flows is derived once from the bytecode package's own predicates, so the
+// walk classifies every opcode exactly as LocalIndex, IsReturn and IsBranch
+// do.
+var flows = func() *[256]opFlow {
+	t := new([256]opFlow)
+	for i := range t {
+		op := bytecode.Opcode(i)
+		in := bytecode.Instruction{Op: op, Target: 0}
+		f := &t[i]
+		f.local = noLocal
+		if r0, ok := in.LocalIndex(); ok {
+			in.A = 1
+			if r1, _ := in.LocalIndex(); r1 != r0 {
+				f.local = localInA
+			} else {
+				f.local = int8(r0)
+			}
+		}
+		switch {
+		case op == bytecode.Jsr || op == bytecode.JsrW:
+			f.kind = flowJsr
+		case op == bytecode.Ret:
+			f.kind = flowRet
+		case in.IsReturn() && (op == bytecode.Return || op == bytecode.Athrow):
+			f.kind = flowReturnVoid
+		case in.IsReturn():
+			f.kind = flowReturn
+		case op == bytecode.Goto || op == bytecode.GotoW:
+			f.kind = flowGoto
+		case op == bytecode.Lookupswitch || op == bytecode.Tableswitch:
+			f.kind = flowSwitch
+		case in.IsBranch():
+			f.kind = flowBranch
+		}
+	}
+	return t
+}()
+
+// walker holds the depth array and work list of one Verify walk; walkers
+// recycles them, since deployment verifies from many goroutines and the
+// corpus verifies every method it builds.
+type walker struct {
+	depthAt []int
+	work    []workItem
+	visited int // instructions reached so far
+}
+
+type workItem struct{ idx, depth int }
+
+var walkers = sync.Pool{New: func() any { return new(walker) }}
+
+const unvisited = -1
+
+// walk visits every instruction reachable from the entry, depth first,
+// and returns the greatest stack depth any reaches.
+func (w *walker) walk(m *Method) (int, error) {
+	code := m.Code
+	n := len(code)
+	w.depthAt = slices.Grow(w.depthAt[:0], n)[:n]
+	for i := range w.depthAt {
+		w.depthAt[i] = unvisited
+	}
+	w.depthAt[0] = 0
+	w.visited = 1
+	w.work = w.work[:0]
+	maxDepth := 0
+
+	for item := (workItem{0, 0}); ; {
+		in := &code[item.idx]
+		f := flows[in.Op]
+
+		if in.Pop == bytecode.VarPop {
+			return 0, failAt(m, item.idx, fmt.Sprintf("%s has unresolved signature (GPP resolution step missing)", in.Op))
+		}
+		if f.local != noLocal {
+			reg := int(f.local)
+			if reg == localInA {
+				reg = int(in.A)
+			}
+			if reg >= m.MaxLocals {
+				return 0, failAt(m, item.idx, fmt.Sprintf("register %d out of range (MaxLocals %d)", reg, m.MaxLocals))
+			}
+		}
+		after := item.depth - int(in.Pop)
+		if after < 0 {
+			return 0, failAt(m, item.idx, fmt.Sprintf("%s pops %d with only %d on stack", in.Op, in.Pop, item.depth))
+		}
+		after += int(in.Push)
+		if after > maxDepth {
+			maxDepth = after
+		}
+
+		// Successors, entered in the order the work list pops them last
+		// first; last is the one entered last (when there is one), which
+		// would be popped straight away and so is taken directly. jsr/ret need
+		// subroutine-aware treatment: the subroutine entry sees the pushed
+		// return address; the jsr fall-through resumes at the depth before
+		// the jsr (the subroutine consumes the address and preserves the
+		// stack).
+		hasLast, last, lastDepth := false, 0, after
+		switch f.kind {
+		case flowRet:
+			// successor is dynamic (the captured return address)
+		case flowReturn:
+			// value-returning forms consume their operand via Pop; the
+			// stack must be clean afterwards in our single-method model.
+			// (The architected JVM discards leftovers; the fabric has no
+			// way to, so the corpus keeps stacks clean.)
+			if after != 0 {
+				return 0, failAt(m, item.idx, fmt.Sprintf("stack not empty (%d) at %s", after, in.Op))
+			}
+		case flowReturnVoid:
+		case flowGoto:
+			hasLast, last = true, int(in.Target)
+		case flowSwitch:
+			if !w.enter(int(in.Target), after) {
+				return 0, failAt(m, item.idx, w.refusal(int(in.Target), after))
+			}
+			_, targets := m.Arms(item.idx)
+			for _, t := range targets {
+				if !w.enter(t, after) {
+					return 0, failAt(m, item.idx, w.refusal(t, after))
+				}
+			}
+		default: // flowNext, flowBranch, flowJsr
+			if f.kind == flowJsr || f.kind == flowBranch && in.Target != bytecode.NoTarget {
+				if !w.enter(int(in.Target), after) {
+					return 0, failAt(m, item.idx, w.refusal(int(in.Target), after))
+				}
+			}
+			if f.kind == flowJsr {
+				lastDepth = item.depth
+			}
+			if item.idx+1 >= n {
+				return 0, failAt(m, item.idx, "control flow falls off method end")
+			}
+			hasLast, last = true, item.idx+1
+		}
+		if hasLast {
+			if uint(last) < uint(n) && w.depthAt[last] == unvisited {
+				w.depthAt[last] = lastDepth
+				w.visited++
+				item = workItem{last, lastDepth}
+				continue
+			}
+			if !w.enter(last, lastDepth) {
+				return 0, failAt(m, item.idx, w.refusal(last, lastDepth))
+			}
+		}
+		if len(w.work) == 0 {
+			break
+		}
+		item = w.work[len(w.work)-1]
+		w.work = w.work[:len(w.work)-1]
+	}
+
+	if w.visited < n {
+		for i, d := range w.depthAt {
+			if d == unvisited {
+				return 0, failAt(m, i, "unreachable instruction")
+			}
+		}
+	}
+	return maxDepth, nil
+}
+
+// enter reaches instruction t at stack depth depth, queueing it the first
+// time. It reports false when t cannot be entered; refusal says why.
+func (w *walker) enter(t, depth int) bool {
+	if uint(t) >= uint(len(w.depthAt)) {
+		return false
+	}
+	prev := w.depthAt[t]
+	if prev == unvisited {
+		w.depthAt[t] = depth
+		w.visited++
+		w.work = append(w.work, workItem{t, depth})
+		return true
+	}
+	return prev == depth
+}
+
+// refusal says why enter(t, depth) failed.
+func (w *walker) refusal(t, depth int) string {
+	if uint(t) >= uint(len(w.depthAt)) {
+		return fmt.Sprintf("branch target %d out of range", t)
+	}
+	return fmt.Sprintf("inconsistent stack depth at merge: %d vs %d (invalid per JVM rule, Figure 9)", w.depthAt[t], depth)
+}
+
+func failAt(m *Method, idx int, reason string) error {
+	return &VerifyError{m.Signature(), idx, reason}
 }
 
 // EntryDepths returns the verified stack depth at entry to each instruction.

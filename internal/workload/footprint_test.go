@@ -13,10 +13,13 @@ import (
 // builds Corpus(2014, 1580) at start-up and keeps it for its lifetime.
 // Method bodies are exact-size slices of 16-byte instructions that hold no
 // pointer, so the garbage collector never scans them, and one build
-// allocates about 10.1 k times and 2.78 MB (6.25 MB with 56-byte
+// allocates about 3.28 k times and 2.14 MB: bodies are carved from shared
+// chunks, a generated class's methods are one slab, labels are numbers and
+// Verify reuses its buffers. History: 10.1 k and 2.78 MB with one
+// allocation per body, method, label and Verify call; 6.25 MB with 56-byte
 // instructions that held a switch-table pointer; 24.3 k and 21.9 MB when
-// bodies were doubling-grown slices of 96-byte instructions). The bounds
-// keep a few percent of headroom over that.
+// bodies were doubling-grown slices of 96-byte instructions. The bounds
+// keep a few percent of headroom over the current build.
 func TestCorpusFootprint(t *testing.T) {
 	if size := unsafe.Sizeof(bytecode.Instruction{}); size > 16 {
 		t.Errorf("bytecode.Instruction is %d bytes, want <= 16", size)
@@ -33,7 +36,7 @@ func TestCorpusFootprint(t *testing.T) {
 		}
 	}
 
-	const maxAllocs, maxBytes = 10_500, 2_900_000
+	const maxAllocs, maxBytes = 3_400, 2_230_000
 	allocs := testing.AllocsPerRun(1, func() { Corpus(2014, 1580) })
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

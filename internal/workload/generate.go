@@ -42,8 +42,15 @@ var profiles = []profile{
 // gen/GenNNN; all are static int-returning methods with no arguments so a
 // single driver can execute every one of them.
 func Generate(cfg GenConfig) []*classfile.Class {
+	classes, _ := generate(cfg)
+	return classes
+}
+
+// generate builds the population Generate returns, and also its methods
+// in generation order, the order Corpus serves them in.
+func generate(cfg GenConfig) ([]*classfile.Class, []*classfile.Method) {
 	if cfg.Count <= 0 {
-		return nil
+		return nil, nil
 	}
 	classSize := cfg.ClassSize
 	if classSize <= 0 {
@@ -53,14 +60,21 @@ func Generate(cfg GenConfig) []*classfile.Class {
 	asm := bytecode.NewAssembler()
 
 	var classes []*classfile.Class
+	methods := make([]*classfile.Method, 0, cfg.Count)
 	var cur *classfile.Class
+	var slab []classfile.Method // the class's methods, one allocation
 	var pool *classfile.ConstantPool
 	var statics, consts, dconsts []int
 
 	for i := 0; i < cfg.Count; i++ {
 		if i%classSize == 0 {
-			cur = classfile.NewClass(padded("gen/Gen", len(classes), 3))
-			cur.StaticSlots = 4
+			n := min(classSize, cfg.Count-i)
+			cur = &classfile.Class{
+				Name:        padded("gen/Gen", len(classes), 3),
+				Methods:     make(map[string]*classfile.Method, n),
+				StaticSlots: 4,
+			}
+			slab = make([]classfile.Method, n)
 			pool = classfile.NewConstantPool()
 			statics = make([]int, cur.StaticSlots)
 			for s := range statics {
@@ -76,13 +90,15 @@ func Generate(cfg GenConfig) []*classfile.Class {
 			}
 			classes = append(classes, cur)
 		}
-		m := generateMethod(rng, asm, pool, statics, consts, dconsts, padded("m", i, 4))
+		m := &slab[i%classSize]
+		generateMethod(m, rng, asm, pool, statics, consts, dconsts, padded("m", i, 4))
 		cur.Add(m)
 		if err := classfile.Verify(m); err != nil {
 			panic(fmt.Sprintf("workload: generated method invalid: %v", err))
 		}
+		methods = append(methods, m)
 	}
-	return classes
+	return classes, methods
 }
 
 // sampleSize draws a method size target reproducing the corpus shape: a
@@ -123,12 +139,6 @@ type genState struct {
 	scratch int // first free register (loop counters)
 	depth   int // loop nesting
 	target  int
-	labels  int
-}
-
-func (g *genState) label(prefix string) string {
-	g.labels++
-	return prefix + "_" + strconv.Itoa(g.labels)
 }
 
 // padded renders prefix followed by n zero-padded to width digits, as
@@ -147,8 +157,8 @@ func padded(prefix string, n, width int) string {
 func (g *genState) intLocal() int    { return g.rng.Intn(g.nInt) }
 func (g *genState) doubleLocal() int { return g.nInt + g.rng.Intn(g.nDouble) }
 
-// generateMethod emits one synthetic method, reusing asm's buffers.
-func generateMethod(rng *rand.Rand, asm *bytecode.Assembler, pool *classfile.ConstantPool, statics, consts, dconsts []int, name string) *classfile.Method {
+// generateMethod emits one synthetic method into m, reusing asm's buffers.
+func generateMethod(m *classfile.Method, rng *rand.Rand, asm *bytecode.Assembler, pool *classfile.ConstantPool, statics, consts, dconsts []int, name string) {
 	asm.Reset()
 	g := &genState{
 		rng:     rng,
@@ -177,9 +187,10 @@ func generateMethod(rng *rand.Rand, asm *bytecode.Assembler, pool *classfile.Con
 		if err != nil {
 			panic(fmt.Sprintf("workload: generating %s: %v", name, err))
 		}
-		return &classfile.Method{
+		*m = classfile.Method{
 			Name: name, ReturnsValue: true, MaxLocals: 2, Code: code, Pool: pool,
 		}
+		return
 	}
 
 	g.arrLoc = g.nInt + g.nDouble
@@ -215,7 +226,7 @@ func generateMethod(rng *rand.Rand, asm *bytecode.Assembler, pool *classfile.Con
 	if err != nil {
 		panic(fmt.Sprintf("workload: generating %s: %v", name, err))
 	}
-	return &classfile.Method{
+	*m = classfile.Method{
 		Name:         name,
 		ReturnsValue: true,
 		MaxLocals:    maxLocals,
@@ -361,16 +372,16 @@ func (g *genState) controlOp() {
 // a single consumer pops after the join — a DataFlow merge, where one
 // consumer side resolves to two producers.
 func (g *genState) mergeExpr() {
-	alt := g.label("melse")
-	end := g.label("mend")
+	alt := g.a.NewLabel()
+	end := g.a.NewLabel()
 	x := g.intLocal()
 	g.a.ILoad(x).PushInt(int64(g.rng.Intn(64))).
-		Branch(cmpOps[g.rng.Intn(len(cmpOps))], alt)
+		BranchTo(cmpOps[g.rng.Intn(len(cmpOps))], alt)
 	g.a.ILoad(x).ILoad(g.intLocal()).Op(bytecode.Iadd)
-	g.a.Branch(bytecode.Goto, end)
-	g.a.Label(alt)
+	g.a.BranchTo(bytecode.Goto, end)
+	g.a.Bind(alt)
 	g.a.ILoad(x).PushInt(int64(1 + g.rng.Intn(7))).Op(bytecode.Imul)
-	g.a.Label(end)
+	g.a.Bind(end)
 	g.a.IStore(g.intLocal())
 }
 
@@ -378,16 +389,16 @@ func (g *genState) mergeExpr() {
 // different instruction in each arm — giving the producer a fan-out of two
 // (the multi-consumer capability TRIPS needed move instructions for).
 func (g *genState) splitConsume() {
-	alt := g.label("selse")
-	end := g.label("send")
+	alt := g.a.NewLabel()
+	end := g.a.NewLabel()
 	g.a.ILoad(g.intLocal()) // the shared producer
 	g.a.ILoad(g.intLocal()).PushInt(int64(g.rng.Intn(64))).
-		Branch(cmpOps[g.rng.Intn(len(cmpOps))], alt)
+		BranchTo(cmpOps[g.rng.Intn(len(cmpOps))], alt)
 	g.a.PushInt(3).Op(bytecode.Iadd).IStore(g.intLocal())
-	g.a.Branch(bytecode.Goto, end)
-	g.a.Label(alt)
+	g.a.BranchTo(bytecode.Goto, end)
+	g.a.Bind(alt)
 	g.a.PushInt(5).Op(bytecode.Ixor).IStore(g.intLocal())
-	g.a.Label(end)
+	g.a.Bind(end)
 }
 
 var cmpOps = []bytecode.Opcode{
@@ -396,40 +407,40 @@ var cmpOps = []bytecode.Opcode{
 }
 
 func (g *genState) ifOnly() {
-	skip := g.label("skip")
+	skip := g.a.NewLabel()
 	g.a.ILoad(g.intLocal()).PushInt(int64(g.rng.Intn(64))).
-		Branch(cmpOps[g.rng.Intn(len(cmpOps))], skip)
+		BranchTo(cmpOps[g.rng.Intn(len(cmpOps))], skip)
 	g.body(1 + g.rng.Intn(2))
-	g.a.Label(skip)
+	g.a.Bind(skip)
 }
 
 func (g *genState) ifElse() {
-	alt := g.label("else")
-	end := g.label("end")
+	alt := g.a.NewLabel()
+	end := g.a.NewLabel()
 	g.a.ILoad(g.intLocal()).PushInt(int64(g.rng.Intn(64))).
-		Branch(cmpOps[g.rng.Intn(len(cmpOps))], alt)
+		BranchTo(cmpOps[g.rng.Intn(len(cmpOps))], alt)
 	g.body(1 + g.rng.Intn(2))
-	g.a.Branch(bytecode.Goto, end)
-	g.a.Label(alt)
+	g.a.BranchTo(bytecode.Goto, end)
+	g.a.Bind(alt)
 	g.body(1 + g.rng.Intn(2))
-	g.a.Label(end)
+	g.a.Bind(end)
 }
 
 // loop emits a counted loop with 2–12 iterations.
 func (g *genState) loop() {
 	cnt := g.scratch + g.depth
-	top := g.label("loop")
-	done := g.label("done")
+	top := g.a.NewLabel()
+	done := g.a.NewLabel()
 	iters := 2 + g.rng.Intn(11)
 	g.a.PushInt(0).IStore(cnt)
-	g.a.Label(top)
-	g.a.ILoad(cnt).PushInt(int64(iters)).Branch(bytecode.IfIcmpge, done)
+	g.a.Bind(top)
+	g.a.ILoad(cnt).PushInt(int64(iters)).BranchTo(bytecode.IfIcmpge, done)
 	g.depth++
 	g.body(1 + g.rng.Intn(3))
 	g.depth--
 	g.a.Iinc(cnt, 1)
-	g.a.Branch(bytecode.Goto, top)
-	g.a.Label(done)
+	g.a.BranchTo(bytecode.Goto, top)
+	g.a.Bind(done)
 }
 
 // body emits n segments inside a control construct. Nested control is

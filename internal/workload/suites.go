@@ -18,18 +18,14 @@ func AllSuites() []*Suite {
 
 // Corpus assembles the full simulation population the Chapter-7 sweeps
 // study: every named SPEC-analog method followed by the seeded generated
-// corpus, methods within each generated class in generation order (Generate
-// emits m0000, m0001, ... so insertion order is already signature order).
+// corpus in generation order (m0000, m0001, ..., class by class, so the
+// order is also signature order).
 // Both experiments.Context and the jfserved daemon build their population
 // here, so the two always agree method for method.
 func Corpus(seed int64, genCount int) []*classfile.Method {
-	methods := NamedMethods()
-	for _, cls := range Generate(GenConfig{Seed: seed, Count: genCount}) {
-		for _, n := range cls.MethodNames() {
-			methods = append(methods, cls.Methods[n])
-		}
-	}
-	return methods
+	named := NamedMethods()
+	_, generated := generate(GenConfig{Seed: seed, Count: genCount})
+	return append(named[:len(named):len(named)], generated...)
 }
 
 // NamedMethods returns every hand-built SPEC-analog method, deduplicated by
