@@ -176,10 +176,10 @@ func (d *Daemon) compactLoop(stop <-chan struct{}) {
 			return
 		case <-ticker.C:
 		}
-		rep := d.Store.Admin()
-		if rep.GarbageRatio < d.CompactThreshold {
+		if d.Store.GarbageRatio() < d.CompactThreshold {
 			continue
 		}
+		rep := d.Store.Admin()
 		if err := d.Store.Compact(); err != nil {
 			d.logf("auto-compact: %v", err)
 			continue

@@ -292,7 +292,7 @@ func NewHandler(svc *Service) http.Handler {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			obs.WriteSnapshot(w, svc.snapshotFull())
 			if st := svc.Scheduler().Store(); st != nil {
-				obs.WriteSnapshot(w, st.Admin())
+				obs.WriteSnapshot(w, store.AdminReport{GarbageRatio: st.GarbageRatio()})
 			}
 			metrics.Registry().WritePrometheus(w)
 			return

@@ -48,6 +48,48 @@ func geometryOf(key string) (string, bool) {
 	return parts[4], true
 }
 
+// recordBytes is the size of the log record holding key and val.
+func recordBytes(key string, val []byte) int64 {
+	return int64(headerSize + len(key) + len(val) + trailerSize)
+}
+
+// diskUsage counts the segment files in the store's directory and their
+// bytes, including segments other processes sharing it wrote.
+func (s *Store) diskUsage() (segments int, disk int64) {
+	seqs, err := listSegments(s.dir)
+	if err != nil {
+		return 0, 0
+	}
+	for _, seq := range seqs {
+		if fi, err := os.Stat(filepath.Join(s.dir, segmentName(seq))); err == nil {
+			disk += fi.Size()
+		}
+	}
+	return len(seqs), disk
+}
+
+// garbageRatio is the fraction of disk not covered by live. Write-behind
+// appends still in the queue make live momentarily exceed disk; clamp
+// instead of reporting a negative ratio.
+func garbageRatio(disk, live int64) float64 {
+	if disk > live {
+		return float64(disk-live) / float64(disk)
+	}
+	return 0
+}
+
+// GarbageRatio is Admin's GarbageRatio without Admin's walk of the index:
+// the live bytes come from a count kept as the index changes (put,
+// replay, ingest), which compaction leaves as it is. It is what the
+// Prometheus scrape and the auto-compactor read.
+func (s *Store) GarbageRatio() float64 {
+	s.mu.Lock()
+	live := s.liveBytes
+	s.mu.Unlock()
+	_, disk := s.diskUsage()
+	return garbageRatio(disk, live)
+}
+
 // Admin builds the admin report. DiskBytes walks the directory so it also
 // counts segments written by other processes sharing the store; LiveBytes
 // is what this store's index would occupy if compacted today.
@@ -58,7 +100,7 @@ func (s *Store) Admin() AdminReport {
 	records := len(s.index)
 	meta := 0
 	for k, e := range s.index {
-		live += int64(headerSize + len(k) + len(e.val) + trailerSize)
+		live += recordBytes(k, e.val)
 		if e.typ == recTypeMeta {
 			meta++
 			continue
@@ -80,16 +122,7 @@ func (s *Store) Admin() AdminReport {
 	}
 	s.mu.Unlock()
 
-	var disk int64
-	segments := 0
-	if seqs, err := listSegments(s.dir); err == nil {
-		segments = len(seqs)
-		for _, seq := range seqs {
-			if fi, err := os.Stat(filepath.Join(s.dir, segmentName(seq))); err == nil {
-				disk += fi.Size()
-			}
-		}
-	}
+	segments, disk := s.diskUsage()
 
 	geoms := make([]GeometryStats, 0, len(perGeom))
 	for _, g := range perGeom {
@@ -98,19 +131,15 @@ func (s *Store) Admin() AdminReport {
 	sort.Slice(geoms, func(i, j int) bool { return geoms[i].Geometry < geoms[j].Geometry })
 
 	rep := AdminReport{
-		Dir:         s.dir,
-		Records:     records,
-		MetaRecords: meta,
-		Segments:    segments,
-		DiskBytes:   disk,
-		LiveBytes:   live,
-		Compactions: s.compactions.Load(),
-		Geometries:  geoms,
-	}
-	// Write-behind appends still in the queue make live momentarily exceed
-	// disk; clamp instead of reporting a negative ratio.
-	if disk > live {
-		rep.GarbageRatio = float64(disk-live) / float64(disk)
+		Dir:          s.dir,
+		Records:      records,
+		MetaRecords:  meta,
+		Segments:     segments,
+		DiskBytes:    disk,
+		LiveBytes:    live,
+		Compactions:  s.compactions.Load(),
+		Geometries:   geoms,
+		GarbageRatio: garbageRatio(disk, live),
 	}
 	return rep
 }

@@ -1,9 +1,13 @@
 package store
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"javaflow/internal/fabric"
+	"javaflow/internal/scenario/chaosfs"
 	"javaflow/internal/sim"
 )
 
@@ -93,4 +97,97 @@ func TestAdminGarbageRatioAndCompact(t *testing.T) {
 	if rep.Records != 1 {
 		t.Fatalf("compaction lost records: %+v", rep)
 	}
+}
+
+// TestGarbageRatioCounterMatchesWalk checks the live-bytes count behind
+// GarbageRatio against Admin's walk of the index, after every kind of
+// index change: puts, overwrites, meta records, an Ingest, a reopen that
+// replays a torn tail, and a Compact.
+func TestGarbageRatioCounterMatchesWalk(t *testing.T) {
+	dir := t.TempDir()
+	check := func(st *Store, when string) {
+		t.Helper()
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		st.mu.Lock()
+		live := st.liveBytes
+		st.mu.Unlock()
+		rep := st.Admin()
+		if live != rep.LiveBytes {
+			t.Fatalf("%s: counted %d live bytes, the walk finds %d", when, live, rep.LiveBytes)
+		}
+		if got := st.GarbageRatio(); got != rep.GarbageRatio {
+			t.Fatalf("%s: GarbageRatio() = %v, Admin().GarbageRatio = %v", when, got, rep.GarbageRatio)
+		}
+	}
+
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(st, "empty")
+	for i := range 20 {
+		run := sim.MethodRun{Signature: fmt.Sprintf("a/B.c/%d", i), BP1: sim.Result{Fired: i}}
+		st.PutRun(adminRunKey(run.Signature, "w10:UB", uint64(i)), run)
+	}
+	check(st, "puts")
+	for i := range 10 { // overwrites with values of another length
+		run := sim.MethodRun{Signature: fmt.Sprintf("a/B.c/%d", i), BP1: sim.Result{Fired: 1 << 40}, BP2: sim.Result{Fired: 7}}
+		st.PutRun(adminRunKey(run.Signature, "w10:UB", uint64(i)), run)
+	}
+	st.PutMeta("replcursor|http://peer:1", []byte(`{"1":10}`))
+	st.PutMeta("replcursor|http://peer:1", []byte(`{"1":1000,"2":5}`))
+	check(st, "overwrites")
+
+	src, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 15; i < 30; i++ { // five keys overlap, ten are new
+		run := sim.MethodRun{Signature: fmt.Sprintf("a/B.c/%d", i), BP2: sim.Result{Fired: i}}
+		src.PutRun(adminRunKey(run.Signature, "w4:U", uint64(i)), run)
+	}
+	if err := src.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Ingest(exportAll(t, src)); err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+	check(st, "ingest")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Tear the newest segment's last record, as a crash mid-append would.
+	seqs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last string
+	for _, seq := range seqs {
+		if fi, err := os.Stat(filepath.Join(dir, segmentName(seq))); err == nil && fi.Size() > 0 {
+			last = filepath.Join(dir, segmentName(seq))
+		}
+	}
+	if err := chaosfs.TruncateTail(last, 10); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Stats().TornBytes == 0 {
+		t.Fatal("reopen replayed no torn tail")
+	}
+	check(st, "torn-tail reopen")
+	if st.GarbageRatio() == 0 {
+		t.Fatal("overwrites and a torn tail left no garbage")
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check(st, "compact")
 }

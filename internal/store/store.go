@@ -103,6 +103,10 @@ type Store struct {
 
 	mu    sync.Mutex
 	index map[string]indexEntry
+	// liveBytes is what the index's records occupy as log records: the
+	// live side of the garbage ratio, kept as the index changes so that
+	// reading the ratio does not walk the index. Guarded by mu.
+	liveBytes int64
 
 	qmu     sync.RWMutex // serializes queue sends against Close
 	queue   chan writeReq
@@ -249,6 +253,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.skippedRecords += int64(res.skipped)
 		s.tornBytes += res.tail
 	}
+	for k, e := range s.index {
+		s.liveBytes += recordBytes(k, e.val)
+	}
 
 	// Always append to a fresh segment: the newest segment may end in a
 	// torn record, and appending after garbage would hide later records
@@ -341,7 +348,11 @@ func (s *Store) get(key []byte, typ byte) ([]byte, bool) {
 // put error.
 func (s *Store) put(typ byte, key, val []byte) {
 	s.mu.Lock()
+	if old, ok := s.index[string(key)]; ok {
+		s.liveBytes -= recordBytes(string(key), old.val)
+	}
 	s.index[string(key)] = indexEntry{typ: typ, val: val}
+	s.liveBytes += recordBytes(string(key), val)
 	s.mu.Unlock()
 	s.puts.Add(1)
 	s.qmu.RLock()
