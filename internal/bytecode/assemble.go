@@ -36,7 +36,8 @@ type Assembler struct {
 }
 
 // bodyChunk is the largest chunk, in instructions, Finish allocates
-// bodies from (64 KiB).
+// bodies from: 32 KiB, the largest size the runtime allocates as a small
+// object.
 const bodyChunk = 2048
 
 // Label is a branch target of one body, made by NewLabel and bound to an
